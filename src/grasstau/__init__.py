@@ -8,6 +8,7 @@ residue/commutator pairings, all in exact arithmetic over Q or F_p.
 from .errors import (
     DomainError,
     GrasstauError,
+    InternalError,
     NotInvertibleError,
     PrecisionError,
     RingMismatchError,
@@ -53,6 +54,7 @@ __all__ = [
     "GammaElement",
     "GrassPoint",
     "GrasstauError",
+    "InternalError",
     "LaurentElement",
     "MayaDiagram",
     "NotInvertibleError",

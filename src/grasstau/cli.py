@@ -9,6 +9,7 @@ with:
 * 2 - malformed payload (bad JSON, missing keys, wrong shapes)
 * 3 - precondition failure (domain errors, non-invertible input)
 * 4 - insufficient precision for the requested output
+* 5 - an internal invariant failed (a library defect, not a bad input)
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .errors import GrasstauError, PrecisionError
+from .errors import GrasstauError, InternalError, PrecisionError
 from .gamma import GammaElement, abel_embed, exp_gamma, factorize, witt_add, witt_product
 from .grassmann import act, chart_transition, index, plucker
 from .laurent import LaurentElement
@@ -345,6 +346,9 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         _emit({"status": "error", "kind": "precision", "error": str(exc)})
         return 4
+    except InternalError as exc:
+        _emit({"status": "error", "kind": "internal", "error": str(exc)})
+        return 5
     except GrasstauError as exc:
         _emit({"status": "error", "kind": "precondition", "error": str(exc)})
         return 3

@@ -3,8 +3,9 @@
 Three failure modes matter to callers: the inputs live in incompatible
 rings, the requested value genuinely does not exist (non-invertible
 element, constraint violated), or it exists but the stored precision
-window is too small to determine it.  The CLI maps these to distinct
-exit codes.
+window is too small to determine it.  A fourth, a broken internal
+invariant, is a defect of the library rather than of the input.  The CLI
+maps these to distinct exit codes.
 """
 
 
@@ -26,3 +27,7 @@ class NotInvertibleError(DomainError):
 
 class PrecisionError(GrasstauError):
     """The truncation window is too small to determine the result."""
+
+
+class InternalError(GrasstauError):
+    """An internal invariant failed: a library defect, not a bad input."""

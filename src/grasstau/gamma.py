@@ -10,14 +10,13 @@ an invertible ring constant, gplus = 1 + (terms at positive exponents),
 and n the reduced valuation.  ``GammaElement`` stores the four parts;
 ``factorize`` computes them.
 
-The factorization algorithm runs a defect-halving iteration: starting
-from the naive split, the relative error E = f/(gm*u*gp) - 1 has all
-coefficients in the nilpotent ideal, and absorbing its negative / zero /
-positive parts into the three factors squares the ideal power E lives
-in.  After ~log2(nilpotency degree) rounds the negative and constant
-defects vanish identically, at which point gplus is recomputed in closed
-form as f * (gm*u)^{-1}, which is exact because gm*u has an exactly
-invertible (unit plus nilpotent fringe) shape.
+The factorization solves the Wiener-Hopf condition directly: with
+h = z^{-n} f, the inverse Q = gplus^{-1} is the series 1 + O(z) for which
+h*Q has no positive exponents.  Its coefficients q_0..q_r, the only ones
+the lower factors depend on, come out exact from d+1 fixed-point passes
+(see :func:`factorize`); then gminus*unit = [h*Q]_{<=0}, and gplus is
+recovered in closed form as h * (gminus*unit)^{-1}, which is exact because
+gminus*unit has an exactly invertible (unit plus nilpotent fringe) shape.
 
 For input known only below a truncation order M, the two lower factors
 are still exact as long as M - n exceeds d*r (nilpotency degree times
@@ -34,9 +33,10 @@ t -> 1 + sum_i t^i z^{-i}.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from .errors import DomainError, GrasstauError, PrecisionError, RingMismatchError
+from .errors import DomainError, InternalError, PrecisionError, RingMismatchError
 from .laurent import LaurentElement
 from .scalars import BaseField, CoeffRing, RingElement
 
@@ -164,73 +164,64 @@ class GammaElement:
 def factorize(f: LaurentElement) -> GammaElement:
     """Triple factorization of an invertible Laurent series.
 
-    Raises NotInvertibleError if f provably has no unit coefficient,
+    Let h = z^{-n} f with the unknown tail set to zero, c0 = h_0, and
+    Q = gplus^{-1} = 1 + sum_{k>=1} q_k z^k.  The coefficient of z^k in
+    h*Q vanishes for every k >= 1, i.e.
+    q_k = -c0^{-1} (sum_{j>0} h_j q_{k-j} + sum_{j<0} h_j q_{k-j}).
+    Each pass fills q_1..q_K, K = r(d+1), in increasing k, taking the
+    j > 0 terms from the current pass and the j < 0 terms (higher indices)
+    from the previous pass; the first pass starts from zero.  Let m be the
+    maximal ideal.  A pass reads the previous one only through the
+    nilpotent h_j with j < 0, at most r places further up, so after pass p
+    every q_k with k <= K - (p-1)r is right modulo m^p.  m is spanned by
+    monomials of weight >= 1 (every variable weighs at least 1, weighted
+    rings included), so m^{d+1} = 0 and after d+1 passes q_0..q_r are
+    exact.  They are all that L = [h*Q]_{<=0} = gminus*unit reads, so
+    unit = L_0, gminus = L/unit and gplus = h * L^{-1}, where L^{-1} is
+    exact: L is a unit plus a nilpotent fringe.
+
+    For windowed input the lower factors are exact once trunc - n exceeds
+    d*r, and gplus is reported below trunc - n - d*r.  Raises
+    NotInvertibleError if f provably has no unit coefficient,
     PrecisionError if the window cannot pin down the valuation or is too
-    short (trunc - n must exceed d*r) to determine the lower factors.
+    short to determine the lower factors.
     """
     n, r = f.reduced_valuation()
     ring = f.ring
     d = ring.degree_bound
+    if f.trunc is not None and f.trunc - n <= d * r:
+        raise PrecisionError(
+            f"window too small to determine the factorization: "
+            f"need trunc > {n + d * r}, have {f.trunc}"
+        )
+
+    h = LaurentElement(ring, {e - n: c for e, c in f.coeffs.items()}, None)
+    c0_inv = h.coefficient(0).inverse()
+    upper = [(j, c) for j, c in h.coeffs.items() if j > 0]
+    fringe = [(j, c) for j, c in h.coeffs.items() if j < 0]
+    top = r * (d + 1)
+    q = [ring.one()] + [ring.zero()] * top
+    for _ in range(d + 1):
+        prev, q = q, [ring.one()]
+        for k in range(1, top + 1):
+            acc = ring.zero()
+            for j, c in upper:
+                if j <= k:
+                    acc = acc + c * q[k - j]
+            for j, c in fringe:
+                if k - j <= top:
+                    acc = acc + c * prev[k - j]
+            q.append(-(c0_inv * acc))
+
+    hq = h * LaurentElement(ring, dict(enumerate(q[: r + 1])), None)
+    low = LaurentElement(ring, {e: c for e, c in hq.coeffs.items() if e <= 0}, None)
+    unit = low.coefficient(0)
+    gplus = h * low.inverse()
+    if any(e < 0 for e in gplus.coeffs) or gplus.coeffs.get(0) != ring.one():
+        raise InternalError("factorization certification failed")
     if f.trunc is not None:
-        m_h = f.trunc - n
-        if m_h <= d * r:
-            raise PrecisionError(
-                f"window too small to determine the factorization: "
-                f"need trunc > {n + d * r}, have {f.trunc}"
-            )
-    else:
-        m_h = None
-
-    # work with an exactly-known representative (unknown tail set to zero)
-    h_hat = LaurentElement(ring, {e - n: c for e, c in f.coeffs.items()}, None)
-    c0 = h_hat.coefficient(0)
-    c0_inv = c0.inverse()
-
-    gm = LaurentElement.one(ring)
-    u = c0
-    gp_seed = LaurentElement(
-        ring, {e: c for e, c in h_hat.coeffs.items() if e >= 0}, None
-    ) * c0_inv
-
-    # window budget: the iteration only needs the negative and constant
-    # defects, which stay fully known as long as each round's error term
-    # keeps a window above z^1.
-    rounds_budget = d.bit_length() + 3
-    w0 = 2 + rounds_budget * (r * (d * d + d + 1) + 1)
-    gp = gp_seed.truncate(w0)
-
-    for _ in range(rounds_budget):
-        prod = (gm * u) * gp
-        defect = h_hat * prod.inverse() - 1
-        if defect.is_zero():
-            break
-        if defect.trunc is not None and defect.trunc < 1:
-            raise GrasstauError("internal: factorization window budget exhausted")
-        e_minus = LaurentElement(
-            ring, {e: c for e, c in defect.coeffs.items() if e < 0}, None
-        )
-        e_zero = defect.coefficient(0)
-        e_plus = LaurentElement(
-            ring, {e: c for e, c in defect.coeffs.items() if e > 0}, defect.trunc
-        )
-        gm = gm * (LaurentElement.one(ring) + e_minus)
-        u = u * (ring.one() + e_zero)
-        gp = gp * (LaurentElement.one(ring) + e_plus)
-    else:
-        raise GrasstauError("internal: factorization iteration did not converge")
-
-    # closed-form exact gplus: gm*u has a unit constant and nilpotent
-    # fringe, so its inverse is exact, and the product with h_hat is a
-    # genuine Laurent polynomial.
-    gp_exact = h_hat * (gm * u).inverse()
-    if any(e < 0 for e in gp_exact.coeffs) or gp_exact.coeffs.get(0) != ring.one():
-        raise GrasstauError("internal: factorization certification failed")
-
-    if m_h is not None:
-        gp_out = gp_exact.truncate(m_h - d * r)
-    else:
-        gp_out = gp_exact
-    return GammaElement(gm, u, gp_out, n)
+        gplus = gplus.truncate(f.trunc - n - d * r)
+    return GammaElement(low * unit.inverse(), unit, gplus, n)
 
 
 # ----------------------------------------------------------------------
@@ -266,35 +257,23 @@ def exp_gamma(
             raise DomainError(
                 "exp into the lower wing needs nilpotent coefficients"
             )
-        e = LaurentElement(ring, arg, None)
-        total = LaurentElement.one(ring)
-        power = LaurentElement.one(ring)
-        for k in itertools.count(1):
-            power = power * e
-            if power.is_zero():
-                break
-            total = total + power * Fraction(1, _factorial(k))
-        return GammaElement.from_parts(ring, gminus=total)
-    if trunc is None:
+        trunc = None  # the lower-wing series is finite and exact
+    elif trunc is None:
         raise PrecisionError(
             "exp into the upper wing is an infinite series; a truncation order is required"
         )
     e = LaurentElement(ring, arg, None)
-    total = LaurentElement.one(ring)
-    power = LaurentElement.one(ring)
-    for k in range(1, max(trunc, 1)):
-        power = (power * e).truncate(trunc)
+    total = power = LaurentElement.one(ring)
+    for k in itertools.count(1):
+        power = power * e
+        if trunc is not None:
+            power = power.truncate(trunc)
         if power.is_zero():
             break
-        total = total + power * Fraction(1, _factorial(k))
+        total = total + power * Fraction(1, math.factorial(k))
+    if sign < 0:
+        return GammaElement.from_parts(ring, gminus=total)
     return GammaElement.from_parts(ring, gplus=total.truncate(trunc))
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def witt_product(ring: CoeffRing, coeffs: list[RingElement], sign: int) -> LaurentElement:
@@ -333,7 +312,7 @@ def witt_add(
             factor = LaurentElement(ring, {0: ring.one(), i: -c}, None)
             q = q * factor.inverse(window=m + 1)
     if any(q.coefficient(i) for i in range(1, m + 1)):
-        raise GrasstauError("internal: Witt peel left a nonzero remainder")
+        raise InternalError("Witt peel left a nonzero remainder")
     return out
 
 
@@ -351,33 +330,27 @@ def abel_embed(ring: CoeffRing, points, depth: int | None = None):
     for t in pts:
         if not isinstance(t, RingElement) or t.ring != ring:
             raise RingMismatchError("points must live in the given ring")
-    if all(t.is_nilpotent() for t in pts):
-        out = LaurentElement.one(ring)
-        for t in pts:
-            terms = {0: ring.one()}
-            power = ring.one()
-            for i in range(1, ring.degree_bound + 1):
-                power = power * t
-                if not power:
-                    break
-                terms[-i] = power
-            out = out * LaurentElement(ring, terms, None)
-        return GammaElement.from_parts(ring, gminus=out)
-    if depth is None:
+    nilpotent = all(t.is_nilpotent() for t in pts)
+    if not nilpotent and depth is None:
         raise DomainError(
             "a point with invertible part embeds outside the series ring; "
             "pass depth= to truncate the image below z^{-depth}"
         )
+    reach = ring.degree_bound if nilpotent else depth
     out = LaurentElement.one(ring)
     for t in pts:
         terms = {0: ring.one()}
         power = ring.one()
-        for i in range(1, depth + 1):
+        for i in range(1, reach + 1):
             power = power * t
             if not power:
                 break
             terms[-i] = power
-        out = (out * LaurentElement(ring, terms, None)).clip_below(-depth)
+        out = out * LaurentElement(ring, terms, None)
+        if not nilpotent:
+            out = out.clip_below(-depth)
+    if nilpotent:
+        return GammaElement.from_parts(ring, gminus=out)
     return out
 
 

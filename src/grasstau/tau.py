@@ -35,7 +35,13 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 
-from .errors import DomainError, NotInvertibleError, PrecisionError, RingMismatchError
+from .errors import (
+    DomainError,
+    InternalError,
+    NotInvertibleError,
+    PrecisionError,
+    RingMismatchError,
+)
 from .gamma import GammaElement, universal_v
 from .grassmann import GrassPoint, act, plucker
 from .laurent import LaurentElement
@@ -117,7 +123,7 @@ def tau_crosscheck(point: GrassPoint, bound: int) -> RingElement:
     a = tau_direct(point, bound)
     b = tau_schur(point, bound)
     if a != b:
-        raise DomainError("internal: the two tau routes disagree")
+        raise InternalError("the two tau routes disagree")
     return a
 
 

@@ -15,6 +15,7 @@ from grasstau import (
     MayaDiagram,
     factorize,
 )
+from grasstau import tau as tau_module
 from grasstau.cli import main
 from grasstau.serialize import (
     decode_gamma,
@@ -213,22 +214,24 @@ def test_cli_schur_frozen(capsys, tmp_path):
     assert "weights:1..deg" in out["convention_flags"]
 
 
+TAU_PAYLOAD = {
+    "ring": {"field": "q", "num_vars": 1, "degree_bound": 1},
+    "point": {
+        "tail_depth": 1,
+        "columns": [
+            {
+                "terms": [
+                    {"exp": -1, "coeff": [{"exponents": [0], "coeff": "1"}]},
+                    {"exp": 0, "coeff": [{"exponents": [0], "coeff": "3/7"}]},
+                ]
+            }
+        ],
+    },
+}
+
+
 def test_cli_tau_both_routes(capsys, tmp_path):
-    payload = {
-        "ring": {"field": "q", "num_vars": 1, "degree_bound": 1},
-        "point": {
-            "tail_depth": 1,
-            "columns": [
-                {
-                    "terms": [
-                        {"exp": -1, "coeff": [{"exponents": [0], "coeff": "1"}]},
-                        {"exp": 0, "coeff": [{"exponents": [0], "coeff": "3/7"}]},
-                    ]
-                }
-            ],
-        },
-    }
-    code, out = run_cli(capsys, ["tau", "--deg", "2"], payload, tmp_path)
+    code, out = run_cli(capsys, ["tau", "--deg", "2"], TAU_PAYLOAD, tmp_path)
     assert code == 0
     # default --method both cross-checks the two routes before answering
     assert "method:both" in out["convention_flags"]
@@ -278,6 +281,15 @@ def test_cli_exit_codes(capsys, tmp_path):
     }
     code, out = run_cli(capsys, ["factor"], windowed, tmp_path)
     assert code == 4 and out["kind"] == "precision"
+
+
+def test_cli_broken_invariant_is_internal(capsys, tmp_path, monkeypatch):
+    # the two tau routes disagreeing is a library defect, not a bad payload
+    direct = tau_module.tau_direct
+    monkeypatch.setattr(tau_module, "tau_schur", lambda pt, bound: direct(pt, bound) + 1)
+    code, out = run_cli(capsys, ["tau", "--deg", "2"], TAU_PAYLOAD, tmp_path)
+    assert code == 5 and out["kind"] == "internal"
+    assert "disagree" in out["error"]
 
 
 def test_cli_verify_single_suite(capsys, tmp_path):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from grasstau import (
     GF,
@@ -15,6 +15,7 @@ from grasstau import (
     NotInvertibleError,
     PrecisionError,
     abel_embed,
+    coordinate_ring,
     exp_gamma,
     factorize,
     universal_v,
@@ -71,26 +72,84 @@ def test_group_law_and_inverse():
     assert GammaElement.identity(R2).is_identity()
 
 
-@settings(deadline=None, max_examples=30)
+def test_factorize_frozen_unit_wing_d3_r2():
+    # exact input whose upper wing has a unit coefficient, at d*r = 6
+    ring = CoeffRing(QQ, 2, 3)
+    x1, x2 = ring.gen(0), ring.gen(1)
+    F = Fraction
+    g = factorize(
+        LaurentElement(ring, {-2: x2, -1: x1 + x2, 0: ring.const(2) + x1, 1: 1})
+    )
+    gminus = LaurentElement(
+        ring,
+        {
+            -2: ring.element(
+                {(0, 1): F(1, 2), (0, 2): F(1, 16), (0, 3): F(1, 128),
+                 (1, 1): F(-1, 8), (1, 2): F(-1, 64)}
+            ),
+            -1: ring.element(
+                {(0, 1): F(1, 4), (0, 3): F(-1, 256), (1, 0): F(1, 2),
+                 (1, 1): F(1, 16), (1, 2): F(3, 128), (2, 0): F(-1, 8),
+                 (2, 1): F(-1, 32)}
+            ),
+            0: 1,
+        },
+    )
+    unit = ring.element(
+        {(0, 0): 2, (0, 1): F(-1, 4), (0, 3): F(1, 256), (1, 0): F(1, 2),
+         (1, 1): F(-1, 16), (1, 2): F(-3, 128), (2, 0): F(1, 8), (2, 1): F(1, 32)}
+    )
+    gplus = LaurentElement(
+        ring,
+        {
+            0: 1,
+            1: ring.element(
+                {(0, 0): F(1, 2), (0, 1): F(1, 16), (0, 2): F(1, 128),
+                 (1, 0): F(-1, 8), (1, 1): F(-1, 64), (1, 2): F(1, 256),
+                 (2, 1): F(-3, 256), (3, 0): F(1, 128)}
+            ),
+        },
+    )
+    assert g == GammaElement(gminus, unit, gplus, 0)
+
+
+ROUND_TRIP_RINGS = [
+    CoeffRing(QQ, 2, 2),
+    CoeffRing(GF(3), 2, 2),
+    CoeffRing(GF(5), 2, 3),
+    coordinate_ring(QQ, 3),
+    coordinate_ring(GF(5), 2),
+]
+
+
+@settings(deadline=None, max_examples=100)
 @given(
+    st.sampled_from(ROUND_TRIP_RINGS),
     st.integers(-3, 3),
     st.integers(-3, 3),
     st.integers(1, 3),
     st.integers(-3, 3),
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=3),
 )
-def test_factorize_round_trip(a, b, u, c):
-    ring = CoeffRing(QQ, 2, 2)
+def test_factorize_round_trip(ring, a, b, u, c, tail):
     x1, x2 = ring.gen(0), ring.gen(1)
-    f = LaurentElement(
-        ring,
-        {-2: x2 * a, -1: x1 * b, 0: ring.const(u) + x1, 1: c, 2: 1},
-        trunc=9,
-    )
+    assume(ring.const(u))
+    terms = {-2: x2 * a, -1: x1 * b, 0: ring.const(u) + x1, 1: c, 2: 1}
+    f = LaurentElement(ring, terms, trunc=9)
     g = factorize(f)
     assert g.as_laurent().same_series(f)
     assert g.gminus.coefficient(0) == ring.one()
     assert g.gplus.coefficient(0) == ring.one()
     assert g.unit.is_unit()
+    # the window's promise: any unknown tail changes gplus alone, and only
+    # past its window
+    for i, (s, t) in enumerate(tail):
+        terms[9 + i] = ring.const(s) + x1 * t
+    extended = factorize(LaurentElement(ring, terms))
+    assert extended.gminus == g.gminus
+    assert extended.unit == g.unit
+    assert extended.zpower == g.zpower
+    assert extended.gplus.same_series(g.gplus)
 
 
 # ---------------------------------------------------------------------------
