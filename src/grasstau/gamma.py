@@ -12,11 +12,12 @@ and n the reduced valuation.  ``GammaElement`` stores the four parts;
 
 The factorization solves the Wiener-Hopf condition directly: with
 h = z^{-n} f, the inverse Q = gplus^{-1} is the series 1 + O(z) for which
-h*Q has no positive exponents.  Its coefficients q_0..q_r, the only ones
-the lower factors depend on, come out exact from d+1 fixed-point passes
-(see :func:`factorize`); then gminus*unit = [h*Q]_{<=0}, and gplus is
-recovered in closed form as h * (gminus*unit)^{-1}, which is exact because
-gminus*unit has an exactly invertible (unit plus nilpotent fringe) shape.
+h*Q has no positive exponents.  The lower factors read only q_1..q_r,
+and those only modulo m^d (m the maximal ideal), which d fixed-point
+passes deliver (see :func:`factorize`); then gminus*unit = [h*Q]_{<=0},
+and gplus is recovered in closed form as h * (gminus*unit)^{-1}, which is
+exact because gminus*unit has an exactly invertible (unit plus nilpotent
+fringe) shape.
 
 For input known only below a truncation order M, the two lower factors
 are still exact as long as M - n exceeds d*r (nilpotency degree times
@@ -130,16 +131,15 @@ class GammaElement:
         """Componentwise inverse.
 
         gminus and unit invert exactly.  gplus inverts to its own window;
-        exactly-known nontrivial gplus needs an explicit ``window`` since
-        its inverse is an infinite series.
+        an exactly-known gplus with a unit coefficient above z^0 needs an
+        explicit ``window`` since its inverse is an infinite series.
         """
-        gm_inv = self.gminus.inverse()
-        u_inv = self.unit.inverse()
-        if self.gplus.coeffs == {0: self.ring.one()} and self.gplus.trunc is None:
-            gp_inv = LaurentElement.one(self.ring)
-        else:
-            gp_inv = self.gplus.inverse(window=window)
-        return GammaElement(gm_inv, u_inv, gp_inv, -self.zpower)
+        return GammaElement(
+            self.gminus.inverse(),
+            self.unit.inverse(),
+            self.gplus.inverse(window=window),
+            -self.zpower,
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GammaElement):
@@ -168,15 +168,17 @@ def factorize(f: LaurentElement) -> GammaElement:
     Q = gplus^{-1} = 1 + sum_{k>=1} q_k z^k.  The coefficient of z^k in
     h*Q vanishes for every k >= 1, i.e.
     q_k = -c0^{-1} (sum_{j>0} h_j q_{k-j} + sum_{j<0} h_j q_{k-j}).
-    Each pass fills q_1..q_K, K = r(d+1), in increasing k, taking the
+    Each pass fills q_1..q_K, K = r*d, in increasing k, taking the
     j > 0 terms from the current pass and the j < 0 terms (higher indices)
     from the previous pass; the first pass starts from zero.  Let m be the
     maximal ideal.  A pass reads the previous one only through the
     nilpotent h_j with j < 0, at most r places further up, so after pass p
-    every q_k with k <= K - (p-1)r is right modulo m^p.  m is spanned by
-    monomials of weight >= 1 (every variable weighs at least 1, weighted
-    rings included), so m^{d+1} = 0 and after d+1 passes q_0..q_r are
-    exact.  They are all that L = [h*Q]_{<=0} = gminus*unit reads, so
+    every q_k with k <= K - (p-1)r is right modulo m^p; after d passes
+    q_1..q_r are right modulo m^d.  That suffices: the coefficient of z^k,
+    k <= 0, in L = [h*Q]_{<=0} = gminus*unit reads q_i, i >= 1, only as
+    h_{k-i} q_i with k - i < 0, so through a nilpotent factor, and m is
+    spanned by monomials of weight >= 1 (every variable weighs at least 1,
+    weighted rings included), so m^{d+1} = 0.  Hence L is exact, and
     unit = L_0, gminus = L/unit and gplus = h * L^{-1}, where L^{-1} is
     exact: L is a unit plus a nilpotent fringe.
 
@@ -199,9 +201,9 @@ def factorize(f: LaurentElement) -> GammaElement:
     c0_inv = h.coefficient(0).inverse()
     upper = [(j, c) for j, c in h.coeffs.items() if j > 0]
     fringe = [(j, c) for j, c in h.coeffs.items() if j < 0]
-    top = r * (d + 1)
+    top = r * d
     q = [ring.one()] + [ring.zero()] * top
-    for _ in range(d + 1):
+    for _ in range(d):
         prev, q = q, [ring.one()]
         for k in range(1, top + 1):
             acc = ring.zero()

@@ -107,13 +107,28 @@ def index(point: GrassPoint) -> int:
     return n_cols - depth
 
 
-def _chart_rows(point: GrassPoint, maya: MayaDiagram):
-    """Rows the diagram selects, or None when a tail exponent is missing
-    (which forces every minor in this chart to vanish)."""
+def _chart_block(point: GrassPoint, maya: MayaDiagram, unknown: str):
+    """The square block of rows the diagram selects, or None when every
+    minor in the chart vanishes: a tail exponent is missing, or the number
+    of rows differs from the number of columns.  Raises PrecisionError
+    with ``unknown`` (formatted with the row exponent ``e``) when a
+    selected row lies beyond a column's window."""
     for e in range(maya.tail_start, -point.tail_depth):
         if e not in maya.members:
             return None
-    return maya.members_from(-point.tail_depth)
+    rows = maya.members_from(-point.tail_depth)
+    if len(rows) != len(point.columns):
+        return None
+    ring = point.ring
+    mat = []
+    for e in rows:
+        row = []
+        for col in point.columns:
+            if not col.coefficient_known(e):
+                raise PrecisionError(unknown.format(e=e))
+            row.append(col.coeffs.get(e, ring.zero()))
+        mat.append(row)
+    return mat
 
 
 def plucker(point: GrassPoint, maya: MayaDiagram) -> RingElement:
@@ -123,23 +138,10 @@ def plucker(point: GrassPoint, maya: MayaDiagram) -> RingElement:
     rows different from the number of columns; PrecisionError when a
     selected row lies beyond a column's window.
     """
-    ring = point.ring
-    rows = _chart_rows(point, maya)
-    if rows is None:
-        return ring.zero()
-    if len(rows) != len(point.columns):
-        return ring.zero()
-    mat = []
-    for e in rows:
-        row = []
-        for col in point.columns:
-            if not col.coefficient_known(e):
-                raise PrecisionError(
-                    f"minor needs the coefficient of z^{e}, beyond the window"
-                )
-            row.append(col.coeffs.get(e, ring.zero()))
-        mat.append(row)
-    return det_ring(mat, ring)
+    mat = _chart_block(point, maya, "minor needs the coefficient of z^{e}, beyond the window")
+    if mat is None:
+        return point.ring.zero()
+    return det_ring(mat, point.ring)
 
 
 def in_chart(point: GrassPoint, maya: MayaDiagram) -> bool:
@@ -149,23 +151,11 @@ def in_chart(point: GrassPoint, maya: MayaDiagram) -> bool:
     field.  False is definitive; PrecisionError means the window cannot
     tell.
     """
-    rows = _chart_rows(point, maya)
-    if rows is None:
+    mat = _chart_block(point, maya, "window too small to decide chart membership")
+    if mat is None:
         return False
-    if len(rows) != len(point.columns):
-        return False
-    field = point.ring.field
-    mat = []
-    for e in rows:
-        row = []
-        for col in point.columns:
-            if not col.coefficient_known(e):
-                raise PrecisionError(
-                    "window too small to decide chart membership"
-                )
-            row.append(col.coeffs.get(e, point.ring.zero()).constant_term())
-        mat.append(row)
-    return rank_field(mat, field) == len(rows)
+    residues = [[c.constant_term() for c in row] for row in mat]
+    return rank_field(residues, point.ring.field) == len(mat)
 
 
 def chart_transition(point: GrassPoint, chart_a: MayaDiagram, chart_b: MayaDiagram) -> RingElement:

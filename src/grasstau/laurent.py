@@ -18,9 +18,18 @@ truncation order itself when the known part vanishes).
 Because the coefficient ring is local, invertibility of a series is
 governed by its reduced valuation: the lowest exponent ``n`` carrying a
 unit coefficient, together with the gap ``r = n - lowest support``
-occupied by purely nilpotent coefficients.  Inversion strips z^n, kills
-the nilpotent fringe with a terminating geometric series, and inverts
-the regular part by the usual power-series recursion.
+occupied by purely nilpotent coefficients.  Inversion has one rule:
+split h = z^{-n} f as R + N, where R is h_0 plus every unit coefficient
+(all at positive exponents) and N, the rest, is nilpotent.  Then
+
+    h^{-1}  =  R^{-1} * sum_k (-N R^{-1})^k,
+
+a geometric series that stops after at most d terms because m^{d+1} = 0.
+R^{-1} is exact when R is the lone constant h_0; otherwise it comes from
+the usual power-series recursion, and the inverse is reported strictly
+below trunc - 2n - d*r (or below ``window=`` for exact input): h is known
+below trunc - n, each of the at most d nilpotent factors reaches r places
+further down, and z^{-n} moves the result down by n once more.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, NotInvertibleError, PrecisionError, RingMismatchError
-from .scalars import CoeffRing, RingElement
+from .scalars import CoeffRing, RingElement, neumann, power
 
 
 class LaurentElement:
@@ -238,16 +247,7 @@ class LaurentElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentElement":
-        if not isinstance(n, int) or n < 0:
-            raise DomainError("only nonnegative integer powers are supported")
-        result = LaurentElement.one(self.ring)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(LaurentElement.one(self.ring), self, n)
 
     def shift(self, n: int) -> "LaurentElement":
         """Multiply by z^n."""
@@ -315,74 +315,51 @@ class LaurentElement:
         return unit_exp, unit_exp - low
 
     def inverse(self, window: int | None = None) -> "LaurentElement":
-        """Multiplicative inverse.
+        """Multiplicative inverse, on the one path the module docstring states.
 
-        For exactly-known input whose non-lowest-unit part is entirely
-        nilpotent the inverse is again exact (finite geometric series).
-        Otherwise the inverse is an infinite series, so a window is
-        required: either the input's own truncation order (which bounds
-        what is determined anyway) or an explicit ``window=`` for exact
-        polynomial input.
+        Exact when the input is exact and has no unit coefficient above its
+        valuation; otherwise the inverse is an infinite series, so a window
+        is required: the input's own truncation order (which bounds what
+        is determined anyway) or an explicit ``window=`` for exact input.
         """
         n, r = self.reduced_valuation()
         h = self.shift(-n)  # unit constant term, nilpotent fringe on [-r, 0)
-        c0 = h.coefficient(0)
-        d = self.ring.degree_bound
+        ring = self.ring
+        d = ring.degree_bound
+        c0_inv = h.coefficient(0).inverse()
+        upper = sorted((e, c) for e, c in h.coeffs.items() if e and c.is_unit())
+        nil = LaurentElement(
+            ring, {e: c for e, c in h.coeffs.items() if not c.is_unit()}, h.trunc
+        )
 
-        if self.trunc is None:
-            rest = {e: c for e, c in h.coeffs.items() if e != 0}
-            if all(c.is_nilpotent() for c in rest.values()):
-                # exact path: h = c0 (1 + w) with w nilpotent
-                w = LaurentElement(self.ring, rest, None) * c0.inverse()
-                inv = LaurentElement.one(self.ring)
-                power = LaurentElement.one(self.ring)
-                while True:
-                    power = power * (-w)
-                    if power.is_zero():
-                        break
-                    inv = inv + power
-                return (inv * c0.inverse()).shift(-n)
+        if self.trunc is not None:
+            # determined strictly below trunc - 2n - d*r in absolute exponent
+            trunc_out = self.trunc - 2 * n - d * r
+            if window is not None:
+                trunc_out = min(trunc_out, window)
+        elif upper:
             if window is None:
                 raise DomainError(
                     "inverse is an infinite series; pass window= for exact input"
                 )
             trunc_out = window
         else:
-            # determined strictly below trunc - 2n - d*r in absolute exponent
-            trunc_out = self.trunc - 2 * n - d * r
-            if window is not None:
-                trunc_out = min(trunc_out, window)
+            trunc_out = None
 
-        # windowed path: invert the regular part by power-series recursion,
-        # then peel the nilpotent fringe with a terminating geometric series.
-        w_work = trunc_out + n + d * r + 1  # room for the fringe to push down
-        if w_work < 1:
-            w_work = 1
-        reg = [h.coeffs.get(i, self.ring.zero()) for i in range(w_work)]
-        c0_inv = c0.inverse()
-        inv_reg = [c0_inv]
-        for k in range(1, w_work):
-            acc = self.ring.zero()
-            for j in range(1, k + 1):
-                if reg[j]:
-                    acc = acc + reg[j] * inv_reg[k - j]
-            inv_reg.append(-(c0_inv * acc))
-        reg_inv = LaurentElement(
-            self.ring, {i: c for i, c in enumerate(inv_reg)}, w_work
-        )
-        h_nil = LaurentElement(
-            self.ring, {e: c for e, c in h.coeffs.items() if e < 0}, None
-        )
-        if h_nil.is_zero():
-            h_inv = reg_inv
+        if upper:
+            # power-series recursion, with room for the nilpotent part to
+            # push the window down by up to d*r
+            w_work = max(1, trunc_out + n + d * r + 1)
+            inv = [c0_inv]
+            for k in range(1, w_work):
+                acc = ring.zero()
+                for j, c in upper:
+                    if j > k:
+                        break
+                    acc = acc + c * inv[k - j]
+                inv.append(-(c0_inv * acc))
+            reg_inv = LaurentElement(ring, dict(enumerate(inv)), w_work)
         else:
-            u = reg_inv * h_nil  # all coefficients nilpotent
-            geo = LaurentElement.one(self.ring)
-            power = LaurentElement.one(self.ring)
-            for _ in range(d):
-                power = power * (-u)
-                if power.is_zero():
-                    break
-                geo = geo + power
-            h_inv = geo * reg_inv
-        return h_inv.shift(-n).truncate(trunc_out)
+            reg_inv = LaurentElement.const(ring, c0_inv)
+        h_inv = (reg_inv * neumann(LaurentElement.one(ring), -(nil * reg_inv))).shift(-n)
+        return h_inv if trunc_out is None else h_inv.truncate(trunc_out)

@@ -238,6 +238,36 @@ class CoeffRing:
         return RingElement(self, {mono: self.field.one()})
 
 
+def power(one, base, n: int):
+    """base**n by square-and-multiply, for any multiplication with unit ``one``."""
+    if not isinstance(n, int) or n < 0:
+        raise DomainError("only nonnegative integer powers are supported")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+def neumann(one, u):
+    """The geometric series 1 + u + u^2 + ... for a nilpotent ``u``.
+
+    Over a local ring whose maximal ideal m has m^{d+1} = 0, an element
+    or series with coefficients in m has u^{d+1} = 0, so the sum ends at
+    u^d and is exactly (1 - u)^{-1}.  ``RingElement.inverse`` and
+    ``LaurentElement.inverse`` both end in such a sum.
+    """
+    total = term = one
+    while True:
+        term = term * u
+        if term.is_zero():
+            return total
+        total = total + term
+
+
 def _is_raw(field: BaseField, value) -> bool:
     if field.char == 0:
         return isinstance(value, Fraction)
@@ -372,7 +402,6 @@ class RingElement:
         ring = self.ring
         field = ring.field
         bound = ring.degree_bound
-        weights = ring.weights
         out: dict[Monomial, object] = {}
         for m1, c1 in self.coeffs.items():
             w1 = ring.weight(m1)
@@ -380,8 +409,6 @@ class RingElement:
                 if w1 + ring.weight(m2) > bound:
                     continue
                 mono = tuple(a + b for a, b in zip(m1, m2))
-                if sum(w * e for w, e in zip(weights, mono)) > bound:
-                    continue
                 p = field.mul(c1, c2)
                 prev = out.get(mono)
                 s = field.add(prev, p) if prev is not None else p
@@ -394,38 +421,20 @@ class RingElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "RingElement":
-        if not isinstance(n, int) or n < 0:
-            raise DomainError("only nonnegative integer powers are supported")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self.ring.one(), self, n)
 
     def inverse(self) -> "RingElement":
         """Inverse in the truncated ring.
 
         Write f = c (1 + u) with u nilpotent; then 1/f is the finite
-        geometric series c^{-1} sum (-u)^k, which terminates because some
-        power of u falls entirely past the degree bound.
+        geometric series c^{-1} sum (-u)^k (see :func:`neumann`).
         """
         c = self.constant_term()
         if not c:
             raise NotInvertibleError("element has zero constant term")
-        field = self.ring.field
-        cinv = field.invert(c)
-        u = (self * cinv) - self.ring.one()
-        acc = self.ring.one()
-        power = self.ring.one()
-        while True:
-            power = power * (-u)
-            if power.is_zero():
-                break
-            acc = acc + power
-        return acc * cinv
+        cinv = self.ring.field.invert(c)
+        one = self.ring.one()
+        return neumann(one, one - self * cinv) * cinv
 
     # -- substitution ---------------------------------------------------------
 

@@ -89,10 +89,7 @@ def tau_direct(point: GrassPoint, bound: int) -> RingElement:
         raise DomainError("degree bound must be >= 1")
     _require_window(point, bound)
     v = universal_v(point.ring.field, bound)
-    lifted = _lift_point(point, v.ring)
-    delta = _vacuum_unit(lifted)
-    moved = act(v, lifted)
-    return plucker(moved, MayaDiagram.vacuum()) * delta.inverse()
+    return tau_eval(_lift_point(point, v.ring), v)
 
 
 def tau_schur(point: GrassPoint, bound: int) -> RingElement:
@@ -177,7 +174,8 @@ def baker(point: GrassPoint, bound: int, window: int) -> LaurentElement:
     ratio = shifted * base.inverse()
 
     # read t as z and project the x part down to the requested bound
-    ring_small = coordinate_ring(field, bound)
+    v = universal_v(field, bound).gminus
+    ring_small = v.ring
     per_k: dict[int, dict] = defaultdict(dict)
     for mono, coeff in ratio.coeffs.items():
         k = mono[-1]
@@ -190,26 +188,11 @@ def baker(point: GrassPoint, bound: int, window: int) -> LaurentElement:
         per_k[k][small] = coeff
     c_elem = {k: RingElement(ring_small, d) for k, d in per_k.items()}
 
-    v_terms = {0: ring_small.one()}
-    for i in range(1, bound + 1):
-        v_terms[-i] = ring_small.gen(i - 1)
-    v_small = LaurentElement(ring_small, v_terms, None)
-    vinv = v_small.inverse()  # exact: nilpotent fringe
-
     # graded-window argument: coefficient j of v^{-1} * ratio(t -> z) is
     # exact for every j < window, because the missing graded pieces of
     # c_{j - e} carry weight beyond the bound once multiplied by the
-    # weight-|e| coefficient of v^{-1}
-    psi: dict[int, RingElement] = {}
-    for j in range(-bound, window):
-        acc = ring_small.zero()
-        for e, vc in vinv.coeffs.items():
-            ck = c_elem.get(j - e)
-            if ck is not None:
-                acc = acc + vc * ck
-        if acc:
-            psi[j] = acc
-    return LaurentElement(ring_small, psi, window)
+    # weight-|e| coefficient of v^{-1} (exact: v has a nilpotent fringe)
+    return (v.inverse() * LaurentElement(ring_small, c_elem)).truncate(window)
 
 
 # ----------------------------------------------------------------------

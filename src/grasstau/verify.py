@@ -40,6 +40,7 @@ from .laurent import LaurentElement
 from .linalg import det_field, solve_field
 from .partitions import MayaDiagram, partition_size, partitions_up_to
 from .scalars import GF, QQ, BaseField, CoeffRing, RingElement
+from .serialize import format_field_spec
 from .pairings import commutator_pairing, residue_pairing
 from .schur import (
     bosonize,
@@ -195,7 +196,7 @@ def _fields(scale: str) -> list[BaseField]:
 def _suite_tau_crosscheck(rec: _Recorder, rng: Random, scale: str) -> None:
     degs = [2, 3] if scale == "small" else [2, 3, 4, 5, 6]
     for field in _fields(scale):
-        spec = "q" if field.char == 0 else f"fp:{field.char}"
+        spec = format_field_spec(field)
         ring = CoeffRing(field, 0, 0)
         for d in degs:
             for rep in range(1 if d >= 5 else 2):
@@ -218,7 +219,7 @@ def _suite_tau_crosscheck(rec: _Recorder, rng: Random, scale: str) -> None:
 def _suite_tau_base_baker(rec: _Recorder, rng: Random, scale: str) -> None:
     degs = [1, 2, 3] if scale == "small" else [1, 2, 3, 4, 5]
     for field in [QQ, GF(3)]:
-        spec = "q" if field.char == 0 else f"fp:{field.char}"
+        spec = format_field_spec(field)
         ring = CoeffRing(field, 0, 0)
         for d in degs:
             for depth in (1, 2):
@@ -229,7 +230,7 @@ def _suite_tau_base_baker(rec: _Recorder, rng: Random, scale: str) -> None:
                     f"tau={t}",
                 )
     for field in [QQ, GF(5)]:
-        spec = "q" if field.char == 0 else f"fp:{field.char}"
+        spec = format_field_spec(field)
         for d in (2, 3):
             w = 3
             base = GrassPoint.base_point(CoeffRing(field, 0, 0), 2)
@@ -241,7 +242,7 @@ def _suite_tau_base_baker(rec: _Recorder, rng: Random, scale: str) -> None:
             )
     reps = 2 if scale == "small" else 4
     for field in [QQ, GF(5)]:
-        spec = "q" if field.char == 0 else f"fp:{field.char}"
+        spec = format_field_spec(field)
         ring = CoeffRing(field, 0, 0)
         for rep in range(reps):
             depth = rng.randint(1, 2)
@@ -291,7 +292,7 @@ def _suite_factorization(rec: _Recorder, rng: Random, scale: str) -> None:
     for mode in ("exact", "windowed"):
         for i in range(n_each):
             field = fields[i % len(fields)]
-            spec = "q" if field.char == 0 else f"fp:{field.char}"
+            spec = format_field_spec(field)
             ring = CoeffRing(field, rng.randint(1, 2), rng.randint(1, 3))
             f = _random_factorable(rng, ring, exact=mode == "exact")
             g = factorize(f)
@@ -368,7 +369,7 @@ def _random_factorable(
 def _suite_cocycle(rec: _Recorder, rng: Random, scale: str) -> None:
     # chart-to-chart transitions compose along any cycle
     for field in [QQ, GF(7)]:
-        spec = "q" if field.char == 0 else f"fp:{field.char}"
+        spec = format_field_spec(field)
         ring = CoeffRing(field, 0, 0)
         fixed = GrassPoint(
             ring,
@@ -418,7 +419,7 @@ def _suite_cocycle(rec: _Recorder, rng: Random, scale: str) -> None:
     # the group action: exact multiplicativity on the triangular sectors,
     # and a point-independent central unit in general
     for field in [QQ, GF(5)]:
-        spec = "q" if field.char == 0 else f"fp:{field.char}"
+        spec = format_field_spec(field)
         ring = CoeffRing(field, 2, 2)
         reps = 2 if scale == "small" else 4
         for rep in range(reps):
@@ -701,7 +702,7 @@ def _ghost(vec, n: int):
 
 def _suite_schur(rec: _Recorder, rng: Random, scale: str) -> None:
     for field, d in [(QQ, 4 if scale == "small" else 5), (GF(5), 3)]:
-        spec = "q" if field.char == 0 else f"fp:{field.char}"
+        spec = format_field_spec(field)
         ring = coordinate_ring(field, d)
         lams = partitions_up_to(d)
         ok = True
@@ -802,7 +803,7 @@ def _suite_hirota(rec: _Recorder, rng: Random, scale: str) -> None:
 def _suite_index_invariance(rec: _Recorder, rng: Random, scale: str) -> None:
     reps = 3 if scale == "small" else 6
     for field in [QQ, GF(3)]:
-        spec = "q" if field.char == 0 else f"fp:{field.char}"
+        spec = format_field_spec(field)
         ring = CoeffRing(field, 2, 2)
         for rep in range(reps):
             depth = rng.randint(1, 3)

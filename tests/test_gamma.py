@@ -72,6 +72,13 @@ def test_group_law_and_inverse():
     assert GammaElement.identity(R2).is_identity()
 
 
+def test_inverse_of_an_exact_trivial_gplus_is_exact():
+    g = GammaElement.from_parts(R2, gminus=LaurentElement(R2, {-1: X, 0: 1}))
+    inv = g.inverse()
+    assert inv.gplus == LaurentElement.one(R2)
+    assert inv.gminus == LaurentElement(R2, {-2: X * X, -1: -X, 0: 1})
+
+
 def test_factorize_frozen_unit_wing_d3_r2():
     # exact input whose upper wing has a unit coefficient, at d*r = 6
     ring = CoeffRing(QQ, 2, 3)

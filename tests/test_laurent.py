@@ -1,7 +1,7 @@
 """Laurent window bookkeeping: products, equality, valuation, inversion."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from grasstau import (
     GF,
@@ -12,6 +12,7 @@ from grasstau import (
     NotInvertibleError,
     PrecisionError,
     RingMismatchError,
+    coordinate_ring,
 )
 
 RING = CoeffRing(QQ, 1, 2)
@@ -112,6 +113,25 @@ def test_narrow_window_inverse_keeps_only_the_fringe():
     assert (ok * ok.inverse()).same_series(LaurentElement.one(RING))
 
 
+def test_inverse_with_unit_and_nilpotent_upper_terms_frozen():
+    # 1/((1+z)(1+xz)): the z term is a unit, the z^2 term nilpotent
+    f = L({0: 1, 1: 1 + X, 2: X}, trunc=5)
+    alt = 1 + X + X * X
+    assert f.inverse() == L({0: 1, 1: -1 - X, 2: alt, 3: -alt, 4: alt}, trunc=5)
+    # the same with a nilpotent fringe: the window drops by d*r = 2
+    g = L({-1: X, 0: 1, 1: 1 + X, 2: X}, trunc=5)
+    assert g.inverse() == L(
+        {
+            -2: X * X,
+            -1: -X - 3 * X * X,
+            0: 1 + 2 * X + 8 * X * X,
+            1: -1 - 4 * X - 14 * X * X,
+            2: 1 + 5 * X + 22 * X * X,
+        },
+        trunc=3,
+    )
+
+
 def test_exact_geometric_inverse_needs_an_explicit_window():
     f = L({0: 1, 1: 1})
     with pytest.raises(DomainError):
@@ -180,3 +200,34 @@ def test_shift_respects_products(f):
     z = LaurentElement.z_power(RING, 1)
     assert (f * z).same_series(f.shift(1))
     assert f.shift(3).shift(-3) == f
+
+
+INVERSE_RINGS = [
+    CoeffRing(QQ, 2, 2),
+    CoeffRing(GF(3), 2, 2),
+    CoeffRing(GF(5), 2, 3),
+    coordinate_ring(QQ, 3),
+    coordinate_ring(GF(5), 2),
+]
+SMALL = st.integers(-3, 3)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.sampled_from(INVERSE_RINGS),
+    st.integers(-3, 1),
+    st.lists(st.tuples(SMALL, SMALL, SMALL), min_size=1, max_size=6),
+    st.integers(0, 2),
+    st.lists(st.tuples(SMALL, SMALL), min_size=1, max_size=3),
+)
+def test_windowed_inverse_ignores_the_unknown_tail(ring, lo, known, gap, tail):
+    """Whatever lies past the window, the windowed inverse is the same."""
+    x1, x2 = ring.gen(0), ring.gen(1)
+    terms = {lo + i: ring.const(a) + x1 * b + x2 * c for i, (a, b, c) in enumerate(known)}
+    assume(any(c.is_unit() for c in terms.values()))
+    trunc = lo + len(known) + gap
+    inv = LaurentElement(ring, terms, trunc).inverse()
+    for i, (a, b) in enumerate(tail):
+        terms[trunc + i] = ring.const(a) + x1 * b
+    longer = LaurentElement(ring, terms, trunc + len(tail)).inverse()
+    assert longer.truncate(inv.trunc) == inv
