@@ -21,7 +21,6 @@ import sys
 from .errors import GrasstauError, InternalError, PrecisionError
 from .gamma import GammaElement, abel_embed, exp_gamma, factorize, witt_add, witt_product
 from .grassmann import act, chart_transition, index, plucker
-from .laurent import LaurentElement
 from .schur import bosonize, coordinate_ring, schur_polynomial, to_schur_coords
 from .serialize import (
     decode_gamma,

@@ -27,7 +27,7 @@ from __future__ import annotations
 from .errors import DomainError, NotInvertibleError, PrecisionError, RingMismatchError
 from .gamma import GammaElement
 from .laurent import LaurentElement
-from .linalg import det_ring, echelon_field, rank_field, solve_field
+from .linalg import det_ring, rank_field, solve_field
 from .partitions import MayaDiagram
 from .scalars import CoeffRing, RingElement
 

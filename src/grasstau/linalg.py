@@ -1,14 +1,18 @@
 """Small dense linear algebra over coefficient rings and base fields.
 
 Two flavours are needed.  Matrices of ``RingElement`` values live over a
-local ring with nilpotents, so determinants go through memoized cofactor
-expansion (no division) and inverses through Gauss-Jordan with unit
+local ring with nilpotents.  Their determinants go through Gaussian
+elimination on unit pivots, finishing a block with no unit left by
+Berkowitz's division-free recursion (or by zero, when the nilpotency
+degree forces it); their inverses go through Gauss-Jordan with unit
 pivots, which always exist when the matrix is invertible.  Matrices of
 raw field values use ordinary row reduction; those power rank, solve,
 and determinant checks over the residue field.
 
-Everything here is exact and deliberately unoptimized: the matrices in
-play are tiny (a handful of rows up to a few dozen).
+Everything here is exact and runs in polynomial time: ``tau_direct``
+takes dense minors as large as the tail depth.  The ring loops skip zero
+entries, which most Toeplitz, identity-block and Jacobi-Trudi entries
+are.
 """
 
 from __future__ import annotations
@@ -24,42 +28,93 @@ from .scalars import BaseField, CoeffRing, RingElement
 def det_ring(rows: list[list[RingElement]], ring: CoeffRing) -> RingElement:
     """Determinant of a square matrix over the ring.
 
-    Cofactor expansion with memoization on (row index, live column set);
-    the empty matrix has determinant one, which is what makes vacuum
-    minors come out right.
+    Gaussian elimination on unit pivots.  Step k pivots on the first unit
+    in column k, or else on any unit of the remaining block, swapped to
+    (k, k); each row or column swap flips the sign.  If the pivot row is
+    zero right of the pivot, or the pivot column zero below it, Laplace
+    expansion along it gives det = pivot * det(minor) with no inverse;
+    otherwise subtracting multiples of the pivot row, scaled by the
+    pivot's inverse, clears column k below the pivot without changing
+    the determinant, which again is pivot * det(minor).  When no unit is
+    left, the ring being local puts every entry of the remaining j x j
+    block in the maximal ideal m, so its determinant lies in m^j.  Every
+    variable has weight >= 1, so m^j = 0 once j exceeds the degree
+    bound; otherwise Berkowitz's division-free recursion finishes the
+    block.  The empty matrix has determinant one, which is what makes
+    vacuum minors come out right.
     """
     n = len(rows)
     for r in rows:
         if len(r) != n:
             raise DomainError("det_ring needs a square matrix")
-    if n == 0:
-        return ring.one()
-    full = (1 << n) - 1
-    memo: dict[tuple[int, int], RingElement] = {}
+    mat = [list(r) for r in rows]
+    det = ring.one()
+    negate = False
+    for k in range(n):
+        pr = next((i for i in range(k, n) if mat[i][k].is_unit()), None)
+        if pr is None:
+            spot = next(
+                ((i, j) for i in range(k, n) for j in range(k + 1, n) if mat[i][j].is_unit()),
+                None,
+            )
+            if spot is None:
+                if n - k > ring.degree_bound:
+                    return ring.zero()
+                det = det * _berkowitz([row[k:] for row in mat[k:]], ring)
+                break
+            pr, pc = spot
+            for row in mat[k:]:
+                row[k], row[pc] = row[pc], row[k]
+            negate = not negate
+        if pr != k:
+            mat[k], mat[pr] = mat[pr], mat[k]
+            negate = not negate
+        prow = mat[k]
+        pivot = prow[k]
+        det = det * pivot
+        live = [j for j in range(k + 1, n) if prow[j]]
+        below = [row for row in mat[k + 1:] if row[k]]
+        if not live or not below:
+            continue
+        inv_p = pivot.inverse()
+        for row in below:
+            factor = row[k] * inv_p
+            for j in live:
+                row[j] = row[j] - factor * prow[j]
+    return -det if negate else det
 
-    def minor(i: int, mask: int) -> RingElement:
-        if i == n:
-            return ring.one()
-        key = (i, mask)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        total = ring.zero()
-        sign = 1
-        for j in range(n):
-            bit = 1 << j
-            if not mask & bit:
-                continue
-            entry = rows[i][j]
-            if entry:
-                sub = minor(i + 1, mask & ~bit)
-                term = entry * sub
-                total = total + (term if sign > 0 else -term)
-            sign = -sign
-        memo[key] = total
-        return total
 
-    return minor(0, full)
+def _berkowitz(a: list[list[RingElement]], ring: CoeffRing) -> RingElement:
+    """Determinant by Berkowitz's recursion (Inf. Proc. Letters 18, 1984).
+
+    Division-free over any commutative ring.  ``poly`` holds the
+    characteristic polynomial det(x - A_r) of the leading r x r block,
+    highest coefficient first.  Bordering A_r by column c, row s and
+    corner a multiplies it by the lower-triangular Toeplitz matrix with
+    first column (1, -a, -s c, -s A_r c, ..., -s A_r^{r-1} c).
+    """
+    n = len(a)
+    zero = ring.zero()
+
+    def dot(u, v):
+        acc = zero
+        for x, y in zip(u, v):
+            if x and y:
+                acc = acc + x * y
+        return acc
+
+    poly = [ring.one()]
+    for r in range(n):
+        block = [row[:r] for row in a[:r]]
+        border = a[r][:r]
+        col = [row[r] for row in a[:r]]
+        toeplitz = [ring.one(), -a[r][r]]
+        for i in range(r):
+            toeplitz.append(-dot(border, col))
+            if i < r - 1:
+                col = [dot(row, col) for row in block]
+        poly = [dot(toeplitz[i::-1], poly) for i in range(r + 2)]
+    return -poly[n] if n % 2 else poly[n]
 
 
 def mat_mul_ring(
@@ -105,13 +160,13 @@ def inv_ring(rows: list[list[RingElement]], ring: CoeffRing) -> list[list[RingEl
             raise NotInvertibleError("matrix has no unit pivot; not invertible over the ring")
         aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
         inv_p = aug[col][col].inverse()
-        aug[col] = [e * inv_p for e in aug[col]]
+        aug[col] = [e * inv_p if e else e for e in aug[col]]
         for r in range(n):
             if r == col:
                 continue
             factor = aug[r][col]
             if factor:
-                aug[r] = [er - factor * ec for er, ec in zip(aug[r], aug[col])]
+                aug[r] = [er - factor * ec if ec else er for er, ec in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
 
 

@@ -343,7 +343,7 @@ class RingElement:
 
     def _coerce(self, other) -> "RingElement":
         if isinstance(other, RingElement):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatchError(
                     f"cannot combine elements of {self.ring!r} and {other.ring!r}"
                 )

@@ -1,0 +1,161 @@
+"""Determinants and inverses of matrices over the truncated rings.
+
+``det_ring`` is checked against the Leibniz sum over all permutations, an
+oracle that shares no code with the elimination.  The frozen values were
+computed by the earlier cofactor-expansion ``det_ring`` and agree with
+the current one under ``==``.
+"""
+
+from fractions import Fraction
+from itertools import permutations
+from random import Random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from grasstau import (
+    GF,
+    QQ,
+    CoeffRing,
+    DomainError,
+    GrassPoint,
+    LaurentElement,
+    NotInvertibleError,
+    coordinate_ring,
+    tau_crosscheck,
+)
+from grasstau.linalg import det_field, det_ring, inv_ring, mat_mul_ring
+
+# plain rings (weights 1) and weighted coordinate rings; degree bounds 2
+# and 3, so a nilpotent block of size <= 6 falls on both sides of them
+RINGS = [CoeffRing(f, 2, 2) for f in (QQ, GF(2), GF(3), GF(5))] + [
+    coordinate_ring(f, 3) for f in (QQ, GF(2), GF(3), GF(5))
+]
+
+
+def _scalar(rng: Random, field, nonzero: bool):
+    while True:
+        if field.char:
+            v = field.from_int(rng.randrange(field.char))
+        else:
+            v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if v or not nonzero:
+            return v
+
+
+def _entry(rng: Random, ring: CoeffRing, unit_share: float):
+    """Zero a quarter of the time; else a unit with probability
+    ``unit_share``, plus up to two nilpotent monomials."""
+    if rng.random() < 0.25:
+        return ring.zero()
+    coeffs = {}
+    if rng.random() < unit_share:
+        coeffs[(0,) * ring.num_vars] = _scalar(rng, ring.field, nonzero=True)
+    nilpotent = [m for m in ring.monomials() if any(m)]
+    for mono in rng.sample(nilpotent, rng.randint(0, 2)):
+        coeffs[mono] = _scalar(rng, ring.field, nonzero=False)
+    return ring.element(coeffs)
+
+
+def _matrix(rng: Random, ring: CoeffRing, n: int, unit_share: float):
+    return [[_entry(rng, ring, unit_share) for _ in range(n)] for _ in range(n)]
+
+
+def _leibniz(rows, ring):
+    total = ring.zero()
+    for perm in permutations(range(len(rows))):
+        term = ring.one()
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+            if not term:
+                break
+        if term:
+            inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1:])
+            total = total - term if inversions % 2 else total + term
+    return total
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from(RINGS),
+    st.integers(0, 6),
+    st.sampled_from([0, 0.1, 0.3, 0.7]),
+    st.integers(0, 2**32 - 1),
+)
+def test_det_ring_matches_the_leibniz_sum(ring, n, unit_share, seed):
+    rng = Random(seed)
+    rows = _matrix(rng, ring, n, unit_share)
+    if n and rng.random() < 0.1:
+        rows[rng.randrange(n)].pop()
+        with pytest.raises(DomainError):
+            det_ring(rows, ring)
+        return
+    snapshot = [list(r) for r in rows]
+    assert det_ring(rows, ring) == _leibniz(rows, ring)
+    assert rows == snapshot
+
+
+def test_det_ring_of_a_nilpotent_14_by_14_frozen():
+    ring = CoeffRing(QQ, 2, 20)
+    x1, x2 = ring.gen(0), ring.gen(1)
+    rng = Random(14)
+    a = [[rng.randint(-3, 3), rng.randint(-3, 3)] for _ in range(14 * 14)]
+    rows = [[x1 * a[14 * i + j][0] + x2 * a[14 * i + j][1] for j in range(14)] for i in range(14)]
+    expected = {
+        (0, 14): 673287678,
+        (1, 13): 2333718221,
+        (2, 12): -5737230055,
+        (3, 11): -20167357888,
+        (4, 10): -32702010907,
+        (5, 9): 38855784665,
+        (6, 8): 13270490291,
+        (7, 7): 120081982751,
+        (8, 6): 64200257156,
+        (9, 5): -33408689238,
+        (10, 4): -48827341136,
+        (11, 3): -83465357108,
+        (12, 2): -14415544383,
+        (13, 1): 4523521756,
+        (14, 0): -2481905940,
+    }
+    got = det_ring(rows, ring)
+    assert got == ring.element(expected)
+    # the extreme coefficients are determinants over the field
+    for k, mono in ((0, (14, 0)), (1, (0, 14))):
+        field_rows = [[QQ.from_int(a[14 * i + j][k]) for j in range(14)] for i in range(14)]
+        assert got.coefficient(mono) == det_field(field_rows, QQ)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.sampled_from(RINGS),
+    st.integers(0, 5),
+    st.sampled_from([0.3, 0.7, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_inv_ring_inverts_exactly_when_the_residue_matrix_does(ring, n, unit_share, seed):
+    rows = _matrix(Random(seed), ring, n, unit_share)
+    residues = [[e.constant_term() for e in row] for row in rows]
+    if not det_field(residues, ring.field):
+        with pytest.raises(NotInvertibleError):
+            inv_ring(rows, ring)
+        return
+    inverse = inv_ring(rows, ring)
+    identity = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
+    assert mat_mul_ring(rows, inverse, ring) == identity
+    assert mat_mul_ring(inverse, rows, ring) == identity
+
+
+def test_tau_crosscheck_at_tail_depth_14_frozen():
+    ring = CoeffRing(QQ, 0, 0)
+    cols = []
+    for j in range(14, 0, -1):
+        coeffs = {-j: 1}
+        for e in range(-j + 1, 4):
+            c = (j * j + 3 * e + j * e) % 5 - 2
+            if c:
+                coeffs[e] = c
+        cols.append(LaurentElement(ring, coeffs))
+    tau = tau_crosscheck(GrassPoint(ring, 14, cols), 3)
+    x1, x2, x3 = (tau.ring.gen(i) for i in range(3))
+    assert tau == 1 - x1 + 2 * x2 - 4 * x1 * x1 + 11 * x3 - 12 * x1 * x2 + 3 * x1 * x1 * x1
