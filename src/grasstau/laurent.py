@@ -103,9 +103,6 @@ class LaurentElement:
     def coefficient_known(self, e: int) -> bool:
         return self.trunc is None or e < self.trunc
 
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
-
     def is_zero(self) -> bool:
         """True when the known part vanishes.  Exact zero iff also trunc is None."""
         return not self.coeffs
@@ -279,17 +276,6 @@ class LaurentElement:
     def residue(self) -> RingElement:
         """The coefficient of z^{-1}; raises if the window ends at or below it."""
         return self.coefficient(-1)
-
-    def map_coefficients(self, target: CoeffRing, fn) -> "LaurentElement":
-        """Apply a coefficient-ring map (e.g. substitution) to every term."""
-        out = {}
-        for e, c in self.coeffs.items():
-            v = fn(c)
-            if v.ring != target:
-                raise RingMismatchError("map produced a coefficient outside the target ring")
-            if v:
-                out[e] = v
-        return LaurentElement(target, out, self.trunc)
 
     # -- valuation and inversion ----------------------------------------------
 

@@ -212,13 +212,13 @@ class CoeffRing:
                 raise DomainError(f"bad monomial {mono} for {self!r}")
             if self.weight(mono) > self.degree_bound:
                 continue
-            c = self.field.coerce(c) if not _is_raw(self.field, c) else c
+            c = self.field.coerce(c)
             if c:
                 clean[mono] = c
         return RingElement(self, clean)
 
     def const(self, value) -> "RingElement":
-        c = self.field.coerce(value) if not _is_raw(self.field, value) else value
+        c = self.field.coerce(value)
         mono = (0,) * self.num_vars
         return RingElement(self, {mono: c} if c else {})
 
@@ -266,12 +266,6 @@ def neumann(one, u):
         if term.is_zero():
             return total
         total = total + term
-
-
-def _is_raw(field: BaseField, value) -> bool:
-    if field.char == 0:
-        return isinstance(value, Fraction)
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < field.char
 
 
 class RingElement:
@@ -435,39 +429,3 @@ class RingElement:
         cinv = self.ring.field.invert(c)
         one = self.ring.one()
         return neumann(one, one - self * cinv) * cinv
-
-    # -- substitution ---------------------------------------------------------
-
-    def evaluate(self, target: CoeffRing, images: list["RingElement"]) -> "RingElement":
-        """Apply the ring map sending x_i to images[i].
-
-        The base field must agree; each image must live in ``target``.
-        Used for variable relabeling, projections x_i -> 0, and the
-        coproduct substitution in the Baker function machinery.
-        """
-        if target.field != self.ring.field:
-            raise RingMismatchError("evaluate requires the same base field")
-        if len(images) != self.ring.num_vars:
-            raise DomainError("need one image per variable")
-        for img in images:
-            if img.ring != target:
-                raise RingMismatchError("images must belong to the target ring")
-        pow_cache: dict[tuple[int, int], RingElement] = {}
-
-        def image_power(i: int, e: int) -> RingElement:
-            if e == 0:
-                return target.one()
-            got = pow_cache.get((i, e))
-            if got is None:
-                got = images[i] ** e
-                pow_cache[(i, e)] = got
-            return got
-
-        total = target.zero()
-        for mono, c in self.coeffs.items():
-            term = target.const(c)
-            for i, e in enumerate(mono):
-                if e and not term.is_zero():
-                    term = term * image_power(i, e)
-            total = total + term
-        return total

@@ -12,13 +12,13 @@ independent routes compute it:
 
 They must agree exactly; keeping both is the point of the design.
 
-``baker`` produces the associated wave series: shift the tau argument by
-the moving-point family (the coproduct substitution x_i -> sum x_j t^k,
-j + k = i, with x_0 = 1), divide by the unshifted tau, read t as z, and
-multiply by v^{-1}.  Working at the inflated internal bound d + window
-makes every reported z-coefficient exact: the graded pieces that the
-truncation loses all sit past the weight bound once the z-exponent is
-inside the window.
+``baker`` produces the associated wave series psi, the unique series with
+z^{-1} psi in the point and v psi = 1 + O(z) (Segal-Wilson, in this
+lower-wing convention).  That is one linear condition on the vacuum block
+of v.U, which the tau routes already build: solve it over the coordinate
+ring and multiply by v^{-1}.  Sato's formula, psi = v^{-1} times the
+shifted tau over tau, gives the same series; the tests keep it as the
+reference.
 
 ``kp_residual`` evaluates the bilinear residue identity that
 characterizes tau functions, in time coordinates T_j (weight j) with
@@ -32,7 +32,6 @@ checking through weight order+2 needs order <= d - 3.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 
 from .errors import (
@@ -45,6 +44,7 @@ from .errors import (
 from .gamma import GammaElement, universal_v
 from .grassmann import GrassPoint, act, plucker
 from .laurent import LaurentElement
+from .linalg import inv_ring
 from .partitions import MayaDiagram, partitions_up_to
 from .scalars import CoeffRing, RingElement
 from .schur import coordinate_ring, is_coordinate_ring, schur_polynomial
@@ -144,9 +144,19 @@ def tau_eval(point: GrassPoint, g: GammaElement, promote: int | None = None) -> 
 
 
 def baker(point: GrassPoint, bound: int, window: int) -> LaurentElement:
-    """The wave series of the point: v^{-1} * tau(shifted)/tau, with
-    coefficients in the degree-``bound`` coordinate ring, exact at every
-    z-exponent below ``window``.
+    """The wave series of the point, with coefficients in the degree-
+    ``bound`` coordinate ring, exact at every z-exponent below ``window``.
+
+    psi is the unique series with z^{-1} psi in the point and
+    v psi = 1 + O(z), v = universal_v(field, bound).  With the columns c_j
+    moved to v.c_j (tail reduced), solve B a = (0, ..., 0, 1) for the
+    vacuum block B of v.point, a unit since its residue is the point's
+    vacuum block; then sum_j a_j v.c_j = z^{-1} + O(1), so
+    w = z sum_j a_j v.c_j = 1 + O(z) and psi = v^{-1} w.  The unknown tail
+    of every column is read as zero, which is harmless: each unit of
+    x-weight moves a column index up by at most one, and weights stop at
+    ``bound``, so psi's z^k coefficient reads the columns only up to
+    z^(k + bound - 1), inside the window the precondition below asks for.
 
     The point's columns must be known to z^(bound + window).
     """
@@ -154,45 +164,20 @@ def baker(point: GrassPoint, bound: int, window: int) -> LaurentElement:
         raise DomainError("degree bound must be >= 1")
     if window < 1:
         raise DomainError("window must be >= 1")
-    field = point.ring.field
-    big = bound + window
-    _require_window(point, big)
-    tau_big = tau_direct(point, big)
-
-    # joint ring in x_1..x_big and the shift variable t (weight 1)
-    tring = CoeffRing(field, big + 1, big, weights=tuple(range(1, big + 1)) + (1,))
-    t = tring.gen(big)
-    xs = [tring.gen(i) for i in range(big)]
-    images = []
-    for i in range(1, big + 1):
-        img = t ** i
-        for j in range(1, i + 1):
-            img = img + xs[j - 1] * (t ** (i - j) if i > j else tring.one())
-        images.append(img)
-    shifted = tau_big.evaluate(tring, images)
-    base = tau_big.evaluate(tring, xs)
-    ratio = shifted * base.inverse()
-
-    # read t as z and project the x part down to the requested bound
-    v = universal_v(field, bound).gminus
-    ring_small = v.ring
-    per_k: dict[int, dict] = defaultdict(dict)
-    for mono, coeff in ratio.coeffs.items():
-        k = mono[-1]
-        xm = mono[:-1]
-        if any(xm[i] for i in range(bound, big)):
-            continue  # x_{> bound} project to zero
-        small = xm[:bound]
-        if ring_small.weight(small) > bound:
-            continue
-        per_k[k][small] = coeff
-    c_elem = {k: RingElement(ring_small, d) for k, d in per_k.items()}
-
-    # graded-window argument: coefficient j of v^{-1} * ratio(t -> z) is
-    # exact for every j < window, because the missing graded pieces of
-    # c_{j - e} carry weight beyond the bound once multiplied by the
-    # weight-|e| coefficient of v^{-1} (exact: v has a nilpotent fringe)
-    return (v.inverse() * LaurentElement(ring_small, c_elem)).truncate(window)
+    _require_window(point, bound + window)
+    v = universal_v(point.ring.field, bound)
+    ring = v.ring
+    lifted = _lift_point(point, ring)
+    _vacuum_unit(lifted)
+    exact = [LaurentElement(ring, c.coeffs) for c in lifted.columns]
+    moved = act(v, GrassPoint(ring, lifted.tail_depth, exact)).columns
+    n = len(moved)
+    block = [[c.coefficient(e) for c in moved] for e in range(-n, 0)]
+    a = [row[-1] for row in inv_ring(block, ring)]
+    w = LaurentElement.one(ring)
+    for a_j, c in zip(a, moved):
+        w = w + (c * a_j).shift(1).clip_below(1)
+    return (v.gminus.inverse() * w).truncate(window)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field as _dc_field
 from fractions import Fraction
 from random import Random
 
@@ -52,13 +51,15 @@ from .schur import (
 from .tau import baker, kp_residual, tau_crosscheck, tau_direct, tau_eval, tau_schur
 
 
-@dataclass
 class SuiteReport:
-    name: str
-    seed: int
-    scale: str
-    checks: list = _dc_field(default_factory=list)
-    elapsed: float = 0.0
+    """The checks one suite recorded, in order, as (label, ok, detail)."""
+
+    def __init__(self, name: str, seed: int, scale: str):
+        self.name = name
+        self.seed = seed
+        self.scale = scale
+        self.checks: list = []
+        self.elapsed = 0.0
 
     @property
     def passed(self) -> bool:
@@ -80,11 +81,6 @@ class SuiteReport:
                 for label, ok, detail in self.checks
             ],
         }
-
-
-class _Recorder:
-    def __init__(self):
-        self.checks: list = []
 
     def check(self, label: str, ok, detail: str = "") -> bool:
         ok = bool(ok)
@@ -193,7 +189,7 @@ def _fields(scale: str) -> list[BaseField]:
 # ----------------------------------------------------------------------
 
 
-def _suite_tau_crosscheck(rec: _Recorder, rng: Random, scale: str) -> None:
+def _suite_tau_crosscheck(report: SuiteReport, rng: Random, scale: str) -> None:
     degs = [2, 3] if scale == "small" else [2, 3, 4, 5, 6]
     for field in _fields(scale):
         spec = format_field_spec(field)
@@ -204,19 +200,19 @@ def _suite_tau_crosscheck(rec: _Recorder, rng: Random, scale: str) -> None:
                 pt = _random_point(rng, ring, depth, fill=0.6, top=rng.randint(1, 3))
                 a = tau_direct(pt, d)
                 b = tau_schur(pt, d)
-                rec.check(
+                report.check(
                     f"both tau routes agree ({spec}, d={d}, depth={depth}, #{rep})",
                     a == b,
                     f"direct={a} schur={b}",
                 )
-                rec.check(
+                report.check(
                     f"tau is 1 at the origin ({spec}, d={d}, #{rep})",
                     a.constant_term() == field.one(),
                     f"constant term {a.constant_term()}",
                 )
 
 
-def _suite_tau_base_baker(rec: _Recorder, rng: Random, scale: str) -> None:
+def _suite_tau_base_baker(report: SuiteReport, rng: Random, scale: str) -> None:
     degs = [1, 2, 3] if scale == "small" else [1, 2, 3, 4, 5]
     for field in [QQ, GF(3)]:
         spec = format_field_spec(field)
@@ -224,7 +220,7 @@ def _suite_tau_base_baker(rec: _Recorder, rng: Random, scale: str) -> None:
         for d in degs:
             for depth in (1, 2):
                 t = tau_crosscheck(GrassPoint.base_point(ring, depth), d)
-                rec.check(
+                report.check(
                     f"tau of the base point is 1 ({spec}, d={d}, depth={depth})",
                     t == coordinate_ring(field, d).one(),
                     f"tau={t}",
@@ -236,7 +232,7 @@ def _suite_tau_base_baker(rec: _Recorder, rng: Random, scale: str) -> None:
             base = GrassPoint.base_point(CoeffRing(field, 0, 0), 2)
             psi = baker(base, d, w)
             vinv = universal_v(field, d).gminus.inverse(window=w)
-            rec.check(
+            report.check(
                 f"wave series at the base point inverts the universal series ({spec}, d={d})",
                 psi.same_series(vinv),
             )
@@ -252,7 +248,7 @@ def _suite_tau_base_baker(rec: _Recorder, rng: Random, scale: str) -> None:
             psi = baker(pt, d, w)
             # the wave series spans z times the point: shift down one slot
             ok, why = _windowed_membership(pt, psi.shift(-1), -d - 1, w - 1)
-            rec.check(
+            report.check(
                 f"shifted wave series lies in the point's span on the window ({spec}, #{rep})",
                 ok,
                 why,
@@ -286,7 +282,7 @@ def _windowed_membership(
     return True, ""
 
 
-def _suite_factorization(rec: _Recorder, rng: Random, scale: str) -> None:
+def _suite_factorization(report: SuiteReport, rng: Random, scale: str) -> None:
     n_each = 8 if scale == "small" else 40
     fields = [QQ, GF(3), GF(5)]
     for mode in ("exact", "windowed"):
@@ -297,12 +293,12 @@ def _suite_factorization(rec: _Recorder, rng: Random, scale: str) -> None:
             f = _random_factorable(rng, ring, exact=mode == "exact")
             g = factorize(f)
             label = f"{mode} series #{i} ({spec}, d={ring.degree_bound})"
-            rec.check(
+            report.check(
                 f"factor parts multiply back ({label})",
                 g.as_laurent().same_series(f),
                 f"f={f}",
             )
-            rec.check(
+            report.check(
                 f"factor shapes are canonical ({label})",
                 _factor_shape_ok(g) and g.zpower == f.reduced_valuation()[0],
             )
@@ -310,12 +306,12 @@ def _suite_factorization(rec: _Recorder, rng: Random, scale: str) -> None:
     ring = CoeffRing(QQ, 1, 2)
     x1 = ring.gen(0)
     tight = LaurentElement(ring, {-1: x1, 0: ring.one(), 1: ring.one()}, 2)
-    rec.expect_raises(
+    report.expect_raises(
         "window at the precision floor is refused",
         PrecisionError,
         lambda: factorize(tight),
     )
-    rec.expect_raises(
+    report.expect_raises(
         "series with no unit coefficient is refused",
         NotInvertibleError,
         lambda: factorize(LaurentElement(ring, {0: x1})),
@@ -324,7 +320,7 @@ def _suite_factorization(rec: _Recorder, rng: Random, scale: str) -> None:
         ring = CoeffRing(QQ, 2, 2)
         g = _random_group_element(rng, ring)
         prod = g * g.inverse(window=4)
-        rec.check(
+        report.check(
             f"group inverse cancels (#{i})",
             prod.gminus.same_series(LaurentElement.one(ring))
             and prod.gplus.same_series(LaurentElement.one(ring))
@@ -366,7 +362,7 @@ def _random_factorable(
     return LaurentElement(ring, coeffs, trunc)
 
 
-def _suite_cocycle(rec: _Recorder, rng: Random, scale: str) -> None:
+def _suite_cocycle(report: SuiteReport, rng: Random, scale: str) -> None:
     # chart-to-chart transitions compose along any cycle
     for field in [QQ, GF(7)]:
         spec = format_field_spec(field)
@@ -397,7 +393,7 @@ def _suite_cocycle(rec: _Recorder, rng: Random, scale: str) -> None:
                         charts.append(m)
                 except PrecisionError:
                     continue
-            rec.check(
+            report.check(
                 f"point #{p_i} has overlapping charts ({spec})",
                 len(charts) >= 2,
                 f"only {len(charts)} usable charts",
@@ -408,11 +404,11 @@ def _suite_cocycle(rec: _Recorder, rng: Random, scale: str) -> None:
                 lhs = chart_transition(pt, a, b) * chart_transition(pt, b, c)
                 ok = ok and lhs == chart_transition(pt, a, c)
                 triples += 1
-            rec.check(
+            report.check(
                 f"transitions compose over {triples} chart triples (point #{p_i}, {spec})",
                 ok,
             )
-            rec.check(
+            report.check(
                 f"self-transition is 1 (point #{p_i}, {spec})",
                 chart_transition(pt, charts[0], charts[0]) == ring.one(),
             )
@@ -431,13 +427,13 @@ def _suite_cocycle(rec: _Recorder, rng: Random, scale: str) -> None:
             mid = act(lower2, pt, promote=0)
             lhs = tau_eval(pt, lower1 * lower2, promote=0)
             rhs = tau_eval(mid, lower1, promote=0) * tau_eval(pt, lower2, promote=0)
-            rec.check(
+            report.check(
                 f"lower-triangular action is multiplicative ({spec}, #{rep})",
                 lhs == rhs,
                 f"lhs={lhs} rhs={rhs}",
             )
             rho = _action_defect(pt, g1, g2)
-            rec.check(
+            report.check(
                 f"action defect is a unit ({spec}, #{rep})",
                 rho.is_unit(),
                 f"rho={rho}",
@@ -446,7 +442,7 @@ def _suite_cocycle(rec: _Recorder, rng: Random, scale: str) -> None:
                 GrassPoint.base_point(ring, 2),
                 _random_point(rng, ring, 2, fill=0.6),
             ]
-            rec.check(
+            report.check(
                 f"action defect does not depend on the point ({spec}, #{rep})",
                 all(_action_defect(q, g1, g2) == rho for q in same_depth),
             )
@@ -455,16 +451,16 @@ def _suite_cocycle(rec: _Recorder, rng: Random, scale: str) -> None:
             g2u = GammaElement(g2.gminus, ring.one(), g2.gplus, 0)
             w1 = GammaElement.from_parts(ring, gminus=g1.gminus)
             w2 = GammaElement.from_parts(ring, gplus=g2.gplus)
-            rec.check(
+            report.check(
                 f"defect reduces to the crossing wings ({spec}, #{rep})",
                 _action_defect(pt, g1u, g2u) == _action_defect(pt, w1, w2),
             )
             plus1 = GammaElement.from_parts(ring, gplus=g1.gplus)
-            rec.check(
+            report.check(
                 f"upper-past-lower order has no defect ({spec}, #{rep})",
                 _action_defect(pt, plus1, lower2) == ring.one(),
             )
-        rec.check(
+        report.check(
             f"identity acts trivially ({spec})",
             tau_eval(pt, GammaElement.identity(ring)) == ring.one(),
         )
@@ -476,7 +472,7 @@ def _action_defect(pt: GrassPoint, g1: GammaElement, g2: GammaElement) -> RingEl
     return lhs * rhs.inverse()
 
 
-def _suite_finite_embed(rec: _Recorder, rng: Random, scale: str) -> None:
+def _suite_finite_embed(report: SuiteReport, rng: Random, scale: str) -> None:
     field = GF(2)
     ring = CoeffRing(field, 0, 0)
     small = GrassPoint(ring, 2, [])
@@ -486,15 +482,15 @@ def _suite_finite_embed(rec: _Recorder, rng: Random, scale: str) -> None:
         [LaurentElement.z_power(ring, e) for e in (-2, -1, 0, 1)],
     )
     basis = quotient_basis(small, big)
-    rec.check(
+    report.check(
         "quotient basis is the four gap powers",
         [sorted(b.coeffs) for b in basis] == [[-2], [-1], [0], [1]],
         f"basis={basis}",
     )
-    rec.check("small side has index -2", index(small) == -2)
-    rec.check("big side has index 2", index(big) == 2)
+    report.check("small side has index -2", index(small) == -2)
+    report.check("big side has index 2", index(big) == 2)
     subspaces = _subspaces_gf2(4)
-    rec.check(
+    report.check(
         "the 4-dimensional quotient has 67 subspaces", len(subspaces) == 67
     )
     exps = (-2, -1, 0, 1)
@@ -521,12 +517,12 @@ def _suite_finite_embed(rec: _Recorder, rng: Random, scale: str) -> None:
             if maya.charge() != -2 + k:
                 all_ok["charge"] = False
                 bad = bad or f"charge {maya.charge()} at positions={positions}"
-    rec.check("embedding shifts the index by the dimension", all_ok["index"], bad)
-    rec.check(
+    report.check("embedding shifts the index by the dimension", all_ok["index"], bad)
+    report.check(
         "library minors equal the finite-model determinants", all_ok["minor"], bad
     )
-    rec.check("chart membership matches nonvanishing", all_ok["chart"], bad)
-    rec.check("diagram charges match the shifted index", all_ok["charge"], bad)
+    report.check("chart membership matches nonvanishing", all_ok["chart"], bad)
+    report.check("diagram charges match the shifted index", all_ok["charge"], bad)
 
 
 def _subspaces_gf2(n: int) -> list[list[list[int]]]:
@@ -550,14 +546,14 @@ def _subspaces_gf2(n: int) -> list[list[list[int]]]:
     return out
 
 
-def _suite_exponentials(rec: _Recorder, rng: Random, scale: str) -> None:
+def _suite_exponentials(report: SuiteReport, rng: Random, scale: str) -> None:
     reps = 2 if scale == "small" else 5
     ring = CoeffRing(QQ, 2, 2)
     for rep in range(reps):
         a = [_rand_nilpotent(rng, ring) for _ in range(2)]
         b = [_rand_nilpotent(rng, ring) for _ in range(2)]
         both = [x + y for x, y in zip(a, b)]
-        rec.check(
+        report.check(
             f"lower exponential is a homomorphism (#{rep})",
             exp_gamma(ring, a, -1) * exp_gamma(ring, b, -1)
             == exp_gamma(ring, both, -1),
@@ -565,7 +561,7 @@ def _suite_exponentials(rec: _Recorder, rng: Random, scale: str) -> None:
         ua = [_rand_element(rng, ring) for _ in range(2)]
         ub = [_rand_element(rng, ring) for _ in range(2)]
         w = 5
-        rec.check(
+        report.check(
             f"upper exponential is a homomorphism on the window (#{rep})",
             (exp_gamma(ring, ua, 1, w) * exp_gamma(ring, ub, 1, w)).gplus
             == exp_gamma(ring, [x + y for x, y in zip(ua, ub)], 1, w).gplus,
@@ -578,7 +574,7 @@ def _suite_exponentials(rec: _Recorder, rng: Random, scale: str) -> None:
         lower = exp_gamma(ring, asingle, -1).gminus
         upper = exp_gamma(ring, ua, 1, wide).gplus
         back = factorize(lower * LaurentElement.const(ring, u) * upper)
-        rec.check(
+        report.check(
             f"exp(lower) * unit * exp(upper) refactors (#{rep})",
             back.gminus == lower
             and back.unit == u
@@ -592,20 +588,20 @@ def _suite_exponentials(rec: _Recorder, rng: Random, scale: str) -> None:
         for k in range(1, ring.degree_bound + 1):
             power = power * x
             logs.append(power * Fraction(-1, k))
-        rec.check(
+        report.check(
             f"1 - a z^-1 matches exp of its power sums (#{rep})",
             witt_product(ring, [x], -1) == exp_gamma(ring, logs, -1).gminus,
         )
-    rec.check(
+    report.check(
         "exp of nothing is the identity",
         exp_gamma(ring, [], -1).is_identity(),
     )
-    rec.expect_raises(
+    report.expect_raises(
         "exponential refuses positive characteristic",
         DomainError,
         lambda: exp_gamma(CoeffRing(GF(5), 1, 2), [CoeffRing(GF(5), 1, 2).gen(0)], -1),
     )
-    rec.expect_raises(
+    report.expect_raises(
         "upper exponential without a window is refused",
         PrecisionError,
         lambda: exp_gamma(ring, [ring.one()], 1),
@@ -614,19 +610,19 @@ def _suite_exponentials(rec: _Recorder, rng: Random, scale: str) -> None:
     t = ring.gen(0)
     emb = abel_embed(ring, [t])
     one_minus = LaurentElement(ring, {0: ring.one(), -1: -t})
-    rec.check(
+    report.check(
         "nilpotent one-point embedding inverts 1 - t/z",
         (emb.gminus * one_minus) == LaurentElement.one(ring),
     )
     cring = CoeffRing(QQ, 0, 0)
     c = cring.const(Fraction(1, 2))
-    rec.expect_raises(
+    report.expect_raises(
         "invertible point needs an explicit depth",
         DomainError,
         lambda: abel_embed(cring, [c]),
     )
     clipped = abel_embed(cring, [c], depth=3)
-    rec.check(
+    report.check(
         "clipped embedding keeps the geometric coefficients",
         isinstance(clipped, LaurentElement)
         and all(
@@ -637,7 +633,7 @@ def _suite_exponentials(rec: _Recorder, rng: Random, scale: str) -> None:
     )
 
 
-def _suite_witt(rec: _Recorder, rng: Random, scale: str) -> None:
+def _suite_witt(report: SuiteReport, rng: Random, scale: str) -> None:
     ring3 = CoeffRing(GF(3), 0, 0)
     consts = [ring3.const(v) for v in range(3)]
     vecs = [[a, b] for a in consts for b in consts]
@@ -653,7 +649,7 @@ def _suite_witt(rec: _Recorder, rng: Random, scale: str) -> None:
     for u in vecs:
         for v in vecs:
             table[(key(u), key(v))] = key(add(u, v))
-    rec.check(
+    report.check(
         "addition over GF(3) is commutative (81 pairs)",
         all(table[(key(u), key(v))] == table[(key(v), key(u))] for u in vecs for v in vecs),
     )
@@ -663,12 +659,12 @@ def _suite_witt(rec: _Recorder, rng: Random, scale: str) -> None:
             for w in vecs:
                 if key(add(add(u, v), w)) != key(add(u, add(v, w))):
                     assoc_ok = False
-    rec.check("addition over GF(3) is associative (729 triples)", assoc_ok)
-    rec.check(
+    report.check("addition over GF(3) is associative (729 triples)", assoc_ok)
+    report.check(
         "the zero vector is neutral",
         all(key(add(u, zero)) == key(u) for u in vecs),
     )
-    rec.check(
+    report.check(
         "every vector has exactly one negative",
         all(sum(1 for v in vecs if key(add(u, v)) == key(zero)) == 1 for u in vecs),
     )
@@ -682,9 +678,9 @@ def _suite_witt(rec: _Recorder, rng: Random, scale: str) -> None:
         ok = all(
             _ghost(c, n) == _ghost(a, n) + _ghost(b, n) for n in (1, 2, 3)
         )
-        rec.check(f"ghost components add (#{rep})", ok)
+        report.check(f"ghost components add (#{rep})", ok)
         m = max(len(a), len(b))
-        rec.check(
+        report.check(
             f"sum reproduces the product modulo z^{m + 1} (#{rep})",
             witt_product(ringq, c, 1).truncate(m + 1)
             == (witt_product(ringq, a, 1) * witt_product(ringq, b, 1)).truncate(m + 1),
@@ -700,7 +696,7 @@ def _ghost(vec, n: int):
     return total
 
 
-def _suite_schur(rec: _Recorder, rng: Random, scale: str) -> None:
+def _suite_schur(report: SuiteReport, rng: Random, scale: str) -> None:
     for field, d in [(QQ, 4 if scale == "small" else 5), (GF(5), 3)]:
         spec = format_field_spec(field)
         ring = coordinate_ring(field, d)
@@ -716,19 +712,19 @@ def _suite_schur(rec: _Recorder, rng: Random, scale: str) -> None:
                 if got != expect:
                     ok = False
                     bad = bad or f"<{lam},{mu}> = {got}"
-        rec.check(
+        report.check(
             f"basis is orthonormal under the pairing ({spec}, d={d})", ok, bad
         )
         ok = all(
             all(ring.weight(m) == partition_size(lam) for m in schur_polynomial(ring, lam).coeffs)
             for lam in lams
         )
-        rec.check(f"basis elements are weight-homogeneous ({spec}, d={d})", ok)
+        report.check(f"basis elements are weight-homogeneous ({spec}, d={d})", ok)
     ring = coordinate_ring(QQ, 4)
     reps = 3 if scale == "small" else 8
     for rep in range(reps):
         p = _rand_element(rng, ring, max_terms=4)
-        rec.check(
+        report.check(
             f"coordinates round-trip (#{rep})",
             bosonize(ring, to_schur_coords(p)) == p,
         )
@@ -740,8 +736,8 @@ def _suite_schur(rec: _Recorder, rng: Random, scale: str) -> None:
         if got != expect:
             ok = False
             bad = bad or f"x1 * F_{lam} decomposed as {got}"
-    rec.check("multiplication by x1 adds one box", ok, bad)
-    rec.check(
+    report.check("multiplication by x1 adds one box", ok, bad)
+    report.check(
         "basis elements above the bound vanish",
         schur_polynomial(coordinate_ring(QQ, 3), (4,)).is_zero()
         and schur_polynomial(coordinate_ring(QQ, 3), (2, 2)).is_zero()
@@ -763,7 +759,7 @@ def _add_one_box(lam) -> list:
     return out
 
 
-def _suite_hirota(rec: _Recorder, rng: Random, scale: str) -> None:
+def _suite_hirota(report: SuiteReport, rng: Random, scale: str) -> None:
     reps = 2 if scale == "small" else 4
     d = 4 if scale == "small" else 5
     ring = CoeffRing(QQ, 0, 0)
@@ -772,35 +768,35 @@ def _suite_hirota(rec: _Recorder, rng: Random, scale: str) -> None:
         pt = _random_point(rng, ring, rng.randint(1, 2), fill=0.7)
         t = tau_crosscheck(pt, d)
         for order in orders:
-            rec.check(
+            report.check(
                 f"tau of a random point solves the bilinear identity (order {order}, #{rep})",
                 kp_residual(t, order).is_zero(),
                 f"tau={t}",
             )
     cring = coordinate_ring(QQ, d)
     for lam in [(1,), (2, 1), (2, 2)]:
-        rec.check(
+        report.check(
             f"coordinate point {lam} solves the bilinear identity",
             kp_residual(schur_polynomial(cring, lam), 1).is_zero(),
         )
     fake = cring.one() + cring.gen(0) * cring.gen(0)
-    rec.check(
+    report.check(
         "the non-point 1 + x1^2 is rejected by the identity",
         not kp_residual(fake, 1).is_zero(),
     )
-    rec.expect_raises(
+    report.expect_raises(
         "the identity needs characteristic zero",
         DomainError,
         lambda: kp_residual(coordinate_ring(GF(5), 4).one(), 1),
     )
-    rec.expect_raises(
+    report.expect_raises(
         "orders beyond the degree bound are refused",
         DomainError,
         lambda: kp_residual(coordinate_ring(QQ, 4).one(), 2),
     )
 
 
-def _suite_index_invariance(rec: _Recorder, rng: Random, scale: str) -> None:
+def _suite_index_invariance(report: SuiteReport, rng: Random, scale: str) -> None:
     reps = 3 if scale == "small" else 6
     for field in [QQ, GF(3)]:
         spec = format_field_spec(field)
@@ -823,19 +819,19 @@ def _suite_index_invariance(rec: _Recorder, rng: Random, scale: str) -> None:
                 ok = index(moved) == before
                 promoted = act(g, v, promote=depth + 2)
                 ok = ok and index(promoted) == before
-                rec.check(
+                report.check(
                     f"index survives the action ({spec}, #{rep}, variant {v_i})",
                     ok,
                     f"before={before} after={index(moved)}",
                 )
     ring = CoeffRing(QQ, 0, 0)
-    rec.check(
+    report.check(
         "base points have index 0 at any depth",
         all(index(GrassPoint.base_point(ring, n)) == 0 for n in (1, 2, 4)),
     )
 
 
-def _suite_pairings(rec: _Recorder, rng: Random, scale: str) -> None:
+def _suite_pairings(report: SuiteReport, rng: Random, scale: str) -> None:
     ring = CoeffRing(QQ, 2, 2)
     x1, x2 = ring.gen(0), ring.gen(1)
     one = ring.one()
@@ -843,7 +839,7 @@ def _suite_pairings(rec: _Recorder, rng: Random, scale: str) -> None:
         LaurentElement(ring, {0: one, -1: x1}),
         LaurentElement(ring, {0: one, 1: x2}),
     )
-    rec.check(
+    report.check(
         "frozen value: <1 + a/z, 1 + b z> = 1 + a b",
         frozen == one + x1 * x2,
         f"got {frozen}",
@@ -852,12 +848,12 @@ def _suite_pairings(rec: _Recorder, rng: Random, scale: str) -> None:
         LaurentElement(ring, {0: one, -2: x1}),
         LaurentElement(ring, {0: one, 2: x2}),
     )
-    rec.check(
+    report.check(
         "frozen value: <1 + a/z^2, 1 + b z^2> = 1 + 2 a b",
         deep == one + x1 * x2 * 2,
         f"got {deep}",
     )
-    rec.check(
+    report.check(
         "mismatched exponents pair to 1",
         commutator_pairing(
             LaurentElement(ring, {0: one, -2: x1}),
@@ -870,19 +866,19 @@ def _suite_pairings(rec: _Recorder, rng: Random, scale: str) -> None:
         f1 = _rand_pairing_arg(rng, ring)
         f2 = _rand_pairing_arg(rng, ring)
         g = _rand_pairing_arg(rng, ring)
-        rec.check(
+        report.check(
             f"pairing is multiplicative on the left (#{rep})",
             commutator_pairing(f1 * f2, g)
             == commutator_pairing(f1, g) * commutator_pairing(f2, g),
         )
-        rec.check(
+        report.check(
             f"swapping the arguments inverts the value (#{rep})",
             commutator_pairing(f1, g) * commutator_pairing(g, f1) == one,
         )
         lower = LaurentElement(ring, {0: one, -1: _rand_nilpotent(rng, ring)})
         upper1 = LaurentElement(ring, {0: one, 1: _rand_element(rng, ring)})
         upper2 = LaurentElement(ring, {0: one, 2: _rand_element(rng, ring)})
-        rec.check(
+        report.check(
             f"same-wing arguments pair to 1 (#{rep})",
             commutator_pairing(upper1, upper2) == one
             and commutator_pairing(
@@ -890,7 +886,7 @@ def _suite_pairings(rec: _Recorder, rng: Random, scale: str) -> None:
             )
             == one,
         )
-        rec.check(
+        report.check(
             f"first-order part matches the residue form (#{rep})",
             _leading_match(ring, rng),
         )
@@ -899,7 +895,7 @@ def _suite_pairings(rec: _Recorder, rng: Random, scale: str) -> None:
         LaurentElement(ring, {0: one, 1: x2}),
         window=25,
     )
-    rec.check("value is stable under a wider window", wide == frozen)
+    report.check("value is stable under a wider window", wide == frozen)
 
 
 def _rand_pairing_arg(rng: Random, ring: CoeffRing) -> LaurentElement:
@@ -950,10 +946,8 @@ def run_suite(name: str, seed: int = 0, scale: str = "small") -> SuiteReport:
         raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     if scale not in ("small", "full"):
         raise DomainError("scale must be 'small' or 'full'")
-    rec = _Recorder()
-    rng = Random(seed)
+    report = SuiteReport(name, seed, scale)
     started = time.monotonic()
-    SUITES[name](rec, rng, scale)
-    report = SuiteReport(name=name, seed=seed, scale=scale, checks=rec.checks)
+    SUITES[name](report, Random(seed), scale)
     report.elapsed = time.monotonic() - started
     return report

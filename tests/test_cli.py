@@ -1,10 +1,15 @@
 """JSON codecs and the command-line surface (exit codes, determinism)."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import grasstau
 from grasstau import (
     GF,
     QQ,
@@ -309,3 +314,17 @@ def test_cli_stdin_payload(tmp_path, capsys, monkeypatch):
     assert main(["factor"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "ok"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI call is a fresh process, so what the import pulls in is
+    # paid per call; -S keeps site's own imports out of the count
+    env = dict(os.environ, PYTHONPATH=str(Path(grasstau.__file__).parent.parent))
+    probe = (
+        "import grasstau.cli, sys; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -13,8 +13,10 @@ shift x1 -> x1 + t gives psi = v^{-1} (1 + c (1 + c x1)^{-1} z).
 """
 
 from fractions import Fraction
+from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grasstau import (
     GF,
@@ -157,6 +159,109 @@ def test_baker_window_and_constant_normalization():
     psi = baker(two_column_point(), 2, 3)
     assert psi.trunc == 3
     assert psi.coefficient(0).constant_term() == 1
+
+
+def _vacuum_chart_point(rng: Random, field, depth: int, top: int) -> GrassPoint:
+    """One exact column per tail slot: a nonzero scalar at z^-j and random
+    scalars above it up to z^top."""
+    ring = CoeffRing(field, 0, 0)
+
+    def scalar(nonzero: bool):
+        while True:
+            if field.char:
+                v = rng.randrange(field.char)
+            else:
+                v = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            if v or not nonzero:
+                return v
+
+    cols = []
+    for j in range(depth, 0, -1):
+        coeffs = {-j: scalar(True)}
+        for e in range(-j + 1, top + 1):
+            if rng.random() < 0.6:
+                coeffs[e] = scalar(False)
+        cols.append(LaurentElement(ring, coeffs))
+    return GrassPoint(ring, depth, cols)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.sampled_from([QQ, GF(3), GF(5)]),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(0, 2**32),
+)
+def test_baker_ignores_the_unknown_tail(field, depth, bound, window, seed):
+    """Columns known to z^(bound + window) fix the wave series; whatever
+    lies past that is never read, and one exponent less is refused."""
+    rng = Random(seed)
+    need = bound + window
+    pt = _vacuum_chart_point(rng, field, depth, need - 1)
+    ring = pt.ring
+    longer = []
+    for c in pt.columns:
+        extra = {e: rng.randrange(1, 5) for e in range(need, need + rng.randint(1, 3))}
+        longer.append(LaurentElement(ring, {**c.coeffs, **extra}))
+    psi = baker(GrassPoint(ring, depth, longer), bound, window)
+    known = [c.truncate(need) for c in longer]
+    assert baker(GrassPoint(ring, depth, known), bound, window) == psi
+    short = [c.truncate(need - 1) for c in longer]
+    with pytest.raises(PrecisionError):
+        baker(GrassPoint(ring, depth, short), bound, window)
+
+
+def _substitute(poly, target, images):
+    """The ring map x_i -> images[i], applied monomial by monomial."""
+    total = target.zero()
+    for mono, c in poly.coeffs.items():
+        term = target.const(c)
+        for image, e in zip(images, mono):
+            term = term * image ** e
+        total = total + term
+    return total
+
+
+def _sato_wave_series(point, bound, window):
+    """Sato's formula: psi = v^-1 * tau(x + shift)/tau(x) with t read as z.
+
+    tau is taken at the inflated bound N = bound + window in a joint ring
+    with x_1..x_N and t (all weights as in the coordinate ring, t of
+    weight 1); the shift is x_i -> sum_{j<=i} x_j t^(i-j), x_0 = 1.
+    Monomials with some x_i, i > bound, or x-weight past ``bound`` are
+    dropped, and the z^k coefficient is the t^k part.
+    """
+    field = point.ring.field
+    big = bound + window
+    tau_big = tau_crosscheck(point, big)
+    joint = CoeffRing(field, big + 1, big, weights=tuple(range(1, big + 1)) + (1,))
+    t = joint.gen(big)
+    xs = [joint.gen(i) for i in range(big)]
+    shifted = [
+        t ** i + sum((xs[j - 1] * t ** (i - j) for j in range(1, i + 1)), joint.zero())
+        for i in range(1, big + 1)
+    ]
+    ratio = _substitute(tau_big, joint, shifted) * _substitute(tau_big, joint, xs).inverse()
+    v = universal_v(field, bound).gminus
+    small = v.ring
+    per_k = {}
+    for mono, c in ratio.coeffs.items():
+        xm = mono[:bound]
+        if any(mono[bound:big]) or small.weight(xm) > bound:
+            continue
+        per_k.setdefault(mono[-1], {})[xm] = c
+    series = LaurentElement(small, {k: small.element(d) for k, d in per_k.items()})
+    return (v.inverse() * series).truncate(window)
+
+
+def test_baker_matches_sato_formula():
+    rng = Random(2024)
+    for i in range(30):
+        field = (QQ, GF(5))[i % 2]
+        depth, bound, window = (rng.randint(1, 3) for _ in range(3))
+        pt = _vacuum_chart_point(rng, field, depth, bound + window + 1)
+        assert baker(pt, bound, window) == _sato_wave_series(pt, bound, window)
 
 
 # ---------------------------------------------------------------------------
