@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("pair", "pairing of two series with unit constant coefficient")
     p.add_argument("--mode", choices=("commutator", "residue"), default="commutator")
-    p.add_argument("--pair-window", type=int, help="override the matrix window")
+    p.add_argument("--pair-window", type=int, help="precision window to require (default 2d(p1+p2)+1)")
 
     p = add("verify", "run randomized self-check suites", payload=False)
     p.add_argument("--suite", default="all", choices=["all"] + suite_names())

@@ -296,26 +296,35 @@ def witt_product(ring: CoeffRing, coeffs: list[RingElement], sign: int) -> Laure
     return out
 
 
+def witt_peel(f: LaurentElement, sign: int, length: int) -> list[RingElement]:
+    """Components c_1..c_length of f = prod_i (1 - c_i z^(sign*i)), each read
+    off its coefficient and divided out in turn by a geometric series.
+    With sign -1, f is an exact lower-wing element whose components stop
+    at ``length``; each c_i is nilpotent, so its series ends at c_i^d and
+    the remainder must be exactly 1.  With sign +1, f = 1 + O(z) is matched
+    modulo z^(length+1).  Any other remainder raises InternalError."""
+    ring = f.ring
+    window = None if sign < 0 else length + 1
+    q = f if window is None else f.truncate(window)
+    out: list[RingElement] = []
+    for i in range(1, length + 1):
+        c = -q.coefficient(sign * i)
+        out.append(c)
+        if c:
+            top = ring.degree_bound if window is None else length // i
+            q = q * LaurentElement(ring, {sign * i * k: c**k for k in range(top + 1)}, window)
+    if q != LaurentElement(ring, {0: ring.one()}, window):
+        raise InternalError("Witt peel left a nonzero remainder")
+    return out
+
+
 def witt_add(
     ring: CoeffRing, avec: list[RingElement], bvec: list[RingElement]
 ) -> list[RingElement]:
     """Witt vector addition: peel components off the product of the two
     product-form series, matching prod(1 - c_i z^i) modulo z^(m+1)."""
-    m = max(len(avec), len(bvec))
-    if m == 0:
-        return []
     prod = witt_product(ring, avec, 1) * witt_product(ring, bvec, 1)
-    out: list[RingElement] = []
-    q = prod.truncate(m + 1)
-    for i in range(1, m + 1):
-        c = -q.coefficient(i)
-        out.append(c)
-        if c:
-            factor = LaurentElement(ring, {0: ring.one(), i: -c}, None)
-            q = q * factor.inverse(window=m + 1)
-    if any(q.coefficient(i) for i in range(1, m + 1)):
-        raise InternalError("Witt peel left a nonzero remainder")
-    return out
+    return witt_peel(prod, 1, max(len(avec), len(bvec)))
 
 
 def abel_embed(ring: CoeffRing, points, depth: int | None = None):
@@ -342,12 +351,8 @@ def abel_embed(ring: CoeffRing, points, depth: int | None = None):
     out = LaurentElement.one(ring)
     for t in pts:
         terms = {0: ring.one()}
-        power = ring.one()
         for i in range(1, reach + 1):
-            power = power * t
-            if not power:
-                break
-            terms[-i] = power
+            terms[-i] = terms[1 - i] * t
         out = out * LaurentElement(ring, terms, None)
         if not nilpotent:
             out = out.clip_below(-depth)

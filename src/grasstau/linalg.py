@@ -11,8 +11,7 @@ and determinant checks over the residue field.
 
 Everything here is exact and runs in polynomial time: ``tau_direct``
 takes dense minors as large as the tail depth.  The ring loops skip zero
-entries, which most Toeplitz, identity-block and Jacobi-Trudi entries
-are.
+entries, which most identity-block and Jacobi-Trudi entries are.
 """
 
 from __future__ import annotations
@@ -95,14 +94,6 @@ def _berkowitz(a: list[list[RingElement]], ring: CoeffRing) -> RingElement:
     """
     n = len(a)
     zero = ring.zero()
-
-    def dot(u, v):
-        acc = zero
-        for x, y in zip(u, v):
-            if x and y:
-                acc = acc + x * y
-        return acc
-
     poly = [ring.one()]
     for r in range(n):
         block = [row[:r] for row in a[:r]]
@@ -110,31 +101,28 @@ def _berkowitz(a: list[list[RingElement]], ring: CoeffRing) -> RingElement:
         col = [row[r] for row in a[:r]]
         toeplitz = [ring.one(), -a[r][r]]
         for i in range(r):
-            toeplitz.append(-dot(border, col))
+            toeplitz.append(-_dot(border, col, zero))
             if i < r - 1:
-                col = [dot(row, col) for row in block]
-        poly = [dot(toeplitz[i::-1], poly) for i in range(r + 2)]
+                col = [_dot(row, col, zero) for row in block]
+        poly = [_dot(toeplitz[i::-1], poly, zero) for i in range(r + 2)]
     return -poly[n] if n % 2 else poly[n]
+
+
+def _dot(u: list[RingElement], v: list[RingElement], zero: RingElement) -> RingElement:
+    acc = zero
+    for x, y in zip(u, v):
+        if x and y:
+            acc = acc + x * y
+    return acc
 
 
 def mat_mul_ring(
     a: list[list[RingElement]], b: list[list[RingElement]], ring: CoeffRing
 ) -> list[list[RingElement]]:
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    if any(len(row) != k for row in a):
+    if any(len(row) != len(b) for row in a):
         raise DomainError("inner dimensions do not match")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = ring.zero()
-            for t in range(k):
-                if a[i][t] and b[t][j]:
-                    acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    cols = list(zip(*b))
+    return [[_dot(row, col, ring.zero()) for col in cols] for row in a]
 
 
 def inv_ring(rows: list[list[RingElement]], ring: CoeffRing) -> list[list[RingElement]]:
@@ -151,11 +139,7 @@ def inv_ring(rows: list[list[RingElement]], ring: CoeffRing) -> list[list[RingEl
     aug = [list(row) + [ring.one() if i == j else ring.zero() for j in range(n)]
            for i, row in enumerate(rows)]
     for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if aug[r][col].is_unit():
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(col, n) if aug[r][col].is_unit()), None)
         if pivot_row is None:
             raise NotInvertibleError("matrix has no unit pivot; not invertible over the ring")
         aug[col], aug[pivot_row] = aug[pivot_row], aug[col]

@@ -3,25 +3,27 @@
 The residue pairing of two series is res(f * dg/dz): bilinear in the
 additive sense and the infinitesimal shadow of the multiplicative one.
 
-The commutator pairing compresses multiplication operators onto the
-nonnegative-exponent half-space.  On the full series space the operators
-commute, so any determinant of a plain commutator is 1 and carries no
-information — the content lives entirely in the compression.  Truncating
-the half-space to a finite window [0, W) makes the compressed operators
-honest matrices over the coefficient ring; their multiplicative
-commutator differs from the identity only inside a corner block whose
-size is controlled by the supports, and the pairing is the determinant
-of that corner.  The window corruption introduced by cutting at W stays
-within d*(p1+p2) of the top, so W just has to exceed the corner by that
-margin.
+The commutator pairing is the Contou-Carrere symbol of two valuation-zero
+series, the corner determinant of the commutator of their multiplication
+operators compressed onto the nonnegative half-space (Anderson and Pablos
+Romo).  It is multiplicative in each slot and skew, and constants or two
+elements of one wing pair to 1.  So factor f = f- u f+ and g = g- u' g+
+(:func:`factorize`) and peel the wings into Witt components,
+f- = prod_i (1 - a_i z^{-i}) and f+ = prod_j (1 - b_j z^j): only the
+cross terms survive, and <1 - a z^{-i}, 1 - b z^j> = (1 - a^{j/h} b^{i/h})^{-h}
+with h = gcd(i, j) gives <f, g> = S(g-, f+) / S(f-, g+), where
+S(L, U) = prod_{i,j} (1 - a_i^{j/h} b_j^{i/h})^h over the components a of
+L and b of U.  :func:`commutator_pairing` bounds both products.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import DomainError, PrecisionError, RingMismatchError
+from .gamma import factorize, witt_peel
 from .laurent import LaurentElement
-from .linalg import det_ring, inv_ring, mat_mul_ring
-from .scalars import RingElement
+from .scalars import CoeffRing, RingElement
 
 
 def residue_pairing(f: LaurentElement, g: LaurentElement) -> RingElement:
@@ -37,16 +39,36 @@ def _support_radius(f: LaurentElement) -> int:
     return max(1, max(f.coeffs), -min(f.coeffs))
 
 
+def _symbol(ring: CoeffRing, lower: list[RingElement], upper: list[RingElement]) -> RingElement:
+    """S(L, U) for the Witt components a of L and b of U (module docstring)."""
+    out = one = ring.one()
+    for i, a in enumerate(lower, start=1):
+        for j, b in enumerate(upper, start=1):
+            if a and b:
+                h = gcd(i, j)
+                out = out * (one - a ** (j // h) * b ** (i // h)) ** h
+    return out
+
+
 def commutator_pairing(
     f1: LaurentElement, f2: LaurentElement, window: int | None = None
 ) -> RingElement:
-    """Determinant of the corner block of the compressed-commutator matrix.
+    """The Contou-Carrere symbol <f1, f2> in the module docstring's closed form.
 
-    Both series must have reduced valuation zero (split off z-powers
-    first) and be known out to the working window.  The corner has size
-    B = d*(p1+p2)+1 for support radii p_i and nilpotency degree d; the
-    window must be at least B + d*(p1+p2) so the cut-off corruption never
-    reaches the corner.
+    Both series need reduced valuation zero.  The refusals keep the corner
+    determinant's window w = 2d(p1+p2)+1, p_i the support radii, which the
+    value does not depend on: windowed input must be known below z^w.
+
+    Peel lengths.  With m the maximal ideal (m^(d+1) = 0) and r an
+    argument's fringe width, its lower wing is 1 + sum_{k<=r} c_k z^{-k},
+    c_k in m, and a_i is a sum of products of c_k whose subscripts add up
+    to i, so of at least i/r factors: a_i lies in m^ceil(i/r) and vanishes
+    past i = d*r, where the peel must leave exactly 1 (InternalError
+    otherwise).  In S(L, U), a_i^(j/h) lies in m^((i/r)(j/h)), inside
+    m^(j/r) as h <= i, so U is peeled only to j = d*r_other.  A windowed
+    upper wing is known that far: factorize gives it below trunc - d*r,
+    and trunc >= w > d(r1+r2).  All refusals come first, so factorize
+    never refuses here.
     """
     if f1.ring != f2.ring:
         raise RingMismatchError("commutator pairing needs a common ring")
@@ -58,10 +80,8 @@ def commutator_pairing(
             raise DomainError(
                 "commutator pairing needs valuation-zero series; factor out z^n first"
             )
-    p1 = _support_radius(f1)
-    p2 = _support_radius(f2)
-    corner = d * (p1 + p2) + 1
-    w_min = corner + d * (p1 + p2)
+    p1, p2 = (_support_radius(f) for f in (f1, f2))
+    w_min = 2 * d * (p1 + p2) + 1
     w = w_min if window is None else window
     if w < w_min:
         raise PrecisionError(
@@ -73,18 +93,8 @@ def commutator_pairing(
                 f"series known only below z^{f.trunc}; the window needs z^{w}"
             )
 
-    def toeplitz(f: LaurentElement) -> list[list[RingElement]]:
-        return [
-            [f.coeffs.get(i - j, ring.zero()) for j in range(w)]
-            for i in range(w)
-        ]
-
-    m1 = toeplitz(f1)
-    m2 = toeplitz(f2)
-    m1_inv = inv_ring(m1, ring)
-    m2_inv = inv_ring(m2, ring)
-    c = mat_mul_ring(
-        mat_mul_ring(m1, m2, ring), mat_mul_ring(m1_inv, m2_inv, ring), ring
-    )
-    block = [row[:corner] for row in c[:corner]]
-    return det_ring(block, ring)
+    fac1, fac2 = factorize(f1), factorize(f2)
+    dr1, dr2 = -d * fac1.gminus.min_exp, -d * fac2.gminus.min_exp
+    num = _symbol(ring, witt_peel(fac2.gminus, -1, dr2), witt_peel(fac1.gplus, 1, dr2))
+    den = _symbol(ring, witt_peel(fac1.gminus, -1, dr1), witt_peel(fac2.gplus, 1, dr1))
+    return num * den.inverse()

@@ -152,11 +152,12 @@ def baker(point: GrassPoint, bound: int, window: int) -> LaurentElement:
     moved to v.c_j (tail reduced), solve B a = (0, ..., 0, 1) for the
     vacuum block B of v.point, a unit since its residue is the point's
     vacuum block; then sum_j a_j v.c_j = z^{-1} + O(1), so
-    w = z sum_j a_j v.c_j = 1 + O(z) and psi = v^{-1} w.  The unknown tail
-    of every column is read as zero, which is harmless: each unit of
-    x-weight moves a column index up by at most one, and weights stop at
-    ``bound``, so psi's z^k coefficient reads the columns only up to
-    z^(k + bound - 1), inside the window the precondition below asks for.
+    w = z sum_j a_j v.c_j = 1 + O(z) and psi = v^{-1} w, read from w
+    below z^(window + bound) since v^{-1} stops at z^{-bound}.  The
+    unknown tail of every column is read as zero, which is harmless: each
+    unit of x-weight moves a column index up by at most one, and weights
+    stop at ``bound``, so psi's z^k coefficient reads the columns only up
+    to z^(k + bound - 1), inside the window the precondition below asks for.
 
     The point's columns must be known to z^(bound + window).
     """
@@ -177,7 +178,7 @@ def baker(point: GrassPoint, bound: int, window: int) -> LaurentElement:
     w = LaurentElement.one(ring)
     for a_j, c in zip(a, moved):
         w = w + (c * a_j).shift(1).clip_below(1)
-    return (v.gminus.inverse() * w).truncate(window)
+    return (v.gminus.inverse() * w.truncate(window + bound)).truncate(window)
 
 
 # ----------------------------------------------------------------------
