@@ -4,10 +4,10 @@ Two flavours are needed.  Matrices of ``RingElement`` values live over a
 local ring with nilpotents.  Their determinants go through Gaussian
 elimination on unit pivots, finishing a block with no unit left by
 Berkowitz's division-free recursion (or by zero, when the nilpotency
-degree forces it); their inverses go through Gauss-Jordan with unit
-pivots, which always exist when the matrix is invertible.  Matrices of
-raw field values use ordinary row reduction; those power rank, solve,
-and determinant checks over the residue field.
+degree forces it); their linear systems and inverses go through
+Gauss-Jordan with unit pivots, which always exist when the matrix is
+invertible.  Matrices of raw field values use ordinary row reduction;
+those power rank, solve, and determinant checks over the residue field.
 
 Everything here is exact and runs in polynomial time: ``tau_direct``
 takes dense minors as large as the tail depth.  The ring loops skip zero
@@ -125,19 +125,22 @@ def mat_mul_ring(
     return [[_dot(row, col, ring.zero()) for col in cols] for row in a]
 
 
-def inv_ring(rows: list[list[RingElement]], ring: CoeffRing) -> list[list[RingElement]]:
-    """Inverse of a square matrix over the (local) ring.
+def solve_ring(
+    mat: list[list[RingElement]], rhs_columns: list[list[RingElement]], ring: CoeffRing
+) -> list[list[RingElement]]:
+    """The columns x with mat x = b, one for each column b of ``rhs_columns``.
 
-    Gauss-Jordan, always pivoting on a unit entry.  Over a local ring a
-    matrix is invertible iff its residue matrix is, in which case a unit
-    pivot exists in every elimination column.
+    Gauss-Jordan on [mat | b ...], always pivoting on a unit entry.  Over a
+    local ring a matrix is invertible iff its residue matrix is, in which
+    case a unit pivot exists in every elimination column.
     """
-    n = len(rows)
-    for r in rows:
+    n = len(mat)
+    for r in mat:
         if len(r) != n:
-            raise DomainError("inv_ring needs a square matrix")
-    aug = [list(row) + [ring.one() if i == j else ring.zero() for j in range(n)]
-           for i, row in enumerate(rows)]
+            raise DomainError("solve_ring needs a square matrix")
+    if any(len(b) != n for b in rhs_columns):
+        raise DomainError("right-hand side length does not match")
+    aug = [list(row) + [b[i] for b in rhs_columns] for i, row in enumerate(mat)]
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if aug[r][col].is_unit()), None)
         if pivot_row is None:
@@ -151,7 +154,18 @@ def inv_ring(rows: list[list[RingElement]], ring: CoeffRing) -> list[list[RingEl
             factor = aug[r][col]
             if factor:
                 aug[r] = [er - factor * ec if ec else er for er, ec in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return [[row[n + k] for row in aug] for k in range(len(rhs_columns))]
+
+
+def inv_ring(rows: list[list[RingElement]], ring: CoeffRing) -> list[list[RingElement]]:
+    """Inverse of a square matrix over the (local) ring: ``solve_ring``
+    against the identity, whose columns are its rows."""
+    n = len(rows)
+    for r in rows:
+        if len(r) != n:
+            raise DomainError("inv_ring needs a square matrix")
+    eye = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
+    return [list(row) for row in zip(*solve_ring(rows, eye, ring))]
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,19 @@ by partition size.
 Truncation makes the ring local: an element is a unit exactly when its
 constant term is nonzero, and every non-unit is nilpotent.  That is what
 keeps all the series manipulations downstream finite and exact.
+
+Ring products do no per-pair monomial work.  Rings of one shape share a
+product table, filled lazily, that maps a pair of monomials to their
+product or to ``None`` once it passes the bound; each entry is weighed
+once.  The table is keyed on ``(num_vars, degree_bound, weights)`` and not
+on the field, because monomial products do not depend on it, so the
+fresh coordinate rings that ``tau_direct`` and ``baker`` build on every
+call all find it already filled.  A table lives as long as the process
+and holds at most one entry per pair of surviving monomials; each entry
+depends only on the key, so sharing cannot change a result.
+Coefficients are combined with plain ``+`` and ``*``, with one ``% p``
+per accumulated coefficient in characteristic p and zeros dropped once
+at the end.
 """
 
 from __future__ import annotations
@@ -128,6 +141,10 @@ def GF(p: int) -> BaseField:
     return BaseField(p)
 
 
+# (num_vars, degree_bound, weights) -> {m1: {m2: m1 * m2, or None past the bound}}
+_PRODUCT_TABLES: dict[tuple, dict[Monomial, dict[Monomial, Monomial | None]]] = {}
+
+
 class CoeffRing:
     """Truncated polynomial ring: monomials of weighted degree > bound vanish.
 
@@ -159,14 +176,14 @@ class CoeffRing:
         self.num_vars = num_vars
         self.degree_bound = degree_bound
         self.weights = weights
+        self._products = _PRODUCT_TABLES.setdefault((num_vars, degree_bound, weights), {})
 
     def __eq__(self, other: object) -> bool:
+        # one product table per (num_vars, degree_bound, weights)
         return (
             isinstance(other, CoeffRing)
-            and self.field == other.field
-            and self.num_vars == other.num_vars
-            and self.degree_bound == other.degree_bound
-            and self.weights == other.weights
+            and self._products is other._products
+            and self.field.char == other.field.char
         )
 
     def __hash__(self) -> int:
@@ -182,6 +199,19 @@ class CoeffRing:
 
     def weight(self, mono: Monomial) -> int:
         return sum(w * e for w, e in zip(self.weights, mono))
+
+    def _product_row(self, m1: Monomial) -> dict[Monomial, Monomial | None]:
+        """The shared table's row of m1, created empty on first use."""
+        row = self._products.get(m1)
+        if row is None:
+            row = self._products[m1] = {}
+        return row
+
+    def _fill_product(self, row: dict, m1: Monomial, m2: Monomial) -> Monomial | None:
+        """Weigh m1 * m2 once and record it in m1's row."""
+        mono = tuple(a + b for a, b in zip(m1, m2))
+        row[m2] = mono = mono if self.weight(mono) <= self.degree_bound else None
+        return mono
 
     def monomials(self) -> Iterator[Monomial]:
         """All surviving monomials, constant first, in a deterministic order."""
@@ -257,8 +287,8 @@ def neumann(one, u):
 
     Over a local ring whose maximal ideal m has m^{d+1} = 0, an element
     or series with coefficients in m has u^{d+1} = 0, so the sum ends at
-    u^d and is exactly (1 - u)^{-1}.  ``RingElement.inverse`` and
-    ``LaurentElement.inverse`` both end in such a sum.
+    u^d and is exactly (1 - u)^{-1}.  ``LaurentElement.inverse`` ends in
+    such a sum.
     """
     total = term = one
     while True:
@@ -346,71 +376,66 @@ class RingElement:
             return self.ring.const(other)
         return NotImplemented  # type: ignore[return-value]
 
+    def _reduced(self, coeffs: dict) -> "RingElement":
+        """An element of this ring from plainly accumulated coefficients:
+        each reduced once mod p in characteristic p, zeros dropped."""
+        p = self.ring.field.char
+        if p:
+            return RingElement(self.ring, {m: r for m, c in coeffs.items() if (r := c % p)})
+        return RingElement(self.ring, {m: c for m, c in coeffs.items() if c})
+
     def __add__(self, other) -> "RingElement":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        field = self.ring.field
         out = dict(self.coeffs)
         for mono, c in other.coeffs.items():
-            s = field.add(out.get(mono, field.zero()), c)
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return RingElement(self.ring, out)
+            prev = out.get(mono)
+            out[mono] = c if prev is None else prev + c
+        return self._reduced(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RingElement":
-        field = self.ring.field
-        return RingElement(self.ring, {m: field.neg(c) for m, c in self.coeffs.items()})
+        return self._reduced({m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "RingElement":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        out = dict(self.coeffs)
+        for mono, c in other.coeffs.items():
+            prev = out.get(mono)
+            out[mono] = -c if prev is None else prev - c
+        return self._reduced(out)
 
     def __rsub__(self, other) -> "RingElement":
         return (-self) + other
 
     def __mul__(self, other) -> "RingElement":
         if isinstance(other, (int, Fraction)):
-            field = self.ring.field
             try:
-                c = field.coerce(other)
+                c = self.ring.field.coerce(other)
             except DomainError:
                 return NotImplemented
-            if not c:
-                return self.ring.zero()
-            out = {}
-            for mono, a in self.coeffs.items():
-                p = field.mul(a, c)
-                if p:
-                    out[mono] = p
-            return RingElement(self.ring, out)
+            return self._reduced({m: a * c for m, a in self.coeffs.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         ring = self.ring
-        field = ring.field
-        bound = ring.degree_bound
+        right = other.coeffs.items()
         out: dict[Monomial, object] = {}
         for m1, c1 in self.coeffs.items():
-            w1 = ring.weight(m1)
-            for m2, c2 in other.coeffs.items():
-                if w1 + ring.weight(m2) > bound:
-                    continue
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                p = field.mul(c1, c2)
-                prev = out.get(mono)
-                s = field.add(prev, p) if prev is not None else p
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        return RingElement(self.ring, out)
+            row = ring._product_row(m1)
+            for m2, c2 in right:
+                try:
+                    mono = row[m2]
+                except KeyError:
+                    mono = ring._fill_product(row, m1, m2)
+                if mono is not None:
+                    prev = out.get(mono)
+                    out[mono] = c1 * c2 if prev is None else prev + c1 * c2
+        return self._reduced(out)
 
     __rmul__ = __mul__
 
@@ -418,14 +443,49 @@ class RingElement:
         return power(self.ring.one(), self, n)
 
     def inverse(self) -> "RingElement":
-        """Inverse in the truncated ring.
+        """Inverse in the truncated ring, filled in order of weight level.
 
-        Write f = c (1 + u) with u nilpotent; then 1/f is the finite
-        geometric series c^{-1} sum (-u)^k (see :func:`neumann`).
+        Write f = c + sum_{A != 0} p_A x^A.  The inverse y has y_0 = c^{-1}
+        and y_M = -c^{-1} sum_{A != 0} p_A y_{M-A}, read off the x^M
+        coefficient of f y = 1.  Every nonzero monomial has weight >= 1
+        (weights are positive), so each y_{M-A} on the right sits at a
+        lower weight level than M: visiting levels in increasing order, a
+        finished y_B pushes y_B * (-c^{-1} p_A) into the bucket of B * A,
+        which is final, and so equal to y_{B*A}, by the time its own level
+        is visited.  That is about one product's work.
         """
+        ring = self.ring
         c = self.constant_term()
         if not c:
             raise NotInvertibleError("element has zero constant term")
-        cinv = self.ring.field.invert(c)
-        one = self.ring.one()
-        return neumann(one, one - self * cinv) * cinv
+        p = ring.field.char
+        cinv = ring.field.invert(c)
+        one = (0,) * ring.num_vars
+        rest = sorted(
+            ((ring.weight(a), a, -cinv * pa) for a, pa in self.coeffs.items() if a != one),
+            key=lambda t: t[0],
+        )
+        bound = ring.degree_bound
+        levels: list[dict] = [{} for _ in range(bound + 1)]
+        levels[0][one] = cinv
+        out = {}
+        for level, bucket in enumerate(levels):
+            for mono, y in bucket.items():
+                if p:
+                    y %= p
+                if not y:
+                    continue
+                out[mono] = y
+                row = ring._product_row(mono)
+                for wa, a, q in rest:
+                    if level + wa > bound:
+                        break
+                    try:
+                        prod = row[a]
+                    except KeyError:
+                        prod = ring._fill_product(row, mono, a)
+                    if prod is not None:
+                        target = levels[level + wa]
+                        prev = target.get(prod)
+                        target[prod] = q * y if prev is None else prev + q * y
+        return RingElement(ring, out)

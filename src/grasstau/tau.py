@@ -44,7 +44,7 @@ from .errors import (
 from .gamma import GammaElement, universal_v
 from .grassmann import GrassPoint, act, plucker
 from .laurent import LaurentElement
-from .linalg import inv_ring
+from .linalg import solve_ring
 from .partitions import MayaDiagram, partitions_up_to
 from .scalars import CoeffRing, RingElement
 from .schur import coordinate_ring, is_coordinate_ring, schur_polynomial
@@ -174,7 +174,7 @@ def baker(point: GrassPoint, bound: int, window: int) -> LaurentElement:
     moved = act(v, GrassPoint(ring, lifted.tail_depth, exact)).columns
     n = len(moved)
     block = [[c.coefficient(e) for c in moved] for e in range(-n, 0)]
-    a = [row[-1] for row in inv_ring(block, ring)]
+    (a,) = solve_ring(block, [[ring.one() if e == -1 else ring.zero() for e in range(-n, 0)]], ring)
     w = LaurentElement.one(ring)
     for a_j, c in zip(a, moved):
         w = w + (c * a_j).shift(1).clip_below(1)

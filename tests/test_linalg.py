@@ -24,7 +24,7 @@ from grasstau import (
     coordinate_ring,
     tau_crosscheck,
 )
-from grasstau.linalg import det_field, det_ring, inv_ring, mat_mul_ring
+from grasstau.linalg import det_field, det_ring, inv_ring, mat_mul_ring, solve_ring
 
 # plain rings (weights 1) and weighted coordinate rings; degree bounds 2
 # and 3, so a nilpotent block of size <= 6 falls on both sides of them
@@ -144,6 +144,38 @@ def test_inv_ring_inverts_exactly_when_the_residue_matrix_does(ring, n, unit_sha
     identity = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
     assert mat_mul_ring(rows, inverse, ring) == identity
     assert mat_mul_ring(inverse, rows, ring) == identity
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from(RINGS),
+    st.integers(0, 5),
+    st.integers(0, 3),
+    st.sampled_from([0.3, 0.7, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_solve_ring_solves_exactly_when_the_residue_matrix_is_invertible(ring, n, k, unit_share, seed):
+    rng = Random(seed)
+    rows = _matrix(rng, ring, n, unit_share)
+    rhs = [[_entry(rng, ring, unit_share) for _ in range(n)] for _ in range(k)]
+    residues = [[e.constant_term() for e in row] for row in rows]
+    if not det_field(residues, ring.field):
+        with pytest.raises(NotInvertibleError):
+            solve_ring(rows, rhs, ring)
+        return
+    cols = solve_ring(rows, rhs, ring)
+    assert len(cols) == k
+    for x, b in zip(cols, rhs):
+        assert [row[0] for row in mat_mul_ring(rows, [[e] for e in x], ring)] == b
+
+
+def test_solve_ring_refuses_bad_shapes():
+    ring = RINGS[0]
+    one = ring.one()
+    with pytest.raises(DomainError, match="^solve_ring needs a square matrix$"):
+        solve_ring([[one, one]], [[one]], ring)
+    with pytest.raises(DomainError, match="^right-hand side length does not match$"):
+        solve_ring([[one]], [[one, one]], ring)
 
 
 def test_tau_crosscheck_at_tail_depth_14_frozen():

@@ -20,6 +20,7 @@ from grasstau import (
     DomainError,
     GrasstauError,
     LaurentElement,
+    NotInvertibleError,
     PrecisionError,
     RingMismatchError,
     commutator_pairing,
@@ -257,3 +258,20 @@ def test_single_term_symbol_frozen(field, d):
         symbol = (one - a ** (j // h) * b ** (i // h)) ** h
         assert commutator_pairing(f, g) == symbol.inverse(), (i, j, b)
         assert commutator_pairing(g, f) == symbol, (i, j, b)
+
+
+@pytest.mark.parametrize(
+    "zero, error, message",
+    [
+        (LaurentElement.zero(ring2()), NotInvertibleError, "series has no unit coefficient; it is not invertible"),
+        (LaurentElement.zero(ring2(), trunc=9), PrecisionError, "valuation undetermined at this precision"),
+    ],
+)
+def test_zero_series_refused_before_its_support_is_read(zero, error, message):
+    """The valuation check refuses a zero argument, exact or windowed, in
+    either position, so the support radius never meets an empty series."""
+    one = LaurentElement.one(ring2())
+    for args in ((zero, one), (one, zero)):
+        with pytest.raises(error) as info:
+            commutator_pairing(*args)
+        assert type(info.value) is error and str(info.value) == message
