@@ -108,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("pair", "pairing of two series with unit constant coefficient")
     p.add_argument("--mode", choices=("commutator", "residue"), default="commutator")
-    p.add_argument("--pair-window", type=int, help="precision window to require (default 2d(p1+p2)+1)")
 
     p = add("verify", "run randomized self-check suites", payload=False)
     p.add_argument("--suite", default="all", choices=["all"] + suite_names())
@@ -285,8 +284,8 @@ def _cmd_pair(args, payload):
     if args.mode == "residue":
         value = residue_pairing(f, g)
         return encode_ring_element(value), None, ["residue:res-f-dg"]
-    value = commutator_pairing(f, g, window=args.pair_window)
-    return encode_ring_element(value), args.pair_window, [
+    value = commutator_pairing(f, g)
+    return encode_ring_element(value), None, [
         "commutator-orientation:first-conjugates-second"
     ]
 

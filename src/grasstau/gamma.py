@@ -40,6 +40,7 @@ from fractions import Fraction
 from .errors import DomainError, InternalError, PrecisionError, RingMismatchError
 from .laurent import LaurentElement
 from .scalars import BaseField, CoeffRing, RingElement
+from .schur import coordinate_ring
 
 
 class GammaElement:
@@ -367,7 +368,7 @@ def universal_v(field: BaseField, d: int) -> GammaElement:
     total weight d."""
     if d < 1:
         raise DomainError("d must be at least 1")
-    ring = CoeffRing(field, d, d, weights=tuple(range(1, d + 1)))
+    ring = coordinate_ring(field, d)
     terms = {0: ring.one()}
     for i in range(1, d + 1):
         terms[-i] = ring.gen(i - 1)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from .errors import DomainError, NotInvertibleError, PrecisionError, RingMismatchError
 from .gamma import GammaElement
 from .laurent import LaurentElement
-from .linalg import det_ring, rank_field, solve_field
+from .linalg import det_ring, echelon_field, rank_field, solve_field
 from .partitions import MayaDiagram
 from .scalars import CoeffRing, RingElement
 
@@ -245,23 +245,18 @@ def quotient_basis(small: GrassPoint, big: GrassPoint) -> list[LaurentElement]:
         return [col.coeffs.get(e, ring.zero()).constant_term() for e in rows]
 
     base_vecs = [as_vec(c) for c in small.columns]
+    gen_vecs = [as_vec(g) for g in gens]
     # verify small <= big on the window
-    gen_mat = [[as_vec(g)[i] for g in gens] for i in range(len(rows))]
+    gen_mat = [[v[i] for v in gen_vecs] for i in range(len(rows))]
     for v in base_vecs:
         if solve_field(gen_mat, v, field) is None:
             raise DomainError("the small point is not contained in the big one")
 
-    basis: list[LaurentElement] = []
-    current = list(base_vecs)
-    rank = rank_field(current, field) if current else 0
-    for g, gv in zip(gens, [as_vec(g) for g in gens]):
-        cand = current + [gv]
-        r = rank_field(cand, field)
-        if r > rank:
-            basis.append(g)
-            current = cand
-            rank = r
-    return basis
+    # the pivot columns of [small | gens] past small are the generators
+    # that add to the span of everything before them
+    _, pivots = echelon_field(list(zip(*base_vecs, *gen_vecs)), field)
+    k = len(base_vecs)
+    return [gens[c - k] for c in pivots if c >= k]
 
 
 def embed_finite(

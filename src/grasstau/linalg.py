@@ -2,9 +2,9 @@
 
 Two flavours are needed.  Matrices of ``RingElement`` values live over a
 local ring with nilpotents.  Their determinants go through Gaussian
-elimination on unit pivots, finishing a block with no unit left by
-Berkowitz's division-free recursion (or by zero, when the nilpotency
-degree forces it); their linear systems and inverses go through
+elimination on unit pivots, finishing a block whose next column has no
+unit by Berkowitz's division-free recursion (or by zero, when that
+column is zero); their linear systems and inverses go through
 Gauss-Jordan with unit pivots, which always exist when the matrix is
 invertible.  Matrices of raw field values use ordinary row reduction;
 those power rank, solve, and determinant checks over the residue field.
@@ -28,18 +28,17 @@ def det_ring(rows: list[list[RingElement]], ring: CoeffRing) -> RingElement:
     """Determinant of a square matrix over the ring.
 
     Gaussian elimination on unit pivots.  Step k pivots on the first unit
-    in column k, or else on any unit of the remaining block, swapped to
-    (k, k); each row or column swap flips the sign.  If the pivot row is
-    zero right of the pivot, or the pivot column zero below it, Laplace
-    expansion along it gives det = pivot * det(minor) with no inverse;
-    otherwise subtracting multiples of the pivot row, scaled by the
-    pivot's inverse, clears column k below the pivot without changing
-    the determinant, which again is pivot * det(minor).  When no unit is
-    left, the ring being local puts every entry of the remaining j x j
-    block in the maximal ideal m, so its determinant lies in m^j.  Every
-    variable has weight >= 1, so m^j = 0 once j exceeds the degree
-    bound; otherwise Berkowitz's division-free recursion finishes the
-    block.  The empty matrix has determinant one, which is what makes
+    in column k, swapped to (k, k), which flips the sign.  If the pivot
+    row is zero right of the pivot, or the pivot column zero below it,
+    Laplace expansion along it gives det = pivot * det(minor) with no
+    inverse; otherwise subtracting multiples of the pivot row, scaled by
+    the pivot's inverse, clears column k below the pivot without changing
+    the determinant, which again is pivot * det(minor).  A column with no
+    unit left is either zero, and so is the determinant, or nilpotent,
+    and Berkowitz's division-free recursion finishes the remaining block.
+    A unit determinant never gets there: over a local ring its residue
+    matrix is invertible, so every column of the remaining block has a
+    unit.  The empty matrix has determinant one, which is what makes
     vacuum minors come out right.
     """
     n = len(rows)
@@ -52,19 +51,10 @@ def det_ring(rows: list[list[RingElement]], ring: CoeffRing) -> RingElement:
     for k in range(n):
         pr = next((i for i in range(k, n) if mat[i][k].is_unit()), None)
         if pr is None:
-            spot = next(
-                ((i, j) for i in range(k, n) for j in range(k + 1, n) if mat[i][j].is_unit()),
-                None,
-            )
-            if spot is None:
-                if n - k > ring.degree_bound:
-                    return ring.zero()
-                det = det * _berkowitz([row[k:] for row in mat[k:]], ring)
-                break
-            pr, pc = spot
-            for row in mat[k:]:
-                row[k], row[pc] = row[pc], row[k]
-            negate = not negate
+            if not any(row[k] for row in mat[k:]):
+                return ring.zero()
+            det = det * _berkowitz([row[k:] for row in mat[k:]], ring)
+            break
         if pr != k:
             mat[k], mat[pr] = mat[pr], mat[k]
             negate = not negate

@@ -13,7 +13,10 @@ f- = prod_i (1 - a_i z^{-i}) and f+ = prod_j (1 - b_j z^j): only the
 cross terms survive, and <1 - a z^{-i}, 1 - b z^j> = (1 - a^{j/h} b^{i/h})^{-h}
 with h = gcd(i, j) gives <f, g> = S(g-, f+) / S(f-, g+), where
 S(L, U) = prod_{i,j} (1 - a_i^{j/h} b_j^{i/h})^h over the components a of
-L and b of U.  :func:`commutator_pairing` bounds both products.
+L and b of U.  :func:`commutator_pairing` bounds both products.  They
+read each argument only below z^(d(r1+r2)+1), with r1 and r2 the fringe
+widths and m^(d+1) = 0, so a windowed argument is refused exactly when its
+trunc <= d(r1+r2), and any other value does not depend on the unknown tail.
 """
 
 from __future__ import annotations
@@ -33,10 +36,6 @@ def residue_pairing(f: LaurentElement, g: LaurentElement) -> RingElement:
     return (f * g.derivative()).residue()
 
 
-def _support_radius(f: LaurentElement) -> int:
-    return max(1, max(f.coeffs), -min(f.coeffs))
-
-
 def _symbol(ring: CoeffRing, lower: list[RingElement], upper: list[RingElement]) -> RingElement:
     """S(L, U) for the Witt components a of L and b of U (module docstring)."""
     out = one = ring.one()
@@ -48,14 +47,11 @@ def _symbol(ring: CoeffRing, lower: list[RingElement], upper: list[RingElement])
     return out
 
 
-def commutator_pairing(
-    f1: LaurentElement, f2: LaurentElement, window: int | None = None
-) -> RingElement:
+def commutator_pairing(f1: LaurentElement, f2: LaurentElement) -> RingElement:
     """The Contou-Carrere symbol <f1, f2> in the module docstring's closed form.
 
-    Both series need reduced valuation zero.  The refusals keep the corner
-    determinant's window w = 2d(p1+p2)+1, p_i the support radii, which the
-    value does not depend on: windowed input must be known below z^w.
+    Both series need reduced valuation zero, and a windowed argument needs
+    trunc > d(r1+r2), r1 and r2 the fringe widths (PrecisionError otherwise).
 
     Peel lengths.  With m the maximal ideal (m^(d+1) = 0) and r an
     argument's fringe width, its lower wing is 1 + sum_{k<=r} c_k z^{-k},
@@ -65,30 +61,26 @@ def commutator_pairing(
     otherwise).  In S(L, U), a_i^(j/h) lies in m^((i/r)(j/h)), inside
     m^(j/r) as h <= i, so U is peeled only to j = d*r_other.  A windowed
     upper wing is known that far: factorize gives it below trunc - d*r,
-    and trunc >= w > d(r1+r2).  All refusals come first, so factorize
-    never refuses here.
+    and trunc > d(r1+r2).  All refusals come first, so factorize never
+    refuses here.
     """
     if f1.ring != f2.ring:
         raise RingMismatchError("commutator pairing needs a common ring")
     ring = f1.ring
     d = ring.degree_bound
+    widths = 0
     for f in (f1, f2):
-        n, _ = f.reduced_valuation()
+        n, r = f.reduced_valuation()
         if n != 0:
             raise DomainError(
                 "commutator pairing needs valuation-zero series; factor out z^n first"
             )
-    p1, p2 = (_support_radius(f) for f in (f1, f2))
-    w_min = 2 * d * (p1 + p2) + 1
-    w = w_min if window is None else window
-    if w < w_min:
-        raise PrecisionError(
-            f"pair window {w} too small for these supports; need >= {w_min}"
-        )
+        widths += r
     for f in (f1, f2):
-        if f.trunc is not None and f.trunc < w:
+        if f.trunc is not None and f.trunc <= d * widths:
             raise PrecisionError(
-                f"series known only below z^{f.trunc}; the window needs z^{w}"
+                f"window too small to determine the pairing: "
+                f"need trunc > {d * widths}, have {f.trunc}"
             )
 
     fac1, fac2 = factorize(f1), factorize(f2)

@@ -1,8 +1,9 @@
 """JSON-facing encoders/decoders for every value the CLI passes around.
 
 Decoders raise ValueError on structurally malformed data (wrong types,
-missing keys) so the CLI can distinguish "bad payload" from semantic
-precondition failures, which surface as the library's own error types.
+such as a bool, float or string where an integer belongs; missing keys)
+so the CLI can distinguish "bad payload" from semantic precondition
+failures, which surface as the library's own error types.
 Encoders emit plain JSON-ready structures with deterministic ordering.
 """
 
@@ -14,6 +15,24 @@ from .grassmann import GrassPoint
 from .laurent import LaurentElement
 from .partitions import MayaDiagram, check_partition
 from .scalars import BaseField, CoeffRing, RingElement
+
+# -- integers ------------------------------------------------------------
+
+
+def _int(value, what: str) -> int:
+    """The one reader of every integer field: ``value`` if it is a JSON
+    integer.  bool is an int subclass in Python, so the type is matched
+    exactly; floats and strings are refused, not rounded or parsed."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int")
+    return value
+
+
+def _ints(value, what: str) -> list[int]:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of ints")
+    return [_int(v, f"{what} entry") for v in value]
+
 
 # -- field specs -------------------------------------------------------
 
@@ -48,15 +67,13 @@ def decode_ring(obj) -> CoeffRing:
         raise ValueError("ring must be an object")
     try:
         field = parse_field_spec(obj["field"])
-        num_vars = int(obj["num_vars"])
-        bound = int(obj["degree_bound"])
+        num_vars = _int(obj["num_vars"], "num_vars")
+        bound = _int(obj["degree_bound"], "degree_bound")
     except KeyError as exc:
         raise ValueError(f"ring is missing key {exc}") from None
     weights = obj.get("weights")
     if weights is not None:
-        if not isinstance(weights, list) or not all(isinstance(w, int) for w in weights):
-            raise ValueError("weights must be a list of ints")
-        weights = tuple(weights)
+        weights = tuple(_ints(weights, "weights"))
     return CoeffRing(field, num_vars, bound, weights)
 
 
@@ -81,9 +98,7 @@ def decode_ring_element(ring: CoeffRing, obj) -> RingElement:
     for term in obj:
         if not isinstance(term, dict):
             raise ValueError("ring element term must be an object")
-        exps = term.get("exponents")
-        if not isinstance(exps, list) or not all(isinstance(e, int) for e in exps):
-            raise ValueError("term exponents must be a list of ints")
+        exps = _ints(term.get("exponents"), "term exponents")
         if len(exps) != ring.num_vars:
             raise ValueError(
                 f"term has {len(exps)} exponents; ring has {ring.num_vars} variables"
@@ -115,13 +130,14 @@ def decode_laurent(ring: CoeffRing, obj) -> LaurentElement:
     if not isinstance(terms, list):
         raise ValueError("laurent element needs a 'terms' list")
     trunc = obj.get("trunc_order")
-    if trunc is not None and not isinstance(trunc, int):
-        raise ValueError("trunc_order must be an int or null")
+    if trunc is not None:
+        trunc = _int(trunc, "trunc_order")
     coeffs = {}
     for term in terms:
-        if not isinstance(term, dict) or not isinstance(term.get("exp"), int):
-            raise ValueError("laurent term needs an int 'exp'")
-        coeffs[term["exp"]] = decode_ring_element(ring, term.get("coeff"))
+        if not isinstance(term, dict):
+            raise ValueError("laurent term must be an object")
+        exp = _int(term.get("exp"), "laurent term 'exp'")
+        coeffs[exp] = decode_ring_element(ring, term.get("coeff"))
     return LaurentElement(ring, coeffs, trunc)
 
 
@@ -148,9 +164,7 @@ def decode_gamma(ring: CoeffRing, obj) -> GammaElement:
         gplus = decode_laurent(ring, obj["gplus"])
     except KeyError as exc:
         raise ValueError(f"gamma element is missing key {exc}") from None
-    zpower = obj.get("zpower", 0)
-    if not isinstance(zpower, int):
-        raise ValueError("zpower must be an int")
+    zpower = _int(obj.get("zpower", 0), "zpower")
     return GammaElement(gminus, unit, gplus, zpower)
 
 
@@ -169,10 +183,10 @@ def encode_gamma(g: GammaElement) -> dict:
 def decode_point(ring: CoeffRing, obj) -> GrassPoint:
     if not isinstance(obj, dict):
         raise ValueError("point must be an object")
-    depth = obj.get("tail_depth")
+    depth = _int(obj.get("tail_depth"), "tail_depth")
     cols = obj.get("columns")
-    if not isinstance(depth, int) or not isinstance(cols, list):
-        raise ValueError("point needs int 'tail_depth' and list 'columns'")
+    if not isinstance(cols, list):
+        raise ValueError("point needs a list 'columns'")
     return GrassPoint(ring, depth, [decode_laurent(ring, c) for c in cols])
 
 
@@ -189,22 +203,17 @@ def encode_point(p: GrassPoint) -> dict:
 
 def decode_maya(obj) -> MayaDiagram:
     if isinstance(obj, dict) and "partition" in obj:
-        lam = obj["partition"]
-        if not isinstance(lam, list) or not all(isinstance(p, int) for p in lam):
-            raise ValueError("partition must be a list of ints")
-        charge = obj.get("charge", 0)
-        if not isinstance(charge, int):
-            raise ValueError("charge must be an int")
+        lam = _ints(obj["partition"], "partition")
+        charge = _int(obj.get("charge", 0), "charge")
         try:
             return MayaDiagram.from_partition(tuple(lam), charge)
         except DomainError as exc:
             raise ValueError(str(exc)) from None
     if isinstance(obj, dict) and "tail_start" in obj:
-        members = obj.get("members", [])
-        if not isinstance(obj["tail_start"], int) or not isinstance(members, list):
-            raise ValueError("diagram needs int 'tail_start' and list 'members'")
+        start = _int(obj["tail_start"], "tail_start")
+        members = _ints(obj.get("members", []), "members")
         try:
-            return MayaDiagram(obj["tail_start"], members)
+            return MayaDiagram(start, members)
         except DomainError as exc:
             raise ValueError(str(exc)) from None
     raise ValueError("diagram must give 'partition' or 'tail_start'")
@@ -215,9 +224,7 @@ def encode_maya(m: MayaDiagram) -> dict:
 
 
 def decode_partition(obj):
-    if not isinstance(obj, list) or not all(isinstance(p, int) for p in obj):
-        raise ValueError("partition must be a list of ints")
     try:
-        return check_partition(obj)
+        return check_partition(_ints(obj, "partition"))
     except DomainError as exc:
         raise ValueError(str(exc)) from None

@@ -890,12 +890,19 @@ def _suite_pairings(report: SuiteReport, rng: Random, scale: str) -> None:
             f"first-order part matches the residue form (#{rep})",
             _leading_match(ring, rng),
         )
-    wide = commutator_pairing(
-        LaurentElement(ring, {0: one, -1: x1}),
-        LaurentElement(ring, {0: one, 1: x2}),
-        window=25,
+    # fringe widths 1 and 0 at d = 2: trunc 3 is the first window accepted
+    known = {0: one, -1: x1, 1: x2, 2: one}
+    other = LaurentElement(ring, {0: one, 1: x2 + one})
+    windowed = commutator_pairing(LaurentElement(ring, known, 3), other)
+    completions = [
+        commutator_pairing(LaurentElement(ring, {**known, **tail}), other)
+        for tail in ({}, {3: one, 5: x1})
+    ]
+    report.check(
+        "a windowed argument at the floor pairs like its exact completions",
+        all(value == windowed for value in completions),
+        f"windowed {windowed}, completions {completions}",
     )
-    report.check("value is stable under a wider window", wide == frozen)
 
 
 def _rand_pairing_arg(rng: Random, ring: CoeffRing) -> LaurentElement:

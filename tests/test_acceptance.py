@@ -79,7 +79,7 @@ def test_criterion_06_exponential_and_product_form():
 def test_criterion_07_commutator_pairing():
     _criterion(
         7,
-        "commutator pairing is skew, multiplicative, window-stable, and has "
+        "commutator pairing is skew, multiplicative, tail-stable, and has "
         "the residue pairing as leading term",
         "pairings",
     )

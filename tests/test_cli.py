@@ -288,6 +288,88 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert code == 4 and out["kind"] == "precision"
 
 
+def _series(terms: dict, trunc=None) -> dict:
+    """A one-variable series payload from {exp: [(x-power, coeff), ...]}."""
+    return {
+        "terms": [
+            {"exp": e, "coeff": [{"exponents": [k], "coeff": c} for k, c in mono]}
+            for e, mono in terms.items()
+        ],
+        "trunc_order": trunc,
+    }
+
+
+def test_cli_pair_windowed_at_the_floor(capsys, tmp_path):
+    # fringe widths 1 and 0 at d = 2: a windowed argument needs trunc > 2
+    known = {-1: [(1, "1")], 0: [(0, "1")], 1: [(1, "1")], 2: [(0, "1")]}
+    g = _series({0: [(0, "1")], 1: [(1, "1")]})
+    exact = {"ring": FACTOR_PAYLOAD["ring"], "f": _series({**known, 3: [(0, "5")]}), "g": g}
+    code, want = run_cli(capsys, ["pair"], exact, tmp_path)
+    assert code == 0 and want["precision_used"] is None
+    windowed = dict(exact, f=_series(known, trunc=3))
+    code, out = run_cli(capsys, ["pair"], windowed, tmp_path)
+    assert code == 0 and out["result"] == want["result"]
+    assert out["precision_used"] is None
+    del known[2]
+    at_floor = dict(exact, f=_series(known, trunc=2))
+    code, out = run_cli(capsys, ["pair"], at_floor, tmp_path)
+    assert code == 4 and out["kind"] == "precision"
+
+
+def _replaced(payload: dict, path: tuple, value) -> dict:
+    out = json.loads(json.dumps(payload))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+POINT_PAYLOAD = dict(TAU_PAYLOAD, diagram={"tail_start": -1, "members": [0]})
+ACT_PAYLOAD = dict(
+    TAU_PAYLOAD,
+    gamma={
+        "gminus": _series({0: [(0, "1")]}),
+        "unit": [{"exponents": [0], "coeff": "2"}],
+        "gplus": _series({0: [(0, "1")]}),
+        "zpower": 0,
+    },
+)
+
+
+@pytest.mark.parametrize(
+    "sub, payload, path, value",
+    [
+        pytest.param("factor", FACTOR_PAYLOAD, ("ring", "num_vars"), 1.9, id="num_vars-float"),
+        pytest.param("factor", FACTOR_PAYLOAD, ("ring", "num_vars"), "1", id="num_vars-str"),
+        pytest.param("factor", FACTOR_PAYLOAD, ("ring", "num_vars"), True, id="num_vars-bool"),
+        pytest.param("factor", FACTOR_PAYLOAD, ("ring", "degree_bound"), "2", id="degree_bound-str"),
+        pytest.param("factor", FACTOR_PAYLOAD, ("ring", "degree_bound"), True, id="degree_bound-bool"),
+        pytest.param("factor", FACTOR_PAYLOAD, ("ring", "weights"), [True], id="weights-bool"),
+        pytest.param("factor", FACTOR_PAYLOAD, ("series", "terms", 1, "exp"), False, id="exp-bool"),
+        pytest.param(
+            "factor",
+            FACTOR_PAYLOAD,
+            ("series", "terms", 0, "coeff", 0, "exponents"),
+            [True],
+            id="exponents-bool",
+        ),
+        pytest.param("factor", FACTOR_PAYLOAD, ("series", "trunc_order"), False, id="trunc_order-bool"),
+        pytest.param("index", TAU_PAYLOAD, ("point", "tail_depth"), True, id="tail_depth-bool"),
+        pytest.param("plucker", POINT_PAYLOAD, ("diagram", "members"), [1.7, "3"], id="members-float-str"),
+        pytest.param("plucker", POINT_PAYLOAD, ("diagram",), {"partition": [True]}, id="partition-bool"),
+        pytest.param("act", ACT_PAYLOAD, ("gamma", "zpower"), True, id="zpower-bool"),
+    ],
+)
+def test_cli_non_integer_fields_are_malformed(capsys, tmp_path, sub, payload, path, value):
+    # bool, float and str are refused wherever an integer belongs, never
+    # truncated, parsed or read as 0 and 1
+    code, out = run_cli(capsys, [sub], _replaced(payload, path, value), tmp_path)
+    assert code == 2 and out["kind"] == "malformed"
+    code, _ = run_cli(capsys, [sub], payload, tmp_path)
+    assert code == 0
+
+
 def test_cli_broken_invariant_is_internal(capsys, tmp_path, monkeypatch):
     # the two tau routes disagreeing is a library defect, not a bad payload
     direct = tau_module.tau_direct

@@ -116,13 +116,15 @@ def test_leading_term_matches_the_residue():
         assert commutator_pairing(f, g) == r.one() + residue_pairing(fm, gm)
 
 
-def test_wider_windows_do_not_change_the_answer():
+def test_two_tails_give_the_same_value():
+    # fringe widths 2 and 0 at d = 2: the pairing reads f below z^5 only
     r = ring2()
     x1, x2 = r.gen(0), r.gen(1)
-    f = LaurentElement(r, {0: 1, -1: x1, -2: x1 * 2})
+    known = {0: 1, -1: x1, -2: x1 * 2, 3: x2, 4: 1}
     g = LaurentElement(r, {0: 1, 1: x2, 2: x2})
-    base = commutator_pairing(f, g)
-    assert commutator_pairing(f, g, window=30) == base
+    first = commutator_pairing(LaurentElement(r, known), g)
+    second = commutator_pairing(LaurentElement(r, {**known, 5: 1, 7: x1}), g)
+    assert first == second == commutator_pairing(LaurentElement(r, known, trunc=5), g)
 
 
 def test_valuation_guard():
@@ -134,11 +136,8 @@ def test_valuation_guard():
 def test_window_guards():
     r = ring2()
     x1, x2 = r.gen(0), r.gen(1)
-    f = LaurentElement(r, {0: 1, -1: x1})
     g = LaurentElement(r, {0: 1, 1: x2})
-    with pytest.raises(PrecisionError):
-        commutator_pairing(f, g, window=3)  # supports need 2*2*2+1 + 4
-    short = LaurentElement(r, {0: 1, -1: x1}, trunc=2)
+    short = LaurentElement(r, {0: 1, -1: x1}, trunc=2)  # needs trunc > 2*(1+0)
     with pytest.raises(PrecisionError):
         commutator_pairing(short, g)
 
@@ -148,16 +147,17 @@ def test_window_guards():
 # ---------------------------------------------------------------------------
 
 
-def _corner_determinant(f1, f2, window=None):
-    """The pairing as a corner determinant, with the library's refusals.
+def _corner_determinant(f1, f2):
+    """The pairing of two exact series as a corner determinant, with the
+    library's refusals of exact input.
 
     Compress multiplication by f onto the window [0, W) of nonnegative
     exponents: the W x W lower-triangular-banded Toeplitz matrix T(f).
     T(f1) T(f2) T(f1)^{-1} T(f2)^{-1} differs from the identity only in a
     corner of size B = d(p1+p2)+1 (p_i the support radii, d the
     nilpotency degree), and cutting at W corrupts only the last d(p1+p2)
-    rows, so W >= 2d(p1+p2)+1 and the pairing is the determinant of the
-    corner.
+    rows, so W = 2d(p1+p2)+1 suffices and the pairing is the determinant
+    of the corner.
     """
     if f1.ring != f2.ring:
         raise RingMismatchError("commutator pairing needs a common ring")
@@ -171,13 +171,7 @@ def _corner_determinant(f1, f2, window=None):
             )
     p1, p2 = (max(1, max(f.coeffs), -min(f.coeffs)) for f in (f1, f2))
     corner = d * (p1 + p2) + 1
-    w_min = corner + d * (p1 + p2)
-    w = w_min if window is None else window
-    if w < w_min:
-        raise PrecisionError(f"pair window {w} too small for these supports; need >= {w_min}")
-    for f in (f1, f2):
-        if f.trunc is not None and f.trunc < w:
-            raise PrecisionError(f"series known only below z^{f.trunc}; the window needs z^{w}")
+    w = corner + d * (p1 + p2)
 
     def toeplitz(f):
         return [[f.coeffs.get(i - j, ring.zero()) for j in range(w)] for i in range(w)]
@@ -214,32 +208,93 @@ def _pairing_arg(rng, ring, radius, unit_upper):
     return LaurentElement(ring, coeffs)
 
 
+def _floor_message(floor):
+    # the pairing's own refusal, not one that factorize or the peel would
+    # raise further on
+    return f"^window too small to determine the pairing: need trunc > {floor},"
+
+
+def _windowed(rng, f, g, floor):
+    """f, and g half the time, truncated at floor - 1 .. floor + 2, and
+    whether the pairing must refuse them (some trunc <= floor).  Never at
+    trunc 0, which hides the unit constant term: a valuation refusal."""
+    fw = f.truncate(max(1, floor + rng.randint(-1, 2)))
+    gw = g.truncate(max(1, floor + rng.randint(-1, 2))) if rng.random() < 0.5 else g
+    return fw, gw, any(h.trunc is not None and h.trunc <= floor for h in (fw, gw))
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     st.sampled_from([QQ, GF(2), GF(3), GF(5)]),
     st.integers(1, 3),
     st.integers(1, 2),
     st.integers(1, 2),
-    st.sampled_from(["exact", "windowed", "window="]),
+    st.sampled_from(["exact", "windowed"]),
     st.booleans(),
     st.integers(0, 2**32),
 )
 def test_closed_form_matches_the_corner_determinant(field, d, p1, p2, mode, unit_upper, seed):
-    """Same value under ==, or the same refusal (type and message), on
-    exact input, on input windowed near the precision floor, and with an
-    explicit window near it; upper wings may carry unit coefficients."""
+    """Exact input: the same value under ==, or the same refusal (type and
+    message).  Input windowed near the floor d(p1+p2), p_i the fringe
+    widths: a PrecisionError exactly when some trunc <= d(p1+p2), and
+    otherwise the corner determinant of the untruncated series.  Upper
+    wings may carry unit coefficients."""
     rng = Random(seed)
     ring = CoeffRing(field, 2 if d < 3 else 1, d)
     f = _pairing_arg(rng, ring, p1, unit_upper)
     g = _pairing_arg(rng, ring, p2, unit_upper)
-    floor = 2 * d * (p1 + p2) + 1
-    window = None
-    if mode == "windowed":
-        f = f.truncate(floor + rng.randint(-1, 2))
-        g = g.truncate(floor + rng.randint(0, 2)) if rng.random() < 0.5 else g
-    elif mode == "window=":
-        window = floor + rng.randint(-1, 2)
-    assert _outcome(commutator_pairing, f, g, window) == _outcome(_corner_determinant, f, g, window)
+    if mode == "exact":
+        assert _outcome(commutator_pairing, f, g) == _outcome(_corner_determinant, f, g)
+        return
+    fw, gw, refused = _windowed(rng, f, g, d * (p1 + p2))
+    if refused:
+        with pytest.raises(PrecisionError, match=_floor_message(d * (p1 + p2))):
+            commutator_pairing(fw, gw)
+    else:
+        assert commutator_pairing(fw, gw) == _corner_determinant(f, g)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from([QQ, GF(2), GF(3), GF(5)]),
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.integers(0, 2),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_windowed_pairs_do_not_depend_on_the_tail(field, d, p1, p2, unit_upper, seed):
+    """A windowed pair is accepted exactly when every trunc exceeds
+    d(r1+r2), r_i the fringe widths, and then pairs like two exact
+    completions with different random tails, units among them; the
+    windowed value also inverts under swapping the arguments."""
+    rng = Random(seed)
+    ring = CoeffRing(field, 2 if d < 3 else 1, d)
+    f = _pairing_arg(rng, ring, p1, unit_upper)
+    g = _pairing_arg(rng, ring, p2, unit_upper) if p2 else LaurentElement(
+        ring, {0: ring.one(), 1: ring.one() + ring.gen(0)}
+    )
+    fw, gw, refused = _windowed(rng, f, g, d * (p1 + p2))
+    if refused:
+        with pytest.raises(PrecisionError, match=_floor_message(d * (p1 + p2))):
+            commutator_pairing(fw, gw)
+        return
+    value = commutator_pairing(fw, gw)
+
+    def complete(h):
+        if h.trunc is None:
+            return h
+        units = list(ring.monomials())
+        tail = {
+            e: ring.element({rng.choice(units): rng.randint(1, 4)})
+            for e in range(h.trunc, h.trunc + 4)
+            if rng.random() < 0.7
+        }
+        return LaurentElement(ring, {**h.coeffs, **tail})
+
+    for _ in range(2):
+        assert commutator_pairing(complete(fw), complete(gw)) == value
+    assert value * commutator_pairing(gw, fw) == ring.one()
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
@@ -269,7 +324,7 @@ def test_single_term_symbol_frozen(field, d):
 )
 def test_zero_series_refused_before_its_support_is_read(zero, error, message):
     """The valuation check refuses a zero argument, exact or windowed, in
-    either position, so the support radius never meets an empty series."""
+    either position, before the precision floor reads its fringe width."""
     one = LaurentElement.one(ring2())
     for args in ((zero, one), (one, zero)):
         with pytest.raises(error) as info:
