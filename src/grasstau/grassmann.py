@@ -27,7 +27,7 @@ from __future__ import annotations
 from .errors import DomainError, NotInvertibleError, PrecisionError, RingMismatchError
 from .gamma import GammaElement
 from .laurent import LaurentElement
-from .linalg import det_ring, echelon_field, rank_field, solve_field
+from .linalg import det_ring, echelon_field, rank_field
 from .partitions import MayaDiagram
 from .scalars import CoeffRing, RingElement
 
@@ -246,15 +246,12 @@ def quotient_basis(small: GrassPoint, big: GrassPoint) -> list[LaurentElement]:
 
     base_vecs = [as_vec(c) for c in small.columns]
     gen_vecs = [as_vec(g) for g in gens]
-    # verify small <= big on the window
-    gen_mat = [[v[i] for v in gen_vecs] for i in range(len(rows))]
-    for v in base_vecs:
-        if solve_field(gen_mat, v, field) is None:
-            raise DomainError("the small point is not contained in the big one")
-
     # the pivot columns of [small | gens] past small are the generators
-    # that add to the span of everything before them
+    # that add to the span of everything before them; small <= big on
+    # the window exactly when small adds nothing to the rank of gens
     _, pivots = echelon_field(list(zip(*base_vecs, *gen_vecs)), field)
+    if len(pivots) != rank_field(gen_vecs, field):
+        raise DomainError("the small point is not contained in the big one")
     k = len(base_vecs)
     return [gens[c - k] for c in pivots if c >= k]
 

@@ -103,6 +103,8 @@ def decode_ring_element(ring: CoeffRing, obj) -> RingElement:
             raise ValueError(
                 f"term has {len(exps)} exponents; ring has {ring.num_vars} variables"
             )
+        if any(e < 0 for e in exps):
+            raise ValueError("term exponents must be >= 0")
         c = term.get("coeff")
         if not isinstance(c, str):
             raise ValueError("term coeff must be a string")

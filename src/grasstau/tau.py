@@ -8,15 +8,17 @@ independent routes compute it:
 
 * ``tau_direct``: move the point by v and take the minor ratio;
 * ``tau_schur``: expand the vacuum minor of v.U over the charts of U,
-  which gives sum_lam F_lam * (minor_lam(U) / vacuum minor).
+  which gives sum_lam F_lam * (minor_lam(U) / vacuum minor), a family
+  of chart coefficients that ``schur.bosonize`` sums.
 
 They must agree exactly; keeping both is the point of the design.
 
 ``baker`` produces the associated wave series psi, the unique series with
 z^{-1} psi in the point and v psi = 1 + O(z) (Segal-Wilson, in this
 lower-wing convention).  That is one linear condition on the vacuum block
-of v.U, which the tau routes already build: solve it over the coordinate
-ring and multiply by v^{-1}.  Sato's formula, psi = v^{-1} times the
+B of v.U.  ``tau_direct`` and ``baker`` build B with one shared helper:
+tau is det B, normalized; psi solves B a = e_n over the coordinate ring
+and is multiplied by v^{-1}.  Sato's formula, psi = v^{-1} times the
 shifted tau over tau, gives the same series; the tests keep it as the
 reference.
 
@@ -24,45 +26,25 @@ reference.
 characterizes tau functions, in time coordinates T_j (weight j) with
 x_i = H_i(T) the complete homogeneous functions of the times.  The shift
 by [z^{-1}] has closed forms H_i -> H_i - H_{i-1} u respectively
-H_i -> sum_k H_{i-k} u^k (u = 1/z), so both sides are short polynomials
-in u and the residue is a single finite double sum.  The residual of a
-degree-d tau polynomial is provably exact in joint weight <= d - 1, so
-checking through weight order+2 needs order <= d - 3.
+H_i -> sum_k H_{i-k} u^k (u = 1/z), so substituting them into tau gives
+two series in u, truncated above the last degree the residue reads, and
+the residue is one sum over the coefficients of their product.  The
+residual of a degree-d tau polynomial is provably exact in joint weight
+<= d - 1, so checking through weight order+2 needs order <= d - 3.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (
-    DomainError,
-    InternalError,
-    NotInvertibleError,
-    PrecisionError,
-    RingMismatchError,
-)
+from .errors import DomainError, InternalError, NotInvertibleError, PrecisionError
 from .gamma import GammaElement, universal_v
 from .grassmann import GrassPoint, act, plucker
 from .laurent import LaurentElement
-from .linalg import solve_ring
+from .linalg import det_ring, solve_ring
 from .partitions import MayaDiagram, partitions_up_to
 from .scalars import CoeffRing, RingElement
-from .schur import coordinate_ring, is_coordinate_ring, schur_polynomial
-
-
-def _lift_point(point: GrassPoint, target: CoeffRing) -> GrassPoint:
-    """Re-read a point over the base field inside a coordinate ring."""
-    if point.ring.field != target.field:
-        raise RingMismatchError("point and coordinate ring use different base fields")
-    cols = []
-    for c in point.columns:
-        out = {}
-        for e, coeff in c.coeffs.items():
-            if not coeff.is_constant():
-                raise DomainError("tau needs a point with scalar coefficients")
-            out[e] = target.const(coeff.constant_term())
-        cols.append(LaurentElement(target, out, c.trunc))
-    return GrassPoint(target, point.tail_depth, cols)
+from .schur import bosonize, coordinate_ring, is_coordinate_ring
 
 
 def _vacuum_unit(point: GrassPoint) -> RingElement:
@@ -75,7 +57,10 @@ def _vacuum_unit(point: GrassPoint) -> RingElement:
     return delta
 
 
-def _require_window(point: GrassPoint, need: int) -> None:
+def _require_window(point: GrassPoint, bound: int, need: int) -> None:
+    """A degree bound >= 1, and columns known below z^need."""
+    if bound < 1:
+        raise DomainError("degree bound must be >= 1")
     m = point.window_high
     if m is not None and m < need:
         raise PrecisionError(
@@ -83,25 +68,50 @@ def _require_window(point: GrassPoint, need: int) -> None:
         )
 
 
-def tau_direct(point: GrassPoint, bound: int) -> RingElement:
-    """Vacuum minor of v.point over the vacuum minor of point."""
-    if bound < 1:
-        raise DomainError("degree bound must be >= 1")
-    _require_window(point, bound)
+def _moved_vacuum_block(point: GrassPoint, bound: int, need: int):
+    """(v, the columns of v.point, their vacuum block B), v = universal_v.
+
+    The point must be scalar, in the vacuum chart and known to z^need,
+    need >= bound.  Its columns are re-read over v's ring with their
+    unknown tails as zero, which no entry of B sees: the row of z^e,
+    e < 0, reads a column up to z^(e + bound) (``baker`` shows the same
+    for the rest of the moved columns it reads).  B has one row per
+    exponent -n, ..., -1 and one column per moved column, n of each,
+    since a vacuum minor that is a unit is square.
+    """
+    _require_window(point, bound, need)
     v = universal_v(point.ring.field, bound)
-    return tau_eval(_lift_point(point, v.ring), v)
+    ring = v.ring
+    cols = []
+    for c in point.columns:
+        if not all(coeff.is_constant() for coeff in c.coeffs.values()):
+            raise DomainError("tau needs a point with scalar coefficients")
+        scalars = {e: coeff.constant_term() for e, coeff in c.coeffs.items()}
+        cols.append(LaurentElement(ring, scalars))
+    _vacuum_unit(point)
+    moved = act(v, GrassPoint(ring, point.tail_depth, cols)).columns
+    n = len(moved)
+    return v, moved, [[c.coefficient(e) for c in moved] for e in range(-n, 0)]
+
+
+def tau_direct(point: GrassPoint, bound: int) -> RingElement:
+    """Vacuum minor of v.point over the vacuum minor of point.
+
+    The first is det B for the moved vacuum block B.  The second is the
+    constant term of det B: v = 1 modulo the maximal ideal, so B reduces
+    to the point's own vacuum block.
+    """
+    v, _, block = _moved_vacuum_block(point, bound, bound)
+    det = det_ring(block, v.ring)
+    return det * v.ring.const(det.constant_term()).inverse()
 
 
 def tau_schur(point: GrassPoint, bound: int) -> RingElement:
     """Chart expansion: sum over |lam| <= bound of F_lam times the
     normalized lam-minor of the point."""
-    if bound < 1:
-        raise DomainError("degree bound must be >= 1")
-    _require_window(point, bound)
-    ring_d = coordinate_ring(point.ring.field, bound)
-    delta = _vacuum_unit(point)
-    dinv = delta.inverse()
-    total = ring_d.zero()
+    _require_window(point, bound, bound)
+    dinv = _vacuum_unit(point).inverse()
+    coords = {}
     for lam in partitions_up_to(bound):
         minor = plucker(point, MayaDiagram.from_partition(lam))
         if minor.is_zero():
@@ -109,10 +119,8 @@ def tau_schur(point: GrassPoint, bound: int) -> RingElement:
         coeff = minor * dinv
         if not coeff.is_constant():
             raise DomainError("tau needs a point with scalar coefficients")
-        total = total + schur_polynomial(ring_d, lam) * ring_d.const(
-            coeff.constant_term()
-        )
-    return total
+        coords[lam] = coeff.constant_term()
+    return bosonize(coordinate_ring(point.ring.field, bound), coords)
 
 
 def tau_crosscheck(point: GrassPoint, bound: int) -> RingElement:
@@ -165,16 +173,10 @@ def baker(point: GrassPoint, bound: int, window: int) -> LaurentElement:
         raise DomainError("degree bound must be >= 1")
     if window < 1:
         raise DomainError("window must be >= 1")
-    _require_window(point, bound + window)
-    v = universal_v(point.ring.field, bound)
+    v, moved, block = _moved_vacuum_block(point, bound, bound + window)
     ring = v.ring
-    lifted = _lift_point(point, ring)
-    _vacuum_unit(lifted)
-    exact = [LaurentElement(ring, c.coeffs) for c in lifted.columns]
-    moved = act(v, GrassPoint(ring, lifted.tail_depth, exact)).columns
-    n = len(moved)
-    block = [[c.coefficient(e) for c in moved] for e in range(-n, 0)]
-    (a,) = solve_ring(block, [[ring.one() if e == -1 else ring.zero() for e in range(-n, 0)]], ring)
+    e_n = [ring.one() if e == -1 else ring.zero() for e in range(-len(moved), 0)]
+    (a,) = solve_ring(block, [e_n], ring)
     w = LaurentElement.one(ring)
     for a_j, c in zip(a, moved):
         w = w + (c * a_j).shift(1).clip_below(1)
@@ -229,53 +231,25 @@ def kp_residual(tau_poly: RingElement, order: int) -> RingElement:
     hp = h_family(times_p)
     e_ser = h_family([times[j] - times_p[j] for j in range(w)])
 
-    cap = w + 2  # u-degrees that can still reach E_{k+m-1} with k+m-1 <= w
+    cap = w + 2  # u-degrees past w + 1 never reach a residue term
 
-    def umul(a: list[RingElement], b: list[RingElement]) -> list[RingElement]:
-        out = [joint.zero()] * min(len(a) + len(b) - 1, cap)
-        for i, ai in enumerate(a):
-            if i >= cap or not ai:
-                continue
-            for j, bj in enumerate(b):
-                if i + j >= cap:
-                    break
-                if bj:
-                    out[i + j] = out[i + j] + ai * bj
-        return out
+    def substitute(images: list[LaurentElement]) -> LaurentElement:
+        """tau at x_i -> images[i - 1], a series in u known below u^cap."""
+        total = LaurentElement.zero(joint, cap)
+        for mono, coeff in tau_poly.coeffs.items():
+            term = LaurentElement(joint, {0: coeff}, cap)
+            for image, e in zip(images, mono):
+                if e:
+                    term = term * image ** e
+            total = total + term
+        return total
 
-    def upow(base: list[RingElement], e: int) -> list[RingElement]:
-        out = [joint.one()]
-        for _ in range(e):
-            out = umul(out, base)
-        return out
-
-    a_side = [joint.zero()] * cap
-    b_side = [joint.zero()] * cap
-    for mono, coeff in tau_poly.coeffs.items():
-        term_a = [joint.const(coeff)]
-        term_b = [joint.const(coeff)]
-        for i, e in enumerate(mono, start=1):
-            if not e:
-                continue
-            shift_a = [h[i], -h[i - 1]]
-            shift_b = [hp[i - k] for k in range(i + 1)]
-            term_a = umul(term_a, upow(shift_a, e))
-            term_b = umul(term_b, upow(shift_b, e))
-        for k, v in enumerate(term_a):
-            if v:
-                a_side[k] = a_side[k] + v
-        for k, v in enumerate(term_b):
-            if v:
-                b_side[k] = b_side[k] + v
-
+    a_images = [LaurentElement(joint, {0: h[i], 1: -h[i - 1]}, cap) for i in range(1, d + 1)]
+    b_images = [
+        LaurentElement(joint, {k: hp[i - k] for k in range(i + 1)}, cap) for i in range(1, d + 1)
+    ]
+    ab = substitute(a_images) * substitute(b_images)
     residual = joint.zero()
-    for k, ak in enumerate(a_side):
-        if not ak:
-            continue
-        for m, bm in enumerate(b_side):
-            n = k + m - 1
-            if n < 0 or n > w or not bm:
-                continue
-            if e_ser[n]:
-                residual = residual + ak * bm * e_ser[n]
+    for n in range(w + 1):  # u^(n+1) z^n is z^-1
+        residual = residual + ab.coefficient(n + 1) * e_ser[n]
     return residual

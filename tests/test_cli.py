@@ -370,6 +370,15 @@ def test_cli_non_integer_fields_are_malformed(capsys, tmp_path, sub, payload, pa
     assert code == 0
 
 
+def test_cli_negative_exponent_is_malformed(capsys, tmp_path):
+    # no monomial has a negative exponent: the payload describes nothing
+    with pytest.raises(ValueError):
+        decode_ring_element(RING, [{"exponents": [-1, 0], "coeff": "1"}])
+    path = ("series", "terms", 0, "coeff", 0, "exponents")
+    code, out = run_cli(capsys, ["factor"], _replaced(FACTOR_PAYLOAD, path, [-1]), tmp_path)
+    assert code == 2 and out["kind"] == "malformed"
+
+
 def test_cli_broken_invariant_is_internal(capsys, tmp_path, monkeypatch):
     # the two tau routes disagreeing is a library defect, not a bad payload
     direct = tau_module.tau_direct

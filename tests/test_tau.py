@@ -12,6 +12,7 @@ which makes the wave series reconstructible from first principles: the
 shift x1 -> x1 + t gives psi = v^{-1} (1 + c (1 + c x1)^{-1} z).
 """
 
+import re
 from fractions import Fraction
 from random import Random
 
@@ -26,6 +27,7 @@ from grasstau import (
     GammaElement,
     GrassPoint,
     LaurentElement,
+    NotInvertibleError,
     PrecisionError,
     act,
     baker,
@@ -82,11 +84,29 @@ def test_tau_positive_characteristic():
 
 
 def test_tau_rejects_variable_coefficients():
+    # the moved-block routes re-read the columns as scalars before the
+    # chart check (the second point is outside the vacuum chart too);
+    # tau_schur normalizes first and reads scalars chart by chart
     ring = CoeffRing(QQ, 1, 2)
     x = ring.gen(0)
-    pt = GrassPoint(ring, 1, [LaurentElement(ring, {-1: 1, 0: x})])
-    with pytest.raises(DomainError):
-        tau_direct(pt, 2)
+    for col in ({-1: 1, 0: x}, {-1: x, 0: 1}):
+        pt = GrassPoint(ring, 1, [LaurentElement(ring, col)])
+        for call in (lambda: tau_direct(pt, 2), lambda: baker(pt, 1, 1)):
+            with pytest.raises(DomainError, match="tau needs a point with scalar coefficients"):
+                call()
+
+
+OFF_CHART = re.escape(
+    "point is not in the vacuum chart; the tau normalization needs an invertible vacuum minor"
+)
+
+
+def test_tau_refuses_a_point_outside_the_vacuum_chart():
+    ring = CoeffRing(QQ, 1, 2)
+    pt = GrassPoint(ring, 1, [LaurentElement(ring, {0: 1, 1: 2})])
+    for call in (lambda: tau_direct(pt, 2), lambda: tau_schur(pt, 2), lambda: baker(pt, 1, 1)):
+        with pytest.raises(NotInvertibleError, match=OFF_CHART):
+            call()
 
 
 def test_tau_needs_the_full_degree_window():
@@ -282,9 +302,22 @@ def test_single_schur_terms_solve_the_hierarchy():
 
 
 def test_kp_residual_flags_a_non_tau():
+    """1 + x1^2 is no tau: the residual vanishes through joint weight 2
+    and is this polynomial in T1..T3, T1'..T3' (the gens of the joint
+    ring, T' after T) through weight 3."""
     ring4 = coordinate_ring(QQ, 4)
     fake = ring4.one() + ring4.gen(0) ** 2
-    assert not kp_residual(fake, 1).is_zero()
+    r0 = kp_residual(fake, 0)
+    assert r0.is_zero() and r0.ring == CoeffRing(QQ, 4, 2, weights=(1, 2, 1, 2))
+    r1 = kp_residual(fake, 1)
+    joint = CoeffRing(QQ, 6, 3, weights=(1, 2, 3, 1, 2, 3))
+    t1, t2, t3, s1, s2, s3 = (joint.gen(i) for i in range(6))
+    expected = (
+        t1 ** 3 * Fraction(1, 6) - t1 * t2 + t3
+        - t1 ** 2 * s1 * Fraction(1, 2) + t1 * s1 ** 2 * Fraction(1, 2) + t1 * s2 + t2 * s1
+        - s1 ** 3 * Fraction(1, 6) - s1 * s2 - s3
+    )
+    assert r1.ring == joint and r1 == expected
 
 
 def test_kp_residual_domain_guards():
