@@ -6,10 +6,12 @@ with:
 
 * 0 - success
 * 1 - a verification suite reported failing checks
-* 2 - malformed payload (bad JSON, missing keys, wrong shapes)
+* 2 - malformed payload (bad JSON, nesting too deep, missing keys, a
+  wrong JSON type anywhere, an unparsable coefficient)
 * 3 - precondition failure (domain errors, non-invertible input)
 * 4 - insufficient precision for the requested output
-* 5 - an internal invariant failed (a library defect, not a bad input)
+* 5 - an internal invariant failed, or any unexpected exception (a
+  library defect, not a bad input)
 """
 
 from __future__ import annotations
@@ -30,11 +32,14 @@ from .serialize import (
     decode_point,
     decode_ring,
     decode_ring_element,
+    decode_ring_elements,
+    decode_schur_coords,
     encode_gamma,
     encode_laurent,
     encode_point,
     encode_ring,
     encode_ring_element,
+    need,
     parse_field_spec,
 )
 from .tau import baker, tau_crosscheck, tau_direct, tau_schur
@@ -122,33 +127,16 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 
 
-def _payload_ring(payload: dict):
-    if not isinstance(payload, dict):
-        raise ValueError("payload must be a JSON object")
-    if "ring" not in payload:
-        raise ValueError("payload needs a 'ring' header")
-    return decode_ring(payload["ring"])
-
-
-def _need(payload: dict, key: str):
-    if key not in payload:
-        raise ValueError(f"payload needs {key!r}")
-    return payload[key]
-
-
 def _cmd_factor(args, payload):
-    ring = _payload_ring(payload)
-    f = decode_laurent(ring, _need(payload, "series"))
+    ring = decode_ring(need(payload, "ring"))
+    f = decode_laurent(ring, need(payload, "series"))
     g = factorize(f)
     return encode_gamma(g), g.gplus.trunc, ["wings-constant-one", "zpower-at-unit-slot"]
 
 
 def _cmd_exp(args, payload):
-    ring = _payload_ring(payload)
-    coeffs = _need(payload, "coeffs")
-    if not isinstance(coeffs, list):
-        raise ValueError("'coeffs' must be a list of ring elements")
-    vec = [decode_ring_element(ring, c) for c in coeffs]
+    ring = decode_ring(need(payload, "ring"))
+    vec = decode_ring_elements(ring, need(payload, "coeffs"))
     if args.product_form:
         out = witt_product(ring, vec, args.sign)
         return encode_laurent(out), out.trunc, ["product:one-minus-az"]
@@ -158,16 +146,16 @@ def _cmd_exp(args, payload):
 
 
 def _cmd_witt_add(args, payload):
-    ring = _payload_ring(payload)
-    a = [decode_ring_element(ring, c) for c in _need(payload, "a")]
-    b = [decode_ring_element(ring, c) for c in _need(payload, "b")]
+    ring = decode_ring(need(payload, "ring"))
+    a = decode_ring_elements(ring, need(payload, "a"))
+    b = decode_ring_elements(ring, need(payload, "b"))
     out = witt_add(ring, a, b)
     return {"sum": [encode_ring_element(c) for c in out]}, None, ["product:one-minus-az"]
 
 
 def _cmd_abel(args, payload):
-    ring = _payload_ring(payload)
-    pts = [decode_ring_element(ring, c) for c in _need(payload, "points")]
+    ring = decode_ring(need(payload, "ring"))
+    pts = decode_ring_elements(ring, need(payload, "points"))
     out = abel_embed(ring, pts, depth=args.depth)
     if isinstance(out, GammaElement):
         return {"kind": "wing", "element": encode_gamma(out)}, None, []
@@ -177,24 +165,24 @@ def _cmd_abel(args, payload):
 
 
 def _cmd_index(args, payload):
-    ring = _payload_ring(payload)
-    pt = decode_point(ring, _need(payload, "point"))
+    ring = decode_ring(need(payload, "ring"))
+    pt = decode_point(ring, need(payload, "point"))
     return {"index": index(pt)}, pt.window_high, []
 
 
 def _cmd_plucker(args, payload):
-    ring = _payload_ring(payload)
-    pt = decode_point(ring, _need(payload, "point"))
-    maya = decode_maya(_need(payload, "diagram"))
+    ring = decode_ring(need(payload, "ring"))
+    pt = decode_point(ring, need(payload, "point"))
+    maya = decode_maya(need(payload, "diagram"))
     minor = plucker(pt, maya)
     return encode_ring_element(minor), pt.window_high, ["minor-rows:increasing-exponent"]
 
 
 def _cmd_transition(args, payload):
-    ring = _payload_ring(payload)
-    pt = decode_point(ring, _need(payload, "point"))
-    a = decode_maya(_need(payload, "chart_a"))
-    b = decode_maya(_need(payload, "chart_b"))
+    ring = decode_ring(need(payload, "ring"))
+    pt = decode_point(ring, need(payload, "point"))
+    a = decode_maya(need(payload, "chart_a"))
+    b = decode_maya(need(payload, "chart_b"))
     value = chart_transition(pt, a, b)
     return encode_ring_element(value), pt.window_high, [
         "transition:minor-a-over-minor-b"
@@ -202,9 +190,9 @@ def _cmd_transition(args, payload):
 
 
 def _cmd_act(args, payload):
-    ring = _payload_ring(payload)
-    g = decode_gamma(ring, _need(payload, "gamma"))
-    pt = decode_point(ring, _need(payload, "point"))
+    ring = decode_ring(need(payload, "ring"))
+    g = decode_gamma(ring, need(payload, "gamma"))
+    pt = decode_point(ring, need(payload, "point"))
     moved = act(g, pt, promote=args.promote)
     return encode_point(moved), moved.window_high, [
         "unit-scales-columns",
@@ -212,15 +200,13 @@ def _cmd_act(args, payload):
     ]
 
 
+_TAU_ROUTES = {"direct": tau_direct, "schur": tau_schur, "both": tau_crosscheck}
+
+
 def _cmd_tau(args, payload):
-    ring = _payload_ring(payload)
-    pt = decode_point(ring, _need(payload, "point"))
-    if args.method == "direct":
-        t = tau_direct(pt, args.deg)
-    elif args.method == "schur":
-        t = tau_schur(pt, args.deg)
-    else:
-        t = tau_crosscheck(pt, args.deg)
+    ring = decode_ring(need(payload, "ring"))
+    pt = decode_point(ring, need(payload, "point"))
+    t = _TAU_ROUTES[args.method](pt, args.deg)
     return (
         {"ring": encode_ring(t.ring), "tau": encode_ring_element(t)},
         None,
@@ -229,8 +215,8 @@ def _cmd_tau(args, payload):
 
 
 def _cmd_baker(args, payload):
-    ring = _payload_ring(payload)
-    pt = decode_point(ring, _need(payload, "point"))
+    ring = decode_ring(need(payload, "ring"))
+    pt = decode_point(ring, need(payload, "point"))
     psi = baker(pt, args.deg, args.window)
     return (
         {"ring": encode_ring(psi.ring), "series": encode_laurent(psi)},
@@ -241,7 +227,7 @@ def _cmd_baker(args, payload):
 
 def _cmd_schur(args, payload):
     field = parse_field_spec(args.field)
-    lam = decode_partition(_need(payload, "partition"))
+    lam = decode_partition(need(payload, "partition"))
     ring = coordinate_ring(field, args.deg)
     p = schur_polynomial(ring, lam)
     return (
@@ -252,35 +238,23 @@ def _cmd_schur(args, payload):
 
 
 def _cmd_bosonize(args, payload):
-    ring = _payload_ring(payload)
-    if "polynomial" in payload:
-        p = decode_ring_element(ring, payload["polynomial"])
-        coords = to_schur_coords(p)
+    ring = decode_ring(need(payload, "ring"))
+    poly = need(payload, "polynomial", default=None)
+    if poly is not None:
+        coords = to_schur_coords(decode_ring_element(ring, poly))
         out = [
             {"partition": list(lam), "coeff": ring.field.format(v)}
             for lam, v in sorted(coords.items())
         ]
         return {"coords": out}, None, []
-    coords_in = _need(payload, "coords")
-    if not isinstance(coords_in, list):
-        raise ValueError("'coords' must be a list")
-    coords = {}
-    for item in coords_in:
-        if not isinstance(item, dict):
-            raise ValueError("each coordinate must be an object")
-        lam = decode_partition(_need(item, "partition"))
-        coeff = _need(item, "coeff")
-        if not isinstance(coeff, str):
-            raise ValueError("coordinate coeff must be a string")
-        coords[lam] = ring.field.parse(coeff)
-    p = bosonize(ring, coords)
+    p = bosonize(ring, decode_schur_coords(ring.field, need(payload, "coords")))
     return {"polynomial": encode_ring_element(p)}, None, []
 
 
 def _cmd_pair(args, payload):
-    ring = _payload_ring(payload)
-    f = decode_laurent(ring, _need(payload, "f"))
-    g = decode_laurent(ring, _need(payload, "g"))
+    ring = decode_ring(need(payload, "ring"))
+    f = decode_laurent(ring, need(payload, "f"))
+    g = decode_laurent(ring, need(payload, "g"))
     if args.mode == "residue":
         value = residue_pairing(f, g)
         return encode_ring_element(value), None, ["residue:res-f-dg"]
@@ -328,11 +302,19 @@ def _load_payload(args) -> dict | None:
         text = sys.stdin.read()
     if not text.strip():
         raise ValueError("empty payload")
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:  # json refuses nesting deeper than the stack
+        raise ValueError("payload nesting is too deep") from None
 
 
 def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
+
+
+def _fail(code: int, kind: str, error) -> int:
+    _emit({"status": "error", "kind": kind, "error": str(error)})
+    return code
 
 
 def main(argv=None) -> int:
@@ -342,17 +324,15 @@ def main(argv=None) -> int:
         payload = _load_payload(args)
         result, precision, flags = handler(args, payload)
     except PrecisionError as exc:
-        _emit({"status": "error", "kind": "precision", "error": str(exc)})
-        return 4
+        return _fail(4, "precision", exc)
     except InternalError as exc:
-        _emit({"status": "error", "kind": "internal", "error": str(exc)})
-        return 5
+        return _fail(5, "internal", exc)
     except GrasstauError as exc:
-        _emit({"status": "error", "kind": "precondition", "error": str(exc)})
-        return 3
-    except (json.JSONDecodeError, ValueError, KeyError, TypeError, OSError) as exc:
-        _emit({"status": "error", "kind": "malformed", "error": str(exc)})
-        return 2
+        return _fail(3, "precondition", exc)
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+        return _fail(2, "malformed", exc)
+    except Exception as exc:  # anything else is a library defect
+        return _fail(5, "internal", f"{type(exc).__name__}: {exc}")
     _emit(
         {
             "status": "ok",

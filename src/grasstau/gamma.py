@@ -33,8 +33,6 @@ t -> 1 + sum_i t^i z^{-i}.
 
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
 
 from .errors import DomainError, InternalError, PrecisionError, RingMismatchError
@@ -249,34 +247,41 @@ def exp_gamma(
         )
     if sign not in (-1, 1):
         raise DomainError("sign must be +1 or -1")
-    arg = {}
-    for i, a in enumerate(coeffs, start=1):
+    for a in coeffs:
         if not isinstance(a, RingElement) or a.ring != ring:
             raise RingMismatchError("exponent coefficients must live in the given ring")
-        if a:
-            arg[sign * i] = a
     if sign < 0:
-        if any(not a.is_nilpotent() for a in arg.values()):
+        if any(not a.is_nilpotent() for a in coeffs):
             raise DomainError(
                 "exp into the lower wing needs nilpotent coefficients"
             )
-        trunc = None  # the lower-wing series is finite and exact
+        # finite and exact: a term of t^i, i > d*len, multiplies more
+        # than d nilpotents, and m^(d+1) = 0
+        trunc, top = None, ring.degree_bound * len(coeffs)
     elif trunc is None:
         raise PrecisionError(
             "exp into the upper wing is an infinite series; a truncation order is required"
         )
-    e = LaurentElement(ring, arg, None)
-    total = power = LaurentElement.one(ring)
-    for k in itertools.count(1):
-        power = power * e
-        if trunc is not None:
-            power = power.truncate(trunc)
-        if power.is_zero():
-            break
-        total = total + power * Fraction(1, math.factorial(k))
+    else:
+        top = trunc - 1
+    terms = _exp_coefficients(ring, coeffs, top)
+    total = LaurentElement(ring, {sign * i: c for i, c in enumerate(terms)}, trunc)
     if sign < 0:
         return GammaElement.from_parts(ring, gminus=total)
-    return GammaElement.from_parts(ring, gplus=total.truncate(trunc))
+    return GammaElement.from_parts(ring, gplus=total)
+
+
+def _exp_coefficients(ring: CoeffRing, args: list[RingElement], top: int) -> list[RingElement]:
+    """E_0..E_top of exp(sum_j a_j t^j), a_j = args[j - 1], by the
+    recursion i*E_i = sum_j j*a_j*E_(i-j); characteristic zero only."""
+    es = [ring.one()]
+    for i in range(1, top + 1):
+        acc = ring.zero()
+        for j in range(1, min(i, len(args)) + 1):
+            if args[j - 1]:
+                acc = acc + args[j - 1] * j * es[i - j]
+        es.append(acc * Fraction(1, i))
+    return es
 
 
 def witt_product(ring: CoeffRing, coeffs: list[RingElement], sign: int) -> LaurentElement:
@@ -342,6 +347,8 @@ def abel_embed(ring: CoeffRing, points, depth: int | None = None):
     for t in pts:
         if not isinstance(t, RingElement) or t.ring != ring:
             raise RingMismatchError("points must live in the given ring")
+    if depth is not None and depth < 0:
+        raise DomainError("depth must be >= 0")
     nilpotent = all(t.is_nilpotent() for t in pts)
     if not nilpotent and depth is None:
         raise DomainError(

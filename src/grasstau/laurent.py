@@ -216,13 +216,12 @@ class LaurentElement:
         low_s, low_o = self._low(), other._low()
         # an exact zero annihilates everything, unknown tails included
         if low_s is None or low_o is None:
-            if (low_s is None and self.trunc is None) or (low_o is None and other.trunc is None):
-                return LaurentElement.zero(self.ring)
+            return LaurentElement.zero(self.ring)
         candidates = []
         if self.trunc is not None:
-            candidates.append(self.trunc + (low_o if low_o is not None else 0))
+            candidates.append(self.trunc + low_o)
         if other.trunc is not None:
-            candidates.append(other.trunc + (low_s if low_s is not None else 0))
+            candidates.append(other.trunc + low_s)
         trunc = min(candidates) if candidates else None
         out: dict[int, RingElement] = {}
         for e1, c1 in self.coeffs.items():

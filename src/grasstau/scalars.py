@@ -189,6 +189,10 @@ class CoeffRing:
     def __hash__(self) -> int:
         return hash((self.field, self.num_vars, self.degree_bound, self.weights))
 
+    def __reduce__(self):
+        # rebuilt through __init__, so a copy or an unpickled ring finds the shared table
+        return CoeffRing, (self.field, self.num_vars, self.degree_bound, self.weights)
+
     def __repr__(self) -> str:
         tag = f"{self.field!r}[x1..x{self.num_vars}]"
         if self.weights != (1,) * self.num_vars:

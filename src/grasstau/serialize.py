@@ -1,10 +1,12 @@
 """JSON-facing encoders/decoders for every value the CLI passes around.
 
-Decoders raise ValueError on structurally malformed data (wrong types,
-such as a bool, float or string where an integer belongs; missing keys)
-so the CLI can distinguish "bad payload" from semantic precondition
-failures, which surface as the library's own error types.
-Encoders emit plain JSON-ready structures with deterministic ordering.
+This module alone decides whether a payload is malformed: every payload
+value is read through one typed reader per JSON type or the key reader
+``need``, and a missing key, a wrong JSON type anywhere (a bool, float or
+string where an integer belongs) or an unparsable coefficient literal
+raises ValueError, which the CLI tells apart from semantic precondition
+failures, raised as the library's own error types.  Encoders emit plain
+JSON-ready structures with deterministic ordering.
 """
 
 from __future__ import annotations
@@ -16,31 +18,54 @@ from .laurent import LaurentElement
 from .partitions import MayaDiagram, check_partition
 from .scalars import BaseField, CoeffRing, RingElement
 
-# -- integers ------------------------------------------------------------
+# -- typed readers ---------------------------------------------------------
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an int"}
+_REQUIRED = object()
 
 
-def _int(value, what: str) -> int:
-    """The one reader of every integer field: ``value`` if it is a JSON
-    integer.  bool is an int subclass in Python, so the type is matched
-    exactly; floats and strings are refused, not rounded or parsed."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an int")
+def _typed(value, kind: type, what: str):
+    """The one type check of every payload value: ``value`` if its JSON
+    type is exactly ``kind`` (dict, list, str or int).  bool is an int
+    subclass in Python, so the type is matched exactly; floats and strings
+    are refused where an integer belongs, not rounded or parsed."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}")
     return value
 
 
+def need(obj, key: str, kind: type | None = None, what: str = "payload", default=_REQUIRED):
+    """``obj[key]`` of the JSON object ``obj`` (named ``what`` in errors),
+    checked by ``_typed`` when ``kind`` is given.  A missing key is
+    malformed unless a ``default`` is given; the default comes back
+    unchecked, and so does a null where the default is None."""
+    value = _typed(obj, dict, what).get(key, default)
+    if value is _REQUIRED:
+        raise ValueError(f"{what} needs {key!r}")
+    if kind is None or value is default:
+        return value
+    return _typed(value, kind, f"{what} {key!r}")
+
+
 def _ints(value, what: str) -> list[int]:
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a list of ints")
-    return [_int(v, f"{what} entry") for v in value]
+    return [_typed(v, int, f"{what} entry") for v in _typed(value, list, what)]
+
+
+def _checked(build, *args):
+    """``build(*args)``, with the library's DomainError re-raised as
+    ValueError: a payload value that nothing can be built from, such as
+    the coefficient literal "x", is malformed."""
+    try:
+        return build(*args)
+    except DomainError as exc:
+        raise ValueError(str(exc)) from None
 
 
 # -- field specs -------------------------------------------------------
 
 
 def parse_field_spec(spec: str) -> BaseField:
-    if not isinstance(spec, str):
-        raise ValueError("field spec must be a string")
-    s = spec.strip().lower()
+    s = _typed(spec, str, "field spec").strip().lower()
     if s == "q":
         return BaseField(0)
     if s.startswith("fp:"):
@@ -48,10 +73,9 @@ def parse_field_spec(spec: str) -> BaseField:
             p = int(s[3:], 10)
         except ValueError:
             raise ValueError(f"bad field spec {spec!r}") from None
-        try:
-            return BaseField(p)
-        except DomainError as exc:  # non-prime characteristic
-            raise ValueError(str(exc)) from None
+        if p < 2:  # BaseField(0) would be the rationals
+            raise ValueError(f"bad field spec {spec!r}: p must be a prime")
+        return _checked(BaseField, p)  # refuses a non-prime characteristic
     raise ValueError(f"unknown field spec {spec!r} (use 'q' or 'fp:<p>')")
 
 
@@ -63,15 +87,10 @@ def format_field_spec(field: BaseField) -> str:
 
 
 def decode_ring(obj) -> CoeffRing:
-    if not isinstance(obj, dict):
-        raise ValueError("ring must be an object")
-    try:
-        field = parse_field_spec(obj["field"])
-        num_vars = _int(obj["num_vars"], "num_vars")
-        bound = _int(obj["degree_bound"], "degree_bound")
-    except KeyError as exc:
-        raise ValueError(f"ring is missing key {exc}") from None
-    weights = obj.get("weights")
+    field = parse_field_spec(need(obj, "field", what="ring"))
+    num_vars = need(obj, "num_vars", int, "ring")
+    bound = need(obj, "degree_bound", int, "ring")
+    weights = need(obj, "weights", what="ring", default=None)
     if weights is not None:
         weights = tuple(_ints(weights, "weights"))
     return CoeffRing(field, num_vars, bound, weights)
@@ -92,26 +111,18 @@ def encode_ring(ring: CoeffRing) -> dict:
 
 
 def decode_ring_element(ring: CoeffRing, obj) -> RingElement:
-    if not isinstance(obj, list):
-        raise ValueError("ring element must be a list of terms")
     coeffs = {}
-    for term in obj:
-        if not isinstance(term, dict):
-            raise ValueError("ring element term must be an object")
-        exps = _ints(term.get("exponents"), "term exponents")
-        if len(exps) != ring.num_vars:
-            raise ValueError(
-                f"term has {len(exps)} exponents; ring has {ring.num_vars} variables"
-            )
-        if any(e < 0 for e in exps):
-            raise ValueError("term exponents must be >= 0")
-        c = term.get("coeff")
-        if not isinstance(c, str):
-            raise ValueError("term coeff must be a string")
-        mono = tuple(exps)
+    for term in _typed(obj, list, "ring element"):
+        mono = tuple(_ints(need(term, "exponents", what="ring element term"), "term exponents"))
+        c = _checked(ring.field.parse, need(term, "coeff", str, "ring element term"))
         prev = coeffs.get(mono, ring.field.zero())
-        coeffs[mono] = ring.field.add(prev, ring.field.parse(c))
-    return ring.element(coeffs)
+        coeffs[mono] = ring.field.add(prev, c)
+    # refuses a monomial of the wrong length or with a negative exponent
+    return _checked(ring.element, coeffs)
+
+
+def decode_ring_elements(ring: CoeffRing, obj) -> list[RingElement]:
+    return [decode_ring_element(ring, c) for c in _typed(obj, list, "ring element list")]
 
 
 def encode_ring_element(elem: RingElement) -> list:
@@ -126,20 +137,14 @@ def encode_ring_element(elem: RingElement) -> list:
 
 
 def decode_laurent(ring: CoeffRing, obj) -> LaurentElement:
-    if not isinstance(obj, dict):
-        raise ValueError("laurent element must be an object")
-    terms = obj.get("terms")
-    if not isinstance(terms, list):
-        raise ValueError("laurent element needs a 'terms' list")
-    trunc = obj.get("trunc_order")
-    if trunc is not None:
-        trunc = _int(trunc, "trunc_order")
+    """Terms at a repeated exponent add up, like repeated monomials."""
+    terms = need(obj, "terms", list, "laurent element")
+    trunc = need(obj, "trunc_order", int, "laurent element", default=None)
     coeffs = {}
     for term in terms:
-        if not isinstance(term, dict):
-            raise ValueError("laurent term must be an object")
-        exp = _int(term.get("exp"), "laurent term 'exp'")
-        coeffs[exp] = decode_ring_element(ring, term.get("coeff"))
+        exp = need(term, "exp", int, "laurent term")
+        c = decode_ring_element(ring, need(term, "coeff", what="laurent term"))
+        coeffs[exp] = coeffs[exp] + c if exp in coeffs else c
     return LaurentElement(ring, coeffs, trunc)
 
 
@@ -158,15 +163,11 @@ def encode_laurent(f: LaurentElement) -> dict:
 
 
 def decode_gamma(ring: CoeffRing, obj) -> GammaElement:
-    if not isinstance(obj, dict):
-        raise ValueError("gamma element must be an object")
-    try:
-        gminus = decode_laurent(ring, obj["gminus"])
-        unit = decode_ring_element(ring, obj["unit"])
-        gplus = decode_laurent(ring, obj["gplus"])
-    except KeyError as exc:
-        raise ValueError(f"gamma element is missing key {exc}") from None
-    zpower = _int(obj.get("zpower", 0), "zpower")
+    what = "gamma element"
+    gminus = decode_laurent(ring, need(obj, "gminus", what=what))
+    unit = decode_ring_element(ring, need(obj, "unit", what=what))
+    gplus = decode_laurent(ring, need(obj, "gplus", what=what))
+    zpower = need(obj, "zpower", int, what, default=0)
     return GammaElement(gminus, unit, gplus, zpower)
 
 
@@ -183,12 +184,8 @@ def encode_gamma(g: GammaElement) -> dict:
 
 
 def decode_point(ring: CoeffRing, obj) -> GrassPoint:
-    if not isinstance(obj, dict):
-        raise ValueError("point must be an object")
-    depth = _int(obj.get("tail_depth"), "tail_depth")
-    cols = obj.get("columns")
-    if not isinstance(cols, list):
-        raise ValueError("point needs a list 'columns'")
+    depth = need(obj, "tail_depth", int, "point")
+    cols = need(obj, "columns", list, "point")
     return GrassPoint(ring, depth, [decode_laurent(ring, c) for c in cols])
 
 
@@ -204,21 +201,15 @@ def encode_point(p: GrassPoint) -> dict:
 
 
 def decode_maya(obj) -> MayaDiagram:
-    if isinstance(obj, dict) and "partition" in obj:
+    """A diagram given by 'partition' (and 'charge'), or else by
+    'tail_start' and 'members'."""
+    if "partition" in _typed(obj, dict, "diagram"):
         lam = _ints(obj["partition"], "partition")
-        charge = _int(obj.get("charge", 0), "charge")
-        try:
-            return MayaDiagram.from_partition(tuple(lam), charge)
-        except DomainError as exc:
-            raise ValueError(str(exc)) from None
-    if isinstance(obj, dict) and "tail_start" in obj:
-        start = _int(obj["tail_start"], "tail_start")
-        members = _ints(obj.get("members", []), "members")
-        try:
-            return MayaDiagram(start, members)
-        except DomainError as exc:
-            raise ValueError(str(exc)) from None
-    raise ValueError("diagram must give 'partition' or 'tail_start'")
+        charge = need(obj, "charge", int, "diagram", default=0)
+        return _checked(MayaDiagram.from_partition, tuple(lam), charge)
+    start = need(obj, "tail_start", int, "diagram")
+    members = _ints(need(obj, "members", what="diagram", default=[]), "members")
+    return _checked(MayaDiagram, start, members)
 
 
 def encode_maya(m: MayaDiagram) -> dict:
@@ -226,7 +217,14 @@ def encode_maya(m: MayaDiagram) -> dict:
 
 
 def decode_partition(obj):
-    try:
-        return check_partition(_ints(obj, "partition"))
-    except DomainError as exc:
-        raise ValueError(str(exc)) from None
+    return _checked(check_partition, _ints(obj, "partition"))
+
+
+def decode_schur_coords(field: BaseField, obj) -> dict:
+    """{partition: field scalar} from a list of {"partition", "coeff"}
+    objects; a repeated partition keeps its last coefficient."""
+    coords = {}
+    for item in _typed(obj, list, "'coords'"):
+        lam = decode_partition(need(item, "partition", what="coordinate"))
+        coords[lam] = _checked(field.parse, need(item, "coeff", str, "coordinate"))
+    return coords

@@ -35,10 +35,8 @@ residual of a degree-d tau polynomial is provably exact in joint weight
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DomainError, InternalError, NotInvertibleError, PrecisionError
-from .gamma import GammaElement, universal_v
+from .gamma import GammaElement, _exp_coefficients, universal_v
 from .grassmann import GrassPoint, act, plucker
 from .laurent import LaurentElement
 from .linalg import det_ring, solve_ring
@@ -192,9 +190,11 @@ def kp_residual(tau_poly: RingElement, order: int) -> RingElement:
     """Residue of tau(T - [1/z]) tau(T' + [1/z]) exp(sum (T_j - T'_j) z^j),
     as a polynomial in the times, computed through joint weight order+2.
 
-    Identically zero exactly when the polynomial is a genuine tau (the
-    residual is the generating function of the quadratic chart
-    relations).  Needs characteristic zero and order <= bound - 3.
+    Zero for every genuine tau (the residual is the generating function
+    of the quadratic chart relations), so a nonzero residual proves the
+    polynomial is not a tau.  The converse needs every order: at order 0
+    (joint weight <= 2) the residual of every polynomial is zero, so
+    order 0 flags nothing.  Needs characteristic zero and order <= bound - 3.
     """
     ring = tau_poly.ring
     if not is_coordinate_ring(ring):
@@ -215,21 +215,10 @@ def kp_residual(tau_poly: RingElement, order: int) -> RingElement:
     times = [joint.gen(i) for i in range(w)]
     times_p = [joint.gen(w + i) for i in range(w)]
 
-    def h_family(vals: list[RingElement]) -> list[RingElement]:
-        """Complete homogeneous functions of a weighted variable family:
-        i*H_i = sum_j (j*vals_j)*H_{i-j}."""
-        hs = [joint.one()]
-        for i in range(1, d + 1):
-            acc = joint.zero()
-            for j in range(1, min(i, w) + 1):
-                if vals[j - 1]:
-                    acc = acc + vals[j - 1] * j * hs[i - j]
-            hs.append(acc * Fraction(1, i))
-        return hs
-
-    h = h_family(times)
-    hp = h_family(times_p)
-    e_ser = h_family([times[j] - times_p[j] for j in range(w)])
+    # complete homogeneous functions H_i of the times: sum_i H_i u^i = exp(sum_j T_j u^j)
+    h = _exp_coefficients(joint, times, d)
+    hp = _exp_coefficients(joint, times_p, d)
+    e_ser = _exp_coefficients(joint, [times[j] - times_p[j] for j in range(w)], w)
 
     cap = w + 2  # u-degrees past w + 1 never reach a residue term
 

@@ -1,5 +1,6 @@
 """JSON codecs and the command-line surface (exit codes, determinism)."""
 
+import io
 import json
 import os
 import random
@@ -419,3 +420,141 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+
+def test_field_spec_refuses_characteristics_below_two(capsys, tmp_path):
+    # BaseField(0) is the rationals: "fp:0" must not select them
+    for bad in ["fp:0", "fp:1", "fp:-5"]:
+        with pytest.raises(ValueError):
+            parse_field_spec(bad)
+    code, out = run_cli(capsys, ["schur", "--deg", "2", "--field", "fp:0"], {"partition": [1]}, tmp_path)
+    assert code == 2 and out["kind"] == "malformed"
+
+
+def test_duplicate_laurent_exponents_add_up(capsys, tmp_path):
+    obj = {
+        "terms": [
+            {"exp": 0, "coeff": [{"exponents": [0, 0], "coeff": "2"}]},
+            {"exp": 0, "coeff": [{"exponents": [0, 0], "coeff": "3"}]},
+        ]
+    }
+    assert decode_laurent(RING, obj) == LaurentElement.const(RING, 5)
+    series = _series({0: [(0, "2")]})
+    series["terms"].append({"exp": 0, "coeff": [{"exponents": [0], "coeff": "3"}]})
+    payload = dict(FACTOR_PAYLOAD, series=series)
+    code, out = run_cli(capsys, ["factor"], payload, tmp_path)
+    assert code == 0 and out["result"]["unit"] == [{"coeff": "5", "exponents": [0]}]
+
+
+def test_cli_abel_negative_depth_is_a_precondition(capsys, tmp_path):
+    payload = {"ring": FACTOR_PAYLOAD["ring"], "points": [[{"exponents": [0], "coeff": "1"}]]}
+    code, out = run_cli(capsys, ["abel", "--depth", "-2"], payload, tmp_path)
+    assert code == 3 and out["kind"] == "precondition"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000, '"partition"', "5", "[]", "null"],
+    ids=["deep-nesting", "string", "number", "list", "null"],
+)
+def test_cli_non_object_payload_is_malformed(capsys, monkeypatch, text):
+    # json refuses deep nesting with RecursionError; it must not escape main
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["schur", "--deg", "2"]) == 2
+    assert json.loads(capsys.readouterr().out)["kind"] == "malformed"
+
+
+def test_cli_unexpected_exception_is_internal(capsys, tmp_path, monkeypatch):
+    # an exception outside the library's taxonomy is a defect, never the caller's fault
+    import grasstau.cli as cli_module
+
+    def broken(ring, lam):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli_module, "schur_polynomial", broken)
+    code, out = run_cli(capsys, ["schur", "--deg", "2"], {"partition": [1]}, tmp_path)
+    assert code == 5 and out["kind"] == "internal"
+    assert "KeyError" in out["error"]
+
+
+# ---------------------------------------------------------------------------
+# mutation fuzzer: one node of a valid payload replaced by a wrong JSON value
+# ---------------------------------------------------------------------------
+
+_X = [{"exponents": [1], "coeff": "1"}]
+_ONE = [{"exponents": [0], "coeff": "1"}]
+_SCHUR_RING = {"field": "q", "num_vars": 3, "degree_bound": 3, "weights": [1, 2, 3]}
+
+# one valid payload per data subcommand, and both bosonize directions
+FUZZ_CASES = [
+    (["factor"], FACTOR_PAYLOAD),
+    (["exp"], {"ring": FACTOR_PAYLOAD["ring"], "coeffs": [_X, []]}),
+    (["witt-add"], {"ring": FACTOR_PAYLOAD["ring"], "a": [_X], "b": [_ONE, _X]}),
+    (["abel"], {"ring": FACTOR_PAYLOAD["ring"], "points": [_X]}),
+    (["index"], TAU_PAYLOAD),
+    (["plucker"], POINT_PAYLOAD),
+    (["transition"], dict(TAU_PAYLOAD, chart_a={"partition": [1]}, chart_b={"partition": []})),
+    (["act"], ACT_PAYLOAD),
+    (["tau", "--deg", "2"], TAU_PAYLOAD),
+    (["baker", "--deg", "1", "--window", "1"], TAU_PAYLOAD),
+    (["schur", "--deg", "3"], {"partition": [2, 1]}),
+    (
+        ["bosonize"],
+        {
+            "ring": _SCHUR_RING,
+            "polynomial": [
+                {"exponents": [0, 0, 1], "coeff": "-1"},
+                {"exponents": [1, 1, 0], "coeff": "1"},
+            ],
+        },
+    ),
+    (
+        ["bosonize"],
+        {
+            "ring": _SCHUR_RING,
+            "coords": [{"partition": [2, 1], "coeff": "3/2"}, {"partition": [], "coeff": "1"}],
+        },
+    ),
+    (
+        ["pair"],
+        {
+            "ring": FACTOR_PAYLOAD["ring"],
+            "f": _series({-1: [(1, "1")], 0: [(0, "1")], 1: [(1, "1")]}),
+            "g": _series({0: [(0, "1")], 1: [(1, "1")]}),
+        },
+    ),
+]
+
+
+def _nodes(node, path=()):
+    """(path, value) of every node of a JSON document, the root included."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def test_cli_mutated_payloads_end_in_a_classified_error(capsys, monkeypatch):
+    # every single-node mutation ends in a classified outcome; an unparsable
+    # coefficient, and an object or a string where a list belongs, are
+    # malformed.  Each node gets "x" and one of null and {} (always {} for
+    # a list), which keeps the run near a second.
+    rng = random.Random(10)
+    for argv, payload in FUZZ_CASES:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+        for path, old in _nodes(payload):
+            for new in ("x", {} if isinstance(old, list) else rng.choice((None, {}))):
+                text = json.dumps(_replaced(payload, path, new) if path else new)
+                monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                code = main(argv)
+                out = json.loads(capsys.readouterr().out)
+                where = (argv[0], path, new)
+                assert code in (0, 2, 3, 4), (where, out)
+                assert out["status"] == ("ok" if code == 0 else "error"), where
+                if path and path[-1] == "coeff" and isinstance(old, str) and new == "x":
+                    assert code == 2, (where, out)
+                if isinstance(old, list) and new in ("x", {}):
+                    assert code == 2, (where, out)

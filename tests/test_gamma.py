@@ -307,6 +307,14 @@ def test_abel_embed_needs_depth_for_units():
     )
 
 
+def test_abel_embed_refuses_a_negative_depth():
+    # a negative depth clips everything away and would return the zero series
+    ring = CoeffRing(QQ, 1, 2)
+    with pytest.raises(DomainError):
+        abel_embed(ring, [ring.one()], depth=-2)
+    assert abel_embed(ring, [ring.one()], depth=0) == LaurentElement.one(ring)
+
+
 def test_universal_v_frozen():
     v = universal_v(QQ, 3)
     ring = v.gminus.ring

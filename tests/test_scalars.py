@@ -1,11 +1,22 @@
 """Ground fields and the weighted-truncated coefficient rings."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasstau import GF, QQ, CoeffRing, DomainError, NotInvertibleError, RingMismatchError
+from grasstau import (
+    GF,
+    QQ,
+    CoeffRing,
+    DomainError,
+    LaurentElement,
+    NotInvertibleError,
+    RingMismatchError,
+    factorize,
+)
 from grasstau.scalars import RingElement
 from grasstau.schur import coordinate_ring
 
@@ -86,6 +97,19 @@ def test_frobenius_power():
     ring = CoeffRing(GF(5), 1, 2)
     x = ring.gen(0)
     assert (ring.one() + x) ** 5 == ring.one()
+
+
+def test_rings_survive_pickle_and_deepcopy():
+    # a rebuilt ring must find the shared product table, or it compares
+    # unequal to the original and refuses to mix with it
+    ring = coordinate_ring(QQ, 3)
+    x = ring.gen(0)
+    assert pickle.loads(pickle.dumps(x)) == x
+    assert x + copy.deepcopy(x) == x * 2
+    f = LaurentElement(ring, {-1: x, 0: ring.const(2), 1: ring.gen(1)})
+    assert pickle.loads(pickle.dumps(f)) == f
+    g = factorize(f)
+    assert pickle.loads(pickle.dumps(g)) == g
 
 
 def test_bad_weights_rejected():
