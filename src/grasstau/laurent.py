@@ -37,7 +37,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, NotInvertibleError, PrecisionError, RingMismatchError
-from .scalars import CoeffRing, RingElement, neumann, power
+from .scalars import CoeffRing, RingElement, power
+
+
+def neumann(one, u):
+    """The geometric series 1 + u + u^2 + ... for a nilpotent ``u``, which
+    ends ``LaurentElement.inverse``.  Over a local ring whose maximal ideal
+    m has m^{d+1} = 0, an element or series with coefficients in m has
+    u^{d+1} = 0, so the sum ends at u^d and is exactly (1 - u)^{-1}.
+    """
+    total = term = one
+    while True:
+        term = term * u
+        if term.is_zero():
+            return total
+        total = total + term
 
 
 class LaurentElement:

@@ -1,13 +1,15 @@
 """Small dense linear algebra over coefficient rings and base fields.
 
 Two flavours are needed.  Matrices of ``RingElement`` values live over a
-local ring with nilpotents.  Their determinants go through Gaussian
-elimination on unit pivots, finishing a block whose next column has no
-unit by Berkowitz's division-free recursion (or by zero, when that
-column is zero); their linear systems and inverses go through
-Gauss-Jordan with unit pivots, which always exist when the matrix is
-invertible.  Matrices of raw field values use ordinary row reduction;
-those power rank, solve, and determinant checks over the residue field.
+local ring with nilpotents.  One forward elimination on unit pivots
+brings them to upper triangular form until a column has no unit left.
+A determinant is then the product of the diagonal, finished by
+Berkowitz's division-free recursion on the remaining block (or by zero,
+when its first column is zero); a linear system, run on [A | b ...],
+finishes by back substitution, and an inverse is a system against the
+identity.  Unit pivots always exist when the matrix is invertible.
+Matrices of raw field values use ordinary row reduction; those power
+rank, solve, and determinant checks over the residue field.
 
 Everything here is exact and runs in polynomial time: ``tau_direct``
 takes dense minors as large as the tail depth.  The ring loops skip zero
@@ -24,53 +26,63 @@ from .scalars import BaseField, CoeffRing, RingElement
 # ----------------------------------------------------------------------
 
 
+def _eliminate(mat: list[list[RingElement]], n: int) -> tuple[int, bool]:
+    """Forward elimination on unit pivots in the first n columns, in place.
+
+    Step k swaps the first unit of column k to (k, k) and subtracts
+    multiples of the pivot row, scaled by the pivot's inverse, from the
+    rows below; when the pivot row is zero right of the pivot, or the
+    column zero below it, no inverse is taken.  Entries below the pivots
+    go stale and are never read.  Returns the first column with no unit
+    on or below the diagonal (n if none) and the parity of the swaps.
+    """
+    odd = False
+    for k in range(n):
+        pr = next((i for i in range(k, len(mat)) if mat[i][k].is_unit()), None)
+        if pr is None:
+            return k, odd
+        if pr != k:
+            mat[k], mat[pr] = mat[pr], mat[k]
+            odd = not odd
+        prow = mat[k]
+        live = [j for j in range(k + 1, len(prow)) if prow[j]]
+        below = [row for row in mat[k + 1:] if row[k]]
+        if not live or not below:
+            continue
+        inv_p = prow[k].inverse()
+        for row in below:
+            factor = row[k] * inv_p
+            for j in live:
+                row[j] = row[j] - factor * prow[j]
+    return n, odd
+
+
 def det_ring(rows: list[list[RingElement]], ring: CoeffRing) -> RingElement:
     """Determinant of a square matrix over the ring.
 
-    Gaussian elimination on unit pivots.  Step k pivots on the first unit
-    in column k, swapped to (k, k), which flips the sign.  If the pivot
-    row is zero right of the pivot, or the pivot column zero below it,
-    Laplace expansion along it gives det = pivot * det(minor) with no
-    inverse; otherwise subtracting multiples of the pivot row, scaled by
-    the pivot's inverse, clears column k below the pivot without changing
-    the determinant, which again is pivot * det(minor).  A column with no
-    unit left is either zero, and so is the determinant, or nilpotent,
-    and Berkowitz's division-free recursion finishes the remaining block.
-    A unit determinant never gets there: over a local ring its residue
-    matrix is invertible, so every column of the remaining block has a
-    unit.  The empty matrix has determinant one, which is what makes
-    vacuum minors come out right.
+    ``_eliminate`` changes the determinant only by the sign of its swaps,
+    and Laplace expansion down the pivot columns leaves the product of the
+    pivots times the determinant of the remaining block.  That block's
+    first column has no unit: if it is zero, so is the determinant; else
+    Berkowitz's division-free recursion finishes the block.  A unit
+    determinant never gets there, as over a local ring its residue matrix
+    is invertible.  The empty matrix has determinant one, which is what
+    makes vacuum minors come out right.
     """
     n = len(rows)
     for r in rows:
         if len(r) != n:
             raise DomainError("det_ring needs a square matrix")
     mat = [list(r) for r in rows]
+    k, odd = _eliminate(mat, n)
     det = ring.one()
-    negate = False
-    for k in range(n):
-        pr = next((i for i in range(k, n) if mat[i][k].is_unit()), None)
-        if pr is None:
-            if not any(row[k] for row in mat[k:]):
-                return ring.zero()
-            det = det * _berkowitz([row[k:] for row in mat[k:]], ring)
-            break
-        if pr != k:
-            mat[k], mat[pr] = mat[pr], mat[k]
-            negate = not negate
-        prow = mat[k]
-        pivot = prow[k]
-        det = det * pivot
-        live = [j for j in range(k + 1, n) if prow[j]]
-        below = [row for row in mat[k + 1:] if row[k]]
-        if not live or not below:
-            continue
-        inv_p = pivot.inverse()
-        for row in below:
-            factor = row[k] * inv_p
-            for j in live:
-                row[j] = row[j] - factor * prow[j]
-    return -det if negate else det
+    for i in range(k):
+        det = det * mat[i][i]
+    if k < n:
+        if not any(row[k] for row in mat[k:]):
+            return ring.zero()
+        det = det * _berkowitz([row[k:] for row in mat[k:]], ring)
+    return -det if odd else det
 
 
 def _berkowitz(a: list[list[RingElement]], ring: CoeffRing) -> RingElement:
@@ -120,9 +132,10 @@ def solve_ring(
 ) -> list[list[RingElement]]:
     """The columns x with mat x = b, one for each column b of ``rhs_columns``.
 
-    Gauss-Jordan on [mat | b ...], always pivoting on a unit entry.  Over a
-    local ring a matrix is invertible iff its residue matrix is, in which
-    case a unit pivot exists in every elimination column.
+    ``_eliminate`` on [mat | b ...] makes mat upper triangular with units
+    on the diagonal; back substitution then reads x from the last row
+    up.  Over a local ring a matrix is invertible iff its residue matrix
+    is, in which case a unit pivot exists in every elimination column.
     """
     n = len(mat)
     for r in mat:
@@ -131,20 +144,21 @@ def solve_ring(
     if any(len(b) != n for b in rhs_columns):
         raise DomainError("right-hand side length does not match")
     aug = [list(row) + [b[i] for b in rhs_columns] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col].is_unit()), None)
-        if pivot_row is None:
-            raise NotInvertibleError("matrix has no unit pivot; not invertible over the ring")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv_p = aug[col][col].inverse()
-        aug[col] = [e * inv_p if e else e for e in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = aug[r][col]
-            if factor:
-                aug[r] = [er - factor * ec if ec else er for er, ec in zip(aug[r], aug[col])]
-    return [[row[n + k] for row in aug] for k in range(len(rhs_columns))]
+    if _eliminate(aug, n)[0] < n:
+        raise NotInvertibleError("matrix has no unit pivot; not invertible over the ring")
+    inv_diag = [aug[i][i].inverse() for i in range(n)]
+    out = []
+    for c in range(n, n + len(rhs_columns)):
+        x: list[RingElement] = [ring.zero()] * n
+        for i in reversed(range(n)):
+            row = aug[i]
+            acc = row[c]
+            for j in range(i + 1, n):
+                if row[j] and x[j]:
+                    acc = acc - row[j] * x[j]
+            x[i] = acc * inv_diag[i] if acc else acc
+        out.append(x)
+    return out
 
 
 def inv_ring(rows: list[list[RingElement]], ring: CoeffRing) -> list[list[RingElement]]:
@@ -243,17 +257,6 @@ def solve_field(a: list[list], b: list, field: BaseField) -> list | None:
             return None
     x = [field.zero()] * ncols
     for r, c in enumerate(pivots):
-        if c == ncols:
-            return None  # pivot in the augmented column: inconsistent
         x[c] = rref[r][-1]
     return x
 
-
-def inv_field(rows: list[list], field: BaseField) -> list[list]:
-    n = len(rows)
-    aug = [list(row) + [field.one() if i == j else field.zero() for j in range(n)]
-           for i, row in enumerate(rows)]
-    rref, pivots = echelon_field(aug, field)
-    if pivots != list(range(n)):
-        raise NotInvertibleError("field matrix is singular")
-    return [row[n:] for row in rref]

@@ -99,19 +99,12 @@ class MayaDiagram:
         """All members >= low, in increasing order (tail included)."""
         out = list(range(low, self.tail_start))
         out.extend(m for m in self.members if m >= low)
-        return sorted(out)
+        return out
 
     def charge(self) -> int:
-        """#(S intersect Z>=0) - #(Z<0 minus S), both finite."""
-        if self.tail_start >= 0:
-            gained = self.tail_start + sum(1 for m in self.members if m >= 0)
-            missing = 0
-        else:
-            gained = sum(1 for m in self.members if m >= 0)
-            missing = sum(
-                1 for e in range(self.tail_start, 0) if e not in self.members
-            )
-        return gained - missing
+        """#(S intersect Z>=0) - #(Z<0 minus S), both finite: the tail
+        alone has charge tail_start, and each member above it adds one."""
+        return self.tail_start + len(self.members)
 
     @staticmethod
     def vacuum() -> "MayaDiagram":
@@ -127,20 +120,9 @@ class MayaDiagram:
         return MayaDiagram(tail_start, members)
 
     def to_partition(self) -> Partition:
-        """Inverse of from_partition at this diagram's own charge."""
+        """Inverse of from_partition at this diagram's own charge c: the
+        k-th largest member m gives the part m + k - c.  Each member lies
+        above the tail start, so each part is positive; past the members
+        the tail gives parts of zero."""
         c = self.charge()
-        # members above vacuum position, deepest displacement first
-        descending = sorted(self.members, reverse=True)
-        descending += list(range(self.tail_start - 1,
-                                 self.tail_start - 1 - len(descending) - 1, -1))
-        lam = []
-        for k, s in enumerate(descending, start=1):
-            part = s + k - c
-            if part < 0:
-                raise DomainError("diagram is not normalized")  # pragma: no cover
-            if part == 0:
-                break
-            lam.append(part)
-        # past the listed members the diagram coincides with the shifted
-        # vacuum, contributing zero parts only
-        return check_partition(lam) if lam else ()
+        return tuple(m + k - c for k, m in enumerate(reversed(self.members), 1))

@@ -28,12 +28,16 @@ at the end.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterator
 
 from .errors import DomainError, NotInvertibleError, RingMismatchError
 
 Monomial = tuple[int, ...]
+
+# the serialized rationals; Fraction alone would also expand "1e2000000"
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class BaseField:
@@ -47,6 +51,8 @@ class BaseField:
     def __init__(self, char: int = 0):
         if char < 0 or char == 1:
             raise DomainError(f"invalid field characteristic {char}")
+        if char >= 2**64:  # where _is_prime stops being exact
+            raise DomainError(f"field characteristic {char} is not below 2^64")
         if char > 1 and not _is_prime(char):
             raise DomainError(f"field characteristic {char} is not prime")
         self.char = char
@@ -108,6 +114,8 @@ class BaseField:
         """Read a scalar from its serialized form: "3/4", "-2", "5"."""
         text = text.strip()
         if self.char == 0:
+            if not _RATIONAL.fullmatch(text):
+                raise DomainError(f"bad rational literal {text!r}")
             try:
                 return Fraction(text)
             except (ValueError, ZeroDivisionError) as exc:
@@ -121,16 +129,23 @@ class BaseField:
         return str(value)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Miller-Rabin: n = 2^s d + 1 with d odd is composite if some base a
+    has a^d != 1 and a^(2^r d) != -1 mod n for every r < s.  The first
+    twelve prime bases leave no composite below 3.18 * 10^23 undetected
+    (Sorenson and Webster, Math. Comp. 86, 2017)."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 2**r, n) != n - 1 for r in range(s)):
             return False
-        f += 2
     return True
 
 
@@ -284,22 +299,6 @@ def power(one, base, n: int):
         if n:
             base = base * base
     return result
-
-
-def neumann(one, u):
-    """The geometric series 1 + u + u^2 + ... for a nilpotent ``u``.
-
-    Over a local ring whose maximal ideal m has m^{d+1} = 0, an element
-    or series with coefficients in m has u^{d+1} = 0, so the sum ends at
-    u^d and is exactly (1 - u)^{-1}.  ``LaurentElement.inverse`` ends in
-    such a sum.
-    """
-    total = term = one
-    while True:
-        term = term * u
-        if term.is_zero():
-            return total
-        total = total + term
 
 
 class RingElement:

@@ -10,9 +10,17 @@ determinant
     F_lam = det( x_{lam_i - i + j} )    (x_0 = 1, x_{<0} = 0).
 
 F_lam is weighted-homogeneous of weight |lam|, and the F_lam with
-|lam| <= d form a basis: per weight w the monomials of weight w and the
-partitions of w are in bijection, so the change of basis is a square
-(invertible) matrix solved once and cached.
+|lam| <= d form a basis that is unitriangular against the monomials.
+Read the monomial x^A as the partition with A_i parts equal to i, so that
+x^lam = x_{lam_1} x_{lam_2} ... .  Expanding the determinant, F_lam is
+x^lam plus monomials whose partitions dominate lam, hence are
+lexicographically larger (Macdonald, Symmetric Functions and Hall
+Polynomials, 2nd ed., I.6).  So if p = sum c_lam F_lam, the
+lexicographically smallest partition mu among p's monomials is the
+smallest lam with c_lam != 0, and its coefficient is c_mu: no other F_lam
+in the sum reaches x^mu.  ``to_schur_coords`` records c_mu, subtracts
+c_mu F_mu and repeats until p is zero.  Each step removes one term of the
+sum and divides by nothing, so this holds over every base field.
 
 ``bosonize`` sends a family of chart coefficients to the corresponding
 polynomial; ``duality_pair`` is the bilinear form that makes the F_lam
@@ -24,8 +32,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DomainError, RingMismatchError
-from .linalg import det_ring, inv_field
-from .partitions import Partition, check_partition, partition_size, partitions_of
+from .linalg import det_ring
+from .partitions import Partition, check_partition, partition_size
 from .scalars import BaseField, CoeffRing, RingElement
 
 
@@ -77,42 +85,20 @@ def schur_polynomial(ring: CoeffRing, lam: Partition) -> RingElement:
     return det_ring(mat, ring)
 
 
-@lru_cache(maxsize=None)
-def _weight_basis(ring: CoeffRing, w: int):
-    """(monomials of weight w, partitions of w, inverse change of basis).
-
-    Columns of the forward matrix are the monomial coefficient vectors of
-    the F_lam; its inverse turns monomial coefficients into Schur
-    coordinates.
-    """
-    monos = ring.monomials_of_weight(w)
-    lams = list(partitions_of(w))
-    if len(monos) != len(lams):  # pragma: no cover - guarded by ring check
-        raise DomainError("weight component is not square against partitions")
-    fwd = [
-        [schur_polynomial(ring, lam).coefficient(m) for lam in lams]
-        for m in monos
-    ]
-    return monos, lams, inv_field(fwd, ring.field)
+def _partition_of(mono) -> Partition:
+    """The partition with mono[i] parts equal to i + 1, largest first."""
+    return tuple(i + 1 for i in reversed(range(len(mono))) for _ in range(mono[i]))
 
 
 def to_schur_coords(p: RingElement) -> dict[Partition, object]:
-    """Write p as sum c_lam F_lam; returns the nonzero coefficients."""
+    """Write p as sum c_lam F_lam by peeling; returns the nonzero coefficients."""
     ring = p.ring
     _require_coordinate_ring(ring)
-    field = ring.field
-    weights_present = sorted({ring.weight(m) for m in p.coeffs})
     out: dict[Partition, object] = {}
-    for w in weights_present:
-        monos, lams, inv = _weight_basis(ring, w)
-        b = [p.coeffs.get(m, field.zero()) for m in monos]
-        for i, lam in enumerate(lams):
-            c = field.zero()
-            for j, bj in enumerate(b):
-                if bj:
-                    c = field.add(c, field.mul(inv[i][j], bj))
-            if c:
-                out[lam] = c
+    while p:
+        mu, mono = min((_partition_of(m), m) for m in p.coeffs)
+        c = out[mu] = p.coeffs[mono]
+        p = p - schur_polynomial(ring, mu) * c
     return out
 
 

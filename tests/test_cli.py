@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -478,6 +479,74 @@ def test_cli_unexpected_exception_is_internal(capsys, tmp_path, monkeypatch):
     assert "KeyError" in out["error"]
 
 
+def test_cli_slow_rational_literal_is_malformed_at_once(capsys, tmp_path):
+    # Fraction("1e2000000") would expand a two-million-digit integer first
+    payload = dict(FACTOR_PAYLOAD, series=_series({0: [(0, "1e2000000")]}))
+    start = time.perf_counter()
+    code, out = run_cli(capsys, ["factor"], payload, tmp_path)
+    assert time.perf_counter() - start < 0.05
+    assert code == 2 and out["kind"] == "malformed"
+
+
+def test_cli_characteristic_from_two_to_the_64_is_malformed(capsys, tmp_path):
+    code, out = run_cli(capsys, ["schur", "--deg", "1", "--field", f"fp:{2**64 + 1}"], {"partition": [1]}, tmp_path)
+    assert code == 2 and out["kind"] == "malformed"
+
+
+PRODUCT_FORM_PAYLOAD = {"ring": FACTOR_PAYLOAD["ring"], "coeffs": [[{"exponents": [1], "coeff": "1"}],
+                                                                  [{"exponents": [0], "coeff": "2"}]]}
+RESIDUE_PAYLOAD = {
+    "ring": FACTOR_PAYLOAD["ring"],
+    "f": _series({-1: [(1, "1")], 0: [(0, "1")], 1: [(1, "1")]}),
+    "g": _series({0: [(0, "1")], 1: [(1, "1")]}),
+}
+# t = 1/2 + x is not nilpotent, so sum t^k z^-k is clipped below z^-3
+ABEL_CLIPPED_PAYLOAD = {"ring": FACTOR_PAYLOAD["ring"], "points": [[{"exponents": [0], "coeff": "1/2"},
+                                                                     {"exponents": [1], "coeff": "1"}]]}
+
+
+def _terms(rows):
+    """Series terms from [(exp, [(x-power, coeff), ...]), ...]."""
+    return [{"coeff": [{"coeff": c, "exponents": [k]} for k, c in mono], "exp": e} for e, mono in rows]
+
+
+def test_cli_exp_product_form_frozen(capsys, tmp_path):
+    # (1 - x z^-1)(1 - 2 z^-2)
+    code, out = run_cli(capsys, ["exp", "--product-form"], PRODUCT_FORM_PAYLOAD, tmp_path)
+    assert code == 0 and out["convention_flags"] == ["product:one-minus-az"]
+    assert out["result"] == {
+        "min_exp": -3,
+        "terms": _terms([(-3, [(1, "2")]), (-2, [(0, "-2")]), (-1, [(1, "-1")]), (0, [(0, "1")])]),
+        "trunc_order": None,
+    }
+
+
+def test_cli_pair_residue_frozen(capsys, tmp_path):
+    # res f dg = res (x z^-1 + 1 + x z) x dz = x^2
+    code, out = run_cli(capsys, ["pair", "--mode", "residue"], RESIDUE_PAYLOAD, tmp_path)
+    assert code == 0 and out["convention_flags"] == ["residue:res-f-dg"]
+    assert out["result"] == [{"coeff": "1", "exponents": [2]}]
+
+
+def test_cli_abel_clips_a_non_nilpotent_point_frozen(capsys, tmp_path):
+    code, out = run_cli(capsys, ["abel", "--depth", "3"], ABEL_CLIPPED_PAYLOAD, tmp_path)
+    assert code == 0 and out["convention_flags"] == ["clipped-below-depth"]
+    assert out["precision_used"] == -3
+    assert out["result"] == {
+        "kind": "clipped",
+        "series": {
+            "min_exp": -3,
+            "terms": _terms([
+                (-3, [(0, "1/8"), (1, "3/4"), (2, "3/2")]),
+                (-2, [(0, "1/4"), (1, "1"), (2, "1")]),
+                (-1, [(0, "1/2"), (1, "1")]),
+                (0, [(0, "1")]),
+            ]),
+            "trunc_order": None,
+        },
+    }
+
+
 # ---------------------------------------------------------------------------
 # mutation fuzzer: one node of a valid payload replaced by a wrong JSON value
 # ---------------------------------------------------------------------------
@@ -524,6 +593,9 @@ FUZZ_CASES = [
             "g": _series({0: [(0, "1")], 1: [(1, "1")]}),
         },
     ),
+    (["exp", "--product-form"], PRODUCT_FORM_PAYLOAD),
+    (["pair", "--mode", "residue"], RESIDUE_PAYLOAD),
+    (["abel", "--depth", "3"], ABEL_CLIPPED_PAYLOAD),
 ]
 
 

@@ -24,7 +24,7 @@ from grasstau import (
     coordinate_ring,
     tau_crosscheck,
 )
-from grasstau.linalg import det_field, det_ring, inv_ring, mat_mul_ring, solve_ring
+from grasstau.linalg import det_field, det_ring, inv_ring, mat_mul_ring, solve_field, solve_ring
 
 # plain rings (weights 1) and weighted coordinate rings; degree bounds 2
 # and 3, so a nilpotent block of size <= 6 falls on both sides of them
@@ -176,6 +176,20 @@ def test_solve_ring_refuses_bad_shapes():
         solve_ring([[one, one]], [[one]], ring)
     with pytest.raises(DomainError, match="^right-hand side length does not match$"):
         solve_ring([[one]], [[one, one]], ring)
+
+
+def test_solve_field_refuses_an_inconsistent_system():
+    # the second row is twice the first, the right-hand side is not
+    assert solve_field([[1, 2], [2, 4]], [1, 3], GF(5)) is None
+    assert solve_field([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], [1, 3], QQ) is None
+
+
+def test_solve_field_sets_free_variables_to_zero_on_a_rank_deficient_system():
+    a = [[1, 2, 3], [2, 4, 6], [0, 0, 1]]
+    b = [Fraction(5), Fraction(10), Fraction(1)]
+    x = solve_field(a, b, QQ)
+    assert x == [Fraction(2), Fraction(0), Fraction(1)]
+    assert [sum(aij * xj for aij, xj in zip(row, x)) for row in a] == b
 
 
 def test_tau_crosscheck_at_tail_depth_14_frozen():

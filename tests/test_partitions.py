@@ -77,4 +77,10 @@ def test_partition_charge_round_trip(lam, c):
 def test_charge_counts_normalized_deviations(tail, members):
     m = MayaDiagram(tail, {x for x in members if x >= tail})
     assert m.charge() == m.tail_start + len(m.members)
+    # the counting definition #(S and Z>=0) - #(Z<0 minus S), on a window
+    # wide enough to hold every deviation from the vacuum
+    window = range(-10, 12)
+    assert m.charge() == sum(1 for e in window if e >= 0 and e in m) - sum(
+        1 for e in window if e < 0 and e not in m
+    )
     assert m.tail_start not in m.members

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from grasstau import (
     RingMismatchError,
     factorize,
 )
-from grasstau.scalars import RingElement
+from grasstau.scalars import RingElement, _is_prime
 from grasstau.schur import coordinate_ring
 
 
@@ -37,11 +38,44 @@ def test_gf_rejects_non_primes():
         GF(1)
 
 
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(20_000) if _is_prime(n) != _is_prime_by_trial_division(n)] == []
+    # Carmichael numbers and a strong pseudoprime to the first nine prime bases
+    for composite in (561, 41041, 3825123056546413051):
+        assert not _is_prime(composite)
+
+
+def test_large_prime_characteristics_are_decided_at_once():
+    # trial division takes about a second on the first and minutes on the second
+    for p in (100000000000031, 2**64 - 59):
+        start = time.perf_counter()
+        assert GF(p).char == p
+        assert time.perf_counter() - start < 0.1
+
+
+def test_characteristics_from_two_to_the_64_are_refused():
+    # beyond 2^64 the Miller-Rabin bases no longer decide primality
+    for p in (2**64, 2**64 + 1, 2**89 - 1):
+        with pytest.raises(DomainError, match="not below 2\\^64"):
+            GF(p)
+
+
 def test_parse_and_format():
     assert QQ.parse("-3/2") == Fraction(-3, 2)
+    assert QQ.parse(" 3/4 ") == Fraction(3, 4)
     assert QQ.format(Fraction(5, 3)) == "5/3"
     assert GF(5).parse("3") == 3
     assert GF(5).format(4) == "4"
+
+
+@pytest.mark.parametrize("text", ["1e2000000", "1.5", "1_000", "\uff11\uff12", "1/0", "3/", ""])
+def test_rational_literals_are_ascii_integers_and_quotients(text):
+    with pytest.raises(DomainError, match="bad rational literal"):
+        QQ.parse(text)
 
 
 def test_field_invert_guards():

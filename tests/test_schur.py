@@ -191,9 +191,13 @@ elements3 = st.builds(
 )
 
 
-@given(elements3)
-def test_bosonize_inverts_the_coordinate_change(p):
-    assert bosonize(RING3, to_schur_coords(p)) == p
+@given(st.sampled_from([QQ, GF(2), GF(3)]), st.integers(0, 6), st.data())
+def test_bosonize_inverts_the_coordinate_change(field, d, data):
+    ring = coordinate_ring(field, d)
+    monos = list(ring.monomials())
+    coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=len(monos), max_size=len(monos)))
+    p = ring.element(dict(zip(monos, coeffs)))
+    assert bosonize(ring, to_schur_coords(p)) == p
 
 
 @given(elements3, elements3)
