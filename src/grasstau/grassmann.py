@@ -90,14 +90,8 @@ def index(point: GrassPoint) -> int:
     if m is None:
         top = max((max(c.coeffs) for c in point.columns if c.coeffs), default=-depth)
         m = top + 1
-    field = point.ring.field
-    rows = range(-depth, m)
-    mat = [
-        [point.columns[j].coeffs.get(e, point.ring.zero()).constant_term()
-         for j in range(n_cols)]
-        for e in rows
-    ]
-    r = rank_field(mat, field)
+    residues = [[c.constant_term() for c in row] for row in _rows(point.columns, range(-depth, m))]
+    r = rank_field(residues, point.ring.field)
     if r < n_cols:
         if point.window_high is None:
             return r - depth
@@ -107,28 +101,31 @@ def index(point: GrassPoint) -> int:
     return n_cols - depth
 
 
-def _chart_block(point: GrassPoint, maya: MayaDiagram, unknown: str):
-    """The square block of rows the diagram selects, or None when every
-    minor in the chart vanishes: a tail exponent is missing, or the number
-    of rows differs from the number of columns.  Raises PrecisionError
-    with ``unknown`` (formatted with the row exponent ``e``) when a
-    selected row lies beyond a column's window."""
+def _rows(columns: list[LaurentElement], exponents) -> list[list]:
+    """The matrix of the columns at the given exponents: one row per
+    exponent in the order given, one entry per column in frame order.
+    Coefficients past a column's window read as zero; callers that need
+    them known check the window first."""
+    return [[c.coeffs.get(e, c.ring.zero()) for c in columns] for e in exponents]
+
+
+def _chart_block(point: GrassPoint, maya: MayaDiagram):
+    """The square block of rows the diagram selects, read by ``_rows``, or
+    None when every minor in the chart vanishes: a tail exponent is
+    missing, or the number of rows differs from the number of columns.
+    Raises PrecisionError, naming the first selected row at or past the
+    point's window, when there is one."""
     for e in range(maya.tail_start, -point.tail_depth):
         if e not in maya.members:
             return None
     rows = maya.members_from(-point.tail_depth)
     if len(rows) != len(point.columns):
         return None
-    ring = point.ring
-    mat = []
-    for e in rows:
-        row = []
-        for col in point.columns:
-            if not col.coefficient_known(e):
-                raise PrecisionError(unknown.format(e=e))
-            row.append(col.coeffs.get(e, ring.zero()))
-        mat.append(row)
-    return mat
+    m = point.window_high
+    late = [e for e in rows if m is not None and e >= m]
+    if late:
+        raise PrecisionError(f"minor needs the coefficient of z^{late[0]}, beyond the window")
+    return _rows(point.columns, rows)
 
 
 def plucker(point: GrassPoint, maya: MayaDiagram) -> RingElement:
@@ -138,7 +135,7 @@ def plucker(point: GrassPoint, maya: MayaDiagram) -> RingElement:
     rows different from the number of columns; PrecisionError when a
     selected row lies beyond a column's window.
     """
-    mat = _chart_block(point, maya, "minor needs the coefficient of z^{e}, beyond the window")
+    mat = _chart_block(point, maya)
     if mat is None:
         return point.ring.zero()
     return det_ring(mat, point.ring)
@@ -151,7 +148,7 @@ def in_chart(point: GrassPoint, maya: MayaDiagram) -> bool:
     field.  False is definitive; PrecisionError means the window cannot
     tell.
     """
-    mat = _chart_block(point, maya, "window too small to decide chart membership")
+    mat = _chart_block(point, maya)
     if mat is None:
         return False
     residues = [[c.constant_term() for c in row] for row in mat]
@@ -239,20 +236,14 @@ def quotient_basis(small: GrassPoint, big: GrassPoint) -> list[LaurentElement]:
     for c in small.columns + gens:
         if c.coeffs:
             top = max(top, max(c.coeffs) + 1)
-    rows = list(range(-n, top))
-
-    def as_vec(col: LaurentElement) -> list:
-        return [col.coeffs.get(e, ring.zero()).constant_term() for e in rows]
-
-    base_vecs = [as_vec(c) for c in small.columns]
-    gen_vecs = [as_vec(g) for g in gens]
     # the pivot columns of [small | gens] past small are the generators
     # that add to the span of everything before them; small <= big on
     # the window exactly when small adds nothing to the rank of gens
-    _, pivots = echelon_field(list(zip(*base_vecs, *gen_vecs)), field)
-    if len(pivots) != rank_field(gen_vecs, field):
+    k = len(small.columns)
+    mat = [[c.constant_term() for c in row] for row in _rows(small.columns + gens, range(-n, top))]
+    _, pivots = echelon_field(mat, field)
+    if len(pivots) != rank_field([row[k:] for row in mat], field):
         raise DomainError("the small point is not contained in the big one")
-    k = len(base_vecs)
     return [gens[c - k] for c in pivots if c >= k]
 
 

@@ -36,8 +36,10 @@ from .errors import DomainError, NotInvertibleError, RingMismatchError
 
 Monomial = tuple[int, ...]
 
-# the serialized rationals; Fraction alone would also expand "1e2000000"
+# the serialized scalars, ASCII digits only; Fraction alone would also
+# expand "1e2000000", and int alone reads "1_000" and full-width digits
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class BaseField:
@@ -120,6 +122,8 @@ class BaseField:
                 return Fraction(text)
             except (ValueError, ZeroDivisionError) as exc:
                 raise DomainError(f"bad rational literal {text!r}") from exc
+        if not _INTEGER.fullmatch(text):
+            raise DomainError(f"bad residue literal {text!r}")
         try:
             return int(text, 10) % self.char
         except ValueError as exc:

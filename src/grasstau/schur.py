@@ -68,8 +68,6 @@ def schur_polynomial(ring: CoeffRing, lam: Partition) -> RingElement:
     if partition_size(lam) > ring.degree_bound:
         return ring.zero()
     ell = len(lam)
-    if ell == 0:
-        return ring.one()
 
     def h(k: int) -> RingElement:
         if k < 0:
@@ -103,21 +101,14 @@ def to_schur_coords(p: RingElement) -> dict[Partition, object]:
 
 
 def bosonize(ring: CoeffRing, coords: dict) -> RingElement:
-    """sum of c_lam F_lam for a finite family of chart coefficients.
-
-    Coefficients may be field scalars or constant ring elements (as the
-    chart minors over a base field naturally are).  Partitions of size
-    beyond the degree bound contribute nothing.
+    """sum of c_lam F_lam for a finite family of chart coefficients, each
+    a field scalar.  Partitions of size beyond the degree bound contribute
+    nothing.
     """
     _require_coordinate_ring(ring)
     total = ring.zero()
     for lam, c in coords.items():
-        lam = check_partition(lam)
-        if isinstance(c, RingElement):
-            if not c.is_constant():
-                raise DomainError("chart coefficients must be scalars")
-            c = c.constant_term()
-        total = total + schur_polynomial(ring, lam) * ring.const(c)
+        total = total + schur_polynomial(ring, check_partition(lam)) * ring.const(c)
     return total
 
 

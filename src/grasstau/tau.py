@@ -12,15 +12,19 @@ independent routes compute it:
   of chart coefficients that ``schur.bosonize`` sums.
 
 They must agree exactly; keeping both is the point of the design.
+``tau_direct``, ``tau_schur`` and ``baker`` read the point through one
+reader, ``_scalar_columns``, which checks the degree bound, the window,
+scalar coefficients and the vacuum chart in that order before v is
+built, so all three refuse the same input with the same error.
 
 ``baker`` produces the associated wave series psi, the unique series with
 z^{-1} psi in the point and v psi = 1 + O(z) (Segal-Wilson, in this
 lower-wing convention).  That is one linear condition on the vacuum block
-B of v.U.  ``tau_direct`` and ``baker`` build B with one shared helper:
-tau is det B, normalized; psi solves B a = e_n over the coordinate ring
-and is multiplied by v^{-1}.  Sato's formula, psi = v^{-1} times the
-shifted tau over tau, gives the same series; the tests keep it as the
-reference.
+B of v.U, which ``tau_direct`` and ``baker`` read as the vacuum chart
+block that ``grassmann.plucker`` reads: tau is det B, normalized; psi
+solves B a = e_n over the coordinate ring and is multiplied by v^{-1}.
+Sato's formula, psi = v^{-1} times the shifted tau over tau, gives the
+same series; the tests keep it as the reference.
 
 ``kp_residual`` evaluates the bilinear residue identity that
 characterizes tau functions, in time coordinates T_j (weight j) with
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 from .errors import DomainError, InternalError, NotInvertibleError, PrecisionError
 from .gamma import GammaElement, _exp_coefficients, universal_v
-from .grassmann import GrassPoint, act, plucker
+from .grassmann import GrassPoint, _chart_block, act, plucker
 from .laurent import LaurentElement
 from .linalg import det_ring, solve_ring
 from .partitions import MayaDiagram, partitions_up_to
@@ -55,8 +59,14 @@ def _vacuum_unit(point: GrassPoint) -> RingElement:
     return delta
 
 
-def _require_window(point: GrassPoint, bound: int, need: int) -> None:
-    """A degree bound >= 1, and columns known below z^need."""
+def _scalar_columns(point: GrassPoint, bound: int, need: int):
+    """Every check the tau routes make on their input, in one order, and
+    the point read over the base field.
+
+    A degree bound >= 1, columns known below z^need, scalar coefficients,
+    then the vacuum chart.  Returns the columns as {exponent: scalar}
+    dicts and the vacuum minor, a unit.
+    """
     if bound < 1:
         raise DomainError("degree bound must be >= 1")
     m = point.window_high
@@ -64,32 +74,30 @@ def _require_window(point: GrassPoint, bound: int, need: int) -> None:
         raise PrecisionError(
             f"columns are known only below z^{m}; degree bound needs z^{need}"
         )
+    cols = []
+    for c in point.columns:
+        if not all(coeff.is_constant() for coeff in c.coeffs.values()):
+            raise DomainError("tau needs a point with scalar coefficients")
+        cols.append({e: coeff.constant_term() for e, coeff in c.coeffs.items()})
+    return cols, _vacuum_unit(point)
 
 
 def _moved_vacuum_block(point: GrassPoint, bound: int, need: int):
     """(v, the columns of v.point, their vacuum block B), v = universal_v.
 
-    The point must be scalar, in the vacuum chart and known to z^need,
-    need >= bound.  Its columns are re-read over v's ring with their
-    unknown tails as zero, which no entry of B sees: the row of z^e,
-    e < 0, reads a column up to z^(e + bound) (``baker`` shows the same
-    for the rest of the moved columns it reads).  B has one row per
-    exponent -n, ..., -1 and one column per moved column, n of each,
+    The point passes ``_scalar_columns`` first, need >= bound.  Its
+    columns are re-read over v's ring with their unknown tails as zero,
+    which no entry of B sees: the row of z^e, e < 0, reads a column up to
+    z^(e + bound) (``baker`` shows the same for the rest of the moved
+    columns it reads).  B is the vacuum chart block of v.point: one row
+    per exponent -n, ..., -1 and one column per moved column, n of each,
     since a vacuum minor that is a unit is square.
     """
-    _require_window(point, bound, need)
+    cols, _ = _scalar_columns(point, bound, need)
     v = universal_v(point.ring.field, bound)
     ring = v.ring
-    cols = []
-    for c in point.columns:
-        if not all(coeff.is_constant() for coeff in c.coeffs.values()):
-            raise DomainError("tau needs a point with scalar coefficients")
-        scalars = {e: coeff.constant_term() for e, coeff in c.coeffs.items()}
-        cols.append(LaurentElement(ring, scalars))
-    _vacuum_unit(point)
-    moved = act(v, GrassPoint(ring, point.tail_depth, cols)).columns
-    n = len(moved)
-    return v, moved, [[c.coefficient(e) for c in moved] for e in range(-n, 0)]
+    moved = act(v, GrassPoint(ring, point.tail_depth, [LaurentElement(ring, c) for c in cols]))
+    return v, moved.columns, _chart_block(moved, MayaDiagram.vacuum())
 
 
 def tau_direct(point: GrassPoint, bound: int) -> RingElement:
@@ -106,18 +114,14 @@ def tau_direct(point: GrassPoint, bound: int) -> RingElement:
 
 def tau_schur(point: GrassPoint, bound: int) -> RingElement:
     """Chart expansion: sum over |lam| <= bound of F_lam times the
-    normalized lam-minor of the point."""
-    _require_window(point, bound, bound)
-    dinv = _vacuum_unit(point).inverse()
+    normalized lam-minor of the point, a scalar since the point is."""
+    _, delta = _scalar_columns(point, bound, bound)
+    dinv = delta.inverse()
     coords = {}
     for lam in partitions_up_to(bound):
         minor = plucker(point, MayaDiagram.from_partition(lam))
-        if minor.is_zero():
-            continue
-        coeff = minor * dinv
-        if not coeff.is_constant():
-            raise DomainError("tau needs a point with scalar coefficients")
-        coords[lam] = coeff.constant_term()
+        if not minor.is_zero():
+            coords[lam] = (minor * dinv).constant_term()
     return bosonize(coordinate_ring(point.ring.field, bound), coords)
 
 
@@ -130,18 +134,18 @@ def tau_crosscheck(point: GrassPoint, bound: int) -> RingElement:
     return a
 
 
-def tau_eval(point: GrassPoint, g: GammaElement, promote: int | None = None) -> RingElement:
+def tau_eval(point: GrassPoint, g: GammaElement) -> RingElement:
     """Normalized vacuum minor of g.point, over the point's own ring.
 
-    Multiplicative up to a central unit: with lower-triangular factors
-    (and no promotion) tau(g1 g2 at U) equals tau(g1 at g2 U) times
-    tau(g2 at U) on the nose; for general factors the two sides differ
-    by a unit that depends on the wings of g1, g2 and the tail depth,
-    but not on the point.
+    Unlike the tau routes it reads the point as it is, with no scalar
+    check.  Multiplicative up to a central unit: with lower-triangular
+    factors tau(g1 g2 at U) equals tau(g1 at g2 U) times tau(g2 at U) on
+    the nose; for general factors the two sides differ by a unit that
+    depends on the wings of g1, g2 and the tail depth, but not on the
+    point.
     """
     delta = _vacuum_unit(point)
-    moved = act(g, point, promote=promote)
-    return plucker(moved, MayaDiagram.vacuum()) * delta.inverse()
+    return plucker(act(g, point), MayaDiagram.vacuum()) * delta.inverse()
 
 
 # ----------------------------------------------------------------------

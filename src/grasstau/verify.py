@@ -424,9 +424,9 @@ def _suite_cocycle(report: SuiteReport, rng: Random, scale: str) -> None:
             g2 = _random_group_element(rng, ring)
             lower1 = GammaElement.from_parts(ring, gminus=g1.gminus, unit=g1.unit)
             lower2 = GammaElement.from_parts(ring, gminus=g2.gminus, unit=g2.unit)
-            mid = act(lower2, pt, promote=0)
-            lhs = tau_eval(pt, lower1 * lower2, promote=0)
-            rhs = tau_eval(mid, lower1, promote=0) * tau_eval(pt, lower2, promote=0)
+            mid = act(lower2, pt)
+            lhs = tau_eval(pt, lower1 * lower2)
+            rhs = tau_eval(mid, lower1) * tau_eval(pt, lower2)
             report.check(
                 f"lower-triangular action is multiplicative ({spec}, #{rep})",
                 lhs == rhs,

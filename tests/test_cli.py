@@ -248,6 +248,17 @@ def test_cli_tau_both_routes(capsys, tmp_path):
     ]
 
 
+def test_cli_tau_routes_check_their_input_alike(capsys, tmp_path):
+    # the column z^-1 + 3 + x1 z^5: no degree-2 minor reads x1, yet no
+    # route accepts it
+    column = _series({-1: [(0, "1")], 0: [(0, "3")], 5: [(1, "1")]})
+    payload = dict(TAU_PAYLOAD, point={"tail_depth": 1, "columns": [column]})
+    for method in ("direct", "schur", "both"):
+        code, out = run_cli(capsys, ["tau", "--deg", "2", "--method", method], payload, tmp_path)
+        assert code == 3 and out["kind"] == "precondition"
+        assert out["error"] == "tau needs a point with scalar coefficients"
+
+
 def test_cli_exit_codes(capsys, tmp_path):
     # malformed JSON -> 2
     path = tmp_path / "bad.json"
@@ -485,6 +496,14 @@ def test_cli_slow_rational_literal_is_malformed_at_once(capsys, tmp_path):
     start = time.perf_counter()
     code, out = run_cli(capsys, ["factor"], payload, tmp_path)
     assert time.perf_counter() - start < 0.05
+    assert code == 2 and out["kind"] == "malformed"
+
+
+@pytest.mark.parametrize("literal", ["1_000", "\uff11\uff12"])
+def test_cli_non_ascii_residue_literal_is_malformed(capsys, tmp_path, literal):
+    ring = dict(FACTOR_PAYLOAD["ring"], field="fp:5")
+    payload = {"ring": ring, "series": _series({0: [(0, literal)]})}
+    code, out = run_cli(capsys, ["factor"], payload, tmp_path)
     assert code == 2 and out["kind"] == "malformed"
 
 

@@ -23,6 +23,7 @@ from grasstau import (
     LaurentElement,
     MayaDiagram,
     NotInvertibleError,
+    PrecisionError,
     act,
     chart_transition,
     embed_finite,
@@ -106,6 +107,33 @@ def test_dependent_columns_do_not_raise_the_index():
     assert index(pt) == 0
 
 
+PAST_WINDOW = r"^minor needs the coefficient of z\^0, beyond the window$"
+
+
+def test_a_chart_block_past_the_window_names_its_first_row():
+    # known below z^0: the vacuum rows (-2, -1) are readable, the (2,2)
+    # rows (0, 1) are not, and both ways of reading the block say so alike
+    pt = GrassPoint(RING, 2, [c.truncate(0) for c in two_column_point().columns])
+    assert plucker(pt, MayaDiagram.vacuum()) == RING.one()
+    assert in_chart(pt, MayaDiagram.vacuum())
+    block = MayaDiagram.from_partition((2, 2))
+    for call in (plucker, in_chart):
+        with pytest.raises(PrecisionError, match=PAST_WINDOW):
+            call(pt, block)
+
+
+def test_index_refuses_what_the_window_cannot_decide():
+    with pytest.raises(PrecisionError, match=r"^index needs the column window to reach z\^0$"):
+        index(GrassPoint(RING, 2, [LaurentElement(RING, {-2: 1}, trunc=-1)]))
+    # exactly known, c and 2c are honestly dependent (see above); windowed,
+    # the unseen tails might still tell them apart
+    c = LaurentElement(RING, {-1: 1, 0: 2}, trunc=1)
+    with pytest.raises(
+        PrecisionError, match="^columns are dependent on the visible window; index undetermined$"
+    ):
+        index(GrassPoint(RING, 1, [c, c + c]))
+
+
 def test_columns_inside_the_tail_are_rejected():
     with pytest.raises(DomainError):
         GrassPoint(RING, 1, [LaurentElement(RING, {-2: 1})])
@@ -133,6 +161,13 @@ def test_upper_action_with_promotion_keeps_the_index():
     assert out.tail_depth == 4
     assert len(out.columns) == 4
     assert index(out) == 0
+
+
+def test_upper_action_refuses_a_negative_promotion():
+    ring = CoeffRing(QQ, 1, 2)
+    g = exp_gamma(ring, [ring.gen(0)], 1, trunc=6)
+    with pytest.raises(DomainError, match="^promote must be >= 0$"):
+        act(g, GrassPoint.base_point(ring, 2), promote=-1)
 
 
 def test_unit_action_scales_minors_by_column_count():

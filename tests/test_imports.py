@@ -1,4 +1,5 @@
-"""Every top-level import of a package module is used in that module.
+"""Every top-level import of a package module is used in that module,
+and every name the benchmark tracer wraps still exists.
 
 A name counts as used when the module reads it anywhere, including
 inside a string annotation; the package ``__init__`` may also re-export
@@ -6,6 +7,8 @@ it through ``__all__``.
 """
 
 import ast
+import importlib
+import runpy
 from pathlib import Path
 
 import pytest
@@ -56,3 +59,17 @@ def test_no_unused_top_level_import(path):
         used |= _exported(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def test_every_name_the_bench_tracer_wraps_exists():
+    # the tracer looks each of these up on install; a missing one would
+    # crash every traced benchmark run
+    tracing = runpy.run_path(str(TRACING))
+    for mod, fn in tracing["FUNCTIONS"].values():
+        assert callable(getattr(importlib.import_module(f"grasstau.{mod}"), fn, None)), f"{mod}.{fn}"
+    for mod, cls, meth in tracing["METHODS"].values():
+        owner = getattr(importlib.import_module(f"grasstau.{mod}"), cls)
+        assert callable(vars(owner).get(meth)), f"{mod}.{cls}.{meth}"

@@ -78,6 +78,13 @@ def test_rational_literals_are_ascii_integers_and_quotients(text):
         QQ.parse(text)
 
 
+@pytest.mark.parametrize("text", ["1_000", "\uff11\uff12"])
+def test_residue_literals_are_ascii_integers(text):
+    # int() alone would read these as 1000 and 12
+    with pytest.raises(DomainError, match="bad residue literal"):
+        GF(5).parse(text)
+
+
 def test_field_invert_guards():
     with pytest.raises(NotInvertibleError):
         GF(5).invert(0)

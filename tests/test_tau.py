@@ -83,17 +83,29 @@ def test_tau_positive_characteristic():
     assert t == t.ring.one() + 3 * t.ring.gen(0)
 
 
+NOT_SCALAR = "^tau needs a point with scalar coefficients$"
+
+
 def test_tau_rejects_variable_coefficients():
-    # the moved-block routes re-read the columns as scalars before the
-    # chart check (the second point is outside the vacuum chart too);
-    # tau_schur normalizes first and reads scalars chart by chart
+    # every route reads the columns as scalars before the chart check
+    # (the second point is outside the vacuum chart too)
     ring = CoeffRing(QQ, 1, 2)
     x = ring.gen(0)
     for col in ({-1: 1, 0: x}, {-1: x, 0: 1}):
         pt = GrassPoint(ring, 1, [LaurentElement(ring, col)])
-        for call in (lambda: tau_direct(pt, 2), lambda: baker(pt, 1, 1)):
-            with pytest.raises(DomainError, match="tau needs a point with scalar coefficients"):
+        for call in (lambda: tau_direct(pt, 2), lambda: tau_schur(pt, 2), lambda: baker(pt, 1, 1)):
+            with pytest.raises(DomainError, match=NOT_SCALAR):
                 call()
+
+
+def test_tau_rejects_a_variable_coefficient_no_minor_reads():
+    # x1 at z^5 lies past every row a degree-2 minor reads, so a route
+    # that only looked at the minors would answer 1 + 3 x1
+    x = RING.gen(0)
+    pt = GrassPoint(RING, 1, [LaurentElement(RING, {-1: 1, 0: 3, 5: x})])
+    for call in (lambda: tau_direct(pt, 2), lambda: tau_schur(pt, 2), lambda: baker(pt, 2, 1)):
+        with pytest.raises(DomainError, match=NOT_SCALAR):
+            call()
 
 
 OFF_CHART = re.escape(
