@@ -21,15 +21,19 @@ fresh coordinate rings that ``tau_direct`` and ``baker`` build on every
 call all find it already filled.  A table lives as long as the process
 and holds at most one entry per pair of surviving monomials; each entry
 depends only on the key, so sharing cannot change a result.
-Coefficients are combined with plain ``+`` and ``*``, with one ``% p``
-per accumulated coefficient in characteristic p and zeros dropped once
-at the end.
+An element stores integer numerators over one positive common
+denominator, which is 1 in characteristic p.  Ring arithmetic runs on
+those ints alone and brings each result to its canonical form once: a
+``% p`` per coefficient in characteristic p, one gcd over the result
+over Q.  ``Fraction`` values appear only when ``coeffs``, ``coefficient``
+or ``constant_term`` is read.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator
 
 from .errors import DomainError, NotInvertibleError, RingMismatchError
@@ -268,15 +272,21 @@ class CoeffRing:
             c = self.field.coerce(c)
             if c:
                 clean[mono] = c
+        # residues, and a single Fraction in lowest terms, are canonical as they stand
+        if self.field.char:
+            return _element(self, clean, 1)
+        if len(clean) == 1:
+            ((mono, c),) = clean.items()
+            n, d = c.as_integer_ratio()
+            return _element(self, {mono: n}, d)
         return RingElement(self, clean)
 
     def const(self, value) -> "RingElement":
-        c = self.field.coerce(value)
-        mono = (0,) * self.num_vars
-        return RingElement(self, {mono: c} if c else {})
+        n, d = self.field.coerce(value).as_integer_ratio()
+        return _element(self, {(0,) * self.num_vars: n} if n else {}, d)
 
     def zero(self) -> "RingElement":
-        return RingElement(self, {})
+        return _element(self, {}, 1)
 
     def one(self) -> "RingElement":
         return self.const(1)
@@ -288,7 +298,7 @@ class CoeffRing:
         mono = tuple(1 if j == i else 0 for j in range(self.num_vars))
         if self.weight(mono) > self.degree_bound:
             return self.zero()
-        return RingElement(self, {mono: self.field.one()})
+        return _element(self, {mono: 1}, 1)
 
 
 def power(one, base, n: int):
@@ -306,56 +316,87 @@ def power(one, base, n: int):
 
 
 class RingElement:
-    """A sparse element of a ``CoeffRing``.
+    """A sparse element of a ``CoeffRing``, stored as integer numerators
+    over one common denominator.
 
-    Invariants: no stored zero coefficients and no monomials past the
-    degree bound.  Instances are treated as immutable.
+    ``_num`` maps monomials within the degree bound to nonzero ints and
+    ``_den`` is a positive int; the element is sum_m _num[m] x^m / _den.
+    The form is canonical: in characteristic p the denominator is 1 and
+    every numerator lies in [1, p); over Q the gcd of the denominator and
+    all numerators is 1.  Over Q it is unique too: if N/D = N'/D', both
+    canonical, then D'·N = D·N', so D divides D'·gcd(N); D is prime to
+    gcd(N), so D divides D', and by symmetry D = D' and N = N'.  So
+    ``==`` compares ring, denominator and numerators directly.
+
+    ``RingElement(ring, coeffs)`` takes the {monomial: field value} dict
+    that ``coeffs`` returns: Fractions in lowest terms over Q (ints also
+    do), residues in [0, p) in characteristic p; zeros are dropped.  The
+    lcm D of the reduced denominators d_m with numerators a_m D / d_m is
+    already canonical: a prime power q^k exactly dividing D exactly
+    divides some d_j, and then q divides neither D / d_j nor a_j.
+
+    Instances are treated as immutable.
     """
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "_num", "_den")
 
     def __init__(self, ring: CoeffRing, coeffs: dict):
+        ratios = {m: c.as_integer_ratio() for m, c in coeffs.items() if c}
+        den = lcm(*[d for _, d in ratios.values()])
         self.ring = ring
-        self.coeffs = coeffs
+        self._num = {m: n * (den // d) for m, (n, d) in ratios.items()}
+        self._den = den
 
     # -- inspection -------------------------------------------------------
 
+    @property
+    def coeffs(self) -> dict:
+        """{monomial: field value}: Fractions in lowest terms over Q,
+        residues in [1, p) in characteristic p.  A fresh dict on every read."""
+        if self.ring.field.char:
+            return dict(self._num)
+        den = self._den
+        return {m: Fraction(n, den) for m, n in self._num.items()}
+
+    def _value(self, n: int):
+        return n if self.ring.field.char else Fraction(n, self._den)
+
     def coefficient(self, mono: Monomial):
-        return self.coeffs.get(tuple(mono), self.ring.field.zero())
+        return self._value(self._num.get(tuple(mono), 0))
 
     def constant_term(self):
-        return self.coeffs.get((0,) * self.ring.num_vars, self.ring.field.zero())
+        return self._value(self._num.get((0,) * self.ring.num_vars, 0))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def is_constant(self) -> bool:
         zero_mono = (0,) * self.ring.num_vars
-        return all(m == zero_mono for m in self.coeffs)
+        return all(m == zero_mono for m in self._num)
 
     def is_unit(self) -> bool:
-        return bool(self.constant_term())
+        return (0,) * self.ring.num_vars in self._num
 
     def is_nilpotent(self) -> bool:
-        return not self.constant_term()
+        return (0,) * self.ring.num_vars not in self._num
 
     def terms(self) -> Iterator[tuple[Monomial, object]]:
         return iter(sorted(self.coeffs.items()))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = self.ring.const(other)
         if not isinstance(other, RingElement):
             return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
+        return self.ring == other.ring and self._den == other._den and self._num == other._num
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self._num:
             return "0"
         bits = []
         for mono, c in sorted(self.coeffs.items(), key=lambda t: (self.ring.weight(t[0]), t[0])):
@@ -383,56 +424,60 @@ class RingElement:
             return self.ring.const(other)
         return NotImplemented  # type: ignore[return-value]
 
-    def _reduced(self, coeffs: dict) -> "RingElement":
-        """An element of this ring from plainly accumulated coefficients:
-        each reduced once mod p in characteristic p, zeros dropped."""
-        p = self.ring.field.char
-        if p:
-            return RingElement(self.ring, {m: r for m, c in coeffs.items() if (r := c % p)})
-        return RingElement(self.ring, {m: c for m, c in coeffs.items() if c})
+    def _plus(self, other: "RingElement", sign: int) -> "RingElement":
+        """self + sign * other, sign = 1 or -1, over the lcm of the two
+        denominators, in one pass."""
+        d1, d2 = self._den, other._den
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, sign * (d1 // g)
+        out = dict(self._num) if s1 == 1 else {m: c * s1 for m, c in self._num.items()}
+        for mono, c in other._num.items():
+            prev = out.get(mono)
+            out[mono] = c * s2 if prev is None else prev + c * s2
+        return _reduced(self.ring, out, d1 // g * d2)
 
     def __add__(self, other) -> "RingElement":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            prev = out.get(mono)
-            out[mono] = c if prev is None else prev + c
-        return self._reduced(out)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RingElement":
-        return self._reduced({m: -c for m, c in self.coeffs.items()})
+        # negation keeps the form canonical: p - c stays in [1, p), and
+        # -N over D has the gcd N over D has
+        p = self.ring.field.char
+        num = {m: p - c for m, c in self._num.items()} if p else {m: -c for m, c in self._num.items()}
+        return _element(self.ring, num, self._den)
 
     def __sub__(self, other) -> "RingElement":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            prev = out.get(mono)
-            out[mono] = -c if prev is None else prev - c
-        return self._reduced(out)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "RingElement":
-        return (-self) + other
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other._plus(self, -1)
 
     def __mul__(self, other) -> "RingElement":
         if isinstance(other, (int, Fraction)):
             try:
-                c = self.ring.field.coerce(other)
+                k = self.ring.field.coerce(other)
             except DomainError:
                 return NotImplemented
-            return self._reduced({m: a * c for m, a in self.coeffs.items()})
+            a = k.numerator
+            return _reduced(self.ring, {m: c * a for m, c in self._num.items()}, self._den * k.denominator)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         ring = self.ring
-        right = other.coeffs.items()
-        out: dict[Monomial, object] = {}
-        for m1, c1 in self.coeffs.items():
+        right = other._num.items()
+        out: dict[Monomial, int] = {}
+        for m1, c1 in self._num.items():
             row = ring._product_row(m1)
             for m2, c2 in right:
                 try:
@@ -442,7 +487,7 @@ class RingElement:
                 if mono is not None:
                     prev = out.get(mono)
                     out[mono] = c1 * c2 if prev is None else prev + c1 * c2
-        return self._reduced(out)
+        return _reduced(ring, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -450,31 +495,40 @@ class RingElement:
         return power(self.ring.one(), self, n)
 
     def inverse(self) -> "RingElement":
-        """Inverse in the truncated ring, filled in order of weight level.
+        """Inverse in the truncated ring, on integers, filled in order of
+        weight level.
 
-        Write f = c + sum_{A != 0} p_A x^A.  The inverse y has y_0 = c^{-1}
-        and y_M = -c^{-1} sum_{A != 0} p_A y_{M-A}, read off the x^M
-        coefficient of f y = 1.  Every nonzero monomial has weight >= 1
-        (weights are positive), so each y_{M-A} on the right sits at a
-        lower weight level than M: visiting levels in increasing order, a
-        finished y_B pushes y_B * (-c^{-1} p_A) into the bucket of B * A,
-        which is final, and so equal to y_{B*A}, by the time its own level
-        is visited.  That is about one product's work.
+        Write the element as g / D with g = c + sum_{A != 0} N_A x^A the
+        integer numerators and c != 0.  Then g^{-1} = sum_M Y_M x^M /
+        c^{w(M)+1} with integers Y_0 = 1 and
+        Y_M = -sum_{A != 0} N_A c^{w(A)-1} Y_{M-A}, read off the x^M
+        coefficient of g g^{-1} = 1 after multiplying it by c^{w(M)}.
+        Every nonzero monomial has weight >= 1 (weights are positive), so
+        each Y_{M-A} on the right sits at a lower weight level than M:
+        visiting levels in increasing order, a finished Y_B pushes
+        Y_B * (-N_A c^{w(A)-1}) into the bucket of B * A, which is final,
+        and so equal to Y_{B*A}, by the time its own level is visited.
+        That is about one product's work.  Over the common denominator
+        c^{K+1}, K the degree bound, the inverse D g^{-1} has numerators
+        D Y_B c^{K-w(B)}; the reducer makes the denominator positive, or
+        divides by it mod p.  In characteristic p every Y is kept mod p.
         """
         ring = self.ring
-        c = self.constant_term()
-        if not c:
+        one = (0,) * ring.num_vars
+        c = self._num.get(one)
+        if c is None:
             raise NotInvertibleError("element has zero constant term")
         p = ring.field.char
-        cinv = ring.field.invert(c)
-        one = (0,) * ring.num_vars
-        rest = sorted(
-            ((ring.weight(a), a, -cinv * pa) for a, pa in self.coeffs.items() if a != one),
-            key=lambda t: t[0],
-        )
+        rest = []
+        for a, n in self._num.items():
+            if a != one:
+                w = ring.weight(a)
+                rest.append((w, a, -n * c ** (w - 1)))
+        rest.sort(key=lambda t: t[0])
         bound = ring.degree_bound
+        scale = [self._den * c**k for k in range(bound, -1, -1)]  # D c^(K - level)
         levels: list[dict] = [{} for _ in range(bound + 1)]
-        levels[0][one] = cinv
+        levels[0][one] = 1
         out = {}
         for level, bucket in enumerate(levels):
             for mono, y in bucket.items():
@@ -482,7 +536,7 @@ class RingElement:
                     y %= p
                 if not y:
                     continue
-                out[mono] = y
+                out[mono] = y * scale[level]
                 row = ring._product_row(mono)
                 for wa, a, q in rest:
                     if level + wa > bound:
@@ -495,4 +549,33 @@ class RingElement:
                         target = levels[level + wa]
                         prev = target.get(prod)
                         target[prod] = q * y if prev is None else prev + q * y
-        return RingElement(ring, out)
+        return _reduced(ring, out, c ** (bound + 1))
+
+
+def _element(ring: CoeffRing, num: dict, den: int) -> RingElement:
+    """The element num / den of ring, already in canonical form."""
+    e = object.__new__(RingElement)
+    e.ring, e._num, e._den = ring, num, den
+    return e
+
+
+def _reduced(ring: CoeffRing, num: dict, den: int) -> RingElement:
+    """The element sum num[m] x^m / den of ring, for any ints and a
+    nonzero den, brought to canonical form: in characteristic p one
+    ``% p`` per coefficient (after dividing by den mod p), over Q one gcd
+    over the result, taken with den's sign; zeros dropped either way."""
+    p = ring.field.char
+    if p:
+        if den != 1:
+            k = pow(den, -1, p)
+            num = {m: c * k for m, c in num.items()}
+        return _element(ring, {m: r for m, c in num.items() if (r := c % p)}, 1)
+    num = {m: c for m, c in num.items() if c}
+    if den != 1:
+        g = gcd(den, *num.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            den //= g
+            num = {m: c // g for m, c in num.items()}
+    return _element(ring, num, den)

@@ -114,11 +114,12 @@ def tau_direct(point: GrassPoint, bound: int) -> RingElement:
 
 def tau_schur(point: GrassPoint, bound: int) -> RingElement:
     """Chart expansion: sum over |lam| <= bound of F_lam times the
-    normalized lam-minor of the point, a scalar since the point is."""
+    normalized lam-minor of the point, a scalar since the point is.  The
+    empty partition's normalized minor is the vacuum minor over itself."""
     _, delta = _scalar_columns(point, bound, bound)
     dinv = delta.inverse()
-    coords = {}
-    for lam in partitions_up_to(bound):
+    coords = {(): 1}
+    for lam in partitions_up_to(bound)[1:]:
         minor = plucker(point, MayaDiagram.from_partition(lam))
         if not minor.is_zero():
             coords[lam] = (minor * dinv).constant_term()

@@ -1,5 +1,6 @@
 """Every top-level import of a package module is used in that module,
-and every name the benchmark tracer wraps still exists.
+no module but ``scalars`` touches how a ring element is stored, and
+every name the benchmark tracer wraps still exists.
 
 A name counts as used when the module reads it anywhere, including
 inside a string annotation; the package ``__init__`` may also re-export
@@ -59,6 +60,26 @@ def test_no_unused_top_level_import(path):
         used |= _exported(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+# how a RingElement stores its coefficients is scalars.py's business: other
+# modules read ``coeffs`` and build elements through the ring
+RING_STORAGE = {"_num", "_den"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "scalars"], ids=lambda p: p.stem)
+def test_ring_element_storage_stays_private(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in RING_STORAGE:
+            found.append(f"line {node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "RingElement":
+                found.append(f"line {node.lineno}: RingElement(...)")
+    assert not found, f"{path.name}: {found}"
 
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"

@@ -4,6 +4,7 @@ import copy
 import pickle
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -336,3 +337,103 @@ def test_dense_unit_inverse_frozen():
     unit = ring.element({m: 3 if i == 0 else i % 4 + 1 for i, m in enumerate(monos)})
     expected = "22022330243121343020122212402313234431244343142011240403"
     assert unit.inverse() == ring.element(dict(zip(monos, map(int, expected))))
+
+
+def _canonical(x):
+    """Integer numerators over one common denominator, in canonical form,
+    and ``coeffs`` reading the same values."""
+    p = x.ring.field.char
+    num, den = x._num, x._den
+    assert all(type(n) is int and n for n in num.values())
+    assert all(x.ring.weight(m) <= x.ring.degree_bound for m in num)
+    coeffs = x.coeffs
+    assert coeffs.keys() == num.keys()
+    if p:
+        assert den == 1
+        assert all(type(c) is int and 1 <= c < p for c in coeffs.values())
+        assert coeffs == num
+    else:
+        assert type(den) is int and den >= 1
+        assert gcd(den, *num.values()) == 1
+        for m, c in coeffs.items():
+            assert type(c) is Fraction and c.denominator > 0
+            assert gcd(c.numerator, c.denominator) == 1
+            assert c == Fraction(num[m], den)
+    assert RingElement(x.ring, coeffs) == x
+    return x
+
+
+def _scalar(field):
+    if field.char:
+        return st.integers(-7, 7)
+    return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(2), GF(3), GF(5)]),
+    st.sampled_from([(2, 3, None), (2, 4, (1, 2)), (3, 2, None)]),
+    st.data(),
+)
+def test_ring_results_are_canonical(field, shape, data):
+    ring = CoeffRing(field, *shape)
+    a, b = data.draw(_element(ring)), data.draw(_element(ring))
+    k = data.draw(_scalar(field))
+    n = data.draw(st.integers(0, 4))
+    for x in (a, b, a * b, a + b, a - b, b - a, -a, a**n, a * k, k * a, 3 - a, a + k):
+        _canonical(x)
+    unit = _canonical(a if a.is_unit() else a + 1).inverse()
+    _canonical(unit)
+    _canonical(unit * (a if a.is_unit() else a + 1))
+    assert unit * (a if a.is_unit() else a + 1) == ring.one()
+    # the same element reached by different routes is the same element
+    assert _canonical(a * k - a * k).is_zero()
+    if field.char:
+        p = field.char
+        for j in range(1, p):
+            assert (a * j) * pow(j, -1, p) == a
+        written, value = -1, p - 1
+    else:
+        assert (a * Fraction(1, 3)) * 3 == a
+        written, value = Fraction(2, 4), Fraction(1, 2)
+    for m in ring.monomials():
+        x_m = ring.element({m: 1})
+        assert _canonical(ring.element({m: written})) == ring.const(value) * x_m
+        assert _canonical(ring.element({m: written}) * a) == _canonical(a * value * x_m)
+
+
+def test_inverse_of_a_negative_constant_term_frozen():
+    """Units with constant term -3/2 over Q, at an even and an odd degree
+    bound (so c^(K+1) is once negative, once positive); coefficients in
+    ``monomials()`` order, expected values from the Fraction-based inverse."""
+    expected = {
+        4: "-2/3 4/9 -20/27 16/9 -70/27 -40/9 724/81 968/81 -7876/243",
+        5: "-2/3 4/9 -20/27 16/9 -70/27 16/3 -164/27 40/3 1588/81 -13904/243 -15722/243 155104/729",
+    }
+    for bound, want in expected.items():
+        ring = CoeffRing(QQ, 2, bound, weights=(1, 2))
+        monos = list(ring.monomials())
+        unit = ring.element(
+            {
+                m: Fraction(-3, 2) if i == 0 else Fraction((-1) ** i * (i % 4 + 1), i % 3 + 1)
+                for i, m in enumerate(monos)
+            }
+        )
+        inv = _canonical(unit.inverse())
+        assert inv == ring.element(dict(zip(monos, map(Fraction, want.split()))))
+        assert [str(inv.coefficient(m)) for m in monos] == want.split()
+        assert unit * inv == ring.one()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+def test_ring_elements_survive_pickle_and_deepcopy(field):
+    ring = coordinate_ring(field, 3)
+    x1, x2 = ring.gen(0), ring.gen(1)
+    elements = [ring.zero(), ring.one(), x1, (x1 * 3 + x2 * 2 - 4) * 7, (1 + x1 - x2).inverse()]
+    if not field.char:
+        elements.append(x1 * Fraction(2, 9) + x2 * Fraction(-5, 6) + Fraction(7, 4))
+    for x in elements:
+        for back in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert back == x
+            assert repr(sorted(back.coeffs.items())) == repr(sorted(x.coeffs.items()))
+            assert _canonical(back + x) == x * 2

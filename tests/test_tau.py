@@ -35,6 +35,8 @@ from grasstau import (
     exp_gamma,
     factorize,
     kp_residual,
+    partitions_up_to,
+    plucker,
     schur_polynomial,
     tau_crosscheck,
     tau_direct,
@@ -69,6 +71,24 @@ def test_tau_two_column_frozen():
     expected = t.ring.one() + 2 * x1 + 4 * x2 - x1 * x1 - x1 * x2 + x3
     assert t == expected
     assert tau_direct(two_column_point(), 3) == tau_schur(two_column_point(), 3)
+
+
+def test_tau_schur_takes_each_minor_once(monkeypatch):
+    # the vacuum minor normalizes; the empty partition reuses it
+    import grasstau.tau as tau_module
+
+    calls = []
+
+    def counted(point, diagram):
+        calls.append(diagram)
+        return plucker(point, diagram)
+
+    monkeypatch.setattr(tau_module, "plucker", counted)
+    pt = two_column_point()
+    assert tau_schur(pt, 2) == tau_direct(pt, 2)
+    calls.clear()
+    tau_schur(pt, 2)
+    assert len(calls) == len(partitions_up_to(2)) == 4
 
 
 def test_tau_of_the_base_point_is_one():
