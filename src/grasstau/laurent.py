@@ -4,7 +4,12 @@ An element is stored as a sparse map {exponent: coefficient} plus a
 truncation order ``trunc``.  Coefficients at exponents below ``trunc``
 are exactly known (absent means zero); at or above ``trunc`` they are
 unknown.  ``trunc is None`` means the element is known exactly at every
-exponent, i.e. it is a genuine Laurent polynomial.
+exponent, i.e. it is a genuine Laurent polynomial.  Exponents and
+``trunc`` are ints (never bools); the constructor refuses anything else
+with ``DomainError`` and drops zero coefficients and those at or past
+``trunc``.  ``+``, ``-`` and ``*`` combine a series with a series over
+an equal ring or with any operand that ring elements take
+(``scalars._operand``), read as a constant series.
 
 Windows propagate through arithmetic pessimistically but sharply: for a
 product the unknown tail of one factor meets the lowest term of the
@@ -34,10 +39,8 @@ further down, and z^{-n} moves the result down by n once more.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DomainError, NotInvertibleError, PrecisionError, RingMismatchError
-from .scalars import CoeffRing, RingElement, power
+from .scalars import CoeffRing, RingElement, _operand, power
 
 
 def neumann(one, u):
@@ -60,16 +63,18 @@ class LaurentElement:
     __slots__ = ("ring", "coeffs", "trunc")
 
     def __init__(self, ring: CoeffRing, coeffs: dict, trunc: int | None = None):
+        if trunc is not None and type(trunc) is not int:
+            raise DomainError(f"truncation order must be an int or None, not {trunc!r}")
         clean: dict[int, RingElement] = {}
         for e, c in coeffs.items():
+            if type(e) is not int:
+                raise DomainError(f"Laurent exponents must be ints, not {e!r}")
             if not isinstance(c, RingElement):
                 c = ring.const(c)
-            elif c.ring != ring:
+            elif c.ring is not ring and c.ring != ring:
                 raise RingMismatchError("coefficient from a different ring")
-            if trunc is not None and e >= trunc:
-                continue
-            if c:
-                clean[int(e)] = c
+            if c and (trunc is None or e < trunc):
+                clean[e] = c
         self.ring = ring
         self.coeffs = clean
         self.trunc = trunc
@@ -94,18 +99,17 @@ class LaurentElement:
 
     # -- inspection ------------------------------------------------------------
 
-    @property
-    def min_exp(self) -> int:
-        """Lowest exponent of the known support (0 for the zero series)."""
-        if self.coeffs:
-            return min(self.coeffs)
-        return self.trunc if self.trunc is not None else 0
-
     def _low(self) -> int | None:
         """Lowest possibly-nonzero exponent; None means +infinity (exact zero)."""
         if self.coeffs:
             return min(self.coeffs)
         return self.trunc  # known part vanishes; tail starts at trunc
+
+    @property
+    def min_exp(self) -> int:
+        """Lowest exponent of the known support (0 for the zero series)."""
+        low = self._low()
+        return 0 if low is None else low
 
     def coefficient(self, e: int) -> RingElement:
         if self.trunc is not None and e >= self.trunc:
@@ -180,31 +184,35 @@ class LaurentElement:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, other: "LaurentElement") -> None:
-        if self.ring != other.ring:
-            raise RingMismatchError("Laurent elements over different coefficient rings")
+    def _series(self, other) -> "LaurentElement":
+        """``other`` as a series over this ring, or NotImplemented; a ring
+        element or a scalar ``scalars._operand`` takes is a constant series."""
+        if isinstance(other, LaurentElement):
+            if other.ring != self.ring:
+                raise RingMismatchError("Laurent elements over different coefficient rings")
+            return other
+        if not isinstance(other, RingElement):
+            other = _operand(self.ring, other)
+            if other is NotImplemented:
+                return NotImplemented
+        return LaurentElement(self.ring, {0: other})
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, RingElement)):
-            other = LaurentElement.const(self.ring, other)
-        if not isinstance(other, LaurentElement):
-            return NotImplemented
-        self._check(other)
-        if self.trunc is None:
-            trunc = other.trunc
-        elif other.trunc is None:
-            trunc = self.trunc
-        else:
-            trunc = min(self.trunc, other.trunc)
+    def _plus(self, other: "LaurentElement", sign: int) -> "LaurentElement":
+        """self + sign * other, sign = 1 or -1, in one pass; known below
+        the narrower window."""
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
+            if sign < 0:
+                out[e] = -c if s is None else s - c
             else:
-                out.pop(e, None)
-        return LaurentElement(self.ring, out, trunc)
+                out[e] = c if s is None else s + c
+        truncs = [t for t in (self.trunc, other.trunc) if t is not None]
+        return LaurentElement(self.ring, out, min(truncs, default=None))
+
+    def __add__(self, other):
+        other = self._series(other)
+        return NotImplemented if other is NotImplemented else self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -212,31 +220,23 @@ class LaurentElement:
         return LaurentElement(self.ring, {e: -c for e, c in self.coeffs.items()}, self.trunc)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, RingElement)):
-            other = LaurentElement.const(self.ring, other)
-        if not isinstance(other, LaurentElement):
-            return NotImplemented
-        return self + (-other)
+        other = self._series(other)
+        return NotImplemented if other is NotImplemented else self._plus(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._series(other)
+        return NotImplemented if other is NotImplemented else other._plus(self, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RingElement)):
-            other = LaurentElement.const(self.ring, other)
-        if not isinstance(other, LaurentElement):
+        other = self._series(other)
+        if other is NotImplemented:
             return NotImplemented
-        self._check(other)
         low_s, low_o = self._low(), other._low()
         # an exact zero annihilates everything, unknown tails included
         if low_s is None or low_o is None:
             return LaurentElement.zero(self.ring)
-        candidates = []
-        if self.trunc is not None:
-            candidates.append(self.trunc + low_o)
-        if other.trunc is not None:
-            candidates.append(other.trunc + low_s)
-        trunc = min(candidates) if candidates else None
+        truncs = [t + low for t, low in ((self.trunc, low_o), (other.trunc, low_s)) if t is not None]
+        trunc = min(truncs, default=None)
         out: dict[int, RingElement] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -244,14 +244,9 @@ class LaurentElement:
                 if trunc is not None and e >= trunc:
                     continue
                 p = c1 * c2
-                if not p:
-                    continue
-                s = out.get(e)
-                s = p if s is None else s + p
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                if p:
+                    s = out.get(e)
+                    out[e] = p if s is None else s + p
         return LaurentElement(self.ring, out, trunc)
 
     __rmul__ = __mul__

@@ -27,6 +27,11 @@ those ints alone and brings each result to its canonical form once: a
 ``% p`` per coefficient in characteristic p, one gcd over the result
 over Q.  ``Fraction`` values appear only when ``coeffs``, ``coefficient``
 or ``constant_term`` is read.
+
+Which Python values stand for ring elements is decided here alone:
+``BaseField.coerce`` reads the values of the one constructor,
+``RingElement(ring, coeffs)``, and ``_operand`` the other operand of
+ring elements and series alike (see ``RingElement``).
 """
 
 from __future__ import annotations
@@ -80,7 +85,8 @@ class BaseField:
         return n % self.char
 
     def coerce(self, value):
-        """Accept ints, Fractions (char 0 only), or already-raw values."""
+        """A field value: an int (reduced mod p in characteristic p) or,
+        over Q, a Fraction; a bool or anything else is a ``DomainError``."""
         if isinstance(value, bool):
             raise DomainError("booleans are not field values")
         if isinstance(value, int):
@@ -261,25 +267,9 @@ class CoeffRing:
     # -- element constructors --------------------------------------------
 
     def element(self, coeffs: dict) -> "RingElement":
-        """Build an element from {monomial tuple: coefficient}."""
-        clean: dict[Monomial, object] = {}
-        for mono, c in coeffs.items():
-            mono = tuple(mono)
-            if len(mono) != self.num_vars or any(e < 0 for e in mono):
-                raise DomainError(f"bad monomial {mono} for {self!r}")
-            if self.weight(mono) > self.degree_bound:
-                continue
-            c = self.field.coerce(c)
-            if c:
-                clean[mono] = c
-        # residues, and a single Fraction in lowest terms, are canonical as they stand
-        if self.field.char:
-            return _element(self, clean, 1)
-        if len(clean) == 1:
-            ((mono, c),) = clean.items()
-            n, d = c.as_integer_ratio()
-            return _element(self, {mono: n}, d)
-        return RingElement(self, clean)
+        """Build an element from {monomial tuple: coefficient}; the same as
+        ``RingElement(self, coeffs)``."""
+        return RingElement(self, coeffs)
 
     def const(self, value) -> "RingElement":
         n, d = self.field.coerce(value).as_integer_ratio()
@@ -328,12 +318,18 @@ class RingElement:
     gcd(N), so D divides D', and by symmetry D = D' and N = N'.  So
     ``==`` compares ring, denominator and numerators directly.
 
-    ``RingElement(ring, coeffs)`` takes the {monomial: field value} dict
-    that ``coeffs`` returns: Fractions in lowest terms over Q (ints also
-    do), residues in [0, p) in characteristic p; zeros are dropped.  The
-    lcm D of the reduced denominators d_m with numerators a_m D / d_m is
+    ``RingElement(ring, coeffs)`` is the one constructor, and
+    ``ring.element(coeffs)`` calls it.  It refuses a monomial of the wrong
+    length or with a negative exponent, drops those past the bound and
+    reads each value with ``BaseField.coerce``: an int (reduced mod p in
+    characteristic p) or a Fraction over Q, never a bool.  Over Q the lcm
+    D of the reduced denominators d_m with numerators a_m D / d_m is
     already canonical: a prime power q^k exactly dividing D exactly
     divides some d_j, and then q divides neither D / d_j nor a_j.
+
+    ``+``, ``-``, ``*`` and ``==`` take an element of an equal ring, an
+    int, or a Fraction over Q (``_operand``); anything else, a bool
+    included, gives ``TypeError``, or False for ``==``.
 
     Instances are treated as immutable.
     """
@@ -341,11 +337,23 @@ class RingElement:
     __slots__ = ("ring", "_num", "_den")
 
     def __init__(self, ring: CoeffRing, coeffs: dict):
-        ratios = {m: c.as_integer_ratio() for m, c in coeffs.items() if c}
-        den = lcm(*[d for _, d in ratios.values()])
+        field = ring.field
+        values: dict[Monomial, object] = {}
+        for mono, c in coeffs.items():
+            mono = tuple(mono)
+            if len(mono) != ring.num_vars or any(e < 0 for e in mono):
+                raise DomainError(f"bad monomial {mono} for {ring!r}")
+            if ring.weight(mono) > ring.degree_bound:
+                continue
+            c = field.coerce(c)
+            if c:
+                values[mono] = c
         self.ring = ring
-        self._num = {m: n * (den // d) for m, (n, d) in ratios.items()}
-        self._den = den
+        if field.char:
+            self._num, self._den = values, 1
+            return
+        self._den = den = lcm(*[c.denominator for c in values.values()])
+        self._num = {m: c.numerator * (den // c.denominator) for m, c in values.items()}
 
     # -- inspection -------------------------------------------------------
 
@@ -387,10 +395,10 @@ class RingElement:
         return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = self.ring.const(other)
-        if not isinstance(other, RingElement):
-            return NotImplemented
+        if not isinstance(other, RingElement):  # across rings it is False, not refused
+            other = _operand(self.ring, other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.ring == other.ring and self._den == other._den and self._num == other._num
 
     __hash__ = None  # type: ignore[assignment]
@@ -413,17 +421,6 @@ class RingElement:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other) -> "RingElement":
-        if isinstance(other, RingElement):
-            if other.ring is not self.ring and other.ring != self.ring:
-                raise RingMismatchError(
-                    f"cannot combine elements of {self.ring!r} and {other.ring!r}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ring.const(other)
-        return NotImplemented  # type: ignore[return-value]
-
     def _plus(self, other: "RingElement", sign: int) -> "RingElement":
         """self + sign * other, sign = 1 or -1, over the lcm of the two
         denominators, in one pass."""
@@ -437,10 +434,8 @@ class RingElement:
         return _reduced(self.ring, out, d1 // g * d2)
 
     def __add__(self, other) -> "RingElement":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._plus(other, 1)
+        other = _operand(self.ring, other)
+        return NotImplemented if other is NotImplemented else self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -452,29 +447,23 @@ class RingElement:
         return _element(self.ring, num, self._den)
 
     def __sub__(self, other) -> "RingElement":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._plus(other, -1)
+        other = _operand(self.ring, other)
+        return NotImplemented if other is NotImplemented else self._plus(other, -1)
 
     def __rsub__(self, other) -> "RingElement":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other._plus(self, -1)
+        other = _operand(self.ring, other)
+        return NotImplemented if other is NotImplemented else other._plus(self, -1)
 
     def __mul__(self, other) -> "RingElement":
-        if isinstance(other, (int, Fraction)):
-            try:
-                k = self.ring.field.coerce(other)
-            except DomainError:
-                return NotImplemented
-            a = k.numerator
-            return _reduced(self.ring, {m: c * a for m, c in self._num.items()}, self._den * k.denominator)
-        other = self._coerce(other)
+        other = _operand(self.ring, other)
         if other is NotImplemented:
             return NotImplemented
         ring = self.ring
+        den = self._den * other._den
+        if len(other._num) == 1 and (0,) * ring.num_vars in other._num:
+            # a constant, a scalar operand say, scales the numerators
+            (a,) = other._num.values()
+            return _reduced(ring, {m: c * a for m, c in self._num.items()}, den)
         right = other._num.items()
         out: dict[Monomial, int] = {}
         for m1, c1 in self._num.items():
@@ -487,7 +476,7 @@ class RingElement:
                 if mono is not None:
                     prev = out.get(mono)
                     out[mono] = c1 * c2 if prev is None else prev + c1 * c2
-        return _reduced(ring, out, self._den * other._den)
+        return _reduced(ring, out, den)
 
     __rmul__ = __mul__
 
@@ -550,6 +539,21 @@ class RingElement:
                         prev = target.get(prod)
                         target[prod] = q * y if prev is None else prev + q * y
         return _reduced(ring, out, c ** (bound + 1))
+
+
+def _operand(ring: CoeffRing, other) -> RingElement:
+    """``other`` as an element of ``ring``, or NotImplemented: the one rule
+    for which values mix with ring elements and series.  An element of an
+    equal ring passes and one of another ring is refused; an int, or a
+    Fraction over Q, becomes a constant.  A bool never does, nor does a
+    Fraction in characteristic p, so Python raises ``TypeError`` for them."""
+    if isinstance(other, RingElement):
+        if other.ring is not ring and other.ring != ring:
+            raise RingMismatchError(f"cannot combine elements of {ring!r} and {other.ring!r}")
+        return other
+    if isinstance(other, bool) or not isinstance(other, int if ring.field.char else (int, Fraction)):
+        return NotImplemented  # type: ignore[return-value]
+    return ring.const(other)
 
 
 def _element(ring: CoeffRing, num: dict, den: int) -> RingElement:

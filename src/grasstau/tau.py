@@ -228,13 +228,17 @@ def kp_residual(tau_poly: RingElement, order: int) -> RingElement:
     cap = w + 2  # u-degrees past w + 1 never reach a residue term
 
     def substitute(images: list[LaurentElement]) -> LaurentElement:
-        """tau at x_i -> images[i - 1], a series in u known below u^cap."""
+        """tau at x_i -> images[i - 1], a series in u known below u^cap;
+        each power images[i] ** e is taken once."""
+        powers: dict[tuple[int, int], LaurentElement] = {}
         total = LaurentElement.zero(joint, cap)
         for mono, coeff in tau_poly.coeffs.items():
             term = LaurentElement(joint, {0: coeff}, cap)
-            for image, e in zip(images, mono):
+            for i, e in enumerate(mono):
                 if e:
-                    term = term * image ** e
+                    if (i, e) not in powers:
+                        powers[i, e] = images[i] ** e
+                    term = term * powers[i, e]
             total = total + term
         return total
 

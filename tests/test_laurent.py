@@ -231,3 +231,13 @@ def test_windowed_inverse_ignores_the_unknown_tail(ring, lo, known, gap, tail):
         terms[trunc + i] = ring.const(a) + x1 * b
     longer = LaurentElement(ring, terms, trunc + len(tail)).inverse()
     assert longer.truncate(inv.trunc) == inv
+
+
+@pytest.mark.parametrize(
+    "coeffs, trunc",
+    [({1.7: 1}, None), ({1.0: 1}, None), ({True: 1}, None), ({0: 1}, 2.0), ({0: 1}, True)],
+    ids=["float-exponent", "integral-float-exponent", "bool-exponent", "float-trunc", "bool-trunc"],
+)
+def test_exponents_and_truncation_orders_are_ints(coeffs, trunc):
+    with pytest.raises(DomainError, match="must be an int|must be ints"):
+        L(coeffs, trunc)

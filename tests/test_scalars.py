@@ -437,3 +437,103 @@ def test_ring_elements_survive_pickle_and_deepcopy(field):
             assert back == x
             assert repr(sorted(back.coeffs.items())) == repr(sorted(x.coeffs.items()))
             assert _canonical(back + x) == x * 2
+
+
+# ----------------------------------------------------------------------
+# The scalar boundary: one constructor, one operand rule.
+# ----------------------------------------------------------------------
+
+BOUNDARY_FIELDS = [QQ, GF(2), GF(3), GF(5)]
+BOUNDARY_SHAPES = [(1, 2, None), (2, 3, None), (2, 4, (1, 2))]
+
+
+def _raw_value(field):
+    """A field value as a caller writes it: unreduced residues in
+    characteristic p, ints and Fractions over Q."""
+    if field.char:
+        return st.integers(-20, 20)
+    return st.one_of(st.integers(-20, 20), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+
+
+def _built(make, ring, coeffs):
+    try:
+        return make(ring, coeffs)
+    except DomainError as exc:
+        return ("refused", str(exc))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(BOUNDARY_FIELDS), st.sampled_from(BOUNDARY_SHAPES), st.data())
+def test_ring_element_is_the_one_constructor(field, shape, data):
+    ring = CoeffRing(field, *shape)
+    n = ring.num_vars
+    # monomials inside the bound and past it, sometimes one of the wrong
+    # length or with a negative exponent
+    mono = st.tuples(*[st.integers(0, ring.degree_bound + 1)] * n)
+    bad = st.one_of(st.tuples(*[st.integers(0, 2)] * (n + 1)), st.tuples(st.just(-1), *[st.just(0)] * (n - 1)))
+    monos = st.one_of(mono, bad) if data.draw(st.booleans()) else mono
+    coeffs = data.draw(st.dictionaries(monos, _raw_value(field), max_size=6))
+    direct = _built(RingElement, ring, coeffs)
+    assert direct == _built(CoeffRing.element, ring, coeffs)
+    if isinstance(direct, RingElement):
+        _canonical(direct)
+        assert repr(direct) == repr(ring.element(coeffs))
+    else:
+        assert direct[1].startswith("bad monomial")
+
+
+def test_ring_element_reduces_residues_and_drops_heavy_monomials():
+    ring = CoeffRing(GF(5), 1, 1)
+    assert RingElement(ring, {(1,): 7}) == ring.element({(1,): 2})
+    assert repr(RingElement(ring, {(1,): 7})) == "2*x1"
+    ring = CoeffRing(QQ, 1, 2)
+    assert RingElement(ring, {(3,): 1, (0,): Fraction(2, 4)}) == ring.const(Fraction(1, 2))
+    with pytest.raises(DomainError, match="bad monomial"):
+        RingElement(CoeffRing(QQ, 1, 2), {(1, 2): 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BOUNDARY_FIELDS), st.data())
+def test_equality_with_a_scalar_is_equality_with_its_constant(field, data):
+    ring = CoeffRing(field, 2, 2)
+    x = data.draw(st.one_of(_element(ring), _raw_value(field).map(ring.const)))
+    scalars = [data.draw(_raw_value(field)) for _ in range(3)] + [x.constant_term()]
+    for c in scalars:
+        assert (x == c) == (x == ring.const(c))
+        assert (x != c) == (x != ring.const(c))
+    if not field.char:
+        assert ring.const(Fraction(1, 2)) == Fraction(1, 2)
+        assert ring.one() == Fraction(1)
+
+
+@pytest.mark.parametrize("field", BOUNDARY_FIELDS, ids=repr)
+def test_a_bool_is_never_a_ring_element(field):
+    one = CoeffRing(field, 1, 2).one()
+    assert (one == True) is False  # noqa: E712
+    assert (one != True) is True  # noqa: E712
+    assert (True == one) is False  # noqa: E712
+
+
+@pytest.mark.parametrize("field", BOUNDARY_FIELDS, ids=repr)
+def test_foreign_scalars_are_no_operands(field):
+    ring = CoeffRing(field, 1, 2)
+    x = ring.gen(0) + 1
+    f = LaurentElement(ring, {-1: x, 0: 1})
+    ops = [
+        lambda a, b: a + b,
+        lambda a, b: b + a,
+        lambda a, b: a - b,
+        lambda a, b: b - a,
+        lambda a, b: a * b,
+        lambda a, b: b * a,
+    ]
+    for value in [True, False] + ([Fraction(1, 2), Fraction(3)] if field.char else []):
+        for operand in (x, f):
+            for op in ops:
+                with pytest.raises(TypeError):
+                    op(operand, value)
+    # the operands the rule accepts
+    for value in [3, -2] + ([] if field.char else [Fraction(1, 2)]):
+        c = ring.const(value)
+        assert x + value == x + c and value - x == c - x and x * value == x * c
+        assert f + value == f + c and value - f == -(f - c) and f * value == f * c

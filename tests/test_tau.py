@@ -359,3 +359,22 @@ def test_kp_residual_domain_guards():
     ring4 = coordinate_ring(QQ, 4)
     with pytest.raises(DomainError):
         kp_residual(ring4.one(), 2)  # order must stay <= bound - 3
+
+
+def test_kp_residual_takes_each_power_once(monkeypatch):
+    """x1 appears with exponent 1 in three monomials and x2 in two, so each
+    of the two substitutions needs three distinct powers, not six."""
+    calls = []
+    pow_ = LaurentElement.__pow__
+
+    def counted(self, n):
+        calls.append(n)
+        return pow_(self, n)
+
+    ring4 = coordinate_ring(QQ, 4)
+    x1, x2, x3 = ring4.gen(0), ring4.gen(1), ring4.gen(2)
+    poly = 1 + x1 + x2 + x1 * x2 + x1 * x3
+    want = kp_residual(poly, 1)
+    monkeypatch.setattr(LaurentElement, "__pow__", counted)
+    assert kp_residual(poly, 1) == want
+    assert len(calls) == 2 * 3
