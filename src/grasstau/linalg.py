@@ -11,7 +11,7 @@ identity.  Unit pivots always exist when the matrix is invertible.
 Matrices of raw field values use ordinary row reduction; those power
 rank, solve, and determinant checks over the residue field.
 
-Everything here is exact and runs in polynomial time: ``tau_direct``
+Everything here is exact and runs in polynomial time: ``plucker``
 takes dense minors as large as the tail depth.  The ring loops skip zero
 entries, which most identity-block and Jacobi-Trudi entries are.
 """

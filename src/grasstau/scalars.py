@@ -130,13 +130,13 @@ class BaseField:
                 raise DomainError(f"bad rational literal {text!r}")
             try:
                 return Fraction(text)
-            except (ValueError, ZeroDivisionError) as exc:
+            except (ValueError, ZeroDivisionError) as exc:  # "1/0", or too many digits
                 raise DomainError(f"bad rational literal {text!r}") from exc
         if not _INTEGER.fullmatch(text):
             raise DomainError(f"bad residue literal {text!r}")
         try:
             return int(text, 10) % self.char
-        except ValueError as exc:
+        except ValueError as exc:  # past sys.get_int_max_str_digits() digits
             raise DomainError(f"bad residue literal {text!r}") from exc
 
     def format(self, value) -> str:
@@ -320,7 +320,8 @@ class RingElement:
 
     ``RingElement(ring, coeffs)`` is the one constructor, and
     ``ring.element(coeffs)`` calls it.  It refuses a monomial of the wrong
-    length or with a negative exponent, drops those past the bound and
+    length or with an exponent that is not an int (a bool or a float
+    included) or is negative, drops those past the bound and
     reads each value with ``BaseField.coerce``: an int (reduced mod p in
     characteristic p) or a Fraction over Q, never a bool.  Over Q the lcm
     D of the reduced denominators d_m with numerators a_m D / d_m is
@@ -341,7 +342,7 @@ class RingElement:
         values: dict[Monomial, object] = {}
         for mono, c in coeffs.items():
             mono = tuple(mono)
-            if len(mono) != ring.num_vars or any(e < 0 for e in mono):
+            if len(mono) != ring.num_vars or any(type(e) is not int or e < 0 for e in mono):
                 raise DomainError(f"bad monomial {mono} for {ring!r}")
             if ring.weight(mono) > ring.degree_bound:
                 continue

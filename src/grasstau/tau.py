@@ -6,23 +6,29 @@ vacuum minor of U, where v = 1 + x_1 z^{-1} + ... + x_d z^{-d} is the
 universal lower-wing element over the weighted coordinate ring.  Two
 independent routes compute it:
 
-* ``tau_direct``: move the point by v and take the minor ratio;
+* ``tau_direct``: bring the point to its Sato normal form over the
+  field, columns z^{-i} + (terms at z^0 and above), cut to depth
+  m = min(depth, d), move that by v and take one m x m determinant;
 * ``tau_schur``: expand the vacuum minor of v.U over the charts of U,
   which gives sum_lam F_lam * (minor_lam(U) / vacuum minor), a family
   of chart coefficients that ``schur.bosonize`` sums.
 
 They must agree exactly; keeping both is the point of the design.
 ``tau_direct``, ``tau_schur`` and ``baker`` read the point through one
-reader, ``_scalar_columns``, which checks the degree bound, the window,
-scalar coefficients and the vacuum chart in that order before v is
-built, so all three refuse the same input with the same error.
+reader, ``_scalar_columns``, which checks the degree bound, the window
+and scalar coefficients in that order before v is built.  The vacuum
+chart comes last, decided by the first thing each route computes: the
+normal form for ``tau_direct``, the vacuum minor for the other two, with
+one error and message.  So all three refuse the same input with the
+same error.
 
 ``baker`` produces the associated wave series psi, the unique series with
 z^{-1} psi in the point and v psi = 1 + O(z) (Segal-Wilson, in this
 lower-wing convention).  That is one linear condition on the vacuum block
 B of v.U, which ``tau_direct`` and ``baker`` read as the vacuum chart
-block that ``grassmann.plucker`` reads: tau is det B, normalized; psi
-solves B a = e_n over the coordinate ring and is multiplied by v^{-1}.
+block that ``grassmann.plucker`` reads: tau is det B on the cut normal
+form; psi solves B a = e_n over the coordinate ring and is multiplied
+by v^{-1}.
 Sato's formula, psi = v^{-1} times the shifted tau over tau, gives the
 same series; the tests keep it as the reference.
 
@@ -32,7 +38,8 @@ x_i = H_i(T) the complete homogeneous functions of the times.  The shift
 by [z^{-1}] has closed forms H_i -> H_i - H_{i-1} u respectively
 H_i -> sum_k H_{i-k} u^k (u = 1/z), so substituting them into tau gives
 two series in u, truncated above the last degree the residue reads, and
-the residue is one sum over the coefficients of their product.  The
+the residue is one sum over the coefficients of their product; tau's
+monomials past the weight the residue reads are skipped.  The
 residual of a degree-d tau polynomial is provably exact in joint weight
 <= d - 1, so checking through weight order+2 needs order <= d - 3.
 """
@@ -49,23 +56,25 @@ from .scalars import CoeffRing, RingElement
 from .schur import bosonize, coordinate_ring, is_coordinate_ring
 
 
+_OFF_CHART = (
+    "point is not in the vacuum chart; the tau normalization needs an invertible vacuum minor"
+)
+
+
 def _vacuum_unit(point: GrassPoint) -> RingElement:
     delta = plucker(point, MayaDiagram.vacuum())
     if not delta.is_unit():
-        raise NotInvertibleError(
-            "point is not in the vacuum chart; the tau normalization needs "
-            "an invertible vacuum minor"
-        )
+        raise NotInvertibleError(_OFF_CHART)
     return delta
 
 
-def _scalar_columns(point: GrassPoint, bound: int, need: int):
-    """Every check the tau routes make on their input, in one order, and
-    the point read over the base field.
+def _scalar_columns(point: GrassPoint, bound: int, need: int) -> list[dict]:
+    """The checks every tau route makes first, in one order, and the point
+    read over the base field.
 
-    A degree bound >= 1, columns known below z^need, scalar coefficients,
-    then the vacuum chart.  Returns the columns as {exponent: scalar}
-    dicts and the vacuum minor, a unit.
+    A degree bound >= 1, columns known below z^need, scalar coefficients.
+    Returns the columns as {exponent: scalar} dicts.  The vacuum chart is
+    checked next, by ``_sato_normal_form`` or ``_vacuum_unit``.
     """
     if bound < 1:
         raise DomainError("degree bound must be >= 1")
@@ -79,45 +88,107 @@ def _scalar_columns(point: GrassPoint, bound: int, need: int):
         if not all(coeff.is_constant() for coeff in c.coeffs.values()):
             raise DomainError("tau needs a point with scalar coefficients")
         cols.append({e: coeff.constant_term() for e, coeff in c.coeffs.items()})
-    return cols, _vacuum_unit(point)
+    return cols
 
 
-def _moved_vacuum_block(point: GrassPoint, bound: int, need: int):
-    """(v, the columns of v.point, their vacuum block B), v = universal_v.
+def _sato_normal_form(cols: list[dict], depth: int, bound: int, field) -> list[dict]:
+    """The Sato normal form of the columns, cut to depth m = min(depth,
+    bound) and to exponents below z^bound: c'_i = z^{-i} + a_i, a_i at
+    z^0, ..., z^(bound-1), for i = m, ..., 1 (Segal-Wilson, Publ. Math.
+    IHES 61, 1985, sections 2-3).
 
-    The point passes ``_scalar_columns`` first, need >= bound.  Its
-    columns are re-read over v's ring with their unknown tails as zero,
-    which no entry of B sees: the row of z^e, e < 0, reads a column up to
-    z^(e + bound) (``baker`` shows the same for the rest of the moved
-    columns it reads).  B is the vacuum chart block of v.point: one row
-    per exponent -n, ..., -1 and one column per moved column, n of each,
-    since a vacuum minor that is a unit is square.
+    One column elimination over the field on the vacuum rows, the deepest
+    first.  Row z^e is cleared from every other column by the first column
+    that has it, scaled to 1.  That pivot is dropped when e < -bound and
+    kept in the top m rows, where clearing runs through the kept columns
+    too and leaves them zero at every other vacuum row.  Exponents at
+    z^bound and above are never read: no moved vacuum block at this bound
+    sees them.  A row with no pivot, or a column count other than depth,
+    means a vacuum minor of zero: the point is refused as outside the
+    vacuum chart.
     """
-    cols, _ = _scalar_columns(point, bound, need)
-    v = universal_v(point.ring.field, bound)
+    if len(cols) != depth:
+        raise NotInvertibleError(_OFF_CHART)
+    p = field.char
+    rest = [{e: a for e, a in c.items() if e < bound} for c in cols]
+    kept: list[dict] = []
+    for e in range(-depth, 0):
+        j = next((j for j, c in enumerate(rest) if e in c), None)
+        if j is None:
+            raise NotInvertibleError(_OFF_CHART)
+        pivot = rest.pop(j)
+        if pivot[e] != 1:
+            inv = field.invert(pivot[e])
+            pivot = {k: a * inv % p if p else a * inv for k, a in pivot.items()}
+        for c in rest + kept:
+            f = c.get(e)
+            if f:
+                for k, a in pivot.items():
+                    val = c.get(k, 0) - f * a
+                    if p:
+                        val %= p
+                    if val:
+                        c[k] = val
+                    else:
+                        del c[k]
+        if e >= -bound:
+            kept.append(pivot)
+    return kept
+
+
+def _moved_vacuum_block(field, cols: list[dict], bound: int):
+    """(v, the columns of v.U, their vacuum block B), v = universal_v, for
+    the point U spanned by n scalar columns over a tail of depth n.
+
+    The columns come from ``_scalar_columns`` and passed the vacuum chart
+    check, so they are as many as the tail depth.  They are re-read over
+    v's ring with their unknown tails as zero, which no entry of B sees:
+    the row of z^e, e < 0, reads a column up to z^(e + bound) (``baker``
+    shows the same for the rest of the moved columns it reads).  B is the
+    vacuum chart block of v.U: one row per exponent -n, ..., -1 and one
+    column per moved column.
+    """
+    v = universal_v(field, bound)
     ring = v.ring
-    moved = act(v, GrassPoint(ring, point.tail_depth, [LaurentElement(ring, c) for c in cols]))
+    moved = act(v, GrassPoint(ring, len(cols), [LaurentElement(ring, c) for c in cols]))
     return v, moved.columns, _chart_block(moved, MayaDiagram.vacuum())
 
 
 def tau_direct(point: GrassPoint, bound: int) -> RingElement:
-    """Vacuum minor of v.point over the vacuum minor of point.
+    """Vacuum minor of v.point over the vacuum minor of point, read off
+    the point's Sato normal form cut to depth m = min(depth, bound): the
+    m x m determinant of the moved vacuum block of span{c'_m, ..., c'_1}.
 
-    The first is det B for the moved vacuum block B.  The second is the
-    constant term of det B: v = 1 modulo the maximal ideal, so B reduces
-    to the point's own vacuum block.
+    The ratio is det B / det B0 in any basis of the point, B the moved
+    vacuum block and B0 the point's own, since a change of basis over the
+    field multiplies both by one determinant.  In the full normal basis
+    c'_i = z^{-i} + a_i(z), i = n, ..., 1, B0 = 1 and B = I + L + R, with
+    L[r][j] = x_{r-j} below the diagonal (v on z^{-j}) and
+    R[r][j] = sum_k x_{k+r} a_{j,k}, of weight >= r (v on a_j).  In a term
+    of det B each factor in row r, column s has weight >= r - s, plus s if
+    it comes from R; along a cycle of the permutation the r - s sum to
+    zero, so a term that reads a_j has weight >= j, and every a_j with
+    j > bound drops out past the degree bound.  With those a_j zero, the
+    columns past m are z^{-j}, part of the tail at depth m, and B is block
+    lower triangular with a unitriangular block there, so det B is the
+    m x m minor: the moved vacuum block of span{c'_m, ..., c'_1} over the
+    tail of depth m.  Its constant term is det B0 = 1, so no normalization
+    is left.
     """
-    v, _, block = _moved_vacuum_block(point, bound, bound)
-    det = det_ring(block, v.ring)
-    return det * v.ring.const(det.constant_term()).inverse()
+    field = point.ring.field
+    normal = _sato_normal_form(_scalar_columns(point, bound, bound), point.tail_depth, bound, field)
+    v, _, block = _moved_vacuum_block(field, normal, bound)
+    return det_ring(block, v.ring)
 
 
 def tau_schur(point: GrassPoint, bound: int) -> RingElement:
     """Chart expansion: sum over |lam| <= bound of F_lam times the
     normalized lam-minor of the point, a scalar since the point is.  The
-    empty partition's normalized minor is the vacuum minor over itself."""
-    _, delta = _scalar_columns(point, bound, bound)
-    dinv = delta.inverse()
+    empty partition's normalized minor is the vacuum minor over itself.
+    Every minor is the point's own Plucker coordinate, so this route
+    shares nothing with ``tau_direct`` past the input checks."""
+    _scalar_columns(point, bound, bound)
+    dinv = _vacuum_unit(point).inverse()
     coords = {(): 1}
     for lam in partitions_up_to(bound)[1:]:
         minor = plucker(point, MayaDiagram.from_partition(lam))
@@ -176,7 +247,9 @@ def baker(point: GrassPoint, bound: int, window: int) -> LaurentElement:
         raise DomainError("degree bound must be >= 1")
     if window < 1:
         raise DomainError("window must be >= 1")
-    v, moved, block = _moved_vacuum_block(point, bound, bound + window)
+    cols = _scalar_columns(point, bound, bound + window)
+    _vacuum_unit(point)
+    v, moved, block = _moved_vacuum_block(point.ring.field, cols, bound)
     ring = v.ring
     e_n = [ring.one() if e == -1 else ring.zero() for e in range(-len(moved), 0)]
     (a,) = solve_ring(block, [e_n], ring)
@@ -229,10 +302,19 @@ def kp_residual(tau_poly: RingElement, order: int) -> RingElement:
 
     def substitute(images: list[LaurentElement]) -> LaurentElement:
         """tau at x_i -> images[i - 1], a series in u known below u^cap;
-        each power images[i] ** e is taken once."""
+        each power images[i] ** e is taken once.
+
+        Both families of images are homogeneous: x_i goes to a series
+        whose u^k coefficient has joint weight i - k.  So a monomial of
+        weight W gives terms of total degree W, and the residue term n
+        reads u^(n+1) times e_n (weight n) at joint weight <= w, that is
+        products of total degree <= w + 1.  A monomial of weight past
+        w + 1 contributes nothing and is skipped."""
         powers: dict[tuple[int, int], LaurentElement] = {}
         total = LaurentElement.zero(joint, cap)
         for mono, coeff in tau_poly.coeffs.items():
+            if ring.weight(mono) > w + 1:
+                continue
             term = LaurentElement(joint, {0: coeff}, cap)
             for i, e in enumerate(mono):
                 if e:

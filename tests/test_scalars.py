@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import sys
 import time
 from fractions import Fraction
 from math import gcd
@@ -84,6 +85,19 @@ def test_residue_literals_are_ascii_integers(text):
     # int() alone would read these as 1000 and 12
     with pytest.raises(DomainError, match="bad residue literal"):
         GF(5).parse(text)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integer strings of any length",
+)
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+def test_literals_past_the_digit_limit_are_bad_literals(field):
+    # int() and Fraction() refuse such a string with ValueError; parse
+    # reports it as the literal it cannot read
+    text = "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(DomainError, match="bad (rational|residue) literal"):
+        field.parse(text)
 
 
 def test_field_invert_guards():
@@ -490,6 +504,16 @@ def test_ring_element_reduces_residues_and_drops_heavy_monomials():
     assert RingElement(ring, {(3,): 1, (0,): Fraction(2, 4)}) == ring.const(Fraction(1, 2))
     with pytest.raises(DomainError, match="bad monomial"):
         RingElement(CoeffRing(QQ, 1, 2), {(1, 2): 1})
+
+
+@pytest.mark.parametrize("field", BOUNDARY_FIELDS, ids=repr)
+@pytest.mark.parametrize("exponent", [0.5, 1.0, True, False, Fraction(1)], ids=repr)
+def test_an_exponent_that_is_not_an_int_is_a_bad_monomial(field, exponent):
+    # {(0.5,): 3} once printed as 3*x1, compared unequal to 3*x1 and squared to 9*x1
+    ring = CoeffRing(field, 1, 2)
+    for make in (RingElement, CoeffRing.element):
+        with pytest.raises(DomainError, match="bad monomial"):
+            make(ring, {(exponent,): 3})
 
 
 @settings(max_examples=60, deadline=None)

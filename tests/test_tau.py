@@ -378,3 +378,148 @@ def test_kp_residual_takes_each_power_once(monkeypatch):
     monkeypatch.setattr(LaurentElement, "__pow__", counted)
     assert kp_residual(poly, 1) == want
     assert len(calls) == 2 * 3
+
+
+# ---------------------------------------------------------------------------
+# the direct route on the Sato normal form
+# ---------------------------------------------------------------------------
+
+
+def _mixed_point(rng: Random, field, depth: int, top: int, trunc, singular=False) -> GrassPoint:
+    """A dense point in the vacuum chart whose columns are mixed by a random
+    invertible matrix: upper unitriangular, then lower triangular with a
+    nonzero random diagonal, then a permutation.  So its vacuum block is
+    neither triangular nor unipotent.  Columns are known below z^trunc
+    (None: exactly).  ``singular`` puts a zero on the lower factor's
+    diagonal, which takes the point out of the vacuum chart."""
+    ring = CoeffRing(field, 0, 0)
+
+    def scalar(nonzero=False):
+        while True:
+            if field.char:
+                v = rng.randrange(field.char)
+            else:
+                v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            if v or not nonzero:
+                return v
+
+    cols = [{-j: 1, **{e: scalar() for e in range(-j + 1, top + 1)}} for j in range(depth, 0, -1)]
+
+    def mix(coeff):  # column j becomes sum_i coeff(i, j) * column i
+        out = []
+        for j in range(depth):
+            acc = {}
+            for i in range(depth):
+                k = coeff(i, j)
+                for e, a in cols[i].items():
+                    acc[e] = acc.get(e, 0) + k * a
+            out.append(acc)
+        return out
+
+    cols = mix(lambda i, j: 1 if i == j else scalar() if i < j else 0)
+    dead = rng.randrange(depth) if singular else None
+    diagonal = [0 if i == dead else scalar(True) for i in range(depth)]
+    cols = mix(lambda i, j: diagonal[i] if i == j else scalar() if i > j else 0)
+    rng.shuffle(cols)
+    return GrassPoint(ring, depth, [LaurentElement(ring, c, trunc) for c in cols])
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.sampled_from([QQ, GF(2), GF(3), GF(5)]),
+    st.integers(0, 9),
+    st.integers(1, 6),
+    st.sampled_from([None, 0, 1, 2]),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_tau_direct_matches_schur_on_mixed_dense_points(field, depth, bound, extra, singular, seed):
+    """The normal form is taken over the field from any basis: the direct
+    route agrees with the Plucker-minor route, windowed columns included
+    (extra = 0 is a window ending exactly at z^bound), and both refuse a
+    point outside the vacuum chart alike."""
+    trunc = None if extra is None else bound + extra
+    pt = _mixed_point(Random(seed), field, depth, bound + 2, trunc, singular and depth > 0)
+    results = []
+    for route in (tau_direct, tau_schur):
+        try:
+            results.append(route(pt, bound))
+        except NotInvertibleError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
+    assert isinstance(results[0], str) == (singular and depth > 0)
+
+
+def _deep_point() -> GrassPoint:
+    """Depth 12 over Q with a dense vacuum block of determinant neither 0 nor 1."""
+    ring = CoeffRing(QQ, 0, 0)
+    cols = []
+    for j in range(12, 0, -1):
+        coeffs = {}
+        for e in range(-12, 3):
+            c = (3 * j * j + 5 * e * j + e * e + 1) % 7 - 3
+            if c:
+                coeffs[e] = Fraction(c, 1 + (j + e) % 3)
+        cols.append(LaurentElement(ring, coeffs))
+    return GrassPoint(ring, 12, cols)
+
+
+def test_tau_direct_at_depth_12_frozen():
+    t = tau_direct(_deep_point(), 3)
+    x1, x2, x3 = (t.ring.gen(i) for i in range(3))
+    expected = (
+        1
+        + Fraction(-32289615768, 4596008807) * x1
+        + Fraction(17000600359, 4596008807) * x2
+        + Fraction(-11164625130, 4596008807) * x1 * x1
+        + Fraction(-3765137821, 13788026421) * x3
+        + Fraction(-13190569641, 4596008807) * x1 * x2
+        + Fraction(8617159996, 4596008807) * x1 ** 3
+    )
+    assert t == expected
+
+
+def test_tau_direct_determinants_stay_within_the_degree_bound(monkeypatch):
+    """Every determinant the direct route takes, in tau or in a Plucker
+    minor, has size at most min(depth, bound)."""
+    import grasstau.grassmann as grassmann_module
+    import grasstau.tau as tau_module
+
+    sizes = []
+    for module in (tau_module, grassmann_module):
+        original = module.det_ring
+
+        def counted(rows, ring, original=original):
+            sizes.append(len(rows))
+            return original(rows, ring)
+
+        monkeypatch.setattr(module, "det_ring", counted)
+    rng = Random(15)
+    cases = [(_deep_point(), 3)] + [
+        (_mixed_point(rng, field, depth, bound + 1, None), bound)
+        for field in (QQ, GF(3))
+        for depth, bound in [(0, 2), (2, 5), (7, 2), (9, 4)]
+    ]
+    for pt, bound in cases:
+        sizes.clear()
+        tau_direct(pt, bound)
+        assert sizes and max(sizes) <= min(pt.tail_depth, bound)
+
+
+def test_kp_residual_skips_monomials_past_the_residue_weight(monkeypatch):
+    """At order 1 the residue reads tau through weight 4: x4 x1 and x5
+    (weight 5) change nothing and take no power."""
+    calls = []
+    pow_ = LaurentElement.__pow__
+
+    def counted(self, n):
+        calls.append(n)
+        return pow_(self, n)
+
+    ring5 = coordinate_ring(QQ, 5)
+    x1, x4, x5 = ring5.gen(0), ring5.gen(3), ring5.gen(4)
+    light = 1 + 3 * x1 + x1 * x1
+    want = kp_residual(light, 1)
+    monkeypatch.setattr(LaurentElement, "__pow__", counted)
+    assert kp_residual(light + x1 * x4 - 2 * x5, 1) == want
+    assert len(calls) == 2 * 2  # x1 and x1^2, once per substitution
