@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .errors import DomainError, InternalError, PrecisionError, RingMismatchError
 from .laurent import LaurentElement
-from .scalars import BaseField, CoeffRing, RingElement
+from .scalars import BaseField, CoeffRing, RingElement, _sum_products
 from .schur import coordinate_ring
 
 
@@ -167,19 +167,22 @@ def factorize(f: LaurentElement) -> GammaElement:
     Q = gplus^{-1} = 1 + sum_{k>=1} q_k z^k.  The coefficient of z^k in
     h*Q vanishes for every k >= 1, i.e.
     q_k = -c0^{-1} (sum_{j>0} h_j q_{k-j} + sum_{j<0} h_j q_{k-j}).
-    Each pass fills q_1..q_K, K = r*d, in increasing k, taking the
+    Pass p = 1..d fills q_1..q_{r(d-p+1)} in increasing k, taking the
     j > 0 terms from the current pass and the j < 0 terms (higher indices)
     from the previous pass; the first pass starts from zero.  Let m be the
     maximal ideal.  A pass reads the previous one only through the
-    nilpotent h_j with j < 0, at most r places further up, so after pass p
-    every q_k with k <= K - (p-1)r is right modulo m^p; after d passes
-    q_1..q_r are right modulo m^d.  That suffices: the coefficient of z^k,
+    nilpotent h_j with j < 0, at most r places further up, so pass p
+    reads no q_k past r(d-p+2), all of which pass p-1 filled, and after
+    pass p every q_k it filled is right modulo m^p; the last pass fills
+    q_1..q_r, right modulo m^d.  That suffices: the coefficient of z^k,
     k <= 0, in L = [h*Q]_{<=0} = gminus*unit reads q_i, i >= 1, only as
     h_{k-i} q_i with k - i < 0, so through a nilpotent factor, and m is
     spanned by monomials of weight >= 1 (every variable weighs at least 1,
     weighted rings included), so m^{d+1} = 0.  Hence L is exact, and
     unit = L_0, gminus = L/unit and gplus = h * L^{-1}, where L^{-1} is
-    exact: L is a unit plus a nilpotent fringe.
+    exact: L is a unit plus a nilpotent fringe.  The passes fill
+    r*d(d+1)/2 entries in all; running each to r*d would give these the
+    same values and fill others that nothing reads.
 
     For windowed input the lower factors are exact once trunc - n exceeds
     d*r, and gplus is reported below trunc - n - d*r.  Raises
@@ -200,19 +203,14 @@ def factorize(f: LaurentElement) -> GammaElement:
     c0_inv = h.coefficient(0).inverse()
     upper = [(j, c) for j, c in h.coeffs.items() if j > 0]
     fringe = [(j, c) for j, c in h.coeffs.items() if j < 0]
-    top = r * d
-    q = [ring.one()] + [ring.zero()] * top
-    for _ in range(d):
+    q = [ring.one()]
+    for p in range(1, d + 1):
         prev, q = q, [ring.one()]
-        for k in range(1, top + 1):
-            acc = ring.zero()
-            for j, c in upper:
-                if j <= k:
-                    acc = acc + c * q[k - j]
-            for j, c in fringe:
-                if k - j <= top:
-                    acc = acc + c * prev[k - j]
-            q.append(-(c0_inv * acc))
+        for k in range(1, r * (d - p + 1) + 1):
+            # in pass 1, prev holds q_0 alone, which no k - j >= 2 reaches
+            pairs = [(c, q[k - j]) for j, c in upper if j <= k]
+            pairs += [(c, prev[k - j]) for j, c in fringe if k - j < len(prev)]
+            q.append(-(c0_inv * _sum_products(ring, pairs)))
 
     hq = h * LaurentElement(ring, dict(enumerate(q[: r + 1])), None)
     low = LaurentElement(ring, {e: c for e, c in hq.coeffs.items() if e <= 0}, None)

@@ -106,7 +106,8 @@ def _rows(columns: list[LaurentElement], exponents) -> list[list]:
     exponent in the order given, one entry per column in frame order.
     Coefficients past a column's window read as zero; callers that need
     them known check the window first."""
-    return [[c.coeffs.get(e, c.ring.zero()) for c in columns] for e in exponents]
+    zero = columns[0].ring.zero() if columns else None
+    return [[c.coeffs.get(e, zero) for c in columns] for e in exponents]
 
 
 def _chart_block(point: GrassPoint, maya: MayaDiagram):

@@ -40,7 +40,7 @@ further down, and z^{-n} moves the result down by n once more.
 from __future__ import annotations
 
 from .errors import DomainError, NotInvertibleError, PrecisionError, RingMismatchError
-from .scalars import CoeffRing, RingElement, _operand, power
+from .scalars import CoeffRing, RingElement, _operand, _series_product, _sum_products, power
 
 
 def neumann(one, u):
@@ -237,17 +237,8 @@ class LaurentElement:
             return LaurentElement.zero(self.ring)
         truncs = [t + low for t, low in ((self.trunc, low_o), (other.trunc, low_s)) if t is not None]
         trunc = min(truncs, default=None)
-        out: dict[int, RingElement] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if trunc is not None and e >= trunc:
-                    continue
-                p = c1 * c2
-                if p:
-                    s = out.get(e)
-                    out[e] = p if s is None else s + p
-        return LaurentElement(self.ring, out, trunc)
+        ring = self.ring
+        return LaurentElement(ring, _series_product(ring, self.coeffs, other.coeffs, trunc), trunc)
 
     __rmul__ = __mul__
 
@@ -346,11 +337,7 @@ class LaurentElement:
             w_work = max(1, trunc_out + n + d * r + 1)
             inv = [c0_inv]
             for k in range(1, w_work):
-                acc = ring.zero()
-                for j, c in upper:
-                    if j > k:
-                        break
-                    acc = acc + c * inv[k - j]
+                acc = _sum_products(ring, [(c, inv[k - j]) for j, c in upper if j <= k])
                 inv.append(-(c0_inv * acc))
             reg_inv = LaurentElement(ring, dict(enumerate(inv)), w_work)
         else:

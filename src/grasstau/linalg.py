@@ -19,7 +19,7 @@ entries, which most identity-block and Jacobi-Trudi entries are.
 from __future__ import annotations
 
 from .errors import DomainError, NotInvertibleError
-from .scalars import BaseField, CoeffRing, RingElement
+from .scalars import BaseField, CoeffRing, RingElement, _sum_products
 
 # ----------------------------------------------------------------------
 # Ring-valued matrices (entries are RingElement)
@@ -95,7 +95,6 @@ def _berkowitz(a: list[list[RingElement]], ring: CoeffRing) -> RingElement:
     first column (1, -a, -s c, -s A_r c, ..., -s A_r^{r-1} c).
     """
     n = len(a)
-    zero = ring.zero()
     poly = [ring.one()]
     for r in range(n):
         block = [row[:r] for row in a[:r]]
@@ -103,19 +102,11 @@ def _berkowitz(a: list[list[RingElement]], ring: CoeffRing) -> RingElement:
         col = [row[r] for row in a[:r]]
         toeplitz = [ring.one(), -a[r][r]]
         for i in range(r):
-            toeplitz.append(-_dot(border, col, zero))
+            toeplitz.append(-_sum_products(ring, zip(border, col)))
             if i < r - 1:
-                col = [_dot(row, col, zero) for row in block]
-        poly = [_dot(toeplitz[i::-1], poly, zero) for i in range(r + 2)]
+                col = [_sum_products(ring, zip(row, col)) for row in block]
+        poly = [_sum_products(ring, zip(toeplitz[i::-1], poly)) for i in range(r + 2)]
     return -poly[n] if n % 2 else poly[n]
-
-
-def _dot(u: list[RingElement], v: list[RingElement], zero: RingElement) -> RingElement:
-    acc = zero
-    for x, y in zip(u, v):
-        if x and y:
-            acc = acc + x * y
-    return acc
 
 
 def mat_mul_ring(
@@ -124,7 +115,7 @@ def mat_mul_ring(
     if any(len(row) != len(b) for row in a):
         raise DomainError("inner dimensions do not match")
     cols = list(zip(*b))
-    return [[_dot(row, col, ring.zero()) for col in cols] for row in a]
+    return [[_sum_products(ring, zip(row, col)) for col in cols] for row in a]
 
 
 def solve_ring(

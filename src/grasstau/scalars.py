@@ -28,6 +28,16 @@ those ints alone and brings each result to its canonical form once: a
 over Q.  ``Fraction`` values appear only when ``coeffs``, ``coefficient``
 or ``constant_term`` is read.
 
+Every product and sum of products runs one multiply-accumulate kernel,
+``_accumulate``, the loop over monomial pairs.  ``RingElement.__mul__``
+is one product, ``_sum_products`` a sum of x * y, and ``_series_product``
+the coefficients of a product of series, one sum per exponent.  The
+integer products accumulate over one common denominator, the lcm of the
+pair denominators (1 in characteristic p), and each sum is reduced once.
+The canonical form is unique (see ``RingElement``), so the result is
+``==`` to, and prints as, the chained ``acc + x * y`` that reduces after
+every step.
+
 Which Python values stand for ring elements is decided here alone:
 ``BaseField.coerce`` reads the values of the one constructor,
 ``RingElement(ring, coeffs)``, and ``_operand`` the other operand of
@@ -460,24 +470,7 @@ class RingElement:
         if other is NotImplemented:
             return NotImplemented
         ring = self.ring
-        den = self._den * other._den
-        if len(other._num) == 1 and (0,) * ring.num_vars in other._num:
-            # a constant, a scalar operand say, scales the numerators
-            (a,) = other._num.values()
-            return _reduced(ring, {m: c * a for m, c in self._num.items()}, den)
-        right = other._num.items()
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self._num.items():
-            row = ring._product_row(m1)
-            for m2, c2 in right:
-                try:
-                    mono = row[m2]
-                except KeyError:
-                    mono = ring._fill_product(row, m1, m2)
-                if mono is not None:
-                    prev = out.get(mono)
-                    out[mono] = c1 * c2 if prev is None else prev + c1 * c2
-        return _reduced(ring, out, den)
+        return _reduced(ring, _accumulate(ring, {}, self._num, other._num, 1), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -555,6 +548,77 @@ def _operand(ring: CoeffRing, other) -> RingElement:
     if isinstance(other, bool) or not isinstance(other, int if ring.field.char else (int, Fraction)):
         return NotImplemented  # type: ignore[return-value]
     return ring.const(other)
+
+
+def _accumulate(ring: CoeffRing, out: dict, left: dict, right: dict, scale: int) -> dict:
+    """Add scale * left * right into ``out``, all three {monomial: int}
+    numerator dicts, and return ``out``: the one loop over monomial pairs.
+    A lone constant on either side, a scalar operand say, scales the
+    other side's numerators instead."""
+    if len(left) == 1 and (0,) * ring.num_vars in left:
+        left, right = right, left
+    if len(right) == 1 and (0,) * ring.num_vars in right:
+        (a,) = right.values()
+        a *= scale
+        for mono, c in left.items():
+            prev = out.get(mono)
+            out[mono] = c * a if prev is None else prev + c * a
+        return out
+    right = right.items()
+    for m1, c1 in left.items():
+        c1 *= scale
+        row = ring._product_row(m1)
+        for m2, c2 in right:
+            try:
+                mono = row[m2]
+            except KeyError:
+                mono = ring._fill_product(row, m1, m2)
+            if mono is not None:
+                prev = out.get(mono)
+                out[mono] = c1 * c2 if prev is None else prev + c1 * c2
+    return out
+
+
+def _sum_products(ring: CoeffRing, pairs) -> RingElement:
+    """The sum of x * y over the (x, y) in ``pairs``, elements of rings
+    equal to ``ring``, brought to canonical form once.
+
+    The numerator products accumulate over one common denominator D, the
+    lcm of the pair denominators seen so far (1 in characteristic p), each
+    pair's products scaled by D over its own; when a pair grows D, the
+    partial sum is scaled up to the new D first.  The sum is then exactly
+    the value the chained ``acc + x * y`` reaches, and canonical forms are
+    unique, so the two results are ``==`` and print alike."""
+    out: dict[Monomial, int] = {}
+    den = 1
+    for x, y in pairs:
+        if not (x._num and y._num):
+            continue
+        if x.ring is not ring and x.ring != ring or y.ring is not ring and y.ring != ring:
+            raise RingMismatchError(f"cannot combine elements of {x.ring!r} and {y.ring!r}")
+        d = x._den * y._den
+        if den % d:
+            grown = lcm(den, d)
+            s = grown // den
+            out = {m: c * s for m, c in out.items()}
+            den = grown
+        _accumulate(ring, out, x._num, y._num, den // d)
+    return _reduced(ring, out, den)
+
+
+def _series_product(ring: CoeffRing, left: dict, right: dict, below: int | None) -> dict:
+    """The coefficients {e1 + e2: sum left[e1] * right[e2]} of a product
+    of two series, each given as {exponent: element of a ring equal to
+    ``ring``}, at the exponents below ``below`` (all when None): the
+    pairs grouped by exponent, one ``_sum_products`` per exponent; zero
+    sums are kept."""
+    pairs: dict[int, list] = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = e1 + e2
+            if below is None or e < below:
+                pairs.setdefault(e, []).append((c1, c2))
+    return {e: _sum_products(ring, ps) for e, ps in pairs.items()}
 
 
 def _element(ring: CoeffRing, num: dict, den: int) -> RingElement:

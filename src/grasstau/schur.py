@@ -34,7 +34,7 @@ from functools import lru_cache
 from .errors import DomainError, RingMismatchError
 from .linalg import det_ring
 from .partitions import Partition, check_partition, partition_size
-from .scalars import BaseField, CoeffRing, RingElement
+from .scalars import BaseField, CoeffRing, RingElement, _sum_products
 
 
 def coordinate_ring(field: BaseField, bound: int) -> CoeffRing:
@@ -106,10 +106,10 @@ def bosonize(ring: CoeffRing, coords: dict) -> RingElement:
     nothing.
     """
     _require_coordinate_ring(ring)
-    total = ring.zero()
-    for lam, c in coords.items():
-        total = total + schur_polynomial(ring, check_partition(lam)) * ring.const(c)
-    return total
+    return _sum_products(
+        ring,
+        ((schur_polynomial(ring, check_partition(lam)), ring.const(c)) for lam, c in coords.items()),
+    )
 
 
 def duality_pair(p: RingElement, q: RingElement):

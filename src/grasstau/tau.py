@@ -52,7 +52,7 @@ from .grassmann import GrassPoint, _chart_block, act, plucker
 from .laurent import LaurentElement
 from .linalg import det_ring, solve_ring
 from .partitions import MayaDiagram, partitions_up_to
-from .scalars import CoeffRing, RingElement
+from .scalars import CoeffRing, RingElement, _sum_products
 from .schur import bosonize, coordinate_ring, is_coordinate_ring
 
 
@@ -329,7 +329,5 @@ def kp_residual(tau_poly: RingElement, order: int) -> RingElement:
         LaurentElement(joint, {k: hp[i - k] for k in range(i + 1)}, cap) for i in range(1, d + 1)
     ]
     ab = substitute(a_images) * substitute(b_images)
-    residual = joint.zero()
-    for n in range(w + 1):  # u^(n+1) z^n is z^-1
-        residual = residual + ab.coefficient(n + 1) * e_ser[n]
-    return residual
+    # u^(n+1) z^n is z^-1
+    return _sum_products(joint, ((ab.coefficient(n + 1), e_ser[n]) for n in range(w + 1)))

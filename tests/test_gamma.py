@@ -326,3 +326,89 @@ def test_universal_v_frozen():
     assert v.unit == ring.one()
     assert v.gplus == LaurentElement.one(ring)
     assert v.zpower == 0
+
+
+# ---------------------------------------------------------------------------
+# factorize against the full-range fixed-point loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_factorize(f):
+    """The factorization with every pass filling q_1..q_{r d}, each sum
+    chained as acc + c * q: the loop ``factorize`` shortens."""
+    n, r = f.reduced_valuation()
+    ring = f.ring
+    d = ring.degree_bound
+    h = LaurentElement(ring, {e - n: c for e, c in f.coeffs.items()}, None)
+    c0_inv = h.coefficient(0).inverse()
+    upper = [(j, c) for j, c in h.coeffs.items() if j > 0]
+    fringe = [(j, c) for j, c in h.coeffs.items() if j < 0]
+    top = r * d
+    q = [ring.one()] + [ring.zero()] * top
+    for _ in range(d):
+        prev, q = q, [ring.one()]
+        for k in range(1, top + 1):
+            acc = ring.zero()
+            for j, c in upper:
+                if j <= k:
+                    acc = acc + c * q[k - j]
+            for j, c in fringe:
+                if k - j <= top:
+                    acc = acc + c * prev[k - j]
+            q.append(-(c0_inv * acc))
+    hq = h * LaurentElement(ring, dict(enumerate(q[: r + 1])), None)
+    low = LaurentElement(ring, {e: c for e, c in hq.coeffs.items() if e <= 0}, None)
+    unit = low.coefficient(0)
+    gplus = h * low.inverse()
+    if f.trunc is not None:
+        gplus = gplus.truncate(f.trunc - n - d * r)
+    return GammaElement(low * unit.inverse(), unit, gplus, n)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.sampled_from([QQ, GF(2), GF(3), GF(5)]),
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.booleans(),
+    st.booleans(),
+    st.data(),
+)
+def test_factorize_matches_the_full_range_passes(field, d, r, unit_wing, windowed, data):
+    ring = coordinate_ring(field, d) if data.draw(st.booleans()) else CoeffRing(field, 2, d)
+    monos = list(ring.monomials())
+    value = st.integers(-2, 2) if field.char else st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+
+    def element(nilpotent):
+        coeffs = data.draw(st.lists(value, min_size=len(monos), max_size=len(monos)))
+        x = ring.element(dict(zip(monos, coeffs)))
+        return x - x.constant_term() if nilpotent else x
+
+    n = data.draw(st.integers(-2, 2))
+    c0 = data.draw(value.filter(lambda v: ring.const(v).is_unit()))
+    terms = {0: ring.const(c0) + element(True)}
+    for j in range(1, r + 1):
+        terms[-j] = element(True)
+    if r and not terms[-r]:
+        terms[-r] = ring.gen(0)
+    for j in range(1, 4):
+        terms[j] = element(not unit_wing)
+    if unit_wing:
+        terms[1] = terms[1] - terms[1].constant_term() + 1
+    trunc = n + d * r + 1 + data.draw(st.integers(0, 3)) if windowed else None
+    f = LaurentElement(ring, {e + n: c for e, c in terms.items()}, trunc)
+    assert f.reduced_valuation() == (n, r)
+
+    g = factorize(f)
+    assert g == _reference_factorize(f)
+    # the uniqueness conditions: parts of canonical shape whose product
+    # is f on its window
+    assert g.zpower == n and g.unit.is_unit()
+    assert g.gminus.trunc is None and g.gminus.coefficient(0) == ring.one()
+    assert all(e <= 0 and (e == 0 or c.is_nilpotent()) for e, c in g.gminus.coeffs.items())
+    assert g.gplus.coefficient(0) == ring.one() and min(g.gplus.coeffs) == 0
+    if windowed:
+        assert g.gplus.trunc == trunc - n - d * r
+        assert g.as_laurent().same_series(f)
+    else:
+        assert g.as_laurent() == f

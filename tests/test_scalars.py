@@ -20,7 +20,7 @@ from grasstau import (
     RingMismatchError,
     factorize,
 )
-from grasstau.scalars import RingElement, _is_prime
+from grasstau.scalars import RingElement, _is_prime, _sum_products
 from grasstau.schur import coordinate_ring
 
 
@@ -561,3 +561,71 @@ def test_foreign_scalars_are_no_operands(field):
         c = ring.const(value)
         assert x + value == x + c and value - x == c - x and x * value == x * c
         assert f + value == f + c and value - f == -(f - c) and f * value == f * c
+
+
+# ----------------------------------------------------------------------
+# The multiply-accumulate kernel: sums of products reduced once.
+# ----------------------------------------------------------------------
+
+KERNEL_SHAPES = [(2, 3, None), (2, 4, (1, 2)), (3, 3, (1, 2, 3))]
+
+
+def _operand_of(ring):
+    """An element, over Q one over a denominator up to 7 times another,
+    so that pairs rarely share one; a constant; or zero."""
+    element = _element(ring)
+    if not ring.field.char:
+        element = st.builds(lambda x, k: x * Fraction(1, k), element, st.integers(1, 7))
+    return st.one_of(element, _scalar(ring.field).map(ring.const), st.just(ring.zero()))
+
+
+def _naive_series_mul(f, g):
+    """f * g by a double loop over the terms, products by ``_naive_mul``,
+    under the window rule of the laurent module docstring."""
+    ring = f.ring
+    low_f = min(f.coeffs) if f.coeffs else f.trunc
+    low_g = min(g.coeffs) if g.coeffs else g.trunc
+    if low_f is None or low_g is None:
+        return LaurentElement.zero(ring)
+    truncs = [t + low for t, low in ((f.trunc, low_g), (g.trunc, low_f)) if t is not None]
+    trunc = min(truncs, default=None)
+    out = {}
+    for e1, c1 in f.coeffs.items():
+        for e2, c2 in g.coeffs.items():
+            e = e1 + e2
+            if trunc is None or e < trunc:
+                out[e] = _naive_add(out.get(e, ring.zero()), _naive_mul(c1, c2))
+    return LaurentElement(ring, out, trunc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([QQ, GF(2), GF(3), GF(5)]), st.sampled_from(KERNEL_SHAPES), st.data())
+def test_sum_of_products_kernel_matches_chained_sums(field, shape, data):
+    ring = CoeffRing(field, *shape)
+    pairs = data.draw(st.lists(st.tuples(_operand_of(ring), _operand_of(ring)), min_size=2, max_size=5))
+    chained = ring.zero()
+    for x, y in pairs:
+        chained = chained + x * y
+    got = _canonical(_sum_products(ring, pairs))
+    assert got == chained
+    assert repr(got) == repr(chained)
+
+    def series():
+        exps = st.integers(-3, 3)
+        coeffs = st.dictionaries(exps, _operand_of(ring), max_size=4)
+        return st.builds(LaurentElement, st.just(ring), coeffs, st.one_of(st.none(), st.integers(-2, 5)))
+
+    f, g = data.draw(series()), data.draw(series())
+    product = f * g
+    want = _naive_series_mul(f, g)
+    assert product == want
+    assert repr(product) == repr(want)
+    for c in product.coeffs.values():
+        _canonical(c)
+
+
+def test_sum_of_products_refuses_elements_of_another_ring():
+    ring, other = CoeffRing(QQ, 1, 2), CoeffRing(QQ, 2, 2)
+    for pair in ((ring.gen(0), other.gen(0)), (other.gen(1), ring.one())):
+        with pytest.raises(RingMismatchError, match="^cannot combine elements of"):
+            _sum_products(ring, [pair])
