@@ -15,9 +15,9 @@ h = z^{-n} f, the inverse Q = gplus^{-1} is the series 1 + O(z) for which
 h*Q has no positive exponents.  The lower factors read only q_1..q_r,
 and those only modulo m^d (m the maximal ideal), which d fixed-point
 passes deliver (see :func:`factorize`); then gminus*unit = [h*Q]_{<=0},
-and gplus is recovered in closed form as h * (gminus*unit)^{-1}, which is
-exact because gminus*unit has an exactly invertible (unit plus nilpotent
-fringe) shape.
+and gplus is recovered in closed form as the exact quotient
+(h/unit) / gminus: gminus is 1 plus a nilpotent fringe, the divisor shape
+``laurent._divide`` walks down from the top.
 
 For input known only below a truncation order M, the two lower factors
 are still exact as long as M - n exceeds d*r (nilpotency degree times
@@ -36,8 +36,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, InternalError, PrecisionError, RingMismatchError
-from .laurent import LaurentElement
-from .scalars import BaseField, CoeffRing, RingElement, _sum_products
+from .laurent import LaurentElement, _divide
+from .scalars import BaseField, CoeffRing, RingElement, _series_product, _sum_products
 from .schur import coordinate_ring
 
 
@@ -178,11 +178,16 @@ def factorize(f: LaurentElement) -> GammaElement:
     k <= 0, in L = [h*Q]_{<=0} = gminus*unit reads q_i, i >= 1, only as
     h_{k-i} q_i with k - i < 0, so through a nilpotent factor, and m is
     spanned by monomials of weight >= 1 (every variable weighs at least 1,
-    weighted rings included), so m^{d+1} = 0.  Hence L is exact, and
-    unit = L_0, gminus = L/unit and gplus = h * L^{-1}, where L^{-1} is
-    exact: L is a unit plus a nilpotent fringe.  The passes fill
-    r*d(d+1)/2 entries in all; running each to r*d would give these the
-    same values and fill others that nothing reads.
+    weighted rings included), so m^{d+1} = 0.  Hence L is exact; it is
+    the product h*Q cut below z^1, since nothing reads h*Q above z^0.
+    Then unit = L_0, gminus = L/unit and gplus = (h/unit) / gminus, one
+    exact division walking down (``laurent._divide``): gminus is 1 plus
+    a nilpotent fringe of depth s <= r.  The walk fills every coefficient
+    of h * L^{-1}, from top(h) down to min(h) - d*s, below which the exact
+    quotient has none, so the certification "no negative exponents,
+    constant term 1" reads the same coefficients the full product would.
+    The passes fill r*d(d+1)/2 entries in all; running each to r*d would
+    give these the same values and fill others that nothing reads.
 
     For windowed input the lower factors are exact once trunc - n exceeds
     d*r, and gplus is reported below trunc - n - d*r.  Raises
@@ -212,15 +217,16 @@ def factorize(f: LaurentElement) -> GammaElement:
             pairs += [(c, prev[k - j]) for j, c in fringe if k - j < len(prev)]
             q.append(-(c0_inv * _sum_products(ring, pairs)))
 
-    hq = h * LaurentElement(ring, dict(enumerate(q[: r + 1])), None)
-    low = LaurentElement(ring, {e: c for e, c in hq.coeffs.items() if e <= 0}, None)
+    low = LaurentElement(ring, _series_product(ring, h.coeffs, dict(enumerate(q[: r + 1])), 1))
     unit = low.coefficient(0)
-    gplus = h * low.inverse()
+    unit_inv = unit.inverse()
+    gminus = low * unit_inv
+    gplus = _divide(h * unit_inv, gminus, None)
     if any(e < 0 for e in gplus.coeffs) or gplus.coeffs.get(0) != ring.one():
         raise InternalError("factorization certification failed")
     if f.trunc is not None:
         gplus = gplus.truncate(f.trunc - n - d * r)
-    return GammaElement(low * unit.inverse(), unit, gplus, n)
+    return GammaElement(gminus, unit, gplus, n)
 
 
 # ----------------------------------------------------------------------
@@ -271,14 +277,13 @@ def exp_gamma(
 
 def _exp_coefficients(ring: CoeffRing, args: list[RingElement], top: int) -> list[RingElement]:
     """E_0..E_top of exp(sum_j a_j t^j), a_j = args[j - 1], by the
-    recursion i*E_i = sum_j j*a_j*E_(i-j); characteristic zero only."""
+    recursion i*E_i = sum_j j*a_j*E_(i-j), one sum of products per E_i;
+    characteristic zero only."""
+    scaled = [a * j for j, a in enumerate(args, start=1)]
     es = [ring.one()]
     for i in range(1, top + 1):
-        acc = ring.zero()
-        for j in range(1, min(i, len(args)) + 1):
-            if args[j - 1]:
-                acc = acc + args[j - 1] * j * es[i - j]
-        es.append(acc * Fraction(1, i))
+        pairs = [(scaled[j - 1], es[i - j]) for j in range(1, min(i, len(args)) + 1)]
+        es.append(_sum_products(ring, pairs) * Fraction(1, i))
     return es
 
 
@@ -302,22 +307,23 @@ def witt_product(ring: CoeffRing, coeffs: list[RingElement], sign: int) -> Laure
 
 def witt_peel(f: LaurentElement, sign: int, length: int) -> list[RingElement]:
     """Components c_1..c_length of f = prod_i (1 - c_i z^(sign*i)), each read
-    off its coefficient and divided out in turn by a geometric series.
-    With sign -1, f is an exact lower-wing element whose components stop
-    at ``length``; each c_i is nilpotent, so its series ends at c_i^d and
-    the remainder must be exactly 1.  With sign +1, f = 1 + O(z) is matched
-    modulo z^(length+1).  Any other remainder raises InternalError."""
+    off its coefficient and divided out in turn, one exact division by
+    1 - c_i z^(sign*i) (``laurent._divide``).  With sign -1, f is an exact
+    lower-wing element whose components stop at ``length``; each c_i is
+    nilpotent, so the quotient is exact and the remainder must be exactly
+    1.  With sign +1, f = 1 + O(z) is matched modulo z^(length+1).  Any
+    other remainder raises InternalError."""
     ring = f.ring
     window = None if sign < 0 else length + 1
     q = f if window is None else f.truncate(window)
+    one = ring.one()
     out: list[RingElement] = []
     for i in range(1, length + 1):
-        c = -q.coefficient(sign * i)
-        out.append(c)
-        if c:
-            top = ring.degree_bound if window is None else length // i
-            q = q * LaurentElement(ring, {sign * i * k: c**k for k in range(top + 1)}, window)
-    if q != LaurentElement(ring, {0: ring.one()}, window):
+        x = q.coefficient(sign * i)
+        out.append(-x)
+        if x:
+            q = _divide(q, LaurentElement(ring, {0: one, sign * i: x}), window)
+    if q != LaurentElement(ring, {0: one}, window):
         raise InternalError("Witt peel left a nonzero remainder")
     return out
 

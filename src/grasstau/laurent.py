@@ -30,16 +30,32 @@ split h = z^{-n} f as R + N, where R is h_0 plus every unit coefficient
     h^{-1}  =  R^{-1} * sum_k (-N R^{-1})^k,
 
 a geometric series that stops after at most d terms because m^{d+1} = 0.
-R^{-1} is exact when R is the lone constant h_0; otherwise it comes from
-the usual power-series recursion, and the inverse is reported strictly
-below trunc - 2n - d*r (or below ``window=`` for exact input): h is known
-below trunc - n, each of the at most d nilpotent factors reaches r places
+R^{-1} is exact when R is the lone constant h_0; otherwise it is the
+division 1 / R below, and the inverse is reported strictly below
+trunc - 2n - d*r (or below ``window=`` for exact input): h is known below
+trunc - n, each of the at most d nilpotent factors reaches r places
 further down, and z^{-n} moves the result down by n once more.
+
+Division by a series D = D_0 + (terms on one side of z^0), D_0 a unit,
+is one exact rule.  The quotient q = num / D satisfies num = q * D, so
+
+    q_e  =  D_0^{-1} (num_e - sum_{j != 0} D_j q_{e-j}),
+
+one sum of products per coefficient, each reading only q's already
+found when the walk moves away from z^0 on D's side.  With terms above
+z^0 (units allowed) it walks up from num's lowest exponent, and D^{-1}
+is an infinite series, so q is given below a requested order (and below
+num's window).  With terms below z^0, all nilpotent, it walks down from
+num's top exponent, and q is exact: D^{-1} = D_0^{-1} sum_k (-N D_0^{-1})^k,
+N = D - D_0, and N^k, a sum of products of k nilpotent coefficients, is
+zero past k = d, so D^{-1} lives on [-d*s, 0] (s = D's depth) and the
+walk stops at min(num) - d*s.  A unit below z^0 would make the quotient
+unbounded below; the routine is private, so that is a broken invariant.
 """
 
 from __future__ import annotations
 
-from .errors import DomainError, NotInvertibleError, PrecisionError, RingMismatchError
+from .errors import DomainError, InternalError, NotInvertibleError, PrecisionError, RingMismatchError
 from .scalars import CoeffRing, RingElement, _operand, _series_product, _sum_products, power
 
 
@@ -311,8 +327,8 @@ class LaurentElement:
         h = self.shift(-n)  # unit constant term, nilpotent fringe on [-r, 0)
         ring = self.ring
         d = ring.degree_bound
-        c0_inv = h.coefficient(0).inverse()
-        upper = sorted((e, c) for e, c in h.coeffs.items() if e and c.is_unit())
+        # every unit coefficient of h sits at z^0 or above
+        regular = {e: c for e, c in h.coeffs.items() if c.is_unit()}
         nil = LaurentElement(
             ring, {e: c for e, c in h.coeffs.items() if not c.is_unit()}, h.trunc
         )
@@ -322,7 +338,7 @@ class LaurentElement:
             trunc_out = self.trunc - 2 * n - d * r
             if window is not None:
                 trunc_out = min(trunc_out, window)
-        elif upper:
+        elif len(regular) > 1:
             if window is None:
                 raise DomainError(
                     "inverse is an infinite series; pass window= for exact input"
@@ -331,16 +347,50 @@ class LaurentElement:
         else:
             trunc_out = None
 
-        if upper:
-            # power-series recursion, with room for the nilpotent part to
-            # push the window down by up to d*r
-            w_work = max(1, trunc_out + n + d * r + 1)
-            inv = [c0_inv]
-            for k in range(1, w_work):
-                acc = _sum_products(ring, [(c, inv[k - j]) for j, c in upper if j <= k])
-                inv.append(-(c0_inv * acc))
-            reg_inv = LaurentElement(ring, dict(enumerate(inv)), w_work)
-        else:
-            reg_inv = LaurentElement.const(ring, c0_inv)
+        # with unit terms above z^0, R^{-1} leaves room for the nilpotent
+        # part to push the window down by up to d*r
+        below = max(1, trunc_out + n + d * r + 1) if len(regular) > 1 else None
+        reg_inv = _divide(LaurentElement.one(ring), LaurentElement(ring, regular), below)
         h_inv = (reg_inv * neumann(LaurentElement.one(ring), -(nil * reg_inv))).shift(-n)
         return h_inv if trunc_out is None else h_inv.truncate(trunc_out)
+
+
+def _divide(num: LaurentElement, den: LaurentElement, below: int | None) -> LaurentElement:
+    """num / den by the division rule of the module docstring, for a
+    ``num`` that is not the exact zero and an exact ``den`` with a unit at
+    z^0 and its other terms on one side of z^0.
+
+    Terms above z^0: the quotient is given strictly below ``below`` and
+    below num's window.  Terms below z^0, all nilpotent, and ``below``
+    None: the quotient of an exact ``num`` is exact.  Any other shape is
+    a caller's broken invariant and raises InternalError.
+    """
+    ring = num.ring
+    c0 = den.coeffs.get(0)
+    rest = [(j, c) for j, c in den.coeffs.items() if j]
+    up = below is not None
+    if up:
+        misplaced = any(j < 0 for j, _ in rest)
+    else:
+        misplaced = num.trunc is not None or any(j > 0 or c.is_unit() for j, c in rest)
+    if den.trunc is not None or c0 is None or not c0.is_unit() or misplaced:
+        raise InternalError("division needs an exact one-sided divisor with a unit at z^0")
+    one = ring.one()
+    inv0 = one if c0 == one else c0.inverse()
+    scaled = [(j, -(c if inv0 is one else inv0 * c)) for j, c in rest]
+    if up:
+        top = below if num.trunc is None else min(below, num.trunc)
+        walk = range(num._low(), top)
+    else:
+        top = None
+        stop = min(num.coeffs) - ring.degree_bound * -min(den.coeffs)
+        walk = range(max(num.coeffs), stop - 1, -1)
+    q: dict[int, RingElement] = {}
+    for e in walk:  # q holds the nonzero coefficients found so far
+        pairs = [(c, q[e - j]) for j, c in scaled if e - j in q]
+        x = num.coeffs.get(e)
+        if x is not None:
+            pairs.append((inv0, x))
+        if pairs and (qe := _sum_products(ring, pairs)):
+            q[e] = qe
+    return LaurentElement(ring, q, top)

@@ -36,14 +36,27 @@ def residue_pairing(f: LaurentElement, g: LaurentElement) -> RingElement:
     return (f * g.derivative()).residue()
 
 
+def _powers(x: RingElement, top: int) -> list[RingElement]:
+    """[x, x^2, ..., x^top] as a running product, cut before the first zero
+    power, since every later one is zero too."""
+    out = []
+    while x and len(out) < top:
+        out.append(x)
+        x = x * out[0]
+    return out
+
+
 def _symbol(ring: CoeffRing, lower: list[RingElement], upper: list[RingElement]) -> RingElement:
-    """S(L, U) for the Witt components a of L and b of U (module docstring)."""
+    """S(L, U) for the Witt components a of L and b of U (module docstring).
+    A pair whose power a^(j/h) or b^(i/h) is zero contributes 1."""
     out = one = ring.one()
-    for i, a in enumerate(lower, start=1):
-        for j, b in enumerate(upper, start=1):
-            if a and b:
-                h = gcd(i, j)
-                out = out * (one - a ** (j // h) * b ** (i // h)) ** h
+    a_powers = [_powers(a, len(upper)) for a in lower]
+    b_powers = [_powers(b, len(lower)) for b in upper]
+    for i, pa in enumerate(a_powers, start=1):
+        for j, pb in enumerate(b_powers, start=1):
+            h = gcd(i, j)
+            if j // h <= len(pa) and i // h <= len(pb):
+                out = out * (one - pa[j // h - 1] * pb[i // h - 1]) ** h
     return out
 
 

@@ -11,6 +11,7 @@ from grasstau import (
     CoeffRing,
     DomainError,
     GammaElement,
+    InternalError,
     LaurentElement,
     NotInvertibleError,
     PrecisionError,
@@ -22,6 +23,8 @@ from grasstau import (
     witt_add,
     witt_product,
 )
+from grasstau.gamma import witt_peel
+from grasstau.laurent import neumann
 
 R2 = CoeffRing(QQ, 1, 2)
 X = R2.gen(0)
@@ -412,3 +415,100 @@ def test_factorize_matches_the_full_range_passes(field, d, r, unit_wing, windowe
         assert g.as_laurent().same_series(f)
     else:
         assert g.as_laurent() == f
+
+
+# ---------------------------------------------------------------------------
+# the exact divisions in factorize and witt_peel against their products
+# ---------------------------------------------------------------------------
+
+FIELDS = [QQ, GF(2), GF(3), GF(5)]
+
+
+def _element_drawer(ring, data):
+    """element(nilpotent) draws a random element of ``ring``, its constant
+    term dropped when ``nilpotent``."""
+    monos = list(ring.monomials())
+    if ring.field.char:
+        value = st.integers(-2, 2)
+    else:
+        value = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+
+    def element(nilpotent):
+        values = data.draw(st.lists(value, min_size=len(monos), max_size=len(monos)))
+        x = ring.element(dict(zip(monos, values)))
+        return x - x.constant_term() if nilpotent else x
+
+    return element
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(FIELDS), st.integers(1, 4), st.integers(0, 3), st.booleans(), st.booleans(), st.data())
+def test_factorize_gplus_is_h_times_the_neumann_inverse(field, d, r, unit_wing, windowed, data):
+    """gplus == h * L^{-1}, L = gminus * unit, with L^{-1} the geometric
+    series c0^{-1} sum_k (-N c0^{-1})^k of its nilpotent part N."""
+    ring = coordinate_ring(field, d) if data.draw(st.booleans()) else CoeffRing(field, 2, d)
+    element = _element_drawer(ring, data)
+    n = data.draw(st.integers(-2, 2))
+    terms = {0: element(True) + data.draw(st.sampled_from([1, -1, 2]).filter(lambda v: ring.const(v)))}
+    for j in range(1, r + 1):
+        terms[-j] = element(True)
+    for j in range(1, 4):
+        terms[j] = element(not unit_wing)
+    if unit_wing:
+        terms[1] = terms[1] - terms[1].constant_term() + 1
+    trunc = n + d * r + 1 + data.draw(st.integers(0, 3)) if windowed else None
+    f = LaurentElement(ring, {e + n: c for e, c in terms.items()}, trunc)
+    n, r = f.reduced_valuation()
+
+    g = factorize(f)
+    h = LaurentElement(ring, {e - n: c for e, c in f.coeffs.items()})
+    low = g.gminus * g.unit
+    c0_inv = g.unit.inverse()
+    nil = low - LaurentElement.const(ring, g.unit)
+    expected = h * (neumann(LaurentElement.one(ring), -(nil * c0_inv)) * c0_inv)
+    if windowed:
+        expected = expected.truncate(trunc - n - d * r)
+    assert g.gplus == expected
+
+
+def _reference_witt_peel(f, sign, length):
+    """witt_peel dividing out each factor by multiplying with its geometric
+    series: the components and the remainder."""
+    ring = f.ring
+    window = None if sign < 0 else length + 1
+    q = f if window is None else f.truncate(window)
+    out = []
+    for i in range(1, length + 1):
+        c = -q.coefficient(sign * i)
+        out.append(c)
+        if c:
+            top = ring.degree_bound if window is None else length // i
+            q = q * LaurentElement(ring, {sign * i * k: c**k for k in range(top + 1)}, window)
+    return out, q
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.sampled_from(FIELDS), st.integers(1, 3), st.booleans(), st.sampled_from([-1, 1]), st.data())
+def test_witt_peel_matches_the_geometric_series_loop(field, d, weighted, sign, data):
+    """Equal components, and an InternalError exactly where the loop's
+    remainder is not 1: a lower wing peeled short of its components."""
+    ring = coordinate_ring(field, d) if weighted else CoeffRing(field, 2, d)
+    element = _element_drawer(ring, data)
+    terms = {0: ring.one()}
+    if sign < 0:
+        r = data.draw(st.integers(1, 3))
+        for j in range(1, r + 1):
+            terms[-j] = element(True)
+        f = LaurentElement(ring, terms)
+        length = data.draw(st.integers(0, d * r))
+    else:
+        for j in range(1, data.draw(st.integers(1, 4)) + 1):
+            terms[j] = element(data.draw(st.booleans()))
+        length = data.draw(st.integers(1, 5))
+        f = LaurentElement(ring, terms, data.draw(st.none() | st.integers(length + 1, length + 3)))
+    expected, rest = _reference_witt_peel(f, sign, length)
+    if rest == LaurentElement(ring, {0: ring.one()}, None if sign < 0 else length + 1):
+        assert witt_peel(f, sign, length) == expected
+    else:
+        with pytest.raises(InternalError, match="nonzero remainder"):
+            witt_peel(f, sign, length)

@@ -1,5 +1,7 @@
 """Laurent window bookkeeping: products, equality, valuation, inversion."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -8,12 +10,14 @@ from grasstau import (
     QQ,
     CoeffRing,
     DomainError,
+    InternalError,
     LaurentElement,
     NotInvertibleError,
     PrecisionError,
     RingMismatchError,
     coordinate_ring,
 )
+from grasstau.laurent import _divide
 
 RING = CoeffRing(QQ, 1, 2)
 X = RING.gen(0)
@@ -241,3 +245,90 @@ def test_windowed_inverse_ignores_the_unknown_tail(ring, lo, known, gap, tail):
 def test_exponents_and_truncation_orders_are_ints(coeffs, trunc):
     with pytest.raises(DomainError, match="must be an int|must be ints"):
         L(coeffs, trunc)
+
+
+# ---------------------------------------------------------------------------
+# exact division by a one-sided series
+# ---------------------------------------------------------------------------
+
+
+def _draw_element(data, ring, nilpotent):
+    """A random element of ``ring``; its constant term dropped if ``nilpotent``."""
+    monos = list(ring.monomials())
+    if ring.field.char:
+        value = st.integers(-2, 2)
+    else:
+        value = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+    values = data.draw(st.lists(value, min_size=len(monos), max_size=len(monos)))
+    x = ring.element(dict(zip(monos, values)))
+    return x - x.constant_term() if nilpotent else x
+
+
+def _draw_unit(data, ring):
+    c = data.draw(st.sampled_from([1, -1, 2, -2]).filter(lambda v: ring.const(v)))
+    return _draw_element(data, ring, True) + c
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.sampled_from([QQ, GF(2), GF(3), GF(5)]),
+    st.integers(1, 3),
+    st.booleans(),
+    st.booleans(),
+    st.data(),
+)
+def test_divide_is_the_product_with_the_inverse(field, d, weighted, up, data):
+    """Both walks of ``_divide`` against num * den^{-1} and the defining
+    property q * den = num."""
+    ring = coordinate_ring(field, d) if weighted else CoeffRing(field, 2, d)
+    depth = data.draw(st.integers(1, 3))
+    den_terms = {0: _draw_unit(data, ring)}
+    for j in range(1, depth + 1):
+        if up:
+            den_terms[j] = _draw_element(data, ring, data.draw(st.booleans()))
+        else:
+            den_terms[-j] = _draw_element(data, ring, True)
+    if up:  # at least one unit above z^0: den^{-1} is an infinite series
+        den_terms[data.draw(st.integers(1, depth))] = _draw_unit(data, ring)
+    den = LaurentElement(ring, den_terms)
+    lo = data.draw(st.integers(-3, 2))
+    size = data.draw(st.integers(1, 4))
+    num_terms = {lo + i: _draw_element(data, ring, data.draw(st.booleans())) for i in range(size)}
+    num_terms[lo] = _draw_unit(data, ring) if data.draw(st.booleans()) else ring.gen(0)
+    windowed = up and data.draw(st.booleans())
+    trunc = lo + size + data.draw(st.integers(0, 2)) if windowed else None
+    num = LaurentElement(ring, num_terms, trunc)
+    if up:
+        below = lo + data.draw(st.integers(1, 6))
+        q = _divide(num, den, below)
+        assert q == num * den.inverse(window=below - lo)
+        assert q.trunc == (below if trunc is None else min(below, trunc))
+        assert (q * den).same_series(num)
+    else:
+        q = _divide(num, den, None)
+        assert q == num * den.inverse()
+        assert q.trunc is None and q * den == num
+
+
+@pytest.mark.parametrize(
+    "den_terms, num_trunc, below",
+    [
+        ({-1: 1, 0: 1}, None, None),
+        ({-2: X, -1: 2, 0: 1}, None, None),
+        ({-1: X, 0: 1, 1: 1}, None, 4),
+        ({-1: X, 0: 1}, None, 4),
+        ({0: X, 1: 1}, None, 4),
+        ({-1: X, 0: 1}, 5, None),
+    ],
+    ids=[
+        "unit-below",
+        "unit-below-behind-a-nilpotent",
+        "both-sides",
+        "below-with-a-window",
+        "no-unit-at-z0",
+        "windowed-numerator-walking-down",
+    ],
+)
+def test_divide_refuses_a_broken_divisor(den_terms, num_trunc, below):
+    with pytest.raises(InternalError, match="one-sided divisor"):
+        _divide(L({0: 1, 1: X}, num_trunc), L(den_terms), below)
