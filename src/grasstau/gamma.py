@@ -180,12 +180,14 @@ def factorize(f: LaurentElement) -> GammaElement:
     spanned by monomials of weight >= 1 (every variable weighs at least 1,
     weighted rings included), so m^{d+1} = 0.  Hence L is exact; it is
     the product h*Q cut below z^1, since nothing reads h*Q above z^0.
-    Then unit = L_0, gminus = L/unit and gplus = (h/unit) / gminus, one
-    exact division walking down (``laurent._divide``): gminus is 1 plus
-    a nilpotent fringe of depth s <= r.  The walk fills every coefficient
-    of h * L^{-1}, from top(h) down to min(h) - d*s, below which the exact
-    quotient has none, so the certification "no negative exponents,
-    constant term 1" reads the same coefficients the full product would.
+    Then unit = L_0, gminus = L/unit and gplus = h / L, which is
+    (h/unit) / gminus since gminus*unit = L, one exact division walking
+    down (``laurent._divide``): L is the unit plus a nilpotent fringe of
+    depth s <= r.  The walk fills every coefficient of h * L^{-1}, from
+    top(h) down to min(h) - d*s, below which the exact quotient has none,
+    so the certification "no negative exponents, constant term 1" reads
+    the same coefficients the full product would; L and gminus have the
+    same depth, so dividing by either walks the same exponents.
     The passes fill r*d(d+1)/2 entries in all; running each to r*d would
     give these the same values and fill others that nothing reads.
 
@@ -219,9 +221,8 @@ def factorize(f: LaurentElement) -> GammaElement:
 
     low = LaurentElement(ring, _series_product(ring, h.coeffs, dict(enumerate(q[: r + 1])), 1))
     unit = low.coefficient(0)
-    unit_inv = unit.inverse()
-    gminus = low * unit_inv
-    gplus = _divide(h * unit_inv, gminus, None)
+    gminus = low * unit.inverse()
+    gplus = _divide(h, low, None)
     if any(e < 0 for e in gplus.coeffs) or gplus.coeffs.get(0) != ring.one():
         raise InternalError("factorization certification failed")
     if f.trunc is not None:

@@ -12,15 +12,20 @@ Truncation makes the ring local: an element is a unit exactly when its
 constant term is nonzero, and every non-unit is nilpotent.  That is what
 keeps all the series manipulations downstream finite and exact.
 
-Ring products do no per-pair monomial work.  Rings of one shape share a
-product table, filled lazily, that maps a pair of monomials to their
-product or to ``None`` once it passes the bound; each entry is weighed
-once.  The table is keyed on ``(num_vars, degree_bound, weights)`` and not
-on the field, because monomial products do not depend on it, so the
-fresh coordinate rings that ``tau_direct`` and ``baker`` build on every
-call all find it already filled.  A table lives as long as the process
-and holds at most one entry per pair of surviving monomials; each entry
-depends only on the key, so sharing cannot change a result.
+An element keys its coefficients by one int per monomial, chosen so that
+the product of two monomials is the sum of their keys.  With K the
+degree bound, n the number of variables and M = (K+1)^n, the key of m is
+w(m)·M + sum_i e_i (K+1)^i.  Weights are at least 1, so a surviving
+monomial (w <= K) has every e_i <= K: its code part is below M, and the
+key determines the monomial.  For two surviving monomials with
+w_1 + w_2 <= K no digit carries, so key_1 + key_2 = key(m_1 m_2), which
+is below L = (K+1)·M; if w_1 + w_2 > K the sum is at least L.  So a
+product survives exactly when the key sum is below L, and that sum is
+its key; the constant monomial has key 0, and w(m) = key // M.  Ring
+products therefore do no per-pair monomial work and need no table.
+Monomial tuples appear only at the public face: the constructor and
+``coefficient`` encode them, and ``coeffs`` (so ``repr``) decodes keys.
+
 An element stores integer numerators over one positive common
 denominator, which is 1 in characteristic p.  Ring arithmetic runs on
 those ints alone and brings each result to its canonical form once: a
@@ -180,10 +185,6 @@ def GF(p: int) -> BaseField:
     return BaseField(p)
 
 
-# (num_vars, degree_bound, weights) -> {m1: {m2: m1 * m2, or None past the bound}}
-_PRODUCT_TABLES: dict[tuple, dict[Monomial, dict[Monomial, Monomial | None]]] = {}
-
-
 class CoeffRing:
     """Truncated polynomial ring: monomials of weighted degree > bound vanish.
 
@@ -215,22 +216,24 @@ class CoeffRing:
         self.num_vars = num_vars
         self.degree_bound = degree_bound
         self.weights = weights
-        self._products = _PRODUCT_TABLES.setdefault((num_vars, degree_bound, weights), {})
+        # monomial keys (module docstring): digit i of the code part has place
+        # value (K+1)^i, a unit of weight is M = (K+1)^n, and L = (K+1)·M
+        base = degree_bound + 1
+        self._places = tuple(base**i for i in range(num_vars))
+        self._step = base**num_vars
+        self._limit = base * self._step
 
     def __eq__(self, other: object) -> bool:
-        # one product table per (num_vars, degree_bound, weights)
         return (
             isinstance(other, CoeffRing)
-            and self._products is other._products
             and self.field.char == other.field.char
+            and self.num_vars == other.num_vars
+            and self.degree_bound == other.degree_bound
+            and self.weights == other.weights
         )
 
     def __hash__(self) -> int:
         return hash((self.field, self.num_vars, self.degree_bound, self.weights))
-
-    def __reduce__(self):
-        # rebuilt through __init__, so a copy or an unpickled ring finds the shared table
-        return CoeffRing, (self.field, self.num_vars, self.degree_bound, self.weights)
 
     def __repr__(self) -> str:
         tag = f"{self.field!r}[x1..x{self.num_vars}]"
@@ -243,18 +246,23 @@ class CoeffRing:
     def weight(self, mono: Monomial) -> int:
         return sum(w * e for w, e in zip(self.weights, mono))
 
-    def _product_row(self, m1: Monomial) -> dict[Monomial, Monomial | None]:
-        """The shared table's row of m1, created empty on first use."""
-        row = self._products.get(m1)
-        if row is None:
-            row = self._products[m1] = {}
-        return row
+    def _key(self, mono: tuple) -> int | None:
+        """The key of ``mono`` if it is a surviving monomial: num_vars
+        exponents, each an int >= 0, of weight within the bound; else None."""
+        if len(mono) != self.num_vars:
+            return None
+        w = code = 0
+        for e, wi, place in zip(mono, self.weights, self._places):
+            if type(e) is not int or e < 0:
+                return None
+            w += wi * e
+            code += e * place
+        return w * self._step + code if w <= self.degree_bound else None
 
-    def _fill_product(self, row: dict, m1: Monomial, m2: Monomial) -> Monomial | None:
-        """Weigh m1 * m2 once and record it in m1's row."""
-        mono = tuple(a + b for a, b in zip(m1, m2))
-        row[m2] = mono = mono if self.weight(mono) <= self.degree_bound else None
-        return mono
+    def _monomial(self, key: int) -> Monomial:
+        """The monomial tuple of a key."""
+        code, base = key % self._step, self.degree_bound + 1
+        return tuple(code // place % base for place in self._places)
 
     def monomials(self) -> Iterator[Monomial]:
         """All surviving monomials, constant first, in a deterministic order."""
@@ -283,22 +291,20 @@ class CoeffRing:
 
     def const(self, value) -> "RingElement":
         n, d = self.field.coerce(value).as_integer_ratio()
-        return _element(self, {(0,) * self.num_vars: n} if n else {}, d)
+        return _element(self, {0: n} if n else {}, d)
 
     def zero(self) -> "RingElement":
         return _element(self, {}, 1)
 
     def one(self) -> "RingElement":
-        return self.const(1)
+        return _element(self, {0: 1}, 1)
 
     def gen(self, i: int) -> "RingElement":
         """The variable x_{i+1} (0-based index)."""
         if not 0 <= i < self.num_vars:
             raise DomainError(f"no generator {i} in {self!r}")
-        mono = tuple(1 if j == i else 0 for j in range(self.num_vars))
-        if self.weight(mono) > self.degree_bound:
-            return self.zero()
-        return _element(self, {mono: 1}, 1)
+        key = self._key(tuple(1 if j == i else 0 for j in range(self.num_vars)))
+        return self.zero() if key is None else _element(self, {key: 1}, 1)
 
 
 def power(one, base, n: int):
@@ -319,8 +325,9 @@ class RingElement:
     """A sparse element of a ``CoeffRing``, stored as integer numerators
     over one common denominator.
 
-    ``_num`` maps monomials within the degree bound to nonzero ints and
-    ``_den`` is a positive int; the element is sum_m _num[m] x^m / _den.
+    ``_num`` maps the keys of monomials within the degree bound (module
+    docstring) to nonzero ints and ``_den`` is a positive int; the element
+    is sum_m _num[key(m)] x^m / _den.
     The form is canonical: in characteristic p the denominator is 1 and
     every numerator lies in [1, p); over Q the gcd of the denominator and
     all numerators is 1.  Over Q it is unique too: if N/D = N'/D', both
@@ -349,16 +356,17 @@ class RingElement:
 
     def __init__(self, ring: CoeffRing, coeffs: dict):
         field = ring.field
-        values: dict[Monomial, object] = {}
+        values: dict[int, object] = {}
         for mono, c in coeffs.items():
             mono = tuple(mono)
-            if len(mono) != ring.num_vars or any(type(e) is not int or e < 0 for e in mono):
-                raise DomainError(f"bad monomial {mono} for {ring!r}")
-            if ring.weight(mono) > ring.degree_bound:
-                continue
+            key = ring._key(mono)
+            if key is None:
+                if len(mono) != ring.num_vars or any(type(e) is not int or e < 0 for e in mono):
+                    raise DomainError(f"bad monomial {mono} for {ring!r}")
+                continue  # past the bound
             c = field.coerce(c)
             if c:
-                values[mono] = c
+                values[key] = c
         self.ring = ring
         if field.char:
             self._num, self._den = values, 1
@@ -372,32 +380,36 @@ class RingElement:
     def coeffs(self) -> dict:
         """{monomial: field value}: Fractions in lowest terms over Q,
         residues in [1, p) in characteristic p.  A fresh dict on every read."""
+        mono = self.ring._monomial
         if self.ring.field.char:
-            return dict(self._num)
+            return {mono(k): c for k, c in self._num.items()}
         den = self._den
-        return {m: Fraction(n, den) for m, n in self._num.items()}
+        return {mono(k): Fraction(n, den) for k, n in self._num.items()}
 
     def _value(self, n: int):
         return n if self.ring.field.char else Fraction(n, self._den)
 
     def coefficient(self, mono: Monomial):
-        return self._value(self._num.get(tuple(mono), 0))
+        mono = tuple(mono)
+        key = self.ring._key(mono)
+        if key is None:  # not a surviving monomial: looked up as a tuple, never as a key
+            return self.coeffs.get(mono, self._value(0))
+        return self._value(self._num.get(key, 0))
 
     def constant_term(self):
-        return self._value(self._num.get((0,) * self.ring.num_vars, 0))
+        return self._value(self._num.get(0, 0))
 
     def is_zero(self) -> bool:
         return not self._num
 
     def is_constant(self) -> bool:
-        zero_mono = (0,) * self.ring.num_vars
-        return all(m == zero_mono for m in self._num)
+        return self._num.keys() <= {0}
 
     def is_unit(self) -> bool:
-        return (0,) * self.ring.num_vars in self._num
+        return 0 in self._num
 
     def is_nilpotent(self) -> bool:
-        return (0,) * self.ring.num_vars not in self._num
+        return 0 not in self._num
 
     def terms(self) -> Iterator[tuple[Monomial, object]]:
         return iter(sorted(self.coeffs.items()))
@@ -491,27 +503,24 @@ class RingElement:
         visiting levels in increasing order, a finished Y_B pushes
         Y_B * (-N_A c^{w(A)-1}) into the bucket of B * A, which is final,
         and so equal to Y_{B*A}, by the time its own level is visited.
+        The pairs visited have w(B) + w(A) within the bound, so the key of
+        B * A is key B + key A (module docstring).
         That is about one product's work.  Over the common denominator
         c^{K+1}, K the degree bound, the inverse D g^{-1} has numerators
         D Y_B c^{K-w(B)}; the reducer makes the denominator positive, or
         divides by it mod p.  In characteristic p every Y is kept mod p.
         """
         ring = self.ring
-        one = (0,) * ring.num_vars
-        c = self._num.get(one)
+        c = self._num.get(0)
         if c is None:
             raise NotInvertibleError("element has zero constant term")
         p = ring.field.char
-        rest = []
-        for a, n in self._num.items():
-            if a != one:
-                w = ring.weight(a)
-                rest.append((w, a, -n * c ** (w - 1)))
-        rest.sort(key=lambda t: t[0])
+        step = ring._step
+        rest = sorted((a // step, a, -n * c ** (a // step - 1)) for a, n in self._num.items() if a)
         bound = ring.degree_bound
         scale = [self._den * c**k for k in range(bound, -1, -1)]  # D c^(K - level)
         levels: list[dict] = [{} for _ in range(bound + 1)]
-        levels[0][one] = 1
+        levels[0][0] = 1
         out = {}
         for level, bucket in enumerate(levels):
             for mono, y in bucket.items():
@@ -520,18 +529,13 @@ class RingElement:
                 if not y:
                     continue
                 out[mono] = y * scale[level]
-                row = ring._product_row(mono)
                 for wa, a, q in rest:
                     if level + wa > bound:
                         break
-                    try:
-                        prod = row[a]
-                    except KeyError:
-                        prod = ring._fill_product(row, mono, a)
-                    if prod is not None:
-                        target = levels[level + wa]
-                        prev = target.get(prod)
-                        target[prod] = q * y if prev is None else prev + q * y
+                    target = levels[level + wa]
+                    prod = mono + a
+                    prev = target.get(prod)
+                    target[prod] = q * y if prev is None else prev + q * y
         return _reduced(ring, out, c ** (bound + 1))
 
 
@@ -551,31 +555,31 @@ def _operand(ring: CoeffRing, other) -> RingElement:
 
 
 def _accumulate(ring: CoeffRing, out: dict, left: dict, right: dict, scale: int) -> dict:
-    """Add scale * left * right into ``out``, all three {monomial: int}
+    """Add scale * left * right into ``out``, all three {key: int}
     numerator dicts, and return ``out``: the one loop over monomial pairs.
-    A lone constant on either side, a scalar operand say, scales the
-    other side's numerators instead."""
-    if len(left) == 1 and (0,) * ring.num_vars in left:
+    It walks ``right`` in increasing key order, so the first key sum at or
+    past the ring's limit ends the row: every later product is past the
+    bound too.  A lone constant on either side, a scalar operand say,
+    scales the other side's numerators instead."""
+    if len(left) == 1 and 0 in left:
         left, right = right, left
-    if len(right) == 1 and (0,) * ring.num_vars in right:
+    if len(right) == 1 and 0 in right:
         (a,) = right.values()
         a *= scale
         for mono, c in left.items():
             prev = out.get(mono)
             out[mono] = c * a if prev is None else prev + c * a
         return out
-    right = right.items()
+    limit = ring._limit
+    right = sorted(right.items())
     for m1, c1 in left.items():
         c1 *= scale
-        row = ring._product_row(m1)
         for m2, c2 in right:
-            try:
-                mono = row[m2]
-            except KeyError:
-                mono = ring._fill_product(row, m1, m2)
-            if mono is not None:
-                prev = out.get(mono)
-                out[mono] = c1 * c2 if prev is None else prev + c1 * c2
+            mono = m1 + m2
+            if mono >= limit:
+                break
+            prev = out.get(mono)
+            out[mono] = c1 * c2 if prev is None else prev + c1 * c2
     return out
 
 
@@ -589,7 +593,7 @@ def _sum_products(ring: CoeffRing, pairs) -> RingElement:
     partial sum is scaled up to the new D first.  The sum is then exactly
     the value the chained ``acc + x * y`` reaches, and canonical forms are
     unique, so the two results are ``==`` and print alike."""
-    out: dict[Monomial, int] = {}
+    out: dict[int, int] = {}
     den = 1
     for x, y in pairs:
         if not (x._num and y._num):

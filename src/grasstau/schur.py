@@ -94,8 +94,9 @@ def to_schur_coords(p: RingElement) -> dict[Partition, object]:
     _require_coordinate_ring(ring)
     out: dict[Partition, object] = {}
     while p:
-        mu, mono = min((_partition_of(m), m) for m in p.coeffs)
-        c = out[mu] = p.coeffs[mono]
+        coeffs = p.coeffs
+        mu, mono = min((_partition_of(m), m) for m in coeffs)
+        c = out[mu] = coeffs[mono]
         p = p - schur_polynomial(ring, mu) * c
     return out
 

@@ -62,9 +62,10 @@ def test_no_unused_top_level_import(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
-# how a RingElement stores its coefficients is scalars.py's business: other
-# modules read ``coeffs`` and build elements through the ring
-RING_STORAGE = {"_num", "_den"}
+# how a RingElement stores its coefficients, and the monomial keys it stores
+# them under, are scalars.py's business: other modules read ``coeffs`` and
+# build elements through the ring
+RING_STORAGE = {"_num", "_den", "_key", "_monomial", "_places", "_step", "_limit"}
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "scalars"], ids=lambda p: p.stem)

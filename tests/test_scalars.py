@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 import sys
 import time
 from fractions import Fraction
@@ -156,8 +157,8 @@ def test_frobenius_power():
 
 
 def test_rings_survive_pickle_and_deepcopy():
-    # a rebuilt ring must find the shared product table, or it compares
-    # unequal to the original and refuses to mix with it
+    # a rebuilt ring must compare equal to the original, or it refuses to
+    # mix with it
     ring = coordinate_ring(QQ, 3)
     x = ring.gen(0)
     assert pickle.loads(pickle.dumps(x)) == x
@@ -208,7 +209,7 @@ def test_unit_xor_nilpotent(a):
 
 
 # ----------------------------------------------------------------------
-# The product-table core against a naive reference: the double loop that
+# The monomial-key core against a naive reference: the double loop that
 # weighs every monomial pair, with one field operation per term, and the
 # Neumann-series inverse.
 # ----------------------------------------------------------------------
@@ -282,8 +283,8 @@ def _same(got, want):
 
 
 # Each family is a pair of rings: two distinct but equal instances, or two
-# rings that differ only in weights or only in the degree bound, so that a
-# product table shared under too coarse a key gives one of them wrong
+# rings that differ only in weights or only in the degree bound, so that
+# monomial keys read with another shape's encoding give one of them wrong
 # products.
 RING_PAIRS = {
     "equal": lambda F: (CoeffRing(F, 2, 3), CoeffRing(F, 2, 3)),
@@ -356,23 +357,28 @@ def test_dense_unit_inverse_frozen():
 def _canonical(x):
     """Integer numerators over one common denominator, in canonical form,
     and ``coeffs`` reading the same values."""
-    p = x.ring.field.char
+    ring = x.ring
+    p = ring.field.char
     num, den = x._num, x._den
     assert all(type(n) is int and n for n in num.values())
-    assert all(x.ring.weight(m) <= x.ring.degree_bound for m in num)
+    # the keys decode to surviving monomials, and encoding gives the key back
+    monos = {k: ring._monomial(k) for k in num}
+    assert all(type(k) is int and 0 <= k for k in num)
+    assert all(ring.weight(m) <= ring.degree_bound for m in monos.values())
+    assert all(ring._key(m) == k for k, m in monos.items())
     coeffs = x.coeffs
-    assert coeffs.keys() == num.keys()
+    assert coeffs.keys() == set(monos.values()) and len(coeffs) == len(num)
     if p:
         assert den == 1
         assert all(type(c) is int and 1 <= c < p for c in coeffs.values())
-        assert coeffs == num
+        assert coeffs == {monos[k]: n for k, n in num.items()}
     else:
         assert type(den) is int and den >= 1
         assert gcd(den, *num.values()) == 1
         for m, c in coeffs.items():
             assert type(c) is Fraction and c.denominator > 0
             assert gcd(c.numerator, c.denominator) == 1
-            assert c == Fraction(num[m], den)
+            assert c == Fraction(num[ring._key(m)], den)
     assert RingElement(x.ring, coeffs) == x
     return x
 
@@ -629,3 +635,41 @@ def test_sum_of_products_refuses_elements_of_another_ring():
     for pair in ((ring.gen(0), other.gen(0)), (other.gen(1), ring.one())):
         with pytest.raises(RingMismatchError, match="^cannot combine elements of"):
             _sum_products(ring, [pair])
+
+
+def test_tuples_outside_the_ring_read_no_other_coefficient():
+    ring = CoeffRing(QQ, 2, 2)
+    # every surviving monomial carries its own coefficient, so a lookup that
+    # landed on another monomial would show
+    x = ring.element({m: i + 1 for i, m in enumerate(ring.monomials())})
+    wrong_length = [(1,), (), (1, 0, 0)]
+    negative = [(-1, 1), (1, -1), (-1, 2)]
+    heavy = [(3, 0), (2, 1), (0, 3)]
+    for mono in wrong_length + negative + heavy + [(0.4, 0.5)]:
+        assert x.coefficient(mono) == 0 and type(x.coefficient(mono)) is Fraction
+    # entries equal to ints are looked up as tuples are, by value
+    assert x.coefficient((1.0, 0)) == x.coefficient((True, 0)) == x.coefficient((1, 0))
+    for mono in wrong_length + negative:
+        with pytest.raises(DomainError, match=f"^bad monomial {re.escape(repr(mono))} for "):
+            RingElement(ring, {mono: 1})
+    for mono in heavy:
+        assert RingElement(ring, {mono: 1}).is_zero()
+        assert RingElement(ring, {mono: 1, (1, 0): 2}) == ring.gen(0) * 2
+
+
+# plain, weighted (one variable too heavy to survive), zero-variable and bound-0 rings
+ROUND_TRIP_SHAPES = [
+    (2, 3, None), (2, 4, (1, 2)), (2, 2, (1, 3)), (3, 2, (2, 1, 1)), (0, 2, None), (2, 0, None), (0, 0, None)
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([QQ, GF(2), GF(3), GF(5)]), st.sampled_from(ROUND_TRIP_SHAPES), st.data())
+def test_coefficients_read_back_through_the_constructor(field, shape, data):
+    ring = CoeffRing(field, *shape)
+    a, b = data.draw(_element(ring)), data.draw(_element(ring))
+    for x in (a, b, a * b, a - b, (a + 1).inverse() if (a + 1).is_unit() else a):
+        coeffs = x.coeffs
+        assert RingElement(ring, coeffs) == x
+        for m in ring.monomials():
+            assert x.coefficient(m) == coeffs.get(m, 0)
