@@ -8,7 +8,7 @@ independent routes compute it:
 
 * ``tau_direct``: bring the point to its Sato normal form over the
   field, columns z^{-i} + (terms at z^0 and above), cut to depth
-  m = min(depth, d), move that by v and take one m x m determinant;
+  m = min(depth, d), and take one m x m determinant of v times it;
 * ``tau_schur``: expand the vacuum minor of v.U over the charts of U,
   which gives sum_lam F_lam * (minor_lam(U) / vacuum minor), a family
   of chart coefficients that ``schur.bosonize`` sums.
@@ -22,34 +22,33 @@ normal form for ``tau_direct``, the vacuum minor for the other two, with
 one error and message.  So all three refuse the same input with the
 same error.
 
+The rows of v.U are written off the scalar columns as linear forms,
+(v.c)_e = sum_{k=0..d} x_k c_{e+k} with x_0 = 1, unknown tails as zero;
+``tau_direct`` and ``baker`` argue that nothing they return sees those.
+
 ``baker`` produces the associated wave series psi, the unique series with
 z^{-1} psi in the point and v psi = 1 + O(z) (Segal-Wilson, in this
 lower-wing convention).  That is one linear condition on the vacuum block
-B of v.U, which ``tau_direct`` and ``baker`` read as the vacuum chart
-block that ``grassmann.plucker`` reads: tau is det B on the cut normal
-form; psi solves B a = e_n over the coordinate ring and is multiplied
-by v^{-1}.
+B of v.U, the block ``grassmann.plucker`` reads: tau is det B on the
+cut normal form; psi solves B a = e_n over the coordinate ring, and
+psi = v^{-1} w, w = z sum_j a_j v.c_j, is the one series product.
 Sato's formula, psi = v^{-1} times the shifted tau over tau, gives the
 same series; the tests keep it as the reference.
 
 ``kp_residual`` evaluates the bilinear residue identity that
 characterizes tau functions, in time coordinates T_j (weight j) with
-x_i = H_i(T) the complete homogeneous functions of the times.  The shift
-by [z^{-1}] has closed forms H_i -> H_i - H_{i-1} u respectively
-H_i -> sum_k H_{i-k} u^k (u = 1/z), so substituting them into tau gives
-two series in u, truncated above the last degree the residue reads, and
-the residue is one sum over the coefficients of their product; tau's
-monomials past the weight the residue reads are skipped.  The
-residual of a degree-d tau polynomial is provably exact in joint weight
-<= d - 1, so checking through weight order+2 needs order <= d - 3.
+x_i = H_i(T) the complete homogeneous functions of the times; the shift
+by [z^{-1}] is one substitution with u = 1/z a ring variable of weight 1.
+The residual of a degree-d tau polynomial is provably exact in joint
+weight <= d - 1, so checking through weight order+2 needs order <= d - 3.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, InternalError, NotInvertibleError, PrecisionError
 from .gamma import GammaElement, _exp_coefficients, universal_v
-from .grassmann import GrassPoint, _chart_block, act, plucker
-from .laurent import LaurentElement
+from .grassmann import GrassPoint, act, plucker
+from .laurent import LaurentElement, _divide
 from .linalg import det_ring, solve_ring
 from .partitions import MayaDiagram, partitions_up_to
 from .scalars import CoeffRing, RingElement, _sum_products
@@ -136,28 +135,25 @@ def _sato_normal_form(cols: list[dict], depth: int, bound: int, field) -> list[d
     return kept
 
 
-def _moved_vacuum_block(field, cols: list[dict], bound: int):
-    """(v, the columns of v.U, their vacuum block B), v = universal_v, for
-    the point U spanned by n scalar columns over a tail of depth n.
-
-    The columns come from ``_scalar_columns`` and passed the vacuum chart
-    check, so they are as many as the tail depth.  They are re-read over
-    v's ring with their unknown tails as zero, which no entry of B sees:
-    the row of z^e, e < 0, reads a column up to z^(e + bound) (``baker``
-    shows the same for the rest of the moved columns it reads).  B is the
-    vacuum chart block of v.U: one row per exponent -n, ..., -1 and one
-    column per moved column.
-    """
-    v = universal_v(field, bound)
-    ring = v.ring
-    moved = act(v, GrassPoint(ring, len(cols), [LaurentElement(ring, c) for c in cols]))
-    return v, moved.columns, _chart_block(moved, MayaDiagram.vacuum())
+def _moved_rows(cols: list[dict], rows, ring: CoeffRing) -> list[list[RingElement]]:
+    """The rows of v.U at the exponents ``rows``, over the coordinate ring
+    ``ring`` of bound d, U spanned by the scalar columns ``cols``
+    ({exponent: scalar} dicts): entry (e, j) is the linear form
+    (v.c_j)_e = sum_{k=0..d} x_k c_{j,e+k}, x_0 = 1, a missing c_{j,e+k}
+    read as zero.  Tail reduction drops only rows below -depth."""
+    d = ring.degree_bound
+    monos = [tuple(int(i == k - 1) for i in range(d)) for k in range(d + 1)]
+    return [
+        [ring.element({monos[k]: c[e + k] for k in range(d + 1) if e + k in c}) for c in cols]
+        for e in rows
+    ]
 
 
 def tau_direct(point: GrassPoint, bound: int) -> RingElement:
     """Vacuum minor of v.point over the vacuum minor of point, read off
     the point's Sato normal form cut to depth m = min(depth, bound): the
-    m x m determinant of the moved vacuum block of span{c'_m, ..., c'_1}.
+    m x m determinant of the moved vacuum block of span{c'_m, ..., c'_1},
+    rows (v.c')_e = sum_{k=0..bound} x_k c'_{e+k}, e = -m, ..., -1, x_0 = 1.
 
     The ratio is det B / det B0 in any basis of the point, B the moved
     vacuum block and B0 the point's own, since a change of basis over the
@@ -173,12 +169,12 @@ def tau_direct(point: GrassPoint, bound: int) -> RingElement:
     lower triangular with a unitriangular block there, so det B is the
     m x m minor: the moved vacuum block of span{c'_m, ..., c'_1} over the
     tail of depth m.  Its constant term is det B0 = 1, so no normalization
-    is left.
+    is left.  Row -1 reads c' below z^bound, so no unknown tail enters.
     """
     field = point.ring.field
     normal = _sato_normal_form(_scalar_columns(point, bound, bound), point.tail_depth, bound, field)
-    v, _, block = _moved_vacuum_block(field, normal, bound)
-    return det_ring(block, v.ring)
+    ring = coordinate_ring(field, bound)
+    return det_ring(_moved_rows(normal, range(-len(normal), 0), ring), ring)
 
 
 def tau_schur(point: GrassPoint, bound: int) -> RingElement:
@@ -230,16 +226,17 @@ def baker(point: GrassPoint, bound: int, window: int) -> LaurentElement:
     ``bound`` coordinate ring, exact at every z-exponent below ``window``.
 
     psi is the unique series with z^{-1} psi in the point and
-    v psi = 1 + O(z), v = universal_v(field, bound).  With the columns c_j
-    moved to v.c_j (tail reduced), solve B a = (0, ..., 0, 1) for the
-    vacuum block B of v.point, a unit since its residue is the point's
-    vacuum block; then sum_j a_j v.c_j = z^{-1} + O(1), so
-    w = z sum_j a_j v.c_j = 1 + O(z) and psi = v^{-1} w, read from w
-    below z^(window + bound) since v^{-1} stops at z^{-bound}.  The
-    unknown tail of every column is read as zero, which is harmless: each
-    unit of x-weight moves a column index up by at most one, and weights
-    stop at ``bound``, so psi's z^k coefficient reads the columns only up
-    to z^(k + bound - 1), inside the window the precondition below asks for.
+    v psi = 1 + O(z), v = universal_v(field, bound).  The rows
+    (v.c_j)_e = sum_{k=0..bound} x_k c_{j,e+k}, x_0 = 1, at e = -n..-1 are
+    the vacuum block B of v.point, a unit since its residue is the
+    point's; solve B a = (0, ..., 0, 1).  Then w = z sum_j a_j v.c_j =
+    1 + O(z), w_{e+1} = sum_j a_j (v.c_j)_e, and psi = v^{-1} w, one
+    series product, reads w below z^(window + bound) only, since v^{-1}
+    stops at z^{-bound}.  The unknown tail of every column is read as
+    zero, which is harmless: each unit of x-weight moves a column index
+    up by at most one, and weights stop at ``bound``, so psi's z^k
+    coefficient reads the columns only up to z^(k + bound - 1), inside
+    the window the precondition below asks for.
 
     The point's columns must be known to z^(bound + window).
     """
@@ -249,14 +246,16 @@ def baker(point: GrassPoint, bound: int, window: int) -> LaurentElement:
         raise DomainError("window must be >= 1")
     cols = _scalar_columns(point, bound, bound + window)
     _vacuum_unit(point)
-    v, moved, block = _moved_vacuum_block(point.ring.field, cols, bound)
+    v = universal_v(point.ring.field, bound).gminus
     ring = v.ring
-    e_n = [ring.one() if e == -1 else ring.zero() for e in range(-len(moved), 0)]
-    (a,) = solve_ring(block, [e_n], ring)
-    w = LaurentElement.one(ring)
-    for a_j, c in zip(a, moved):
-        w = w + (c * a_j).shift(1).clip_below(1)
-    return (v.gminus.inverse() * w.truncate(window + bound)).truncate(window)
+    vacuum = range(-len(cols), 0)
+    e_n = [ring.one() if e == -1 else ring.zero() for e in vacuum]
+    (a,) = solve_ring(_moved_rows(cols, vacuum, ring), [e_n], ring)
+    w = {0: ring.one()}
+    for e, row in enumerate(_moved_rows(cols, range(window + bound - 1), ring)):
+        w[e + 1] = _sum_products(ring, zip(row, a))
+    vinv = _divide(LaurentElement.one(ring), v, None)
+    return (vinv * LaurentElement(ring, w, window + bound)).truncate(window)
 
 
 # ----------------------------------------------------------------------
@@ -273,6 +272,13 @@ def kp_residual(tau_poly: RingElement, order: int) -> RingElement:
     polynomial is not a tau.  The converse needs every order: at order 0
     (joint weight <= 2) the residual of every polynomial is zero, so
     order 0 flags nothing.  Needs characteristic zero and order <= bound - 3.
+
+    With w = order + 2 and u = 1/z of weight 1, x_i -> H_i - H_{i-1} u
+    and x_i -> sum_k H'_{i-k} u^k are homogeneous of weight i, so tau's
+    monomials of weight W give terms of weight W.  The residue reads the
+    u^(n+1) part of the product times e_n (weight n) at joint weight <= w,
+    so terms of weight <= w + 1 only: the ring of the times and u is cut
+    past w + 1, and tau's heavier monomials are skipped.
     """
     ring = tau_poly.ring
     if not is_coordinate_ring(ring):
@@ -285,49 +291,42 @@ def kp_residual(tau_poly: RingElement, order: int) -> RingElement:
     d = ring.degree_bound
     w = order + 2
     if d < w + 1:
-        raise DomainError(
-            f"order {order} needs degree bound >= {order + 3}, have {d}"
-        )
+        raise DomainError(f"order {order} needs degree bound >= {order + 3}, have {d}")
 
-    joint = CoeffRing(field, 2 * w, w, weights=tuple(range(1, w + 1)) * 2)
-    times = [joint.gen(i) for i in range(w)]
-    times_p = [joint.gen(w + i) for i in range(w)]
-
+    weights = tuple(range(1, w + 1)) * 2
+    joint = CoeffRing(field, 2 * w, w, weights=weights)
+    shifted = CoeffRing(field, 2 * w + 1, w + 1, weights=weights + (1,))
+    u = shifted.gen(2 * w)
     # complete homogeneous functions H_i of the times: sum_i H_i u^i = exp(sum_j T_j u^j)
-    h = _exp_coefficients(joint, times, d)
-    hp = _exp_coefficients(joint, times_p, d)
-    e_ser = _exp_coefficients(joint, [times[j] - times_p[j] for j in range(w)], w)
+    h = _exp_coefficients(shifted, [shifted.gen(i) for i in range(w)], w + 1)
+    hp = _exp_coefficients(shifted, [shifted.gen(w + i) for i in range(w)], w + 1)
+    a_images, b_images, b = [], [], shifted.one()
+    for i in range(1, w + 2):  # sum_k H'_{i-k} u^k = H'_i + u sum_k H'_{i-1-k} u^k
+        a_images.append(h[i] - h[i - 1] * u)
+        b = hp[i] + u * b
+        b_images.append(b)
 
-    cap = w + 2  # u-degrees past w + 1 never reach a residue term
-
-    def substitute(images: list[LaurentElement]) -> LaurentElement:
-        """tau at x_i -> images[i - 1], a series in u known below u^cap;
-        each power images[i] ** e is taken once.
-
-        Both families of images are homogeneous: x_i goes to a series
-        whose u^k coefficient has joint weight i - k.  So a monomial of
-        weight W gives terms of total degree W, and the residue term n
-        reads u^(n+1) times e_n (weight n) at joint weight <= w, that is
-        products of total degree <= w + 1.  A monomial of weight past
-        w + 1 contributes nothing and is skipped."""
-        powers: dict[tuple[int, int], LaurentElement] = {}
-        total = LaurentElement.zero(joint, cap)
+    def substitute(images: list[RingElement]) -> RingElement:
+        """tau at x_i -> images[i - 1], skipping monomials past weight
+        w + 1; each power images[i] ** e is taken once."""
+        powers: dict[tuple[int, int], RingElement] = {}
+        pairs = []
         for mono, coeff in tau_poly.coeffs.items():
             if ring.weight(mono) > w + 1:
                 continue
-            term = LaurentElement(joint, {0: coeff}, cap)
+            term = shifted.one()
             for i, e in enumerate(mono):
                 if e:
                     if (i, e) not in powers:
                         powers[i, e] = images[i] ** e
                     term = term * powers[i, e]
-            total = total + term
-        return total
+            pairs.append((term, shifted.const(coeff)))
+        return _sum_products(shifted, pairs)
 
-    a_images = [LaurentElement(joint, {0: h[i], 1: -h[i - 1]}, cap) for i in range(1, d + 1)]
-    b_images = [
-        LaurentElement(joint, {k: hp[i - k] for k in range(i + 1)}, cap) for i in range(1, d + 1)
-    ]
     ab = substitute(a_images) * substitute(b_images)
+    split: list[dict] = [{} for _ in range(w + 2)]  # the u^k part, over the times
+    for mono, coeff in ab.coeffs.items():
+        split[mono[-1]][mono[:-1]] = coeff
+    e_ser = _exp_coefficients(joint, [joint.gen(j) - joint.gen(w + j) for j in range(w)], w)
     # u^(n+1) z^n is z^-1
-    return _sum_products(joint, ((ab.coefficient(n + 1), e_ser[n]) for n in range(w + 1)))
+    return _sum_products(joint, ((joint.element(split[n + 1]), e_ser[n]) for n in range(w + 1)))

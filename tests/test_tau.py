@@ -19,6 +19,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grasstau.tau as tau_module
 from grasstau import (
     GF,
     QQ,
@@ -29,6 +30,7 @@ from grasstau import (
     LaurentElement,
     NotInvertibleError,
     PrecisionError,
+    RingElement,
     act,
     baker,
     coordinate_ring,
@@ -44,6 +46,8 @@ from grasstau import (
     tau_schur,
     universal_v,
 )
+from grasstau.gamma import _exp_coefficients
+from grasstau.linalg import det_ring, solve_ring
 
 RING = CoeffRing(QQ, 1, 1)
 
@@ -75,8 +79,6 @@ def test_tau_two_column_frozen():
 
 def test_tau_schur_takes_each_minor_once(monkeypatch):
     # the vacuum minor normalizes; the empty partition reuses it
-    import grasstau.tau as tau_module
-
     calls = []
 
     def counted(point, diagram):
@@ -365,7 +367,7 @@ def test_kp_residual_takes_each_power_once(monkeypatch):
     """x1 appears with exponent 1 in three monomials and x2 in two, so each
     of the two substitutions needs three distinct powers, not six."""
     calls = []
-    pow_ = LaurentElement.__pow__
+    pow_ = RingElement.__pow__
 
     def counted(self, n):
         calls.append(n)
@@ -375,7 +377,7 @@ def test_kp_residual_takes_each_power_once(monkeypatch):
     x1, x2, x3 = ring4.gen(0), ring4.gen(1), ring4.gen(2)
     poly = 1 + x1 + x2 + x1 * x2 + x1 * x3
     want = kp_residual(poly, 1)
-    monkeypatch.setattr(LaurentElement, "__pow__", counted)
+    monkeypatch.setattr(RingElement, "__pow__", counted)
     assert kp_residual(poly, 1) == want
     assert len(calls) == 2 * 3
 
@@ -483,7 +485,6 @@ def test_tau_direct_determinants_stay_within_the_degree_bound(monkeypatch):
     """Every determinant the direct route takes, in tau or in a Plucker
     minor, has size at most min(depth, bound)."""
     import grasstau.grassmann as grassmann_module
-    import grasstau.tau as tau_module
 
     sizes = []
     for module in (tau_module, grassmann_module):
@@ -510,7 +511,7 @@ def test_kp_residual_skips_monomials_past_the_residue_weight(monkeypatch):
     """At order 1 the residue reads tau through weight 4: x4 x1 and x5
     (weight 5) change nothing and take no power."""
     calls = []
-    pow_ = LaurentElement.__pow__
+    pow_ = RingElement.__pow__
 
     def counted(self, n):
         calls.append(n)
@@ -520,6 +521,144 @@ def test_kp_residual_skips_monomials_past_the_residue_weight(monkeypatch):
     x1, x4, x5 = ring5.gen(0), ring5.gen(3), ring5.gen(4)
     light = 1 + 3 * x1 + x1 * x1
     want = kp_residual(light, 1)
-    monkeypatch.setattr(LaurentElement, "__pow__", counted)
+    monkeypatch.setattr(RingElement, "__pow__", counted)
     assert kp_residual(light + x1 * x4 - 2 * x5, 1) == want
     assert len(calls) == 2 * 2  # x1 and x1^2, once per substitution
+
+
+# ---------------------------------------------------------------------------
+# references: the series routes the linear-form rows replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_moved_block(field, cols, bound):
+    """(v, the moved columns, their vacuum block), moving whole columns
+    with ``act``: the columns of v.U as series, tail reduced."""
+    v = universal_v(field, bound)
+    ring = v.ring
+    moved = act(v, GrassPoint(ring, len(cols), [LaurentElement(ring, c) for c in cols]))
+    block = [[c.coefficient(e) for c in moved.columns] for e in range(-len(cols), 0)]
+    return v, moved.columns, block
+
+
+def _reference_tau_direct(point, bound):
+    field = point.ring.field
+    cols = tau_module._scalar_columns(point, bound, bound)
+    normal = tau_module._sato_normal_form(cols, point.tail_depth, bound, field)
+    v, _, block = _reference_moved_block(field, normal, bound)
+    return det_ring(block, v.ring)
+
+
+def _reference_baker(point, bound, window):
+    """psi = v^-1 w with w = 1 + z sum_j a_j v.c_j, the moved columns
+    multiplied out as series and v inverted by ``inverse``."""
+    cols = tau_module._scalar_columns(point, bound, bound + window)
+    v, moved, block = _reference_moved_block(point.ring.field, cols, bound)
+    ring = v.ring
+    e_n = [ring.one() if e == -1 else ring.zero() for e in range(-len(moved), 0)]
+    (a,) = solve_ring(block, [e_n], ring)
+    w = LaurentElement.one(ring)
+    for a_j, c in zip(a, moved):
+        w = w + (c * a_j).shift(1).clip_below(1)
+    return (v.gminus.inverse() * w.truncate(window + bound)).truncate(window)
+
+
+def _reference_kp_residual(tau_poly, order):
+    """The residue with the shifts substituted as series in u = 1/z over
+    the joint ring of the times, cut above u^(order + 3)."""
+    ring = tau_poly.ring
+    field, d, w = ring.field, ring.degree_bound, order + 2
+    joint = CoeffRing(field, 2 * w, w, weights=tuple(range(1, w + 1)) * 2)
+    times = [joint.gen(i) for i in range(w)]
+    times_p = [joint.gen(w + i) for i in range(w)]
+    h = _exp_coefficients(joint, times, d)
+    hp = _exp_coefficients(joint, times_p, d)
+    e_ser = _exp_coefficients(joint, [times[j] - times_p[j] for j in range(w)], w)
+    cap = w + 2
+
+    def substitute(images):
+        total = LaurentElement.zero(joint, cap)
+        for mono, coeff in tau_poly.coeffs.items():
+            term = LaurentElement(joint, {0: coeff}, cap)
+            for image, e in zip(images, mono):
+                term = term * image ** e
+            total = total + term
+        return total
+
+    a_images = [LaurentElement(joint, {0: h[i], 1: -h[i - 1]}, cap) for i in range(1, d + 1)]
+    b_images = [
+        LaurentElement(joint, {k: hp[i - k] for k in range(i + 1)}, cap) for i in range(1, d + 1)
+    ]
+    ab = substitute(a_images) * substitute(b_images)
+    return sum((ab.coefficient(n + 1) * e_ser[n] for n in range(w + 1)), joint.zero())
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([QQ, GF(2), GF(3), GF(5)]),
+    st.integers(0, 6),
+    st.integers(1, 5),
+    st.integers(1, 3),
+    st.sampled_from([None, 0, 1]),
+    st.integers(0, 2**32),
+)
+def test_tau_direct_and_baker_match_the_column_moving_reference(field, depth, bound, window, extra, seed):
+    """The rows of v.U written as linear forms give what moving whole
+    columns by v gives, windowed columns included (extra = 0 is a window
+    ending exactly where ``baker`` needs it)."""
+    trunc = None if extra is None else bound + window + extra
+    pt = _mixed_point(Random(seed), field, depth, bound + window + 1, trunc)
+    assert tau_direct(pt, bound) == _reference_tau_direct(pt, bound)
+    assert baker(pt, bound, window) == _reference_baker(pt, bound, window)
+
+
+def test_kp_residual_matches_the_series_reference():
+    """On tau polynomials and on perturbed ones, at every order the bound
+    allows, over Q: equal to the series substitution, zero exactly on the
+    taus."""
+    rng = Random(19)
+    flagged = 0
+    for bound in (3, 4, 5, 6):
+        for _ in range(3):
+            depth = rng.randint(1, 4)
+            t = tau_crosscheck(_mixed_point(rng, QQ, depth, bound + 1, None), bound)
+            mono = rng.choice(list(t.ring.monomials())[1:])
+            fake = t + t.ring.element({mono: rng.randint(1, 3)})
+            for order in range(bound - 2):
+                assert kp_residual(t, order) == _reference_kp_residual(t, order)
+                assert kp_residual(t, order).is_zero()
+                residual = kp_residual(fake, order)
+                assert residual == _reference_kp_residual(fake, order)
+                flagged += not residual.is_zero()
+    assert flagged  # the perturbations are caught, so the references compare nonzero values too
+
+
+def test_only_bakers_last_step_multiplies_series(monkeypatch):
+    """tau_direct and kp_residual take no series product at all; baker
+    takes one, v^-1 times w."""
+    pt = two_column_point()
+    t = tau_direct(pt, 5)
+    residual = kp_residual(t, 2)
+    psi = baker(pt, 3, 3)
+
+    def refused(self, other):
+        raise AssertionError("series product")
+
+    monkeypatch.setattr(LaurentElement, "__mul__", refused)
+    monkeypatch.setattr(LaurentElement, "__rmul__", refused)
+    assert tau_direct(pt, 5) == t
+    assert kp_residual(t, 2) == residual
+    with pytest.raises(AssertionError, match="series product"):
+        baker(pt, 3, 3)
+
+    monkeypatch.undo()
+    calls = []
+    mul = LaurentElement.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentElement, "__mul__", counted)
+    assert baker(pt, 3, 3) == psi
+    assert len(calls) == 1
