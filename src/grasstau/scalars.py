@@ -222,6 +222,8 @@ class CoeffRing:
         self._places = tuple(base**i for i in range(num_vars))
         self._step = base**num_vars
         self._limit = base * self._step
+        # the keys of 1, x_1, ..., x_n, for the generators within the bound
+        self._linear_keys = (0,) + tuple(w * self._step + pl for w, pl in zip(weights, self._places))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -630,6 +632,43 @@ def _element(ring: CoeffRing, num: dict, den: int) -> RingElement:
     e = object.__new__(RingElement)
     e.ring, e._num, e._den = ring, num, den
     return e
+
+
+def _linear_form(ring: CoeffRing, coeffs: dict) -> RingElement:
+    """The element sum_k coeffs[k] x_k of ring, x_0 = 1 and x_k the k-th
+    generator, from trusted values: each x_k within the degree bound, each
+    value a nonzero field value in canonical form (an int in [1, p) in
+    characteristic p, a Fraction over Q).  Over Q the lcm of the
+    denominators is the canonical denominator (see ``RingElement``)."""
+    keys = ring._linear_keys
+    if ring.field.char:
+        return _element(ring, {keys[k]: c for k, c in coeffs.items()}, 1)
+    den = lcm(*[c.denominator for c in coeffs.values()])
+    return _element(ring, {keys[k]: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den)
+
+
+def _split_last(x: RingElement, target: CoeffRing) -> dict[int, RingElement]:
+    """The nonzero parts x_k, k >= 1, of x = x_0 + sum_k x_k u^k, u the last
+    variable of x's ring, each an element of ``target``: the ring of the
+    other variables, with their weights, and a degree bound at least x's
+    bound less u's weight.  Worked on the keys, x_0 unread: each key is
+    split into u's digit and the others, which are re-encoded for
+    ``target``, and each part is reduced once."""
+    ring = x.ring
+    base, step, top = ring.degree_bound + 1, ring._step, ring._places[-1]
+    wu = ring.weights[-1]
+    parts: dict[int, dict] = {}
+    for key, c in x._num.items():
+        weight, code = divmod(key, step)
+        k, rest = divmod(code, top)
+        if not k:
+            continue
+        new = (weight - wu * k) * target._step
+        for place in target._places:
+            rest, e = divmod(rest, base)
+            new += e * place
+        parts.setdefault(k, {})[new] = c
+    return {k: _reduced(target, num, x._den) for k, num in parts.items()}
 
 
 def _reduced(ring: CoeffRing, num: dict, den: int) -> RingElement:

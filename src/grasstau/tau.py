@@ -10,17 +10,23 @@ independent routes compute it:
   field, columns z^{-i} + (terms at z^0 and above), cut to depth
   m = min(depth, d), and take one m x m determinant of v times it;
 * ``tau_schur``: expand the vacuum minor of v.U over the charts of U,
-  which gives sum_lam F_lam * (minor_lam(U) / vacuum minor), a family
-  of chart coefficients that ``schur.bosonize`` sums.
+  which gives sum_lam F_lam * (pi_lam(U) / pi_0(U)), a family of
+  Plucker ratios that ``schur.bosonize`` sums.  One elimination on the
+  point's columns gives its chart coordinates A, and each ratio is a
+  signed r x r minor of A, r^2 <= |lam| (Frobenius coordinates).
 
-They must agree exactly; keeping both is the point of the design.
+They must agree exactly; keeping both is the point of the design.  Past
+the input checks they share only ``linalg._eliminate``: the direct route
+runs it inside ``det_ring`` on v times the normal form, the Schur route
+on the point's own columns, and neither reads the other's normal form or
+moved rows.
 ``tau_direct``, ``tau_schur`` and ``baker`` read the point through one
 reader, ``_scalar_columns``, which checks the degree bound, the window
 and scalar coefficients in that order before v is built.  The vacuum
 chart comes last, decided by the first thing each route computes: the
-normal form for ``tau_direct``, the vacuum minor for the other two, with
-one error and message.  So all three refuse the same input with the
-same error.
+normal form for ``tau_direct``, the elimination for ``tau_schur``, the
+vacuum minor for ``baker``, with one error and message.  So all three
+refuse the same input with the same error.
 
 The rows of v.U are written off the scalar columns as linear forms,
 (v.c)_e = sum_{k=0..d} x_k c_{e+k} with x_0 = 1, unknown tails as zero;
@@ -47,11 +53,11 @@ from __future__ import annotations
 
 from .errors import DomainError, InternalError, NotInvertibleError, PrecisionError
 from .gamma import GammaElement, _exp_coefficients, universal_v
-from .grassmann import GrassPoint, act, plucker
+from .grassmann import GrassPoint, _rows, act, plucker
 from .laurent import LaurentElement, _divide
-from .linalg import det_ring, solve_ring
+from .linalg import _eliminate, det_ring, solve_ring
 from .partitions import MayaDiagram, partitions_up_to
-from .scalars import CoeffRing, RingElement, _sum_products
+from .scalars import CoeffRing, RingElement, _linear_form, _split_last, _sum_products
 from .schur import bosonize, coordinate_ring, is_coordinate_ring
 
 
@@ -73,7 +79,8 @@ def _scalar_columns(point: GrassPoint, bound: int, need: int) -> list[dict]:
 
     A degree bound >= 1, columns known below z^need, scalar coefficients.
     Returns the columns as {exponent: scalar} dicts.  The vacuum chart is
-    checked next, by ``_sato_normal_form`` or ``_vacuum_unit``.
+    checked next, by ``_sato_normal_form``, by ``tau_schur``'s elimination
+    or by ``_vacuum_unit``.
     """
     if bound < 1:
         raise DomainError("degree bound must be >= 1")
@@ -142,9 +149,8 @@ def _moved_rows(cols: list[dict], rows, ring: CoeffRing) -> list[list[RingElemen
     (v.c_j)_e = sum_{k=0..d} x_k c_{j,e+k}, x_0 = 1, a missing c_{j,e+k}
     read as zero.  Tail reduction drops only rows below -depth."""
     d = ring.degree_bound
-    monos = [tuple(int(i == k - 1) for i in range(d)) for k in range(d + 1)]
     return [
-        [ring.element({monos[k]: c[e + k] for k in range(d + 1) if e + k in c}) for c in cols]
+        [_linear_form(ring, {k: c[e + k] for k in range(d + 1) if e + k in c}) for c in cols]
         for e in rows
     ]
 
@@ -178,19 +184,71 @@ def tau_direct(point: GrassPoint, bound: int) -> RingElement:
 
 
 def tau_schur(point: GrassPoint, bound: int) -> RingElement:
-    """Chart expansion: sum over |lam| <= bound of F_lam times the
-    normalized lam-minor of the point, a scalar since the point is.  The
-    empty partition's normalized minor is the vacuum minor over itself.
-    Every minor is the point's own Plucker coordinate, so this route
-    shares nothing with ``tau_direct`` past the input checks."""
+    """Chart expansion: sum over |lam| <= bound of F_lam times the Plucker
+    ratio pi_lam / pi_0 of the point, every ratio read off one
+    elimination on its columns (Sato and Sato; Segal-Wilson, sections 2-3).
+
+    Let n be the tail depth and m = min(n, bound).  The ratios with
+    |lam| <= bound read the columns at exponents -n..bound-1 only, and a
+    change of basis of the point, a column operation, multiplies every
+    pi_lam by one determinant.  A partition longer than n has a zero
+    minor; every other such chart keeps the deep vacuum rows -n..-m-1,
+    as its holes are -1-beta_j >= -l(lam) >= -m.  Elimination on unit
+    pivots along those rows leaves n - m columns that are triangular
+    there and m columns that vanish there, so each minor is the
+    triangular block's determinant, common to all charts, times the minor
+    of the m shallow columns.  Their rows -m..-1 form H and rows
+    0..bound-1 form P.  With det H a unit, the columns P H^{-1} give the
+    chart coordinates A(a, h) of the point: column h is z^h plus
+    sum_a A(a, h) z^a up to z^bound, for h = -m..-1 and a >= 0.  A column
+    count other than n, or a singular deep block or H, means pi_0 = 0:
+    the point is outside the vacuum chart.
+
+    In that basis a chart lam, with Frobenius coordinates
+    (alpha_1 > ... > alpha_r | beta_1 > ... > beta_r), picks the unit rows
+    of the kept holes and the particle rows alpha_i.  Expanding along the
+    unit rows leaves det[A(alpha_i, -1-beta_j)] with rows alpha_r, ...,
+    alpha_1 and columns -1-beta_1, ..., -1-beta_r; moving the hole columns
+    past the unit columns to their right takes sum_j beta_j - r(r-1)/2
+    transpositions, and reversing the rows r(r-1)/2 more.  So
+    pi_lam / pi_0 = (-1)^(beta_1 + ... + beta_r) det[A(alpha_i, -1-beta_j)],
+    an r x r minor with r^2 <= |lam|: the entry itself for r = 1.
+    """
     _scalar_columns(point, bound, bound)
-    dinv = _vacuum_unit(point).inverse()
+    n = point.tail_depth
+    if len(point.columns) != n:
+        raise NotInvertibleError(_OFF_CHART)
+    m = min(n, bound)
+    deep = n - m
+    mat = [list(col) for col in zip(*_rows(point.columns, range(-n, bound)))]
+    if _eliminate(mat, deep)[0] < deep:
+        raise NotInvertibleError(_OFF_CHART)
+    shallow = mat[deep:]
+    ring = point.ring
+    try:
+        chart = solve_ring(
+            [row[deep:n] for row in shallow],
+            [[row[n + a] for row in shallow] for a in range(bound)],
+            ring,
+        )
+    except NotInvertibleError:
+        raise NotInvertibleError(_OFF_CHART) from None
     coords = {(): 1}
     for lam in partitions_up_to(bound)[1:]:
-        minor = plucker(point, MayaDiagram.from_partition(lam))
-        if not minor.is_zero():
-            coords[lam] = (minor * dinv).constant_term()
-    return bosonize(coordinate_ring(point.ring.field, bound), coords)
+        if len(lam) > n:
+            continue
+        maya = MayaDiagram.from_partition(lam)
+        particles = [a for a in reversed(maya.members) if a >= 0]
+        holes = [h for h in range(maya.tail_start, 0) if h not in maya.members]
+        if len(particles) == 1:
+            ratio = chart[particles[0]][holes[0] + m]
+        else:
+            ratio = det_ring([[chart[a][h + m] for h in holes] for a in particles], ring)
+        if (len(holes) + sum(holes)) % 2:  # sum beta_j, beta_j = -1 - h_j
+            ratio = -ratio
+        if ratio:
+            coords[lam] = ratio.constant_term()
+    return bosonize(coordinate_ring(ring.field, bound), coords)
 
 
 def tau_crosscheck(point: GrassPoint, bound: int) -> RingElement:
@@ -323,10 +381,7 @@ def kp_residual(tau_poly: RingElement, order: int) -> RingElement:
             pairs.append((term, shifted.const(coeff)))
         return _sum_products(shifted, pairs)
 
-    ab = substitute(a_images) * substitute(b_images)
-    split: list[dict] = [{} for _ in range(w + 2)]  # the u^k part, over the times
-    for mono, coeff in ab.coeffs.items():
-        split[mono[-1]][mono[:-1]] = coeff
+    split = _split_last(substitute(a_images) * substitute(b_images), joint)  # u^k parts
     e_ser = _exp_coefficients(joint, [joint.gen(j) - joint.gen(w + j) for j in range(w)], w)
     # u^(n+1) z^n is z^-1
-    return _sum_products(joint, ((joint.element(split[n + 1]), e_ser[n]) for n in range(w + 1)))
+    return _sum_products(joint, ((split[n + 1], e_ser[n]) for n in range(w + 1) if n + 1 in split))

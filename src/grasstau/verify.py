@@ -210,6 +210,21 @@ def _suite_tau_crosscheck(report: SuiteReport, rng: Random, scale: str) -> None:
                     a.constant_term() == field.one(),
                     f"constant term {a.constant_term()}",
                 )
+    # past the degree bound the Schur route eliminates the deep vacuum rows
+    # first; drawn after the points above, which keep their draws
+    for field in _fields(scale):
+        spec = format_field_spec(field)
+        ring = CoeffRing(field, 0, 0)
+        for d in degs:
+            for depth in range(d + 1, d + 4):
+                pt = _random_point(rng, ring, depth, fill=0.6, top=rng.randint(1, 3))
+                a = tau_direct(pt, d)
+                b = tau_schur(pt, d)
+                report.check(
+                    f"both tau routes agree past the degree bound ({spec}, d={d}, depth={depth})",
+                    a == b,
+                    f"direct={a} schur={b}",
+                )
 
 
 def _suite_tau_base_baker(report: SuiteReport, rng: Random, scale: str) -> None:

@@ -7,6 +7,12 @@ minor table lives in test_grassmann (vac 1, (1) 2, (2) 3, (1,1) -1,
     tau = 1 + 2 F_1 + 3 F_2 - F_11 - F_21
         = 1 + 2 x1 + 4 x2 - x1^2 - x1 x2 + x3.
 
+At bound 4 the one chart of weight 4 that the two columns reach is
+(2,2), Frobenius (1,0 | 1,0), whose ratio carries the sign (-1)^(1+0):
+F_22 = x2^2 - x1 x3 enters with coefficient 1, so
+
+    tau = 1 + 2 x1 + 4 x2 - x1^2 - x1 x2 + x3 + x2^2 - x1 x3.
+
 The single-column point span{z^-1 + c} has tau = 1 + c x1 at any bound,
 which makes the wave series reconstructible from first principles: the
 shift x1 -> x1 + t gives psi = v^{-1} (1 + c (1 + c x1)^{-1} z).
@@ -14,6 +20,7 @@ shift x1 -> x1 + t gives psi = v^{-1} (1 + c (1 + c x1)^{-1} z).
 
 import re
 from fractions import Fraction
+from math import isqrt
 from random import Random
 
 import pytest
@@ -28,6 +35,7 @@ from grasstau import (
     GammaElement,
     GrassPoint,
     LaurentElement,
+    MayaDiagram,
     NotInvertibleError,
     PrecisionError,
     RingElement,
@@ -75,22 +83,45 @@ def test_tau_two_column_frozen():
     expected = t.ring.one() + 2 * x1 + 4 * x2 - x1 * x1 - x1 * x2 + x3
     assert t == expected
     assert tau_direct(two_column_point(), 3) == tau_schur(two_column_point(), 3)
+    t = tau_crosscheck(two_column_point(), 4)
+    x1, x2, x3 = (t.ring.gen(i) for i in range(3))
+    assert t == 1 + 2 * x1 + 4 * x2 - x1 * x1 - x1 * x2 + x3 + x2 * x2 - x1 * x3
 
 
-def test_tau_schur_takes_each_minor_once(monkeypatch):
-    # the vacuum minor normalizes; the empty partition reuses it
-    calls = []
+def test_tau_schur_takes_only_small_minors(monkeypatch):
+    """No Plucker minor: every ratio is read off one elimination as an
+    r x r minor of the chart coordinates, r^2 <= |lam| <= bound, and only
+    r >= 2 takes a determinant.  Chart by chart, the depth-12 point would
+    take 12 x 12 minors."""
+    import grasstau.grassmann as grassmann_module
 
-    def counted(point, diagram):
-        calls.append(diagram)
+    sizes, minors = [], []
+    for module in (tau_module, grassmann_module):
+        original = module.det_ring
+
+        def counted(rows, ring, original=original):
+            sizes.append(len(rows))
+            return original(rows, ring)
+
+        monkeypatch.setattr(module, "det_ring", counted)
+
+    def counted_minor(point, diagram):
+        minors.append(diagram)
         return plucker(point, diagram)
 
-    monkeypatch.setattr(tau_module, "plucker", counted)
-    pt = two_column_point()
-    assert tau_schur(pt, 2) == tau_direct(pt, 2)
-    calls.clear()
-    tau_schur(pt, 2)
-    assert len(calls) == len(partitions_up_to(2)) == 4
+    monkeypatch.setattr(tau_module, "plucker", counted_minor)
+    rng = Random(20)
+    cases = [(_deep_point(), 3), (_deep_point(), 6), (two_column_point(), 4)] + [
+        (_mixed_point(rng, field, depth, bound + 1, None), bound)
+        for field in (QQ, GF(3))
+        for depth, bound in [(0, 2), (2, 5), (7, 2), (9, 4), (9, 7)]
+    ]
+    for pt, bound in cases:
+        sizes.clear()
+        tau_schur(pt, bound)
+        assert not minors
+        assert max(sizes, default=0) <= isqrt(bound)
+    assert 2 in sizes  # the charts with r = 2 at bound 7, (2,2) among them
 
 
 def test_tau_of_the_base_point_is_one():
@@ -387,14 +418,17 @@ def test_kp_residual_takes_each_power_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _mixed_point(rng: Random, field, depth: int, top: int, trunc, singular=False) -> GrassPoint:
+def _mixed_point(
+    rng: Random, field, depth: int, top: int, trunc, singular=False, num_vars=0
+) -> GrassPoint:
     """A dense point in the vacuum chart whose columns are mixed by a random
     invertible matrix: upper unitriangular, then lower triangular with a
     nonzero random diagonal, then a permutation.  So its vacuum block is
     neither triangular nor unipotent.  Columns are known below z^trunc
     (None: exactly).  ``singular`` puts a zero on the lower factor's
-    diagonal, which takes the point out of the vacuum chart."""
-    ring = CoeffRing(field, 0, 0)
+    diagonal, which takes the point out of the vacuum chart.  The
+    coefficients are scalars of a ring with ``num_vars`` variables."""
+    ring = CoeffRing(field, num_vars, num_vars)
 
     def scalar(nonzero=False):
         while True:
@@ -450,6 +484,57 @@ def test_tau_direct_matches_schur_on_mixed_dense_points(field, depth, bound, ext
             results.append(str(exc))
     assert results[0] == results[1]
     assert isinstance(results[0], str) == (singular and depth > 0)
+
+
+def _reference_tau_schur(point, bound):
+    """The chart-by-chart route: sum over |lam| <= bound of F_lam times
+    the Plucker ratio plucker_lam / plucker_0, each minor taken on its own."""
+    tau_module._scalar_columns(point, bound, bound)
+    vacuum = plucker(point, MayaDiagram.vacuum())
+    if not vacuum.is_unit():
+        raise NotInvertibleError(tau_module._OFF_CHART)
+    ring = coordinate_ring(point.ring.field, bound)
+    total = ring.zero()
+    for lam in partitions_up_to(bound):
+        ratio = plucker(point, MayaDiagram.from_partition(lam)) * vacuum.inverse()
+        total = total + schur_polynomial(ring, lam) * ratio.constant_term()
+    return total
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(7)]),
+    st.integers(0, 9),
+    st.integers(1, 7),
+    st.sampled_from([None] * 7 + [-1, 0, 1]),
+    st.sampled_from([0, 0, 0, -1, 1]),
+    st.integers(0, 2),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_tau_schur_matches_the_chart_by_chart_reference(
+    field, depth, bound, extra, spare, num_vars, singular, seed
+):
+    """One elimination gives every Plucker ratio the charts give one
+    minor at a time, on dense mixed points, windowed ones (extra = -1 is
+    a window one short of the bound), points with one column too few or
+    too many, and scalar points of rings with variables; a refusal has
+    the same type and message."""
+    rng = Random(seed)
+    trunc = None if extra is None else bound + extra
+    pt = _mixed_point(rng, field, depth, bound + 2, trunc, singular and depth > 0, num_vars)
+    cols = pt.columns[:-1] if spare < 0 else pt.columns
+    if spare > 0:
+        extra_col = {e: rng.randrange(1, 4) for e in range(-depth, bound + 3) if rng.random() < 0.5}
+        cols = cols + [LaurentElement(pt.ring, extra_col, trunc)]
+    pt = GrassPoint(pt.ring, depth, cols)
+    results = []
+    for route in (tau_schur, _reference_tau_schur):
+        try:
+            results.append(repr(route(pt, bound)))
+        except (NotInvertibleError, PrecisionError) as exc:
+            results.append((type(exc), str(exc)))
+    assert results[0] == results[1]
 
 
 def _deep_point() -> GrassPoint:
