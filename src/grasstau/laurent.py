@@ -355,10 +355,13 @@ class LaurentElement:
         return h_inv if trunc_out is None else h_inv.truncate(trunc_out)
 
 
-def _divide(num: LaurentElement, den: LaurentElement, below: int | None) -> LaurentElement:
+def _divide(
+    num: LaurentElement, den: LaurentElement, below: int | None, inv0: RingElement | None = None
+) -> LaurentElement:
     """num / den by the division rule of the module docstring, for a
     ``num`` that is not the exact zero and an exact ``den`` with a unit at
-    z^0 and its other terms on one side of z^0.
+    z^0 and its other terms on one side of z^0.  ``inv0`` is the inverse
+    of that unit when the caller already holds it.
 
     Terms above z^0: the quotient is given strictly below ``below`` and
     below num's window.  Terms below z^0, all nilpotent, and ``below``
@@ -376,7 +379,8 @@ def _divide(num: LaurentElement, den: LaurentElement, below: int | None) -> Laur
     if den.trunc is not None or c0 is None or not c0.is_unit() or misplaced:
         raise InternalError("division needs an exact one-sided divisor with a unit at z^0")
     one = ring.one()
-    inv0 = one if c0 == one else c0.inverse()
+    if inv0 is None:
+        inv0 = one if c0 == one else c0.inverse()
     scaled = [(j, -(c if inv0 is one else inv0 * c)) for j, c in rest]
     if up:
         top = below if num.trunc is None else min(below, num.trunc)

@@ -8,25 +8,37 @@ series, the corner determinant of the commutator of their multiplication
 operators compressed onto the nonnegative half-space (Anderson and Pablos
 Romo).  It is multiplicative in each slot and skew, and constants or two
 elements of one wing pair to 1.  So factor f = f- u f+ and g = g- u' g+
-(:func:`factorize`) and peel the wings into Witt components,
-f- = prod_i (1 - a_i z^{-i}) and f+ = prod_j (1 - b_j z^j): only the
-cross terms survive, and <1 - a z^{-i}, 1 - b z^j> = (1 - a^{j/h} b^{i/h})^{-h}
-with h = gcd(i, j) gives <f, g> = S(g-, f+) / S(f-, g+), where
-S(L, U) = prod_{i,j} (1 - a_i^{j/h} b_j^{i/h})^h over the components a of
-L and b of U.  :func:`commutator_pairing` bounds both products.  They
-read each argument only below z^(d(r1+r2)+1), with r1 and r2 the fringe
-widths and m^(d+1) = 0, so a windowed argument is refused exactly when its
-trunc <= d(r1+r2), and any other value does not depend on the unknown tail.
+(:func:`factorize`): only the cross terms survive, and
+<f, g> = S(g-, f+) / S(f-, g+), where S(L, U) pairs a lower wing L with
+an upper wing U and is one norm.
+
+Let L = 1 + c_1 z^{-1} + ... + c_D z^{-D}, every c_k nilpotent, and
+P(t) = t^D + c_1 t^(D-1) + ... + c_D, which is monic.  Then S(L, U) is
+the determinant of multiplication by U(t) on R[t]/(P), a D x D matrix.
+Write L = prod_k (1 - alpha_k z^{-1}) and a polynomial U =
+prod_l (1 - beta_l z) with formal roots.  S of two such single factors
+is 1 - alpha beta, so the cross-term product is
+prod_{k,l} (1 - alpha_k beta_l) = prod_k U(alpha_k), and as the alpha_k
+are the roots of P, that is the norm of U(t) from R[t]/(P) down to R.
+Both sides are polynomials in the c's and U's coefficients with integer
+coefficients, so the identity holds over every R, in characteristic p
+too.  D = 0 gives the empty determinant, which is 1.  In Witt components,
+L = prod_i (1 - a_i z^{-i}) and U = prod_j (1 - b_j z^j), the same
+product is prod_{i,j} (1 - a_i^{j/h} b_j^{i/h})^h with h = gcd(i, j);
+:func:`commutator_pairing` uses that form only to bound what it reads.
+Both norms read each argument only below z^(d(r1+r2)+1), with r1 and r2
+the fringe widths and m^(d+1) = 0, so a windowed argument is refused
+exactly when its trunc <= d(r1+r2), and any other value does not depend
+on the unknown tail.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
 from .errors import DomainError, PrecisionError, RingMismatchError
-from .gamma import factorize, witt_peel
+from .gamma import factorize
 from .laurent import LaurentElement
-from .scalars import CoeffRing, RingElement
+from .linalg import det_ring
+from .scalars import RingElement, _sum_products
 
 
 def residue_pairing(f: LaurentElement, g: LaurentElement) -> RingElement:
@@ -36,51 +48,56 @@ def residue_pairing(f: LaurentElement, g: LaurentElement) -> RingElement:
     return (f * g.derivative()).residue()
 
 
-def _powers(x: RingElement, top: int) -> list[RingElement]:
-    """[x, x^2, ..., x^top] as a running product, cut before the first zero
-    power, since every later one is zero too."""
-    out = []
-    while x and len(out) < top:
-        out.append(x)
-        x = x * out[0]
-    return out
-
-
-def _symbol(ring: CoeffRing, lower: list[RingElement], upper: list[RingElement]) -> RingElement:
-    """S(L, U) for the Witt components a of L and b of U (module docstring).
-    A pair whose power a^(j/h) or b^(i/h) is zero contributes 1."""
-    out = one = ring.one()
-    a_powers = [_powers(a, len(upper)) for a in lower]
-    b_powers = [_powers(b, len(lower)) for b in upper]
-    for i, pa in enumerate(a_powers, start=1):
-        for j, pb in enumerate(b_powers, start=1):
-            h = gcd(i, j)
-            if j // h <= len(pa) and i // h <= len(pb):
-                out = out * (one - pa[j // h - 1] * pb[i // h - 1]) ** h
-    return out
+def _norm(lower: LaurentElement, upper: LaurentElement) -> RingElement:
+    """S(lower, upper) as the determinant of multiplication by U(t) on
+    R[t]/(P) (module docstring), U read up to z^(d*D) (see
+    :func:`commutator_pairing`).  Column k holds t^k U(t) mod P, one sum
+    of products per entry over the powers t^j mod P, each power reduced
+    from the one before by t^D = -(c_1 t^(D-1) + ... + c_D)."""
+    ring = lower.ring
+    depth = -lower.min_exp
+    zero, one = ring.zero(), ring.one()
+    terms = [(j, u) for j in range(ring.degree_bound * depth + 1) if (u := upper.coefficient(j))]
+    # t^D mod P is sum_i drop[i] t^i
+    drop = [-lower.coeffs.get(i - depth, zero) for i in range(depth)]
+    powers = [[one if i == j else zero for i in range(depth)] for j in range(depth)]
+    for _ in range(depth, terms[-1][0] + depth):
+        prev = powers[-1]
+        shifted = [zero] + prev[:-1]
+        powers.append([_sum_products(ring, ((one, s), (c, prev[-1]))) for s, c in zip(shifted, drop)])
+    mat = [
+        [_sum_products(ring, ((u, powers[j + k][i]) for j, u in terms)) for k in range(depth)]
+        for i in range(depth)
+    ]
+    return det_ring(mat, ring)
 
 
 def commutator_pairing(f1: LaurentElement, f2: LaurentElement) -> RingElement:
-    """The Contou-Carrere symbol <f1, f2> in the module docstring's closed form.
+    """The Contou-Carrere symbol <f1, f2> = S(f2-, f1+) / S(f1-, f2+), each
+    S the module docstring's norm.
 
     Both series need reduced valuation zero, and a windowed argument needs
     trunc > d(r1+r2), r1 and r2 the fringe widths (PrecisionError otherwise).
 
-    Peel lengths.  With m the maximal ideal (m^(d+1) = 0) and r an
-    argument's fringe width, its lower wing is 1 + sum_{k<=r} c_k z^{-k},
-    c_k in m, and a_i is a sum of products of c_k whose subscripts add up
-    to i, so of at least i/r factors: a_i lies in m^ceil(i/r) and vanishes
-    past i = d*r, where the peel must leave exactly 1 (InternalError
-    otherwise).  In S(L, U), a_i^(j/h) lies in m^((i/r)(j/h)), inside
-    m^(j/r) as h <= i, so U is peeled only to j = d*r_other.  A windowed
-    upper wing is known that far: factorize gives it below trunc - d*r,
-    and trunc > d(r1+r2).  All refusals come first, so factorize never
-    refuses here.
+    Window.  With m the maximal ideal (m^(d+1) = 0) and r an argument's
+    fringe width, its lower wing L is 1 + sum_{k<=r} c_k z^{-k}, c_k in m,
+    with c_r != 0 (factorize keeps the lowest term), so D = r.  Its Witt
+    component a_i is a sum of products of c_k whose subscripts add up to
+    i, so of at least i/r factors: a_i lies in m^ceil(i/r).  Split the
+    upper wing as U = U' V with U' its terms up to z^(d*r) and
+    V = prod_{j > d*r} (1 - b_j z^j).  t is nilpotent in R[t]/(P), as t^D
+    is m times lower powers, so U(t) makes sense and the norm is
+    multiplicative; the norm of one factor 1 - b t^j is
+    prod_i (1 - a_i^(j/h) b^(i/h))^h, and a_i^(j/h) lies in
+    m^((i/r)(j/h)), inside m^(j/r) as h <= i, which is zero for j > d*r.
+    So S(L, U) = S(L, U'): U is read only to z^(d*r_other) for the other
+    argument's lower wing.  A windowed upper wing is known that far:
+    factorize gives it below trunc - d*r, and trunc > d(r1+r2).  All
+    refusals come first, so factorize never refuses here.
     """
     if f1.ring != f2.ring:
         raise RingMismatchError("commutator pairing needs a common ring")
-    ring = f1.ring
-    d = ring.degree_bound
+    d = f1.ring.degree_bound
     widths = 0
     for f in (f1, f2):
         n, r = f.reduced_valuation()
@@ -97,7 +114,4 @@ def commutator_pairing(f1: LaurentElement, f2: LaurentElement) -> RingElement:
             )
 
     fac1, fac2 = factorize(f1), factorize(f2)
-    dr1, dr2 = -d * fac1.gminus.min_exp, -d * fac2.gminus.min_exp
-    num = _symbol(ring, witt_peel(fac2.gminus, -1, dr2), witt_peel(fac1.gplus, 1, dr2))
-    den = _symbol(ring, witt_peel(fac1.gminus, -1, dr1), witt_peel(fac2.gplus, 1, dr1))
-    return num * den.inverse()
+    return _norm(fac2.gminus, fac1.gplus) * _norm(fac1.gminus, fac2.gplus).inverse()

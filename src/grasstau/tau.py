@@ -58,7 +58,7 @@ from .laurent import LaurentElement, _divide
 from .linalg import _eliminate, det_ring, solve_ring
 from .partitions import MayaDiagram, partitions_up_to
 from .scalars import CoeffRing, RingElement, _linear_form, _split_last, _sum_products
-from .schur import bosonize, coordinate_ring, is_coordinate_ring
+from .schur import _bosonized, coordinate_ring, is_coordinate_ring
 
 
 _OFF_CHART = (
@@ -205,7 +205,9 @@ def tau_schur(point: GrassPoint, bound: int) -> RingElement:
     the point is outside the vacuum chart.
 
     In that basis a chart lam, with Frobenius coordinates
-    (alpha_1 > ... > alpha_r | beta_1 > ... > beta_r), picks the unit rows
+    (alpha_1 > ... > alpha_r | beta_1 > ... > beta_r), alpha_i = lam_i - i
+    and beta_i = lam'_i - i for the r indices with lam_i >= i, has the
+    particles alpha_i and the holes -1-beta_j; it picks the unit rows
     of the kept holes and the particle rows alpha_i.  Expanding along the
     unit rows leaves det[A(alpha_i, -1-beta_j)] with rows alpha_r, ...,
     alpha_1 and columns -1-beta_1, ..., -1-beta_r; moving the hole columns
@@ -237,9 +239,9 @@ def tau_schur(point: GrassPoint, bound: int) -> RingElement:
     for lam in partitions_up_to(bound)[1:]:
         if len(lam) > n:
             continue
-        maya = MayaDiagram.from_partition(lam)
-        particles = [a for a in reversed(maya.members) if a >= 0]
-        holes = [h for h in range(maya.tail_start, 0) if h not in maya.members]
+        particles = [p - i - 1 for i, p in enumerate(lam) if p > i]  # alpha_i = lam_i - i
+        # hole -1 - beta_j, beta_j = lam'_j - j, with lam'_j = #{parts >= j}
+        holes = [j - sum(p > j for p in lam) for j in range(len(particles))]
         if len(particles) == 1:
             ratio = chart[particles[0]][holes[0] + m]
         else:
@@ -248,7 +250,7 @@ def tau_schur(point: GrassPoint, bound: int) -> RingElement:
             ratio = -ratio
         if ratio:
             coords[lam] = ratio.constant_term()
-    return bosonize(coordinate_ring(ring.field, bound), coords)
+    return _bosonized(coordinate_ring(ring.field, bound), coords.items())
 
 
 def tau_crosscheck(point: GrassPoint, bound: int) -> RingElement:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import time
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 from .errors import DomainError, NotInvertibleError, PrecisionError
@@ -918,13 +919,47 @@ def _suite_pairings(report: SuiteReport, rng: Random, scale: str) -> None:
         all(value == windowed for value in completions),
         f"windowed {windowed}, completions {completions}",
     )
+    # positive characteristic, and lower wings of fringe 3 (3 x 3 norms)
+    for field in (QQ, GF(2), GF(3)):
+        fring = CoeffRing(field, 2, 3)
+        fone = fring.one()
+        for rep in range(reps):
+            fringe = 3 - rep % 2
+            f1, f2, g = (_rand_pairing_arg(rng, fring, fringe) for _ in range(3))
+            report.check(
+                f"{field!r}, fringe {fringe}: pairing is multiplicative on the left (#{rep})",
+                commutator_pairing(f1 * f2, g)
+                == commutator_pairing(f1, g) * commutator_pairing(f2, g),
+            )
+            report.check(
+                f"{field!r}, fringe {fringe}: swapping the arguments inverts the value (#{rep})",
+                commutator_pairing(f1, g) * commutator_pairing(g, f1) == fone,
+            )
+        for i, j in ((1, 2), (1, 3), (2, 2), (3, 1), (3, 2), (2, 3)):
+            # a with a weight-1 term and b a unit keep a^(j/h) b^(i/h) nonzero
+            a = fring.gen(0) + _rand_nilpotent(rng, fring)
+            b = fone + _rand_element(rng, fring)
+            h = gcd(i, j)
+            symbol = (fone - a ** (j // h) * b ** (i // h)) ** h
+            lower = LaurentElement(fring, {0: fone, -i: -a})
+            upper = LaurentElement(fring, {0: fone, j: -b})
+            report.check(
+                f"{field!r}: <1 - a z^-{i}, 1 - b z^{j}> = (1 - a^{j // h} b^{i // h})^-{h}",
+                commutator_pairing(lower, upper) == symbol.inverse()
+                and commutator_pairing(upper, lower) == symbol,
+            )
 
 
-def _rand_pairing_arg(rng: Random, ring: CoeffRing) -> LaurentElement:
+def _rand_pairing_arg(rng: Random, ring: CoeffRing, fringe: int = 0) -> LaurentElement:
+    """1 + random terms at -2..2, or, with ``fringe``, a nilpotent term
+    at exactly z^-fringe and random terms at the exponents above it up to
+    z^fringe."""
     coeffs = {0: ring.one()}
-    for e in (-2, -1, 1, 2):
-        if rng.random() < 0.5:
+    for e in range(-fringe, fringe + 1) if fringe else (-2, -1, 1, 2):
+        if e and (e == -fringe or rng.random() < 0.5):
             a = _rand_nilpotent(rng, ring) if e < 0 else _rand_element(rng, ring)
+            while e == -fringe and not a:
+                a = _rand_nilpotent(rng, ring)
             if a:
                 coeffs[e] = a
     return LaurentElement(ring, coeffs)

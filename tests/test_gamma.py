@@ -15,6 +15,7 @@ from grasstau import (
     LaurentElement,
     NotInvertibleError,
     PrecisionError,
+    RingElement,
     abel_embed,
     coordinate_ring,
     exp_gamma,
@@ -415,6 +416,32 @@ def test_factorize_matches_the_full_range_passes(field, d, r, unit_wing, windowe
         assert g.as_laurent().same_series(f)
     else:
         assert g.as_laurent() == f
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        LaurentElement(R2, {-1: 2 * X, 0: R2.const(2) + 2 * X, 1: 2}),
+        LaurentElement(R2, {-1: X, 0: 3, 1: X, 2: 1}, trunc=6),
+        LaurentElement(R2, {2: R2.const(5) + X, 3: X, 4: 1}),
+        LaurentElement(R2, {-2: X, -1: X * X, 0: R2.const(2) + X, 1: 1}),
+    ],
+)
+def test_factorize_takes_two_ring_inverses(f, monkeypatch):
+    """One factorize call inverts two ring elements: h's z^0 coefficient,
+    for the passes, and the unit, whose one inverse scales gminus and
+    serves the division that gives gplus."""
+    inverted = []
+    inverse = RingElement.inverse
+
+    def counted(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(RingElement, "inverse", counted)
+    g = factorize(f)
+    n = f.reduced_valuation()[0]
+    assert inverted == [f.coefficient(n), g.unit]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """The commutator pairing on valuation-zero series and its residue shadow.
 
-The library computes the pairing in closed form from Witt components.
-``_corner_determinant`` keeps the matrix definition it replaced as the
-reference: the determinant of the corner block of the compressed
-multiplicative commutator of two Toeplitz operators.
+The library computes the pairing as two norms, each a determinant of
+multiplication by an upper wing on R[t]/(P), P read off a lower wing.
+Two references stay here: ``_corner_determinant``, the matrix definition,
+the determinant of the corner block of the compressed multiplicative
+commutator of two Toeplitz operators; and ``_witt_closed_form``, the
+closed form from Witt components that the norms replaced.
 """
 
 import itertools
@@ -26,6 +28,7 @@ from grasstau import (
     commutator_pairing,
     residue_pairing,
 )
+from grasstau.gamma import factorize, witt_peel
 from grasstau.linalg import det_ring, inv_ring, mat_mul_ring
 
 
@@ -330,3 +333,130 @@ def test_zero_series_refused_before_its_support_is_read(zero, error, message):
         with pytest.raises(error) as info:
             commutator_pairing(*args)
         assert type(info.value) is error and str(info.value) == message
+
+
+@settings(deadline=None, max_examples=12)
+@given(
+    st.sampled_from([QQ, GF(2), GF(3), GF(5)]),
+    st.integers(1, 2),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_fringe_three_matches_the_corner_determinant(field, d, p2, unit_upper, seed):
+    """A lower wing of depth 3 against the matrix definition, both ways
+    round: 3 x 3 norm matrices."""
+    rng = Random(seed)
+    ring = CoeffRing(field, 2, d)
+    f = _pairing_arg(rng, ring, 3, unit_upper)
+    g = _pairing_arg(rng, ring, p2, unit_upper)
+    assert _outcome(commutator_pairing, f, g) == _outcome(_corner_determinant, f, g)
+    assert _outcome(commutator_pairing, g, f) == _outcome(_corner_determinant, g, f)
+
+
+# ---------------------------------------------------------------------------
+# the closed form from Witt components as the reference
+# ---------------------------------------------------------------------------
+
+
+def _powers(x, top):
+    """[x, x^2, ..., x^top], cut before the first zero power."""
+    out = []
+    while x and len(out) < top:
+        out.append(x)
+        x = x * out[0]
+    return out
+
+
+def _symbol(ring, lower, upper):
+    """prod_{i,j} (1 - a_i^(j/h) b_j^(i/h))^h, h = gcd(i, j), over the Witt
+    components a of a lower wing and b of an upper wing."""
+    out = one = ring.one()
+    a_powers = [_powers(a, len(upper)) for a in lower]
+    b_powers = [_powers(b, len(lower)) for b in upper]
+    for i, pa in enumerate(a_powers, start=1):
+        for j, pb in enumerate(b_powers, start=1):
+            h = gcd(i, j)
+            if j // h <= len(pa) and i // h <= len(pb):
+                out = out * (one - pa[j // h - 1] * pb[i // h - 1]) ** h
+    return out
+
+
+def _witt_closed_form(f1, f2):
+    """The pairing with the library's refusals, each wing peeled into Witt
+    components to length d*D, D the depth of the lower wing it meets."""
+    if f1.ring != f2.ring:
+        raise RingMismatchError("commutator pairing needs a common ring")
+    ring = f1.ring
+    d = ring.degree_bound
+    widths = 0
+    for f in (f1, f2):
+        n, r = f.reduced_valuation()
+        if n != 0:
+            raise DomainError(
+                "commutator pairing needs valuation-zero series; factor out z^n first"
+            )
+        widths += r
+    for f in (f1, f2):
+        if f.trunc is not None and f.trunc <= d * widths:
+            raise PrecisionError(
+                f"window too small to determine the pairing: "
+                f"need trunc > {d * widths}, have {f.trunc}"
+            )
+    fac1, fac2 = factorize(f1), factorize(f2)
+    dr1, dr2 = -d * fac1.gminus.min_exp, -d * fac2.gminus.min_exp
+    num = _symbol(ring, witt_peel(fac2.gminus, -1, dr2), witt_peel(fac1.gplus, 1, dr2))
+    den = _symbol(ring, witt_peel(fac1.gminus, -1, dr1), witt_peel(fac2.gplus, 1, dr1))
+    return num * den.inverse()
+
+
+def _wing_arg(rng, ring, fringe, top, unit_upper):
+    """A unit constant, plus a nilpotent part half of the time; nilpotent
+    terms at z^-fringe (always) up to z^-1; terms at z^1..z^top, units
+    among them when ``unit_upper``."""
+    monos = list(ring.monomials())
+    nil = [m for m in monos if ring.weight(m) > 0]
+
+    def value():
+        return ring.field.coerce(rng.choice([-3, -2, -1, 1, 2, 3, 5])) or ring.field.one()
+
+    def element(nilpotent):
+        return ring.element({rng.choice(nil if nilpotent else monos): value() for _ in range(rng.randint(1, 3))})
+
+    coeffs = {0: ring.const(value()) + (element(True) if rng.random() < 0.5 else ring.zero())}
+    for e in range(-fringe, top + 1):
+        if e and (e == -fringe or rng.random() < 0.6):
+            coeffs[e] = element(e < 0 or not unit_upper or rng.random() < 0.5)
+    return LaurentElement(ring, coeffs)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(7)]),
+    st.integers(1, 5),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.booleans(),
+    st.sampled_from(["exact", "one", "both"]),
+    st.integers(0, 2**32),
+)
+def test_norms_match_the_witt_closed_form(field, d, nv, weighted, r1, r2, unit_upper, window, seed):
+    """The same value under ==, or the same refusal by type and message,
+    over Q and F_p, weighted rings of 1-3 variables, fringe widths 0-4
+    (d(r1+r2) <= 12), unit upper wings, and windows just below, at and
+    above the floor d(r1+r2)."""
+    rng = Random(seed)
+    r2 = min(r2, max(0, 12 // d - r1))
+    weights = (1,) + tuple(rng.randint(1, 2) for _ in range(nv - 1)) if weighted else None
+    ring = CoeffRing(field, nv, d, weights=weights)
+    f = _wing_arg(rng, ring, r1, rng.randint(1, 4), unit_upper)
+    g = _wing_arg(rng, ring, r2, rng.randint(1, 4), unit_upper)
+    floor = d * (r1 + r2)
+    if window != "exact":
+        f = f.truncate(max(1, floor + rng.randint(-1, 3)))
+    if window == "both":
+        g = g.truncate(max(1, floor + rng.randint(-1, 3)))
+    for args in ((f, g), (g, f)):
+        assert _outcome(commutator_pairing, *args) == _outcome(_witt_closed_form, *args)
