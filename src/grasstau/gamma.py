@@ -307,24 +307,21 @@ def witt_product(ring: CoeffRing, coeffs: list[RingElement], sign: int) -> Laure
     return out
 
 
-def witt_peel(f: LaurentElement, sign: int, length: int) -> list[RingElement]:
-    """Components c_1..c_length of f = prod_i (1 - c_i z^(sign*i)), each read
-    off its coefficient and divided out in turn, one exact division by
-    1 - c_i z^(sign*i) (``laurent._divide``).  With sign -1, f is an exact
-    lower-wing element whose components stop at ``length``; each c_i is
-    nilpotent, so the quotient is exact and the remainder must be exactly
-    1.  With sign +1, f = 1 + O(z) is matched modulo z^(length+1).  Any
-    other remainder raises InternalError."""
+def witt_peel(f: LaurentElement, length: int) -> list[RingElement]:
+    """Components c_1..c_length of f = prod_i (1 - c_i z^i) modulo
+    z^(length+1), f = 1 + O(z), each read off its coefficient and divided
+    out in turn, one division by 1 - c_i z^i below z^(length+1)
+    (``laurent._divide``).  A remainder other than 1 raises InternalError."""
     ring = f.ring
-    window = None if sign < 0 else length + 1
-    q = f if window is None else f.truncate(window)
+    window = length + 1
+    q = f.truncate(window)
     one = ring.one()
     out: list[RingElement] = []
     for i in range(1, length + 1):
-        x = q.coefficient(sign * i)
+        x = q.coefficient(i)
         out.append(-x)
         if x:
-            q = _divide(q, LaurentElement(ring, {0: one, sign * i: x}), window)
+            q = _divide(q, LaurentElement(ring, {0: one, i: x}), window)
     if q != LaurentElement(ring, {0: one}, window):
         raise InternalError("Witt peel left a nonzero remainder")
     return out
@@ -336,7 +333,7 @@ def witt_add(
     """Witt vector addition: peel components off the product of the two
     product-form series, matching prod(1 - c_i z^i) modulo z^(m+1)."""
     prod = witt_product(ring, avec, 1) * witt_product(ring, bvec, 1)
-    return witt_peel(prod, 1, max(len(avec), len(bvec)))
+    return witt_peel(prod, max(len(avec), len(bvec)))
 
 
 def abel_embed(ring: CoeffRing, points, depth: int | None = None):

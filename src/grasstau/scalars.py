@@ -35,8 +35,9 @@ or ``constant_term`` is read.
 
 Every product and sum of products runs one multiply-accumulate kernel,
 ``_accumulate``, the loop over monomial pairs.  ``RingElement.__mul__``
-is one product, ``_sum_products`` a sum of x * y, and ``_series_product``
-the coefficients of a product of series, one sum per exponent.  The
+is one product, ``_sum_products`` a sum of x * y, ``_series_product``
+the coefficients of a product of series, one sum per exponent, and
+``_substitute`` a ring map, a sum of products of powers.  The
 integer products accumulate over one common denominator, the lcm of the
 pair denominators (1 in characteristic p), and each sum is reduced once.
 The canonical form is unique (see ``RingElement``), so the result is
@@ -305,8 +306,9 @@ class CoeffRing:
         """The variable x_{i+1} (0-based index)."""
         if not 0 <= i < self.num_vars:
             raise DomainError(f"no generator {i} in {self!r}")
-        key = self._key(tuple(1 if j == i else 0 for j in range(self.num_vars)))
-        return self.zero() if key is None else _element(self, {key: 1}, 1)
+        if self.weights[i] > self.degree_bound:
+            return self.zero()
+        return _element(self, {self._linear_keys[i + 1]: 1}, 1)
 
 
 def power(one, base, n: int):
@@ -691,3 +693,60 @@ def _reduced(ring: CoeffRing, num: dict, den: int) -> RingElement:
             den //= g
             num = {m: c // g for m, c in num.items()}
     return _element(ring, num, den)
+
+
+def _powers(ring: CoeffRing, num: dict, top: int) -> list[dict]:
+    """[num, num^2, ..., num^top] for the numerators ``num`` of an element
+    of ``ring``, each power one ``_accumulate`` on the one before;
+    unreduced, so over the denominator raised to the same power."""
+    out = [num]
+    for _ in range(top - 1):
+        out.append(_accumulate(ring, {}, out[-1], num, 1))
+    return out
+
+
+def _substitute(x: RingElement, images: list, target: CoeffRing, top: int) -> RingElement:
+    """x at x_i -> images[i - 1], elements of rings equal to ``target``,
+    summed over the monomials of x of weight <= ``top`` and brought to
+    canonical form once; images[i - 1] is read only where such a monomial
+    has x_i.
+
+    It works on numerators.  Each variable's powers are taken once, up to
+    the largest exponent a visited monomial gives it (``_powers``).  The
+    term of c x^m, with m = (e_1, ..., e_n), has the denominator
+    D_m = prod_i den_i^(e_i), den_i that of images[i - 1].  The terms
+    accumulate over the lcm of the D_m seen so far, by ``_sum_products``'
+    rule, and the sum over x's own denominator is reduced once.  So the
+    result is the canonical form of sum_m c_m prod_i images[i - 1]^(e_i),
+    and is ``==`` to, and prints as, that sum taken by ring operations."""
+    ring = x.ring
+    terms, need = [], [0] * ring.num_vars
+    for key, c in x._num.items():
+        if key // ring._step > top:
+            continue
+        exps = [(i, e) for i, e in enumerate(ring._monomial(key)) if e]
+        for i, e in exps:
+            need[i] = max(need[i], e)
+        terms.append((c, exps))
+    powers = {i: _powers(target, images[i]._num, e) for i, e in enumerate(need) if e}
+    out: dict[int, int] = {}
+    den = 1
+    for c, exps in terms:
+        d = 1
+        for i, e in exps:
+            d *= images[i]._den ** e
+        if den % d:
+            grown = lcm(den, d)
+            s = grown // den
+            out = {m: v * s for m, v in out.items()}
+            den = grown
+        scale = c * (den // d)
+        if not exps:
+            out[0] = out.get(0, 0) + scale
+            continue
+        factors = [powers[i][e - 1] for i, e in exps]
+        part = factors[0]
+        for f in factors[1:-1]:
+            part = _accumulate(target, {}, part, f, 1)
+        _accumulate(target, out, part, factors[-1] if len(factors) > 1 else {0: 1}, scale)
+    return _reduced(target, out, den * x._den)

@@ -42,9 +42,11 @@ Sato's formula, psi = v^{-1} times the shifted tau over tau, gives the
 same series; the tests keep it as the reference.
 
 ``kp_residual`` evaluates the bilinear residue identity that
-characterizes tau functions, in time coordinates T_j (weight j) with
-x_i = H_i(T) the complete homogeneous functions of the times; the shift
-by [z^{-1}] is one substitution with u = 1/z a ring variable of weight 1.
+characterizes tau functions in tau's own coordinates x_i = H_i(T), the
+complete homogeneous functions of the times T_j (weight j): there the
+two Miwa shifts by [z^{-1}] are substitutions with integer coefficients,
+with u = 1/z a ring variable of weight 1, and the exponential is one
+series division.  Only a nonzero residual is pulled back to the times.
 The residual of a degree-d tau polynomial is provably exact in joint
 weight <= d - 1, so checking through weight order+2 needs order <= d - 3.
 """
@@ -57,7 +59,7 @@ from .grassmann import GrassPoint, _rows, act, plucker
 from .laurent import LaurentElement, _divide
 from .linalg import _eliminate, det_ring, solve_ring
 from .partitions import MayaDiagram, partitions_up_to
-from .scalars import CoeffRing, RingElement, _linear_form, _split_last, _sum_products
+from .scalars import CoeffRing, RingElement, _linear_form, _split_last, _substitute, _sum_products
 from .schur import _bosonized, coordinate_ring, is_coordinate_ring
 
 
@@ -333,12 +335,34 @@ def kp_residual(tau_poly: RingElement, order: int) -> RingElement:
     (joint weight <= 2) the residual of every polynomial is zero, so
     order 0 flags nothing.  Needs characteristic zero and order <= bound - 3.
 
-    With w = order + 2 and u = 1/z of weight 1, x_i -> H_i - H_{i-1} u
-    and x_i -> sum_k H'_{i-k} u^k are homogeneous of weight i, so tau's
-    monomials of weight W give terms of weight W.  The residue reads the
-    u^(n+1) part of the product times e_n (weight n) at joint weight <= w,
-    so terms of weight <= w + 1 only: the ring of the times and u is cut
-    past w + 1, and tau's heavier monomials are skipped.
+    The identities.  Write X(s) = sum_i x_i s^i = exp(sum_j T_j s^j),
+    x_0 = 1, so x_i = H_i(T), and X'(s) likewise in T'.  The shift
+    T - [u], T_j -> T_j - u^j/j, multiplies X(s) by exp(-sum_j (us)^j/j)
+    = 1 - us, so x_i -> x_i - u x_{i-1}; the shift T' + [u] divides X'(s)
+    by 1 - us, so x'_i -> sum_k x'_{i-k} u^k = x'_i + u (x'_{i-1}'s image);
+    and exp(sum_j (T_j - T'_j) z^j) = X(z) / X'(z), whose z^n coefficient
+    e_n comes from one division of two exact series with constant term 1
+    (``laurent._divide``).  With u = 1/z, u^(n+1) z^n is z^-1, so the
+    residual in x and x' is Phi = sum_n e_n times the u^(n+1) part of the
+    product of the two substituted taus.
+
+    The pullback.  The result is R(T, T') = Phi(H(T), H(T')).  The map
+    x_i -> H_i(T) = T_i + (a polynomial in T_1..T_{i-1}) keeps weights and
+    is unitriangular, so it is an automorphism of the truncated ring: its
+    inverse has the same form, solved for T_i by induction on i.  So R is
+    zero exactly when Phi is; a zero Phi is returned as it is, the zero of
+    the ring of the times, and a nonzero one is substituted once, with
+    the H_i read off exp(sum_j T_j s^j).
+
+    The cut.  With w = order + 2 every image has its variable's weight,
+    so tau's monomials of weight W give terms of weight W.  The residue
+    reads the u^(n+1) part of the product times e_n (weight n) at joint
+    weight <= w, so terms of weight <= w + 1 only: the ring of x, x' and u
+    is cut past w + 1, and tau's heavier monomials are skipped.  In weight
+    w + 1, x_{w+1} and x'_{w+1} stand alone, against the other factor's
+    constant term, so their u^0 parts reach only the u^0 part of the
+    product, which the residue never reads: they map to their u parts,
+    and the ring needs no variable for them.
     """
     ring = tau_poly.ring
     if not is_coordinate_ring(ring):
@@ -356,34 +380,26 @@ def kp_residual(tau_poly: RingElement, order: int) -> RingElement:
     weights = tuple(range(1, w + 1)) * 2
     joint = CoeffRing(field, 2 * w, w, weights=weights)
     shifted = CoeffRing(field, 2 * w + 1, w + 1, weights=weights + (1,))
-    u = shifted.gen(2 * w)
-    # complete homogeneous functions H_i of the times: sum_i H_i u^i = exp(sum_j T_j u^j)
-    h = _exp_coefficients(shifted, [shifted.gen(i) for i in range(w)], w + 1)
-    hp = _exp_coefficients(shifted, [shifted.gen(w + i) for i in range(w)], w + 1)
-    a_images, b_images, b = [], [], shifted.one()
-    for i in range(1, w + 2):  # sum_k H'_{i-k} u^k = H'_i + u sum_k H'_{i-1-k} u^k
-        a_images.append(h[i] - h[i - 1] * u)
-        b = hp[i] + u * b
-        b_images.append(b)
-
-    def substitute(images: list[RingElement]) -> RingElement:
-        """tau at x_i -> images[i - 1], skipping monomials past weight
-        w + 1; each power images[i] ** e is taken once."""
-        powers: dict[tuple[int, int], RingElement] = {}
-        pairs = []
-        for mono, coeff in tau_poly.coeffs.items():
-            if ring.weight(mono) > w + 1:
-                continue
-            term = shifted.one()
-            for i, e in enumerate(mono):
-                if e:
-                    if (i, e) not in powers:
-                        powers[i, e] = images[i] ** e
-                    term = term * powers[i, e]
-            pairs.append((term, shifted.const(coeff)))
-        return _sum_products(shifted, pairs)
-
-    split = _split_last(substitute(a_images) * substitute(b_images), joint)  # u^k parts
-    e_ser = _exp_coefficients(joint, [joint.gen(j) - joint.gen(w + j) for j in range(w)], w)
-    # u^(n+1) z^n is z^-1
-    return _sum_products(joint, ((split[n + 1], e_ser[n]) for n in range(w + 1) if n + 1 in split))
+    one, u = shifted.one(), shifted.gen(2 * w)
+    xs = [one] + [shifted.gen(i) for i in range(w)]
+    # x_i -> x_i - u x_(i-1), x'_i -> x'_i + u (x'_(i-1)'s image); x_(w+1) and
+    # x'_(w+1) keep only their u parts
+    a_images = [xs[i] - u * xs[i - 1] for i in range(1, w + 1)] + [-(u * xs[w])]
+    b_images, image = [], one
+    for i in range(w):
+        image = shifted.gen(w + i) + u * image
+        b_images.append(image)
+    b_images.append(u * image)
+    a, b = (_substitute(tau_poly, images, shifted, w + 1) for images in (a_images, b_images))
+    split = _split_last(a * b, joint)  # u^k parts
+    x, xp = (
+        LaurentElement(joint, {0: joint.one(), **{i: joint.gen(s + i - 1) for i in range(1, w + 1)}})
+        for s in (0, w)
+    )
+    e = _divide(x, xp, w + 1).coeffs  # e_n, n <= w: X / X' = exp(sum (T_j - T'_j) z^j)
+    phi = _sum_products(joint, ((split[n + 1], e[n]) for n in range(w + 1) if n + 1 in split))
+    if not phi:
+        return phi
+    # x_i = H_i(T), x'_i = H_i(T'): sum_i H_i s^i = exp(sum_j T_j s^j)
+    h, hp = (_exp_coefficients(joint, [joint.gen(s + j) for j in range(w)], w)[1:] for s in (0, w))
+    return _substitute(phi, h + hp, joint, w)

@@ -5,10 +5,13 @@ multiplication by an upper wing on R[t]/(P), P read off a lower wing.
 Two references stay here: ``_corner_determinant``, the matrix definition,
 the determinant of the corner block of the compressed multiplicative
 commutator of two Toeplitz operators; and ``_witt_closed_form``, the
-closed form from Witt components that the norms replaced.
+closed form from Witt components that the norms replaced.  It peels each
+lower wing with ``_lower_witt_peel``, the exact peel the library no
+longer needs, kept here with its own property.
 """
 
 import itertools
+from fractions import Fraction
 from math import gcd
 from random import Random
 
@@ -21,14 +24,17 @@ from grasstau import (
     CoeffRing,
     DomainError,
     GrasstauError,
+    InternalError,
     LaurentElement,
     NotInvertibleError,
     PrecisionError,
     RingMismatchError,
     commutator_pairing,
+    coordinate_ring,
     residue_pairing,
 )
 from grasstau.gamma import factorize, witt_peel
+from grasstau.laurent import _divide
 from grasstau.linalg import det_ring, inv_ring, mat_mul_ring
 
 
@@ -382,6 +388,58 @@ def _symbol(ring, lower, upper):
     return out
 
 
+def _lower_witt_peel(f, length):
+    """Components c_1..c_length of an exact lower-wing element
+    f = prod_i (1 - c_i z^-i) whose components stop at ``length``, each
+    read off its coefficient and divided out in turn, one exact division
+    by 1 - c_i z^-i (``laurent._divide``).  Each c_i is nilpotent, so the
+    quotient is exact and the remainder must be exactly 1."""
+    ring = f.ring
+    one = ring.one()
+    out = []
+    for i in range(1, length + 1):
+        x = f.coefficient(-i)
+        out.append(-x)
+        if x:
+            f = _divide(f, LaurentElement(ring, {0: one, -i: x}), None)
+    if f != LaurentElement(ring, {0: one}):
+        raise InternalError("Witt peel left a nonzero remainder")
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([QQ, GF(2), GF(3), GF(5)]),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_lower_witt_peel_matches_the_geometric_series_loop(field, d, weighted, r, data):
+    """Equal components to dividing out each factor by multiplying with
+    its geometric series, and an InternalError exactly where that loop's
+    remainder is not 1: a lower wing peeled short of its components."""
+    ring = coordinate_ring(field, d) if weighted else CoeffRing(field, 2, d)
+    nil = [m for m in ring.monomials() if ring.weight(m)]
+    value = st.integers(-2, 2) if field.char else st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+    terms = {0: ring.one()}
+    for j in range(1, r + 1):
+        terms[-j] = ring.element({m: data.draw(value) for m in nil})
+    f = LaurentElement(ring, terms)
+    length = data.draw(st.integers(0, d * r))
+    q, expected = f, []
+    for i in range(1, length + 1):
+        c = -q.coefficient(-i)
+        expected.append(c)
+        if c:
+            q = q * LaurentElement(ring, {-i * k: c**k for k in range(d + 1)})
+    if q == LaurentElement.one(ring):
+        assert _lower_witt_peel(f, length) == expected
+    else:
+        with pytest.raises(InternalError, match="nonzero remainder"):
+            _lower_witt_peel(f, length)
+
+
 def _witt_closed_form(f1, f2):
     """The pairing with the library's refusals, each wing peeled into Witt
     components to length d*D, D the depth of the lower wing it meets."""
@@ -405,8 +463,8 @@ def _witt_closed_form(f1, f2):
             )
     fac1, fac2 = factorize(f1), factorize(f2)
     dr1, dr2 = -d * fac1.gminus.min_exp, -d * fac2.gminus.min_exp
-    num = _symbol(ring, witt_peel(fac2.gminus, -1, dr2), witt_peel(fac1.gplus, 1, dr2))
-    den = _symbol(ring, witt_peel(fac1.gminus, -1, dr1), witt_peel(fac2.gplus, 1, dr1))
+    num = _symbol(ring, _lower_witt_peel(fac2.gminus, dr2), witt_peel(fac1.gplus, dr2))
+    den = _symbol(ring, _lower_witt_peel(fac1.gminus, dr1), witt_peel(fac2.gplus, dr1))
     return num * den.inverse()
 
 

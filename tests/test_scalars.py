@@ -21,7 +21,7 @@ from grasstau import (
     RingMismatchError,
     factorize,
 )
-from grasstau.scalars import RingElement, _is_prime, _sum_products
+from grasstau.scalars import RingElement, _is_prime, _substitute, _sum_products
 from grasstau.schur import coordinate_ring
 
 
@@ -628,6 +628,53 @@ def test_sum_of_products_kernel_matches_chained_sums(field, shape, data):
     assert repr(product) == repr(want)
     for c in product.coeffs.values():
         _canonical(c)
+
+
+# x's rings, some with monomials in three and four variables; targets of
+# other shapes: more variables, a lower and a higher bound, weights
+SUBSTITUTE_SHAPES = [(2, 4, (1, 2)), (3, 4, None), (4, 4, (1, 1, 1, 2))]
+SUBSTITUTE_TARGETS = [(2, 3, None), (3, 4, (1, 1, 2)), (1, 2, None), (2, 5, (2, 1))]
+
+
+def _image_of(ring):
+    """Three times in five an element, over Q one over a denominator up
+    to 7 times another, so that the terms of a substitution rarely share
+    one; else a constant or zero."""
+    element = _element(ring)
+    if not ring.field.char:
+        element = st.builds(lambda x, k: x * Fraction(1, k), element, st.integers(1, 7))
+    others = [_scalar(ring.field).map(ring.const), st.just(ring.zero())]
+    return st.sampled_from([element] * 3 + others).flatmap(lambda kind: kind)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(2), GF(3), GF(5)]),
+    st.sampled_from(SUBSTITUTE_SHAPES),
+    st.sampled_from(SUBSTITUTE_TARGETS),
+    st.data(),
+)
+def test_substitution_kernel_matches_the_ring_map_by_ring_operations(field, shape, target_shape, data):
+    """``_substitute`` is sum_m c_m prod_i images[i] ** e_i over the
+    monomials of weight <= top, taken by ring operations: images over
+    denominators, constant and zero images, tops below x's bound."""
+    ring, target = CoeffRing(field, *shape), CoeffRing(field, *target_shape)
+    x = data.draw(_element(ring))
+    x = x - x.constant_term() + data.draw(_scalar(field))  # the constant term visited last
+    if not field.char:
+        x = x * Fraction(1, data.draw(st.integers(1, 7)))
+    images = [data.draw(_image_of(target)) for _ in range(ring.num_vars)]
+    top = data.draw(st.integers(1, ring.degree_bound))
+    want = target.zero()
+    for mono, c in x.coeffs.items():
+        if ring.weight(mono) <= top:
+            term = target.const(c)
+            for image, e in zip(images, mono):
+                term = term * image ** e
+            want = want + term
+    got = _canonical(_substitute(x, images, target, top))
+    assert got == want
+    assert repr(got) == repr(want)
 
 
 def test_sum_of_products_refuses_elements_of_another_ring():

@@ -26,6 +26,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grasstau.scalars as scalars
 import grasstau.tau as tau_module
 from grasstau import (
     GF,
@@ -38,7 +39,6 @@ from grasstau import (
     MayaDiagram,
     NotInvertibleError,
     PrecisionError,
-    RingElement,
     act,
     baker,
     coordinate_ring,
@@ -394,23 +394,35 @@ def test_kp_residual_domain_guards():
         kp_residual(ring4.one(), 2)  # order must stay <= bound - 3
 
 
+def _miwa_powers(monkeypatch, order):
+    """The top exponents of the ``_powers`` calls kp_residual makes at
+    ``order`` into the ring of the two Miwa shifts, x and x' with u last;
+    the pullback to the times works in another ring and is not counted.
+    Each call takes the powers 1..top of one variable's image."""
+    w = order + 2
+    shifted = CoeffRing(QQ, 2 * w + 1, w + 1, weights=tuple(range(1, w + 1)) * 2 + (1,))
+    tops = []
+    powers = scalars._powers
+
+    def counted(ring, num, top):
+        if ring == shifted:
+            tops.append(top)
+        return powers(ring, num, top)
+
+    monkeypatch.setattr(scalars, "_powers", counted)
+    return tops
+
+
 def test_kp_residual_takes_each_power_once(monkeypatch):
     """x1 appears with exponent 1 in three monomials and x2 in two, so each
     of the two substitutions needs three distinct powers, not six."""
-    calls = []
-    pow_ = RingElement.__pow__
-
-    def counted(self, n):
-        calls.append(n)
-        return pow_(self, n)
-
     ring4 = coordinate_ring(QQ, 4)
     x1, x2, x3 = ring4.gen(0), ring4.gen(1), ring4.gen(2)
     poly = 1 + x1 + x2 + x1 * x2 + x1 * x3
     want = kp_residual(poly, 1)
-    monkeypatch.setattr(RingElement, "__pow__", counted)
+    tops = _miwa_powers(monkeypatch, 1)
     assert kp_residual(poly, 1) == want
-    assert len(calls) == 2 * 3
+    assert sum(tops) == 2 * 3
 
 
 # ---------------------------------------------------------------------------
@@ -595,20 +607,13 @@ def test_tau_direct_determinants_stay_within_the_degree_bound(monkeypatch):
 def test_kp_residual_skips_monomials_past_the_residue_weight(monkeypatch):
     """At order 1 the residue reads tau through weight 4: x4 x1 and x5
     (weight 5) change nothing and take no power."""
-    calls = []
-    pow_ = RingElement.__pow__
-
-    def counted(self, n):
-        calls.append(n)
-        return pow_(self, n)
-
     ring5 = coordinate_ring(QQ, 5)
     x1, x4, x5 = ring5.gen(0), ring5.gen(3), ring5.gen(4)
     light = 1 + 3 * x1 + x1 * x1
     want = kp_residual(light, 1)
-    monkeypatch.setattr(RingElement, "__pow__", counted)
+    tops = _miwa_powers(monkeypatch, 1)
     assert kp_residual(light + x1 * x4 - 2 * x5, 1) == want
-    assert len(calls) == 2 * 2  # x1 and x1^2, once per substitution
+    assert tops == [2, 2]  # x1 and x1^2, once per substitution
 
 
 # ---------------------------------------------------------------------------
@@ -699,23 +704,49 @@ def test_tau_direct_and_baker_match_the_column_moving_reference(field, depth, bo
 
 def test_kp_residual_matches_the_series_reference():
     """On tau polynomials and on perturbed ones, at every order the bound
-    allows, over Q: equal to the series substitution, zero exactly on the
-    taus."""
+    allows, over Q: equal to the series substitution in the times, zero
+    exactly on the taus, and a zero in the ring of the times."""
     rng = Random(19)
     flagged = 0
-    for bound in (3, 4, 5, 6):
+    for bound in (3, 4, 5, 6, 7):
         for _ in range(3):
             depth = rng.randint(1, 4)
             t = tau_crosscheck(_mixed_point(rng, QQ, depth, bound + 1, None), bound)
-            mono = rng.choice(list(t.ring.monomials())[1:])
-            fake = t + t.ring.element({mono: rng.randint(1, 3)})
+            monos = list(t.ring.monomials())[1:]
+            fake = t + t.ring.element({rng.choice(monos): rng.randint(1, 3)})
+            fraction_fake = t + t.ring.element(
+                {rng.choice(monos): Fraction(rng.randint(1, 5), rng.randint(2, 7)) for _ in range(2)}
+            )
             for order in range(bound - 2):
-                assert kp_residual(t, order) == _reference_kp_residual(t, order)
-                assert kp_residual(t, order).is_zero()
-                residual = kp_residual(fake, order)
-                assert residual == _reference_kp_residual(fake, order)
-                flagged += not residual.is_zero()
+                w = order + 2
+                joint = CoeffRing(QQ, 2 * w, w, weights=tuple(range(1, w + 1)) * 2)
+                residual = kp_residual(t, order)
+                assert residual == _reference_kp_residual(t, order)
+                assert residual.is_zero() and residual.ring == joint
+                for poly in (fake, fraction_fake):
+                    residual = kp_residual(poly, order)
+                    assert residual == _reference_kp_residual(poly, order)
+                    assert residual.ring == joint
+                    flagged += not residual.is_zero()
     assert flagged  # the perturbations are caught, so the references compare nonzero values too
+
+
+def test_kp_residual_of_a_tau_needs_no_times(monkeypatch):
+    """A zero residual in the x-coordinates is returned as it is: the times
+    H_i(T), and the exponentials that build them, enter only a nonzero
+    residual's pullback."""
+    t = tau_crosscheck(two_column_point(), 5)
+    ring4 = coordinate_ring(QQ, 4)
+    fake = ring4.one() + ring4.gen(0) ** 2
+
+    def refused(*args):
+        raise AssertionError("exponential taken")
+
+    monkeypatch.setattr(tau_module, "_exp_coefficients", refused)
+    for order in (0, 1, 2):
+        assert kp_residual(t, order).is_zero()
+    with pytest.raises(AssertionError, match="exponential taken"):
+        kp_residual(fake, 1)
 
 
 def test_only_bakers_last_step_multiplies_series(monkeypatch):
