@@ -306,9 +306,8 @@ class CoeffRing:
         """The variable x_{i+1} (0-based index)."""
         if not 0 <= i < self.num_vars:
             raise DomainError(f"no generator {i} in {self!r}")
-        if self.weights[i] > self.degree_bound:
-            return self.zero()
-        return _element(self, {self._linear_keys[i + 1]: 1}, 1)
+        key = self._key(tuple(1 if j == i else 0 for j in range(self.num_vars)))
+        return self.zero() if key is None else _element(self, {key: 1}, 1)
 
 
 def power(one, base, n: int):
@@ -587,6 +586,17 @@ def _accumulate(ring: CoeffRing, out: dict, left: dict, right: dict, scale: int)
     return out
 
 
+def _onto_lcm(out: dict, den: int, d: int) -> int:
+    """The lcm of den and d, with the numerators ``out``, a sum over den,
+    scaled in place to stand over it: the common-denominator step of
+    ``_sum_products`` and ``_substitute``, taken when d does not divide den."""
+    grown = lcm(den, d)
+    s = grown // den
+    for m in out:
+        out[m] *= s
+    return grown
+
+
 def _sum_products(ring: CoeffRing, pairs) -> RingElement:
     """The sum of x * y over the (x, y) in ``pairs``, elements of rings
     equal to ``ring``, brought to canonical form once.
@@ -606,10 +616,7 @@ def _sum_products(ring: CoeffRing, pairs) -> RingElement:
             raise RingMismatchError(f"cannot combine elements of {x.ring!r} and {y.ring!r}")
         d = x._den * y._den
         if den % d:
-            grown = lcm(den, d)
-            s = grown // den
-            out = {m: c * s for m, c in out.items()}
-            den = grown
+            den = _onto_lcm(out, den, d)
         _accumulate(ring, out, x._num, y._num, den // d)
     return _reduced(ring, out, den)
 
@@ -715,10 +722,11 @@ def _substitute(x: RingElement, images: list, target: CoeffRing, top: int) -> Ri
     the largest exponent a visited monomial gives it (``_powers``).  The
     term of c x^m, with m = (e_1, ..., e_n), has the denominator
     D_m = prod_i den_i^(e_i), den_i that of images[i - 1].  The terms
-    accumulate over the lcm of the D_m seen so far, by ``_sum_products``'
-    rule, and the sum over x's own denominator is reduced once.  So the
-    result is the canonical form of sum_m c_m prod_i images[i - 1]^(e_i),
-    and is ``==`` to, and prints as, that sum taken by ring operations."""
+    accumulate over the lcm of the D_m seen so far (``_onto_lcm``, as in
+    ``_sum_products``), and the sum over x's own denominator is reduced
+    once.  So the result is the canonical form of
+    sum_m c_m prod_i images[i - 1]^(e_i), and is ``==`` to, and prints as,
+    that sum taken by ring operations."""
     ring = x.ring
     terms, need = [], [0] * ring.num_vars
     for key, c in x._num.items():
@@ -736,10 +744,7 @@ def _substitute(x: RingElement, images: list, target: CoeffRing, top: int) -> Ri
         for i, e in exps:
             d *= images[i]._den ** e
         if den % d:
-            grown = lcm(den, d)
-            s = grown // den
-            out = {m: v * s for m, v in out.items()}
-            den = grown
+            den = _onto_lcm(out, den, d)
         scale = c * (den // d)
         if not exps:
             out[0] = out.get(0, 0) + scale
