@@ -13,13 +13,16 @@ rank, solve, and determinant checks over the residue field.
 
 Everything here is exact and runs in polynomial time: ``plucker``
 takes dense minors as large as the tail depth.  The ring loops skip zero
-entries, which most identity-block and Jacobi-Trudi entries are.
+entries, which most identity-block and Jacobi-Trudi entries are, and
+reduce each elimination entry once: the row update a - factor * p and
+each step b - a * x of a back substitution is one fused
+``scalars._sub_product``, not a product and a difference.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, NotInvertibleError
-from .scalars import BaseField, CoeffRing, RingElement, _sum_products
+from .scalars import BaseField, CoeffRing, RingElement, _sub_product, _sum_products
 
 # ----------------------------------------------------------------------
 # Ring-valued matrices (entries are RingElement)
@@ -53,7 +56,7 @@ def _eliminate(mat: list[list[RingElement]], n: int) -> tuple[int, bool]:
         for row in below:
             factor = row[k] * inv_p
             for j in live:
-                row[j] = row[j] - factor * prow[j]
+                row[j] = _sub_product(row[j], factor, prow[j])
     return n, odd
 
 
@@ -146,7 +149,7 @@ def solve_ring(
             acc = row[c]
             for j in range(i + 1, n):
                 if row[j] and x[j]:
-                    acc = acc - row[j] * x[j]
+                    acc = _sub_product(acc, row[j], x[j])
             x[i] = acc * inv_diag[i] if acc else acc
         out.append(x)
     return out

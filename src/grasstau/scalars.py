@@ -35,11 +35,12 @@ or ``constant_term`` is read.
 
 Every product and sum of products runs one multiply-accumulate kernel,
 ``_accumulate``, the loop over monomial pairs.  ``RingElement.__mul__``
-is one product, ``_sum_products`` a sum of x * y, ``_series_product``
-the coefficients of a product of series, one sum per exponent, and
-``_substitute`` a ring map, a sum of products of powers.  The
-integer products accumulate over one common denominator, the lcm of the
-pair denominators (1 in characteristic p), and each sum is reduced once.
+is one product, ``_sum_products`` a sum of x * y, ``_sub_product`` the
+a - b * c of an elimination step, ``_series_product`` the coefficients
+of a product of series, one sum per exponent, and ``_substitute`` a ring
+map, a sum of products of powers.  The integer products accumulate over
+one common denominator, the lcm of the pair denominators (1 in
+characteristic p), and each sum is reduced once.
 The canonical form is unique (see ``RingElement``), so the result is
 ``==`` to, and prints as, the chained ``acc + x * y`` that reduces after
 every step.
@@ -619,6 +620,24 @@ def _sum_products(ring: CoeffRing, pairs) -> RingElement:
             den = _onto_lcm(out, den, d)
         _accumulate(ring, out, x._num, y._num, den // d)
     return _reduced(ring, out, den)
+
+
+def _sub_product(a: RingElement, b: RingElement, c: RingElement) -> RingElement:
+    """a - b * c, elements of equal rings, as an element of a's ring,
+    brought to canonical form once: a's numerators over the lcm of a's
+    denominator and the product's, and one ``_accumulate`` of -b * c into
+    them.  The value is that of ``a - b * c``, so the two are ``==`` and
+    print alike, and refuse unequal rings with the same message."""
+    ring = a.ring
+    if c.ring is not b.ring and c.ring != b.ring:
+        raise RingMismatchError(f"cannot combine elements of {b.ring!r} and {c.ring!r}")
+    if b.ring is not ring and b.ring != ring:
+        raise RingMismatchError(f"cannot combine elements of {ring!r} and {b.ring!r}")
+    d1, d2 = a._den, b._den * c._den
+    g = gcd(d1, d2)
+    s = d2 // g
+    out = dict(a._num) if s == 1 else {m: v * s for m, v in a._num.items()}
+    return _reduced(ring, _accumulate(ring, out, b._num, c._num, -(d1 // g)), d1 // g * d2)
 
 
 def _series_product(ring: CoeffRing, left: dict, right: dict, below: int | None) -> dict:

@@ -20,13 +20,16 @@ the input checks they share only ``linalg._eliminate``: the direct route
 runs it inside ``det_ring`` on v times the normal form, the Schur route
 on the point's own columns, and neither reads the other's normal form or
 moved rows.
-``tau_direct``, ``tau_schur`` and ``baker`` read the point through one
-reader, ``_scalar_columns``, which checks the degree bound, the window
-and scalar coefficients in that order before v is built.  The vacuum
-chart comes last, decided by the first thing each route computes: the
-normal form for ``tau_direct``, the elimination for ``tau_schur``, the
-vacuum minor for ``baker``, with one error and message.  So all three
-refuse the same input with the same error.
+``tau_direct``, ``tau_schur`` and ``baker`` run the same checks,
+``_check_point``: the degree bound, the window and scalar coefficients,
+in that order, before v is built.  Only ``tau_direct`` and ``baker``
+then read the values over the field (``_scalar_columns``); ``tau_schur``
+eliminates on the point's own coefficients and converts a scalar only
+for a nonzero ratio.  The vacuum chart comes last, decided by the first
+thing each route computes: the normal form for ``tau_direct``, the
+elimination for ``tau_schur``, the vacuum minor for ``baker``, with one
+error and message.  So all three refuse the same input with the same
+error.
 
 The rows of v.U are written off the scalar columns as linear forms,
 (v.c)_e = sum_{k=0..d} x_k c_{e+k} with x_0 = 1, unknown tails as zero;
@@ -53,6 +56,8 @@ weight <= d - 1, so checking through weight order+2 needs order <= d - 3.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import DomainError, InternalError, NotInvertibleError, PrecisionError
 from .gamma import GammaElement, _exp_coefficients, universal_v
 from .grassmann import GrassPoint, _rows, act, plucker
@@ -75,15 +80,11 @@ def _vacuum_unit(point: GrassPoint) -> RingElement:
     return delta
 
 
-def _scalar_columns(point: GrassPoint, bound: int, need: int) -> list[dict]:
-    """The checks every tau route makes first, in one order, and the point
-    read over the base field.
-
-    A degree bound >= 1, columns known below z^need, scalar coefficients.
-    Returns the columns as {exponent: scalar} dicts.  The vacuum chart is
-    checked next, by ``_sato_normal_form``, by ``tau_schur``'s elimination
-    or by ``_vacuum_unit``.
-    """
+def _check_point(point: GrassPoint, bound: int, need: int) -> None:
+    """The checks every tau route makes first, in one order: a degree
+    bound >= 1, columns known below z^need, scalar coefficients.  The
+    vacuum chart is checked next, by ``_sato_normal_form``, by
+    ``tau_schur``'s elimination or by ``_vacuum_unit``."""
     if bound < 1:
         raise DomainError("degree bound must be >= 1")
     m = point.window_high
@@ -91,12 +92,16 @@ def _scalar_columns(point: GrassPoint, bound: int, need: int) -> list[dict]:
         raise PrecisionError(
             f"columns are known only below z^{m}; degree bound needs z^{need}"
         )
-    cols = []
     for c in point.columns:
         if not all(coeff.is_constant() for coeff in c.coeffs.values()):
             raise DomainError("tau needs a point with scalar coefficients")
-        cols.append({e: coeff.constant_term() for e, coeff in c.coeffs.items()})
-    return cols
+
+
+def _scalar_columns(point: GrassPoint, bound: int, need: int) -> list[dict]:
+    """``_check_point``, then the point read over the base field: the
+    columns as {exponent: scalar} dicts."""
+    _check_point(point, bound, need)
+    return [{e: coeff.constant_term() for e, coeff in c.coeffs.items()} for c in point.columns]
 
 
 def _sato_normal_form(cols: list[dict], depth: int, bound: int, field) -> list[dict]:
@@ -216,9 +221,12 @@ def tau_schur(point: GrassPoint, bound: int) -> RingElement:
     past the unit columns to their right takes sum_j beta_j - r(r-1)/2
     transpositions, and reversing the rows r(r-1)/2 more.  So
     pi_lam / pi_0 = (-1)^(beta_1 + ... + beta_r) det[A(alpha_i, -1-beta_j)],
-    an r x r minor with r^2 <= |lam|: the entry itself for r = 1.
+    an r x r minor with r^2 <= |lam|: the entry itself for r = 1.  The
+    alpha_i, the holes and the sign of each lam come from ``_chart_table``,
+    made once per (field, bound), and F_lam is fetched only for a nonzero
+    ratio.
     """
-    _scalar_columns(point, bound, bound)
+    _check_point(point, bound, bound)
     n = point.tail_depth
     if len(point.columns) != n:
         raise NotInvertibleError(_OFF_CHART)
@@ -237,22 +245,35 @@ def tau_schur(point: GrassPoint, bound: int) -> RingElement:
         )
     except NotInvertibleError:
         raise NotInvertibleError(_OFF_CHART) from None
-    coords = {(): 1}
-    for lam in partitions_up_to(bound)[1:]:
+    coord_ring, charts = _chart_table(ring.field, bound)
+    coords = [((), 1)]
+    for lam, particles, holes, odd in charts:
         if len(lam) > n:
             continue
-        particles = [p - i - 1 for i, p in enumerate(lam) if p > i]  # alpha_i = lam_i - i
-        # hole -1 - beta_j, beta_j = lam'_j - j, with lam'_j = #{parts >= j}
-        holes = [j - sum(p > j for p in lam) for j in range(len(particles))]
         if len(particles) == 1:
             ratio = chart[particles[0]][holes[0] + m]
         else:
             ratio = det_ring([[chart[a][h + m] for h in holes] for a in particles], ring)
-        if (len(holes) + sum(holes)) % 2:  # sum beta_j, beta_j = -1 - h_j
-            ratio = -ratio
         if ratio:
-            coords[lam] = ratio.constant_term()
-    return _bosonized(coordinate_ring(ring.field, bound), coords.items())
+            coords.append((lam, (-ratio if odd else ratio).constant_term()))
+    return _bosonized(coord_ring, coords)
+
+
+@lru_cache(maxsize=None)
+def _chart_table(field, bound: int) -> tuple[CoeffRing, tuple]:
+    """What ``tau_schur`` reads of the partitions at a degree bound, made
+    once per (field, bound): the coordinate ring, and for each nonempty
+    lam with |lam| <= bound the tuple (lam, particles, holes, odd), with
+    particles alpha_i = lam_i - i, holes -1 - beta_j and odd the parity
+    of sum_j beta_j."""
+    charts = []
+    for lam in partitions_up_to(bound)[1:]:
+        particles = tuple(p - i - 1 for i, p in enumerate(lam) if p > i)
+        # hole -1 - beta_j, beta_j = lam'_j - j, with lam'_j = #{parts >= j}
+        holes = tuple(j - sum(p > j for p in lam) for j in range(len(particles)))
+        odd = (len(holes) + sum(holes)) % 2 == 1  # sum beta_j, beta_j = -1 - h_j
+        charts.append((lam, particles, holes, odd))
+    return coordinate_ring(field, bound), tuple(charts)
 
 
 def tau_crosscheck(point: GrassPoint, bound: int) -> RingElement:

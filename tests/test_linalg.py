@@ -25,12 +25,16 @@ from grasstau import (
     tau_crosscheck,
 )
 from grasstau.linalg import det_field, det_ring, inv_ring, mat_mul_ring, solve_field, solve_ring
+from grasstau.scalars import RingElement
 
 # plain rings (weights 1) and weighted coordinate rings; degree bounds 2
-# and 3, so a nilpotent block of size <= 6 falls on both sides of them
-RINGS = [CoeffRing(f, 2, 2) for f in (QQ, GF(2), GF(3), GF(5))] + [
-    coordinate_ring(f, 3) for f in (QQ, GF(2), GF(3), GF(5))
-]
+# and 3, so a nilpotent block of size <= 6 falls on both sides of them;
+# and the zero-variable rings of scalar points, which tau_schur eliminates in
+RINGS = (
+    [CoeffRing(f, 2, 2) for f in (QQ, GF(2), GF(3), GF(5))]
+    + [coordinate_ring(f, 3) for f in (QQ, GF(2), GF(3), GF(5))]
+    + [CoeffRing(f, 0, 0) for f in (QQ, GF(5))]
+)
 
 
 def _scalar(rng: Random, field, nonzero: bool):
@@ -52,7 +56,7 @@ def _entry(rng: Random, ring: CoeffRing, unit_share: float):
     if rng.random() < unit_share:
         coeffs[(0,) * ring.num_vars] = _scalar(rng, ring.field, nonzero=True)
     nilpotent = [m for m in ring.monomials() if any(m)]
-    for mono in rng.sample(nilpotent, rng.randint(0, 2)):
+    for mono in rng.sample(nilpotent, min(rng.randint(0, 2), len(nilpotent))):
         coeffs[mono] = _scalar(rng, ring.field, nonzero=False)
     return ring.element(coeffs)
 
@@ -167,6 +171,28 @@ def test_solve_ring_solves_exactly_when_the_residue_matrix_is_invertible(ring, n
     assert len(cols) == k
     for x, b in zip(cols, rhs):
         assert [row[0] for row in mat_mul_ring(rows, [[e] for e in x], ring)] == b
+
+
+def test_elimination_takes_no_ring_difference(monkeypatch):
+    """Each entry an elimination or a back substitution updates is one
+    fused a - b * c, reduced once: with ``RingElement.__sub__`` raising,
+    ``det_ring`` and ``solve_ring`` still return, and return the same."""
+    rng = Random(23)
+    cases = []
+    for ring in RINGS:
+        rows = _matrix(rng, ring, 5, 0.7)
+        while not det_field([[e.constant_term() for e in row] for row in rows], ring.field):
+            rows = _matrix(rng, ring, 5, 0.7)
+        rhs = [[_entry(rng, ring, 0.7) for _ in range(5)] for _ in range(2)]
+        cases.append((ring, rows, rhs, det_ring(rows, ring), solve_ring(rows, rhs, ring)))
+
+    def refuse(self, other):
+        raise AssertionError("RingElement.__sub__ called")
+
+    monkeypatch.setattr(RingElement, "__sub__", refuse)
+    for ring, rows, rhs, det, cols in cases:
+        assert det_ring(rows, ring) == det
+        assert solve_ring(rows, rhs, ring) == cols
 
 
 def test_solve_ring_refuses_bad_shapes():

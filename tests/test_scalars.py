@@ -21,7 +21,7 @@ from grasstau import (
     RingMismatchError,
     factorize,
 )
-from grasstau.scalars import RingElement, _is_prime, _substitute, _sum_products
+from grasstau.scalars import RingElement, _is_prime, _sub_product, _substitute, _sum_products
 from grasstau.schur import coordinate_ring
 
 
@@ -675,6 +675,48 @@ def test_substitution_kernel_matches_the_ring_map_by_ring_operations(field, shap
     got = _canonical(_substitute(x, images, target, top))
     assert got == want
     assert repr(got) == repr(want)
+
+
+# the zero-variable rings the Schur route eliminates in, plain and weighted ones
+SUB_PRODUCT_SHAPES = [(0, 0, None), (0, 2, None), (2, 3, None), (2, 4, (1, 2)), (3, 3, (1, 2, 3))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(2), GF(3), GF(5)]),
+    st.sampled_from(SUB_PRODUCT_SHAPES),
+    st.sampled_from(["any", "cancel", "near"]),
+    st.data(),
+)
+def test_fused_sub_product_matches_a_minus_b_times_c(field, shape, kind, data):
+    """``_sub_product(a, b, c)`` is ``a - b * c``: operands over Q over
+    different denominators, constants and zeros, an a equal to b * c so
+    that the result cancels to zero, one that differs from it by a little,
+    and operands from equal but distinct ring objects."""
+    ring = CoeffRing(field, *shape)
+    ra, rb, rc = (CoeffRing(field, *shape) if data.draw(st.booleans()) else ring for _ in range(3))
+    b, c = data.draw(_operand_of(rb)), data.draw(_operand_of(rc))
+    a = data.draw(_operand_of(ra))
+    if kind != "any":
+        a = RingElement(ra, (b * c).coeffs) + (a if kind == "near" else 0)
+    want = a - b * c
+    got = _canonical(_sub_product(a, b, c))
+    assert got == want
+    assert repr(got) == repr(want)
+    assert got.ring == ra
+    if kind == "cancel":
+        assert got.is_zero()
+
+
+def test_fused_sub_product_refuses_elements_of_another_ring():
+    """The same refusal, with the same message, as ``a - b * c``."""
+    ring, other = CoeffRing(QQ, 1, 2), CoeffRing(QQ, 2, 2)
+    one, x, y = ring.one(), ring.gen(0), other.gen(0)
+    for a, b, c in ((x, x, y), (x, y, y), (y, x, one)):
+        with pytest.raises(RingMismatchError) as want:
+            a - b * c
+        with pytest.raises(RingMismatchError, match=f"^{re.escape(str(want.value))}$"):
+            _sub_product(a, b, c)
 
 
 def test_sum_of_products_refuses_elements_of_another_ring():

@@ -52,6 +52,7 @@ from grasstau import (
     tau_direct,
     tau_eval,
     tau_schur,
+    to_schur_coords,
     universal_v,
 )
 from grasstau.gamma import _exp_coefficients
@@ -547,6 +548,28 @@ def test_tau_schur_matches_the_chart_by_chart_reference(
         except (NotInvertibleError, PrecisionError) as exc:
             results.append((type(exc), str(exc)))
     assert results[0] == results[1]
+
+
+def test_tau_schur_reads_a_scalar_only_for_a_nonzero_ratio(monkeypatch):
+    """The Schur route checks that the point is scalar but never converts
+    its coefficients: ``constant_term`` runs at most once per nonzero
+    Plucker ratio, and a depth-9 point has far more coefficients."""
+    reads = []
+    original = scalars.RingElement.constant_term
+
+    def counted(self):
+        reads.append(self)
+        return original(self)
+
+    monkeypatch.setattr(scalars.RingElement, "constant_term", counted)
+    rng = Random(9)
+    for field in (QQ, GF(5)):
+        pt = _mixed_point(rng, field, 9, 6, None)
+        reads.clear()
+        t = tau_schur(pt, 5)
+        calls = len(reads)
+        nonzero = len(to_schur_coords(t)) - 1  # the ratios, the empty partition's 1 aside
+        assert calls <= nonzero < sum(len(c.coeffs) for c in pt.columns)
 
 
 def _deep_point() -> GrassPoint:
