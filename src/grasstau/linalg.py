@@ -8,8 +8,12 @@ Berkowitz's division-free recursion on the remaining block (or by zero,
 when its first column is zero); a linear system, run on [A | b ...],
 finishes by back substitution, and an inverse is a system against the
 identity.  Unit pivots always exist when the matrix is invertible.
-Matrices of raw field values use ordinary row reduction; those power
-rank, solve, and determinant checks over the residue field.
+
+Raw field values have one elimination: ``_echelon`` on sparse {index:
+value} vectors, rows in a given order, each pivot scaled to 1 and
+cleared from the vectors left; ``_back_reduce`` finishes Gauss-Jordan
+on the pivots its caller keeps.  ``echelon_field`` is the pair on dense
+rows.  ``det_field`` keeps its own loop, as an oracle.
 
 Everything here is exact and runs in polynomial time: ``plucker``
 takes dense minors as large as the tail depth.  The ring loops skip zero
@@ -171,33 +175,65 @@ def inv_ring(rows: list[list[RingElement]], ring: CoeffRing) -> list[list[RingEl
 # ----------------------------------------------------------------------
 
 
+def _clear(vectors, e: int, pivot: dict, p: int) -> None:
+    """Subtract from each vector its entry at e times the pivot, in place."""
+    for c in vectors:
+        f = c.get(e)
+        if f:
+            for k, a in pivot.items():
+                val = c.get(k, 0) - f * a
+                if p:
+                    val %= p
+                if val:
+                    c[k] = val
+                else:
+                    del c[k]
+
+
+def _echelon(vectors: list[dict], order, field: BaseField) -> tuple[list[tuple[int, dict]], list[dict]]:
+    """Forward elimination on sparse {index: nonzero value} vectors, which
+    it reduces in place.  For each index e in ``order`` the first vector
+    still remaining that has e becomes the pivot at e, scaled to 1, and e
+    is cleared from the vectors after it.  Returns the pivots as (e,
+    vector) pairs in order, each zero at the indices of the pivots
+    before it, and the vectors left over, zero at every pivot index."""
+    p = field.char
+    rest = list(vectors)
+    pivots = []
+    for e in order:
+        if not rest:
+            break
+        j = next((j for j, c in enumerate(rest) if e in c), None)
+        if j is None:
+            continue
+        pivot = rest.pop(j)
+        if pivot[e] != 1:
+            inv = field.invert(pivot[e])
+            pivot = {k: a * inv % p if p else a * inv for k, a in pivot.items()}
+        _clear(rest, e, pivot, p)
+        pivots.append((e, pivot))
+    return pivots, rest
+
+
+def _back_reduce(pivots: list[tuple[int, dict]], field: BaseField) -> list[tuple[int, dict]]:
+    """Gauss-Jordan on pivots from ``_echelon``: copies of them, each
+    cleared at the indices of the pivots after it, so the last k rows of
+    the result are the result on the last k pivots."""
+    done: list[tuple[int, dict]] = []
+    for e, pivot in pivots:
+        _clear((c for _, c in done), e, pivot, field.char)
+        done.append((e, dict(pivot)))
+    return done
+
+
 def echelon_field(rows: list[list], field: BaseField) -> tuple[list[list], list[int]]:
     """Reduced row echelon form.  Returns (rref rows, pivot column list)."""
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if mat[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv_p = field.invert(mat[r][c])
-        mat[r] = [field.mul(inv_p, v) for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat, pivots
+    ncols = len(rows[0]) if rows else 0
+    pivots, _ = _echelon([{c: v for c, v in enumerate(r) if v} for r in rows], range(ncols), field)
+    zero = field.zero()
+    rref = [[vec.get(c, zero) for c in range(ncols)] for _, vec in _back_reduce(pivots, field)]
+    rref += [[zero] * ncols for _ in range(len(rows) - len(pivots))]
+    return rref, [c for c, _ in pivots]
 
 
 def rank_field(rows: list[list], field: BaseField) -> int:
@@ -210,16 +246,10 @@ def det_field(rows: list[list], field: BaseField):
     for r in rows:
         if len(r) != n:
             raise DomainError("det_field needs a square matrix")
-    if n == 0:
-        return field.one()
     mat = [list(r) for r in rows]
     det = field.one()
     for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if mat[i][c]:
-                pivot = i
-                break
+        pivot = next((i for i in range(c, n) if mat[i][c]), None)
         if pivot is None:
             return field.zero()
         if pivot != c:
@@ -246,9 +276,8 @@ def solve_field(a: list[list], b: list, field: BaseField) -> list | None:
         raise DomainError("right-hand side length does not match")
     aug = [list(row) + [b[i]] for i, row in enumerate(a)]
     rref, pivots = echelon_field(aug, field)
-    for row in rref:
-        if row[-1] and not any(row[c] for c in range(ncols)):
-            return None
+    if ncols in pivots:  # a pivot in b's column is a row 0 = b_i != 0
+        return None
     x = [field.zero()] * ncols
     for r, c in enumerate(pivots):
         x[c] = rref[r][-1]

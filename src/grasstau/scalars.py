@@ -128,7 +128,7 @@ class BaseField:
         if not a:
             raise NotInvertibleError(f"zero is not invertible in {self!r}")
         if self.char == 0:
-            return 1 / a
+            return 1 / a if isinstance(a, Fraction) else Fraction(1, a)
         return pow(a, -1, self.char)
 
     def zero(self):

@@ -7,8 +7,9 @@ universal lower-wing element over the weighted coordinate ring.  Two
 independent routes compute it:
 
 * ``tau_direct``: bring the point to its Sato normal form over the
-  field, columns z^{-i} + (terms at z^0 and above), cut to depth
-  m = min(depth, d), and take one m x m determinant of v times it;
+  field (``linalg._echelon``), columns z^{-i} + (terms at z^0 and
+  above), cut to depth m = min(depth, d), and take one m x m
+  determinant of v times it;
 * ``tau_schur``: expand the vacuum minor of v.U over the charts of U,
   which gives sum_lam F_lam * (pi_lam(U) / pi_0(U)), a family of
   Plucker ratios that ``schur.bosonize`` sums.  One elimination on the
@@ -21,15 +22,16 @@ runs it inside ``det_ring`` on v times the normal form, the Schur route
 on the point's own columns, and neither reads the other's normal form or
 moved rows.
 ``tau_direct``, ``tau_schur`` and ``baker`` run the same checks,
-``_check_point``: the degree bound, the window and scalar coefficients,
-in that order, before v is built.  Only ``tau_direct`` and ``baker``
-then read the values over the field (``_scalar_columns``); ``tau_schur``
-eliminates on the point's own coefficients and converts a scalar only
-for a nonzero ratio.  The vacuum chart comes last, decided by the first
-thing each route computes: the normal form for ``tau_direct``, the
-elimination for ``tau_schur``, the vacuum minor for ``baker``, with one
-error and message.  So all three refuse the same input with the same
-error.
+``_check_point``: the degree bound, the window, scalar coefficients and
+as many columns as the tail depth, in that order, before v is built.
+Only ``tau_direct`` and ``baker`` then read the values over the field
+(``_scalar_columns``); ``tau_schur`` eliminates on the point's own
+coefficients and converts a scalar only for a nonzero ratio.  The rest
+of the vacuum chart comes last, decided by the first thing each route
+computes: the field elimination for ``tau_direct``, the ring elimination
+for ``tau_schur``, the solve on the moved vacuum block for ``baker``,
+with one error and message.  So all three refuse the same input with
+the same error.
 
 The rows of v.U are written off the scalar columns as linear forms,
 (v.c)_e = sum_{k=0..d} x_k c_{e+k} with x_0 = 1, unknown tails as zero;
@@ -62,7 +64,7 @@ from .errors import DomainError, InternalError, NotInvertibleError, PrecisionErr
 from .gamma import GammaElement, _exp_coefficients, universal_v
 from .grassmann import GrassPoint, _rows, act, plucker
 from .laurent import LaurentElement, _divide
-from .linalg import _eliminate, det_ring, solve_ring
+from .linalg import _back_reduce, _echelon, _eliminate, det_ring, solve_ring
 from .partitions import MayaDiagram, partitions_up_to
 from .scalars import CoeffRing, RingElement, _linear_form, _split_last, _substitute, _sum_products
 from .schur import _bosonized, coordinate_ring, is_coordinate_ring
@@ -73,18 +75,13 @@ _OFF_CHART = (
 )
 
 
-def _vacuum_unit(point: GrassPoint) -> RingElement:
-    delta = plucker(point, MayaDiagram.vacuum())
-    if not delta.is_unit():
-        raise NotInvertibleError(_OFF_CHART)
-    return delta
-
-
 def _check_point(point: GrassPoint, bound: int, need: int) -> None:
     """The checks every tau route makes first, in one order: a degree
-    bound >= 1, columns known below z^need, scalar coefficients.  The
-    vacuum chart is checked next, by ``_sato_normal_form``, by
-    ``tau_schur``'s elimination or by ``_vacuum_unit``."""
+    bound >= 1, columns known below z^need, scalar coefficients, and as
+    many columns as the tail depth, since any other count makes the
+    vacuum minor zero.  The rest of the vacuum chart is decided by what
+    each route computes first: the elimination of ``tau_direct`` and of
+    ``tau_schur``, the solve of ``baker``."""
     if bound < 1:
         raise DomainError("degree bound must be >= 1")
     m = point.window_high
@@ -95,6 +92,8 @@ def _check_point(point: GrassPoint, bound: int, need: int) -> None:
     for c in point.columns:
         if not all(coeff.is_constant() for coeff in c.coeffs.values()):
             raise DomainError("tau needs a point with scalar coefficients")
+    if len(point.columns) != point.tail_depth:
+        raise NotInvertibleError(_OFF_CHART)
 
 
 def _scalar_columns(point: GrassPoint, bound: int, need: int) -> list[dict]:
@@ -102,51 +101,6 @@ def _scalar_columns(point: GrassPoint, bound: int, need: int) -> list[dict]:
     columns as {exponent: scalar} dicts."""
     _check_point(point, bound, need)
     return [{e: coeff.constant_term() for e, coeff in c.coeffs.items()} for c in point.columns]
-
-
-def _sato_normal_form(cols: list[dict], depth: int, bound: int, field) -> list[dict]:
-    """The Sato normal form of the columns, cut to depth m = min(depth,
-    bound) and to exponents below z^bound: c'_i = z^{-i} + a_i, a_i at
-    z^0, ..., z^(bound-1), for i = m, ..., 1 (Segal-Wilson, Publ. Math.
-    IHES 61, 1985, sections 2-3).
-
-    One column elimination over the field on the vacuum rows, the deepest
-    first.  Row z^e is cleared from every other column by the first column
-    that has it, scaled to 1.  That pivot is dropped when e < -bound and
-    kept in the top m rows, where clearing runs through the kept columns
-    too and leaves them zero at every other vacuum row.  Exponents at
-    z^bound and above are never read: no moved vacuum block at this bound
-    sees them.  A row with no pivot, or a column count other than depth,
-    means a vacuum minor of zero: the point is refused as outside the
-    vacuum chart.
-    """
-    if len(cols) != depth:
-        raise NotInvertibleError(_OFF_CHART)
-    p = field.char
-    rest = [{e: a for e, a in c.items() if e < bound} for c in cols]
-    kept: list[dict] = []
-    for e in range(-depth, 0):
-        j = next((j for j, c in enumerate(rest) if e in c), None)
-        if j is None:
-            raise NotInvertibleError(_OFF_CHART)
-        pivot = rest.pop(j)
-        if pivot[e] != 1:
-            inv = field.invert(pivot[e])
-            pivot = {k: a * inv % p if p else a * inv for k, a in pivot.items()}
-        for c in rest + kept:
-            f = c.get(e)
-            if f:
-                for k, a in pivot.items():
-                    val = c.get(k, 0) - f * a
-                    if p:
-                        val %= p
-                    if val:
-                        c[k] = val
-                    else:
-                        del c[k]
-        if e >= -bound:
-            kept.append(pivot)
-    return kept
 
 
 def _moved_rows(cols: list[dict], rows, ring: CoeffRing) -> list[list[RingElement]]:
@@ -183,9 +137,21 @@ def tau_direct(point: GrassPoint, bound: int) -> RingElement:
     m x m minor: the moved vacuum block of span{c'_m, ..., c'_1} over the
     tail of depth m.  Its constant term is det B0 = 1, so no normalization
     is left.  Row -1 reads c' below z^bound, so no unknown tail enters.
+
+    The normal form (Segal-Wilson, Publ. Math. IHES 61, 1985, sections
+    2-3) is ``linalg._echelon`` on the columns cut below z^bound, which no
+    moved vacuum block at this bound reads, with the rows -n..-1 taken
+    deepest first; a row with no pivot means a zero vacuum minor, and the
+    point is refused.  Back reduction of the last m pivots alone gives
+    the last m columns of the full Gauss-Jordan form, c'_m, ..., c'_1.
     """
     field = point.ring.field
-    normal = _sato_normal_form(_scalar_columns(point, bound, bound), point.tail_depth, bound, field)
+    n = point.tail_depth
+    cols = [{e: a for e, a in c.items() if e < bound} for c in _scalar_columns(point, bound, bound)]
+    pivots, _ = _echelon(cols, range(-n, 0), field)
+    if len(pivots) < n:
+        raise NotInvertibleError(_OFF_CHART)
+    normal = [c for _, c in _back_reduce(pivots[n - min(n, bound):], field)]
     ring = coordinate_ring(field, bound)
     return det_ring(_moved_rows(normal, range(-len(normal), 0), ring), ring)
 
@@ -228,8 +194,6 @@ def tau_schur(point: GrassPoint, bound: int) -> RingElement:
     """
     _check_point(point, bound, bound)
     n = point.tail_depth
-    if len(point.columns) != n:
-        raise NotInvertibleError(_OFF_CHART)
     m = min(n, bound)
     deep = n - m
     mat = [list(col) for col in zip(*_rows(point.columns, range(-n, bound)))]
@@ -295,7 +259,9 @@ def tau_eval(point: GrassPoint, g: GammaElement) -> RingElement:
     depends on the wings of g1, g2 and the tail depth, but not on the
     point.
     """
-    delta = _vacuum_unit(point)
+    delta = plucker(point, MayaDiagram.vacuum())
+    if not delta.is_unit():
+        raise NotInvertibleError(_OFF_CHART)
     return plucker(act(g, point), MayaDiagram.vacuum()) * delta.inverse()
 
 
@@ -311,10 +277,11 @@ def baker(point: GrassPoint, bound: int, window: int) -> LaurentElement:
     psi is the unique series with z^{-1} psi in the point and
     v psi = 1 + O(z), v = universal_v(field, bound).  The rows
     (v.c_j)_e = sum_{k=0..bound} x_k c_{j,e+k}, x_0 = 1, at e = -n..-1 are
-    the vacuum block B of v.point, a unit since its residue is the
-    point's; solve B a = (0, ..., 0, 1).  Then w = z sum_j a_j v.c_j =
-    1 + O(z), w_{e+1} = sum_j a_j (v.c_j)_e, and psi = v^{-1} w, one
-    series product, reads w below z^(window + bound) only, since v^{-1}
+    the vacuum block B of v.point.  Its residue is the point's vacuum
+    block, so B is invertible exactly in the vacuum chart, and the solve
+    of B a = (0, ..., 0, 1) is the chart check.  Then
+    w = z sum_j a_j v.c_j = 1 + O(z), w_{e+1} = sum_j a_j (v.c_j)_e, and
+    psi = v^{-1} w, one series product, reads w below z^(window + bound) only, since v^{-1}
     stops at z^{-bound}.  The unknown tail of every column is read as
     zero, which is harmless: each unit of x-weight moves a column index
     up by at most one, and weights stop at ``bound``, so psi's z^k
@@ -328,12 +295,14 @@ def baker(point: GrassPoint, bound: int, window: int) -> LaurentElement:
     if window < 1:
         raise DomainError("window must be >= 1")
     cols = _scalar_columns(point, bound, bound + window)
-    _vacuum_unit(point)
     v = universal_v(point.ring.field, bound).gminus
     ring = v.ring
     vacuum = range(-len(cols), 0)
     e_n = [ring.one() if e == -1 else ring.zero() for e in vacuum]
-    (a,) = solve_ring(_moved_rows(cols, vacuum, ring), [e_n], ring)
+    try:
+        (a,) = solve_ring(_moved_rows(cols, vacuum, ring), [e_n], ring)
+    except NotInvertibleError:
+        raise NotInvertibleError(_OFF_CHART) from None
     w = {0: ring.one()}
     for e, row in enumerate(_moved_rows(cols, range(window + bound - 1), ring)):
         w[e + 1] = _sum_products(ring, zip(row, a))

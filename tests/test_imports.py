@@ -1,6 +1,7 @@
 """Every top-level import of a package module is used in that module,
-no module but ``scalars`` touches how a ring element is stored, and
-every name the benchmark tracer wraps still exists.
+every import anywhere in the package is relative or from the standard
+library, no module but ``scalars`` touches how a ring element is stored,
+and every name the benchmark tracer wraps still exists.
 
 A name counts as used when the module reads it anywhere, including
 inside a string annotation; the package ``__init__`` may also re-export
@@ -10,6 +11,7 @@ it through ``__all__``.
 import ast
 import importlib
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,6 +62,27 @@ def test_no_unused_top_level_import(path):
         used |= _exported(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_imports_only_the_standard_library(path):
+    # numpy and sympy may be installed where the tests run; the package
+    # must not come to need them
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [
+            f"line {node.lineno}: {name}"
+            for name in names
+            if name != "__future__" and name.split(".")[0] not in sys.stdlib_module_names
+        ]
+    assert not found, f"{path.name}: {found}"
 
 
 # how a RingElement stores its coefficients, and the monomial keys it stores

@@ -3,7 +3,8 @@
 ``det_ring`` is checked against the Leibniz sum over all permutations, an
 oracle that shares no code with the elimination.  The frozen values were
 computed by the earlier cofactor-expansion ``det_ring`` and agree with
-the current one under ``==``.
+the current one under ``==``.  ``echelon_field`` is checked against the
+dense Gauss-Jordan elimination it ran before the sparse kernel.
 """
 
 from fractions import Fraction
@@ -24,7 +25,18 @@ from grasstau import (
     coordinate_ring,
     tau_crosscheck,
 )
-from grasstau.linalg import det_field, det_ring, inv_ring, mat_mul_ring, solve_field, solve_ring
+from grasstau.linalg import (
+    _back_reduce,
+    _echelon,
+    det_field,
+    det_ring,
+    echelon_field,
+    inv_ring,
+    mat_mul_ring,
+    rank_field,
+    solve_field,
+    solve_ring,
+)
 from grasstau.scalars import RingElement
 
 # plain rings (weights 1) and weighted coordinate rings; degree bounds 2
@@ -216,6 +228,86 @@ def test_solve_field_sets_free_variables_to_zero_on_a_rank_deficient_system():
     x = solve_field(a, b, QQ)
     assert x == [Fraction(2), Fraction(0), Fraction(1)]
     assert [sum(aij * xj for aij, xj in zip(row, x)) for row in a] == b
+
+
+def _reference_echelon(rows, field):
+    """Dense Gauss-Jordan on every entry, with field operations."""
+    mat = [list(r) for r in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv_p = field.invert(mat[r][c])
+        mat[r] = [field.mul(inv_p, v) for v in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return mat, pivots
+
+
+def _field_matrix(rng: Random, field, nrows: int, ncols: int):
+    """Entries zero half the time and 1 a sixth of it, so zero rows and
+    columns and pivots already 1 are common; over Q a Fraction or an int.
+    Some rows are combinations of the first two, so the rank drops."""
+
+    def entry():
+        u = rng.random()
+        v = 0 if u < 0.5 else 1 if u < 0.65 else rng.randint(-4, 4)
+        if field.char:
+            return v % field.char
+        return Fraction(v, rng.randint(1, 3)) if rng.random() < 0.5 else v
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(2, nrows):
+        if rng.random() < 0.3:
+            a, b = entry(), entry()
+            rows[i] = [field.add(field.mul(a, x), field.mul(b, y)) for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+FIELDS = (QQ, GF(2), GF(3), GF(5))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(FIELDS), st.integers(0, 6), st.integers(0, 7), st.integers(0, 2**32 - 1))
+def test_echelon_field_matches_dense_gauss_jordan(field, nrows, ncols, seed):
+    rows = _field_matrix(Random(seed), field, nrows, ncols)
+    snapshot = [list(r) for r in rows]
+    rref, pivots = echelon_field(rows, field)
+    assert (rref, pivots) == _reference_echelon(rows, field)
+    assert rank_field(rows, field) == len(pivots)
+    assert rows == snapshot
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from(FIELDS),
+    st.integers(0, 6),
+    st.integers(0, 7),
+    st.integers(0, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_back_reduce_of_the_last_pivots_is_the_last_rows(field, nrows, ncols, k, seed):
+    """What lets ``tau_direct`` back-reduce only the pivots it keeps;
+    the rows are taken in a random order."""
+    rng = Random(seed)
+    rows = _field_matrix(rng, field, nrows, ncols)
+    vectors = [{c: v for c, v in enumerate(r) if v} for r in rows]
+    pivots, rest = _echelon(vectors, rng.sample(range(ncols), ncols), field)
+    assert len(pivots) + len(rest) == nrows
+    assert all(vec[e] == 1 for e, vec in pivots)
+    full = _back_reduce(pivots, field)
+    assert _back_reduce(pivots[k:], field) == full[k:]
 
 
 def test_tau_crosscheck_at_tail_depth_14_frozen():

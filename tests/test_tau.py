@@ -167,12 +167,19 @@ OFF_CHART = re.escape(
 )
 
 
-def test_tau_refuses_a_point_outside_the_vacuum_chart():
+def _off_chart_points():
+    """A zero vacuum minor, then two column counts other than the tail
+    depth: depth 2 with one column, depth 1 with two."""
     ring = CoeffRing(QQ, 1, 2)
-    pt = GrassPoint(ring, 1, [LaurentElement(ring, {0: 1, 1: 2})])
-    for call in (lambda: tau_direct(pt, 2), lambda: tau_schur(pt, 2), lambda: baker(pt, 1, 1)):
-        with pytest.raises(NotInvertibleError, match=OFF_CHART):
-            call()
+    shapes = [(1, [{0: 1, 1: 2}]), (2, [{-2: 1, 0: 3}]), (1, [{-1: 1, 0: 3}, {0: 1, 2: 1}])]
+    return [GrassPoint(ring, depth, [LaurentElement(ring, c) for c in cols]) for depth, cols in shapes]
+
+
+def test_tau_refuses_a_point_outside_the_vacuum_chart():
+    for pt in _off_chart_points():
+        for call in (lambda: tau_direct(pt, 2), lambda: tau_schur(pt, 2), lambda: baker(pt, 1, 1)):
+            with pytest.raises(NotInvertibleError, match=OFF_CHART):
+                call()
 
 
 def test_tau_needs_the_full_degree_window():
@@ -213,6 +220,28 @@ def test_baker_of_the_base_point_is_v_inverse():
     assert psi.coefficient(-2) == x1 * x1 - x2
     assert psi.coefficient(-3) == -(x1 ** 3) + 2 * x1 * x2 - x3
     assert psi.coefficient(1).is_zero() and psi.coefficient(2).is_zero()
+
+
+def test_baker_takes_no_plucker_minor(monkeypatch):
+    """The solve on the moved vacuum block is baker's chart check: with
+    ``plucker`` raising, baker returns the same series and refuses the
+    same points."""
+    rng = Random(24)
+    cases = [
+        (_mixed_point(rng, field, depth, bound + window + 1, None), bound, window)
+        for field in (QQ, GF(3))
+        for depth, bound, window in [(1, 2, 2), (3, 3, 1), (5, 2, 3)]
+    ]
+    want = [baker(pt, bound, window) for pt, bound, window in cases]
+
+    def refuse(point, diagram):
+        raise AssertionError("plucker called")
+
+    monkeypatch.setattr(tau_module, "plucker", refuse)
+    assert [baker(pt, bound, window) for pt, bound, window in cases] == want
+    for pt in _off_chart_points():
+        with pytest.raises(NotInvertibleError, match=OFF_CHART):
+            baker(pt, 1, 1)
 
 
 def test_baker_single_column_reconstruction():
@@ -655,11 +684,13 @@ def _reference_moved_block(field, cols, bound):
 
 
 def _reference_tau_direct(point, bound):
+    """The definition: the vacuum minor of v.U, the full-depth moved
+    block, over the point's own vacuum minor."""
     field = point.ring.field
     cols = tau_module._scalar_columns(point, bound, bound)
-    normal = tau_module._sato_normal_form(cols, point.tail_depth, bound, field)
-    v, _, block = _reference_moved_block(field, normal, bound)
-    return det_ring(block, v.ring)
+    v, _, block = _reference_moved_block(field, cols, bound)
+    vacuum = plucker(point, MayaDiagram.vacuum()).constant_term()
+    return det_ring(block, v.ring) * field.invert(vacuum)
 
 
 def _reference_baker(point, bound, window):
