@@ -47,6 +47,9 @@ from .pairings import commutator_pairing, residue_pairing
 from .verify import run_suite, suite_names
 
 
+_TAU_ROUTES = {"direct": tau_direct, "schur": tau_schur, "both": tau_crosscheck}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grasstau",
@@ -55,8 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_: str, payload: bool = True):
+    def add(name: str, help_: str, run, payload: bool = True):
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(run=run)
         if payload:
             p.add_argument(
                 "--in",
@@ -66,9 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
             )
         return p
 
-    add("factor", "split a series into lower wing * unit * upper wing * z^k")
+    add("factor", "split a series into lower wing * unit * upper wing * z^k", _cmd_factor)
 
-    p = add("exp", "exponential of a coefficient vector into one wing")
+    p = add("exp", "exponential of a coefficient vector into one wing", _cmd_exp)
     p.add_argument("--sign", type=int, choices=(-1, 1), default=-1)
     p.add_argument("--window", type=int, help="truncation order (required for sign +1)")
     p.add_argument(
@@ -78,43 +82,43 @@ def build_parser() -> argparse.ArgumentParser:
         "(works in any characteristic)",
     )
 
-    add("witt-add", "add two coefficient vectors through their product series")
+    add("witt-add", "add two coefficient vectors through their product series", _cmd_witt_add)
 
-    p = add("abel", "embed one-variable points through t -> sum t^k z^-k")
+    p = add("abel", "embed one-variable points through t -> sum t^k z^-k", _cmd_abel)
     p.add_argument("--depth", type=int, help="clip depth for non-nilpotent points")
 
-    add("index", "relative dimension of a point against the base point")
+    add("index", "relative dimension of a point against the base point", _cmd_index)
 
-    add("plucker", "one minor of a point, selected by a diagram")
+    add("plucker", "one minor of a point, selected by a diagram", _cmd_plucker)
 
-    add("transition", "ratio of two chart minors at the same point")
+    add("transition", "ratio of two chart minors at the same point", _cmd_transition)
 
-    p = add("act", "apply a factored group element to a point")
+    p = add("act", "apply a factored group element to a point", _cmd_act)
     p.add_argument("--promote", type=int, help="how many tail slots become columns")
 
-    p = add("tau", "tau polynomial of a point")
+    p = add("tau", "tau polynomial of a point", _cmd_tau)
     p.add_argument("--deg", type=int, required=True, help="weighted degree bound")
     p.add_argument(
         "--method",
-        choices=("direct", "schur", "both"),
+        choices=tuple(_TAU_ROUTES),
         default="both",
         help="'both' computes the two routes and insists they agree",
     )
 
-    p = add("baker", "wave series of a point")
+    p = add("baker", "wave series of a point", _cmd_baker)
     p.add_argument("--deg", type=int, required=True, help="weighted degree bound")
     p.add_argument("--window", type=int, required=True, help="z-window upper end")
 
-    p = add("schur", "basis polynomial of a partition in the coordinate ring")
+    p = add("schur", "basis polynomial of a partition in the coordinate ring", _cmd_schur)
     p.add_argument("--field", default="q", help="'q' or 'fp:<p>'")
     p.add_argument("--deg", type=int, required=True, help="weighted degree bound")
 
-    add("bosonize", "convert between polynomials and basis coordinates")
+    add("bosonize", "convert between polynomials and basis coordinates", _cmd_bosonize)
 
-    p = add("pair", "pairing of two series with unit constant coefficient")
+    p = add("pair", "pairing of two series with unit constant coefficient", _cmd_pair)
     p.add_argument("--mode", choices=("commutator", "residue"), default="commutator")
 
-    p = add("verify", "run randomized self-check suites", payload=False)
+    p = add("verify", "run randomized self-check suites", _cmd_verify, payload=False)
     p.add_argument("--suite", default="all", choices=["all"] + suite_names())
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", choices=("small", "full"), default="small")
@@ -200,9 +204,6 @@ def _cmd_act(args, payload):
     ]
 
 
-_TAU_ROUTES = {"direct": tau_direct, "schur": tau_schur, "both": tau_crosscheck}
-
-
 def _cmd_tau(args, payload):
     ring = decode_ring(need(payload, "ring"))
     pt = decode_point(ring, need(payload, "point"))
@@ -274,24 +275,6 @@ def _cmd_verify(args, _payload):
     return result, None, []
 
 
-_HANDLERS = {
-    "factor": _cmd_factor,
-    "exp": _cmd_exp,
-    "witt-add": _cmd_witt_add,
-    "abel": _cmd_abel,
-    "index": _cmd_index,
-    "plucker": _cmd_plucker,
-    "transition": _cmd_transition,
-    "act": _cmd_act,
-    "tau": _cmd_tau,
-    "baker": _cmd_baker,
-    "schur": _cmd_schur,
-    "bosonize": _cmd_bosonize,
-    "pair": _cmd_pair,
-    "verify": _cmd_verify,
-}
-
-
 def _load_payload(args) -> dict | None:
     if not hasattr(args, "infile"):
         return None
@@ -319,10 +302,9 @@ def _fail(code: int, kind: str, error) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler = _HANDLERS[args.command]
     try:
         payload = _load_payload(args)
-        result, precision, flags = handler(args, payload)
+        result, precision, flags = args.run(args, payload)
     except PrecisionError as exc:
         return _fail(4, "precision", exc)
     except InternalError as exc:

@@ -81,9 +81,7 @@ class GammaElement:
 
     @staticmethod
     def identity(ring: CoeffRing) -> "GammaElement":
-        return GammaElement(
-            LaurentElement.one(ring), ring.one(), LaurentElement.one(ring), 0
-        )
+        return GammaElement.from_parts(ring)
 
     @staticmethod
     def from_parts(

@@ -33,11 +33,12 @@ those ints alone and brings each result to its canonical form once: a
 over Q.  ``Fraction`` values appear only when ``coeffs``, ``coefficient``
 or ``constant_term`` is read.
 
-Every product and sum of products runs one multiply-accumulate kernel,
-``_accumulate``, the loop over monomial pairs.  ``RingElement.__mul__``
-is one product, ``_sum_products`` a sum of x * y, ``_sub_product`` the
-a - b * c of an elimination step, ``_series_product`` the coefficients
-of a product of series, one sum per exponent, and ``_substitute`` a ring
+Every sum, product and sum of products runs one multiply-accumulate
+kernel, ``_accumulate``, the loop over monomial pairs.
+``RingElement.__mul__`` is one product, ``_sum_products`` a sum of
+x * y, ``_sub_product`` the a - b * c of an elimination step and of ring
+``+`` and ``-`` (c = -1 or 1), ``_series_product`` the coefficients of a
+product of series, one sum per exponent, and ``_substitute`` a ring
 map, a sum of products of powers.  The integer products accumulate over
 one common denominator, the lcm of the pair denominators (1 in
 characteristic p), and each sum is reduced once.
@@ -448,21 +449,9 @@ class RingElement:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _plus(self, other: "RingElement", sign: int) -> "RingElement":
-        """self + sign * other, sign = 1 or -1, over the lcm of the two
-        denominators, in one pass."""
-        d1, d2 = self._den, other._den
-        g = gcd(d1, d2)
-        s1, s2 = d2 // g, sign * (d1 // g)
-        out = dict(self._num) if s1 == 1 else {m: c * s1 for m, c in self._num.items()}
-        for mono, c in other._num.items():
-            prev = out.get(mono)
-            out[mono] = c * s2 if prev is None else prev + c * s2
-        return _reduced(self.ring, out, d1 // g * d2)
-
     def __add__(self, other) -> "RingElement":
         other = _operand(self.ring, other)
-        return NotImplemented if other is NotImplemented else self._plus(other, 1)
+        return NotImplemented if other is NotImplemented else _sub_product(self, other, self.ring.const(-1))
 
     __radd__ = __add__
 
@@ -475,11 +464,11 @@ class RingElement:
 
     def __sub__(self, other) -> "RingElement":
         other = _operand(self.ring, other)
-        return NotImplemented if other is NotImplemented else self._plus(other, -1)
+        return NotImplemented if other is NotImplemented else _sub_product(self, other, self.ring.one())
 
     def __rsub__(self, other) -> "RingElement":
         other = _operand(self.ring, other)
-        return NotImplemented if other is NotImplemented else other._plus(self, -1)
+        return NotImplemented if other is NotImplemented else _sub_product(other, self, self.ring.one())
 
     def __mul__(self, other) -> "RingElement":
         other = _operand(self.ring, other)
@@ -627,7 +616,9 @@ def _sub_product(a: RingElement, b: RingElement, c: RingElement) -> RingElement:
     brought to canonical form once: a's numerators over the lcm of a's
     denominator and the product's, and one ``_accumulate`` of -b * c into
     them.  The value is that of ``a - b * c``, so the two are ``==`` and
-    print alike, and refuse unequal rings with the same message."""
+    print alike, and refuse unequal rings with the same message.  Ring
+    ``+`` and ``-`` are this call with c = -1 and c = 1: a constant c
+    makes the accumulate one scaled pass over b."""
     ring = a.ring
     if c.ring is not b.ring and c.ring != b.ring:
         raise RingMismatchError(f"cannot combine elements of {b.ring!r} and {c.ring!r}")

@@ -42,7 +42,7 @@ z^{-1} psi in the point and v psi = 1 + O(z) (Segal-Wilson, in this
 lower-wing convention).  That is one linear condition on the vacuum block
 B of v.U, the block ``grassmann.plucker`` reads: tau is det B on the
 cut normal form; psi solves B a = e_n over the coordinate ring, and
-psi = v^{-1} w, w = z sum_j a_j v.c_j, is the one series product.
+psi = w / v, w = z sum_j a_j v.c_j, is one series division.
 Sato's formula, psi = v^{-1} times the shifted tau over tau, gives the
 same series; the tests keep it as the reference.
 
@@ -65,7 +65,7 @@ from .gamma import GammaElement, _exp_coefficients, universal_v
 from .grassmann import GrassPoint, _rows, act, plucker
 from .laurent import LaurentElement, _divide
 from .linalg import _back_reduce, _echelon, _eliminate, det_ring, solve_ring
-from .partitions import MayaDiagram, partitions_up_to
+from .partitions import MayaDiagram, conjugate, partitions_up_to
 from .scalars import CoeffRing, RingElement, _linear_form, _split_last, _substitute, _sum_products
 from .schur import _bosonized, coordinate_ring, is_coordinate_ring
 
@@ -98,9 +98,12 @@ def _check_point(point: GrassPoint, bound: int, need: int) -> None:
 
 def _scalar_columns(point: GrassPoint, bound: int, need: int) -> list[dict]:
     """``_check_point``, then the point read over the base field: the
-    columns as {exponent: scalar} dicts."""
+    columns as {exponent: scalar} dicts, cut below z^need, the part
+    ``_check_point`` found known.  ``tau_direct`` reads nothing past it
+    (need = bound), and ``baker`` loses nothing: psi below its window
+    reads the columns only below z^(window + bound - 1)."""
     _check_point(point, bound, need)
-    return [{e: coeff.constant_term() for e, coeff in c.coeffs.items()} for c in point.columns]
+    return [{e: a.constant_term() for e, a in c.coeffs.items() if e < need} for c in point.columns]
 
 
 def _moved_rows(cols: list[dict], rows, ring: CoeffRing) -> list[list[RingElement]]:
@@ -147,8 +150,7 @@ def tau_direct(point: GrassPoint, bound: int) -> RingElement:
     """
     field = point.ring.field
     n = point.tail_depth
-    cols = [{e: a for e, a in c.items() if e < bound} for c in _scalar_columns(point, bound, bound)]
-    pivots, _ = _echelon(cols, range(-n, 0), field)
+    pivots, _ = _echelon(_scalar_columns(point, bound, bound), range(-n, 0), field)
     if len(pivots) < n:
         raise NotInvertibleError(_OFF_CHART)
     normal = [c for _, c in _back_reduce(pivots[n - min(n, bound):], field)]
@@ -233,8 +235,8 @@ def _chart_table(field, bound: int) -> tuple[CoeffRing, tuple]:
     charts = []
     for lam in partitions_up_to(bound)[1:]:
         particles = tuple(p - i - 1 for i, p in enumerate(lam) if p > i)
-        # hole -1 - beta_j, beta_j = lam'_j - j, with lam'_j = #{parts >= j}
-        holes = tuple(j - sum(p > j for p in lam) for j in range(len(particles)))
+        # hole -1 - beta_j, beta_j = lam'_j - j
+        holes = tuple(j - c for j, c in enumerate(conjugate(lam)[: len(particles)]))
         odd = (len(holes) + sum(holes)) % 2 == 1  # sum beta_j, beta_j = -1 - h_j
         charts.append((lam, particles, holes, odd))
     return coordinate_ring(field, bound), tuple(charts)
@@ -281,8 +283,10 @@ def baker(point: GrassPoint, bound: int, window: int) -> LaurentElement:
     block, so B is invertible exactly in the vacuum chart, and the solve
     of B a = (0, ..., 0, 1) is the chart check.  Then
     w = z sum_j a_j v.c_j = 1 + O(z), w_{e+1} = sum_j a_j (v.c_j)_e, and
-    psi = v^{-1} w, one series product, reads w below z^(window + bound) only, since v^{-1}
-    stops at z^{-bound}.  The unknown tail of every column is read as
+    psi = w / v is one series division (``laurent._divide``).  Below
+    z^window it reads w below z^(window + bound) only, since v^{-1} stops
+    at z^{-bound}, so w is taken as the polynomial of those terms.  The
+    columns are read below z^(bound + window) and their unknown tails as
     zero, which is harmless: each unit of x-weight moves a column index
     up by at most one, and weights stop at ``bound``, so psi's z^k
     coefficient reads the columns only up to z^(k + bound - 1), inside
@@ -306,8 +310,7 @@ def baker(point: GrassPoint, bound: int, window: int) -> LaurentElement:
     w = {0: ring.one()}
     for e, row in enumerate(_moved_rows(cols, range(window + bound - 1), ring)):
         w[e + 1] = _sum_products(ring, zip(row, a))
-    vinv = _divide(LaurentElement.one(ring), v, None)
-    return (vinv * LaurentElement(ring, w, window + bound)).truncate(window)
+    return _divide(LaurentElement(ring, w), v, None).truncate(window)
 
 
 # ----------------------------------------------------------------------

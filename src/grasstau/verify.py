@@ -120,22 +120,21 @@ def _rand_value(rng: Random, field: BaseField, nonzero: bool = False):
     return field.coerce(v)
 
 
-def _rand_element(rng: Random, ring: CoeffRing, max_terms: int = 3) -> RingElement:
-    monos = list(ring.monomials())
+def _rand_terms(rng: Random, ring: CoeffRing, monos: list, max_terms: int) -> RingElement:
+    """1..max_terms random values on monomials drawn from ``monos``."""
     coeffs = {}
     for _ in range(rng.randint(1, max_terms)):
         coeffs[rng.choice(monos)] = _rand_value(rng, ring.field)
     return ring.element(coeffs)
+
+
+def _rand_element(rng: Random, ring: CoeffRing, max_terms: int = 3) -> RingElement:
+    return _rand_terms(rng, ring, list(ring.monomials()), max_terms)
 
 
 def _rand_nilpotent(rng: Random, ring: CoeffRing, max_terms: int = 2) -> RingElement:
     monos = [m for m in ring.monomials() if ring.weight(m) > 0]
-    if not monos:
-        return ring.zero()
-    coeffs = {}
-    for _ in range(rng.randint(1, max_terms)):
-        coeffs[rng.choice(monos)] = _rand_value(rng, ring.field)
-    return ring.element(coeffs)
+    return _rand_terms(rng, ring, monos, max_terms) if monos else ring.zero()
 
 
 def _rand_unit(rng: Random, ring: CoeffRing) -> RingElement:

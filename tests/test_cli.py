@@ -39,6 +39,7 @@ from grasstau.serialize import (
     encode_ring_element,
     parse_field_spec,
 )
+from grasstau.verify import SuiteReport
 
 RING = CoeffRing(QQ, 2, 2)
 
@@ -409,6 +410,22 @@ def test_cli_verify_single_suite(capsys, tmp_path):
     assert suite["name"] == "witt"
     assert suite["passed"] is True
     assert all(check["ok"] for check in suite["checks"])
+
+
+def test_cli_failing_suite_exits_1(capsys, monkeypatch):
+    """A suite that ran and failed is reported, not refused: exit 1, with
+    status ok and all_passed false."""
+
+    def failing(name, seed=0, scale="small"):
+        report = SuiteReport(name, seed, scale)
+        report.checks.append(("planted", False, "a failing check"))
+        return report
+
+    monkeypatch.setattr(grasstau.cli, "run_suite", failing)
+    code, out = run_cli(capsys, ["verify", "--suite", "witt"])
+    assert code == 1
+    assert out["status"] == "ok"
+    assert out["result"]["all_passed"] is False
 
 
 def test_cli_stdin_payload(tmp_path, capsys, monkeypatch):

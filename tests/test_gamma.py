@@ -532,3 +532,13 @@ def test_witt_peel_matches_the_geometric_series_loop(field, d, weighted, data):
     else:
         with pytest.raises(InternalError, match="nonzero remainder"):
             witt_peel(f, length)
+
+
+def test_gamma_repr_and_foreign_operands():
+    ring = CoeffRing(QQ, 1, 2)
+    g = GammaElement.identity(ring)
+    assert g == GammaElement.from_parts(ring)
+    assert repr(g) == "GammaElement(gminus=1, unit=1, gplus=1, zpower=0)"
+    assert (g == 1) is False
+    with pytest.raises(TypeError):
+        g * 2

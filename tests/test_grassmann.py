@@ -233,3 +233,10 @@ def test_quotient_needs_containment():
     big = GrassPoint(ring, 1, [LaurentElement(ring, {1: 1})])
     with pytest.raises(DomainError):
         quotient_basis(small, big)
+
+
+def test_point_repr_names_its_fields():
+    ring = CoeffRing(QQ, 1, 2)
+    col = LaurentElement(ring, {-1: 1, 0: 2}, trunc=3)
+    assert repr(GrassPoint(ring, 1, [col])) == "GrassPoint(tail_depth=1, columns=1, window_high=3)"
+    assert repr(GrassPoint.base_point(ring, 2)) == "GrassPoint(tail_depth=2, columns=2, window_high=None)"

@@ -332,3 +332,17 @@ def test_divide_is_the_product_with_the_inverse(field, d, weighted, up, data):
 def test_divide_refuses_a_broken_divisor(den_terms, num_trunc, below):
     with pytest.raises(InternalError, match="one-sided divisor"):
         _divide(L({0: 1, 1: X}, num_trunc), L(den_terms), below)
+
+
+def test_foreign_operands_and_zero_series():
+    """``==`` with a foreign operand is False and ``*`` raises TypeError;
+    a zero series, windowed or not, is falsy."""
+    ring = CoeffRing(QQ, 1, 2)
+    f = LaurentElement(ring, {0: 1, 1: ring.gen(0)})
+    assert (f == "1 + x1*z") is False
+    with pytest.raises(TypeError):
+        f * "z"
+    assert bool(f)
+    assert not LaurentElement.zero(ring)
+    assert not LaurentElement.zero(ring, 3)
+    assert not LaurentElement(ring, {4: 1}, 2)  # the only term lies past the window

@@ -84,3 +84,16 @@ def test_charge_counts_normalized_deviations(tail, members):
         1 for e in window if e < 0 and e not in m
     )
     assert m.tail_start not in m.members
+
+
+def test_partitions_of_a_negative_size_is_empty():
+    assert list(partitions_of(-1)) == []
+
+
+def test_maya_diagram_repr_hash_and_foreign_equality():
+    m = MayaDiagram.from_partition((2, 1))
+    assert repr(m) == "MayaDiagram(tail_start=-2, members=(-1, 1))"
+    seen = {m: "(2, 1)", MayaDiagram.vacuum(): "()"}
+    assert seen[MayaDiagram(-3, [1, -3, -1])] == "(2, 1)"  # built apart, equal, one key
+    assert len(seen) == 2
+    assert (m == (2, 1)) is False

@@ -320,6 +320,9 @@ def test_ring_ops_match_the_naive_reference(field, family, data):
             _same(a * k, _naive_scale(a, k))
             _same(a + b, _naive_add(a, b))
             _same(a - b, _naive_add(a, _naive_neg(b)))
+            for const in [k] if field.char else [k, Fraction(k, 7)]:  # reflected + and -
+                _same(const + a, _naive_add(r1.const(const), a))
+                _same(const - a, _naive_add(r1.const(const), _naive_neg(a)))
             _same(-a, _naive_neg(a))
             _same(a ** n, _naive_pow(a, n))
             unit = a if a.is_unit() else a + 1
@@ -689,17 +692,18 @@ SUB_PRODUCT_SHAPES = [(0, 0, None), (0, 2, None), (2, 3, None), (2, 4, (1, 2)), 
     st.data(),
 )
 def test_fused_sub_product_matches_a_minus_b_times_c(field, shape, kind, data):
-    """``_sub_product(a, b, c)`` is ``a - b * c``: operands over Q over
-    different denominators, constants and zeros, an a equal to b * c so
-    that the result cancels to zero, one that differs from it by a little,
-    and operands from equal but distinct ring objects."""
+    """``_sub_product(a, b, c)`` is a - b * c, taken from the naive
+    reference, since ring ``-`` and ``*`` run on the kernel under test:
+    operands over Q over different denominators, constants and zeros, an
+    a equal to b * c so that the result cancels to zero, one that differs
+    from it by a little, and operands from equal but distinct ring objects."""
     ring = CoeffRing(field, *shape)
     ra, rb, rc = (CoeffRing(field, *shape) if data.draw(st.booleans()) else ring for _ in range(3))
     b, c = data.draw(_operand_of(rb)), data.draw(_operand_of(rc))
     a = data.draw(_operand_of(ra))
     if kind != "any":
         a = RingElement(ra, (b * c).coeffs) + (a if kind == "near" else 0)
-    want = a - b * c
+    want = _naive_add(a, _naive_neg(_naive_mul(b, c)))
     got = _canonical(_sub_product(a, b, c))
     assert got == want
     assert repr(got) == repr(want)
