@@ -47,16 +47,22 @@ z^0 (units allowed) it walks up from num's lowest exponent, and D^{-1}
 is an infinite series, so q is given below a requested order (and below
 num's window).  With terms below z^0, all nilpotent, it walks down from
 num's top exponent, and q is exact: D^{-1} = D_0^{-1} sum_k (-N D_0^{-1})^k,
-N = D - D_0, and N^k, a sum of products of k nilpotent coefficients, is
-zero past k = d, so D^{-1} lives on [-d*s, 0] (s = D's depth) and the
-walk stops at min(num) - d*s.  A unit below z^0 would make the quotient
-unbounded below; the routine is private, so that is a broken invariant.
+N = D - D_0.  Let w_j >= 1 be the lowest weight of a monomial of D's
+coefficient at z^{-j}.  A term of N^k at z^{-(j_1 + ... + j_k)} is a
+product of those coefficients, of weight at least w_{j_1} + ... + w_{j_k},
+so it is zero unless that sum is at most d; then
+j_1 + ... + j_k <= max_j (j / w_j) * d.  So D^{-1} lives on [-r, 0] with
+r = max_j floor(d*j / w_j), and the walk stops at min(num) - r.  That is
+-d below num for v = 1 + x_1 z^{-1} + ... + x_d z^{-d} (w_j = j), and
+never below min(num) - d*s, s = D's depth.  A unit below z^0 would make
+the quotient unbounded below; the routine is private, so that is a
+broken invariant.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, InternalError, NotInvertibleError, PrecisionError, RingMismatchError
-from .scalars import CoeffRing, RingElement, _operand, _series_product, _sum_products, power
+from .scalars import CoeffRing, RingElement, _lowest_weight, _operand, _series_product, _sum_products, power
 
 
 def neumann(one, u):
@@ -387,7 +393,8 @@ def _divide(
         walk = range(num._low(), top)
     else:
         top = None
-        stop = min(num.coeffs) - ring.degree_bound * -min(den.coeffs)
+        d = ring.degree_bound
+        stop = min(num.coeffs) - max((d * -j // _lowest_weight(c) for j, c in rest), default=0)
         walk = range(max(num.coeffs), stop - 1, -1)
     q: dict[int, RingElement] = {}
     for e in walk:  # q holds the nonzero coefficients found so far

@@ -10,10 +10,16 @@ finishes by back substitution, and an inverse is a system against the
 identity.  Unit pivots always exist when the matrix is invertible.
 
 Raw field values have one elimination: ``_echelon`` on sparse {index:
-value} vectors, rows in a given order, each pivot scaled to 1 and
-cleared from the vectors left; ``_back_reduce`` finishes Gauss-Jordan
-on the pivots its caller keeps.  ``echelon_field`` is the pair on dense
-rows.  ``det_field`` keeps its own loop, as an oracle.
+value} vectors, rows in a given order, each pivot cleared from the
+vectors left; ``_back_reduce`` finishes Gauss-Jordan on the pivots its
+caller keeps.  It is fraction-free over Q.  The vectors hold ints, and
+only the line a vector spans matters, so a clear by the pivot v is
+c <- v_e c - c_e v, divided by its content, and each pivot is primitive
+with a positive entry at its index: the normal form's row is the pivot
+over that entry.  In characteristic p the vectors hold residues and each
+pivot is scaled to 1.  ``echelon_field`` is the pair on dense rows,
+their denominators cleared on the way in.  ``det_field`` keeps its own
+loop, as an oracle.
 
 Everything here is exact and runs in polynomial time: ``plucker``
 takes dense minors as large as the tail depth.  The ring loops skip zero
@@ -24,6 +30,9 @@ each step b - a * x of a back substitution is one fused
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DomainError, NotInvertibleError
 from .scalars import BaseField, CoeffRing, RingElement, _sub_product, _sum_products
@@ -176,27 +185,46 @@ def inv_ring(rows: list[list[RingElement]], ring: CoeffRing) -> list[list[RingEl
 
 
 def _clear(vectors, e: int, pivot: dict, p: int) -> None:
-    """Subtract from each vector its entry at e times the pivot, in place."""
+    """Clear index e of each vector c with the pivot v, in place: in
+    characteristic p, c - c_e v (v is 1 at e); over Q, the primitive part
+    of v_e c - c_e v, with v_e > 0, so c keeps its signs where v is
+    zero."""
+    pe = pivot[e]
     for c in vectors:
         f = c.get(e)
-        if f:
-            for k, a in pivot.items():
-                val = c.get(k, 0) - f * a
-                if p:
-                    val %= p
-                if val:
-                    c[k] = val
-                else:
-                    del c[k]
+        if not f:
+            continue
+        if not p:
+            g = gcd(pe, f)
+            s, f = pe // g, f // g
+            if s != 1:
+                for k in c:
+                    c[k] *= s
+        for k, a in pivot.items():
+            val = c.get(k, 0) - f * a
+            if p:
+                val %= p
+            if val:
+                c[k] = val
+            else:
+                del c[k]
+        if not p:
+            g = gcd(*c.values())
+            if g > 1:
+                for k in c:
+                    c[k] //= g
 
 
 def _echelon(vectors: list[dict], order, field: BaseField) -> tuple[list[tuple[int, dict]], list[dict]]:
-    """Forward elimination on sparse {index: nonzero value} vectors, which
-    it reduces in place.  For each index e in ``order`` the first vector
-    still remaining that has e becomes the pivot at e, scaled to 1, and e
-    is cleared from the vectors after it.  Returns the pivots as (e,
-    vector) pairs in order, each zero at the indices of the pivots
-    before it, and the vectors left over, zero at every pivot index."""
+    """Forward elimination on sparse {index: nonzero value} vectors, ints
+    over Q and residues in characteristic p, which it reduces in place.
+    For each index e in ``order`` the first vector still remaining that
+    has e becomes the pivot at e, and e is cleared from the vectors after
+    it (``_clear``).  Over Q the pivot is made primitive with a positive
+    entry at e, so it is vec / vec[e] times that entry; in characteristic
+    p it is scaled to 1.  Returns the pivots as (e, vector) pairs in
+    order, each zero at the indices of the pivots before it, and the
+    vectors left over, zero at every pivot index."""
     p = field.char
     rest = list(vectors)
     pivots = []
@@ -207,9 +235,16 @@ def _echelon(vectors: list[dict], order, field: BaseField) -> tuple[list[tuple[i
         if j is None:
             continue
         pivot = rest.pop(j)
-        if pivot[e] != 1:
-            inv = field.invert(pivot[e])
-            pivot = {k: a * inv % p if p else a * inv for k, a in pivot.items()}
+        if p:
+            if pivot[e] != 1:
+                inv = pow(pivot[e], -1, p)
+                pivot = {k: a * inv % p for k, a in pivot.items()}
+        else:
+            g = gcd(*pivot.values())
+            if pivot[e] < 0:
+                g = -g
+            if g != 1:
+                pivot = {k: a // g for k, a in pivot.items()}
         _clear(rest, e, pivot, p)
         pivots.append((e, pivot))
     return pivots, rest
@@ -218,7 +253,8 @@ def _echelon(vectors: list[dict], order, field: BaseField) -> tuple[list[tuple[i
 def _back_reduce(pivots: list[tuple[int, dict]], field: BaseField) -> list[tuple[int, dict]]:
     """Gauss-Jordan on pivots from ``_echelon``: copies of them, each
     cleared at the indices of the pivots after it, so the last k rows of
-    the result are the result on the last k pivots."""
+    the result are the result on the last k pivots.  Each stays primitive
+    and positive at its own index over Q, 1 there in characteristic p."""
     done: list[tuple[int, dict]] = []
     for e, pivot in pivots:
         _clear((c for _, c in done), e, pivot, field.char)
@@ -227,11 +263,25 @@ def _back_reduce(pivots: list[tuple[int, dict]], field: BaseField) -> list[tuple
 
 
 def echelon_field(rows: list[list], field: BaseField) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form.  Returns (rref rows, pivot column list)."""
+    """Reduced row echelon form.  Returns (rref rows, pivot column list).
+    Over Q each row is cleared of its denominators before the
+    elimination, and row e of the result is read as vec / vec[e]."""
     ncols = len(rows[0]) if rows else 0
-    pivots, _ = _echelon([{c: v for c, v in enumerate(r) if v} for r in rows], range(ncols), field)
+    p = field.char
+    if p:
+        vectors = [{c: v for c, v in enumerate(r) if v} for r in rows]
+    else:
+        vectors = []
+        for r in rows:
+            den = lcm(*[v.denominator for v in r])
+            vectors.append({c: v.numerator * (den // v.denominator) for c, v in enumerate(r) if v})
+    pivots, _ = _echelon(vectors, range(ncols), field)
     zero = field.zero()
-    rref = [[vec.get(c, zero) for c in range(ncols)] for _, vec in _back_reduce(pivots, field)]
+    rref = []
+    for e, vec in _back_reduce(pivots, field):
+        if not p:
+            vec = {c: Fraction(a, vec[e]) for c, a in vec.items()}
+        rref.append([vec.get(c, zero) for c in range(ncols)])
     rref += [[zero] * ncols for _ in range(len(rows) - len(pivots))]
     return rref, [c for c, _ in pivots]
 

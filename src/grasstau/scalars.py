@@ -49,7 +49,10 @@ every step.
 Which Python values stand for ring elements is decided here alone:
 ``BaseField.coerce`` reads the values of the one constructor,
 ``RingElement(ring, coeffs)``, and ``_operand`` the other operand of
-ring elements and series alike (see ``RingElement``).
+ring elements and series alike (see ``RingElement``).  Other modules
+read the storage only through private readers here: ``_integer_vector``
+(scalar columns as ints), ``_recast`` (a constant moved to another ring)
+and ``_lowest_weight``.
 """
 
 from __future__ import annotations
@@ -451,7 +454,10 @@ class RingElement:
 
     def __add__(self, other) -> "RingElement":
         other = _operand(self.ring, other)
-        return NotImplemented if other is NotImplemented else _sub_product(self, other, self.ring.const(-1))
+        if other is NotImplemented:
+            return NotImplemented
+        p = self.ring.field.char
+        return _sub_product(self, other, _element(self.ring, {0: p - 1 if p else -1}, 1))
 
     __radd__ = __add__
 
@@ -653,17 +659,37 @@ def _element(ring: CoeffRing, num: dict, den: int) -> RingElement:
     return e
 
 
-def _linear_form(ring: CoeffRing, coeffs: dict) -> RingElement:
-    """The element sum_k coeffs[k] x_k of ring, x_0 = 1 and x_k the k-th
-    generator, from trusted values: each x_k within the degree bound, each
-    value a nonzero field value in canonical form (an int in [1, p) in
-    characteristic p, a Fraction over Q).  Over Q the lcm of the
-    denominators is the canonical denominator (see ``RingElement``)."""
+def _linear_form(ring: CoeffRing, coeffs: dict, den: int) -> RingElement:
+    """The element sum_k coeffs[k] x_k / den of ring, x_0 = 1 and x_k the
+    k-th generator, from ints: each x_k within the degree bound and den
+    positive.  One ``_reduced`` call brings it to canonical form."""
     keys = ring._linear_keys
-    if ring.field.char:
-        return _element(ring, {keys[k]: c for k, c in coeffs.items()}, 1)
-    den = lcm(*[c.denominator for c in coeffs.values()])
-    return _element(ring, {keys[k]: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den)
+    return _reduced(ring, {keys[k]: c for k, c in coeffs.items()}, den)
+
+
+def _integer_vector(values: dict, below: int) -> dict[int, int]:
+    """The constants {index: nonzero constant element} of ``values`` at
+    indices below ``below``, times one positive int: their numerators over
+    the lcm of their canonical denominators.  In characteristic p that is
+    1, and the ints are the residues.  A nonzero multiple of a vector
+    spans the same line, which is all a field elimination reads."""
+    kept = [(i, x) for i, x in values.items() if i < below]
+    den = lcm(*[x._den for _, x in kept])
+    return {i: x._num[0] * (den // x._den) for i, x in kept}
+
+
+def _recast(x: RingElement, ring: CoeffRing) -> RingElement:
+    """The constant x as an element of ``ring``, a ring over the same
+    field: a constant's canonical numerator and denominator do not
+    depend on the ring, and the constant monomial has key 0 in every
+    ring."""
+    return _element(ring, x._num, x._den)
+
+
+def _lowest_weight(x: RingElement) -> int:
+    """The lowest weight of a monomial of the nonzero element x: the
+    weight of its smallest key (module docstring)."""
+    return min(x._num) // x.ring._step
 
 
 def _split_last(x: RingElement, target: CoeffRing) -> dict[int, RingElement]:

@@ -107,13 +107,13 @@ def bosonize(ring: CoeffRing, coords: dict) -> RingElement:
     nothing.
     """
     _require_coordinate_ring(ring)
-    return _bosonized(ring, ((check_partition(lam), c) for lam, c in coords.items()))
+    return _bosonized(ring, ((check_partition(lam), ring.const(c)) for lam, c in coords.items()))
 
 
 def _bosonized(ring: CoeffRing, terms) -> RingElement:
     """sum of c_lam F_lam over (lam, c) pairs whose partitions are
-    already checked, in a coordinate ring."""
-    return _sum_products(ring, ((schur_polynomial(ring, lam), ring.const(c)) for lam, c in terms))
+    already checked and whose c are constants of the coordinate ring."""
+    return _sum_products(ring, ((schur_polynomial(ring, lam), c) for lam, c in terms))
 
 
 def duality_pair(p: RingElement, q: RingElement):

@@ -7,9 +7,9 @@ universal lower-wing element over the weighted coordinate ring.  Two
 independent routes compute it:
 
 * ``tau_direct``: bring the point to its Sato normal form over the
-  field (``linalg._echelon``), columns z^{-i} + (terms at z^0 and
-  above), cut to depth m = min(depth, d), and take one m x m
-  determinant of v times it;
+  field (``linalg._echelon``, fraction-free over Q), columns
+  z^{-i} + (terms at z^0 and above), cut to depth m = min(depth, d), and
+  take one m x m determinant of v times it;
 * ``tau_schur``: expand the vacuum minor of v.U over the charts of U,
   which gives sum_lam F_lam * (pi_lam(U) / pi_0(U)), a family of
   Plucker ratios that ``schur.bosonize`` sums.  One elimination on the
@@ -25,16 +25,19 @@ moved rows.
 ``_check_point``: the degree bound, the window, scalar coefficients and
 as many columns as the tail depth, in that order, before v is built.
 Only ``tau_direct`` and ``baker`` then read the values over the field
-(``_scalar_columns``); ``tau_schur`` eliminates on the point's own
-coefficients and converts a scalar only for a nonzero ratio.  The rest
-of the vacuum chart comes last, decided by the first thing each route
-computes: the field elimination for ``tau_direct``, the ring elimination
-for ``tau_schur``, the solve on the moved vacuum block for ``baker``,
-with one error and message.  So all three refuse the same input with
-the same error.
+(``_scalar_columns``), each column as one int vector, a nonzero multiple
+of it; ``tau_schur`` eliminates on the point's own coefficients and
+hands each nonzero ratio to ``schur._bosonized`` as a constant of the
+coordinate ring.  No ``Fraction`` is built between the point and tau.
+The rest of the vacuum chart comes last, decided by the first thing each
+route computes: the field elimination for ``tau_direct``, the ring
+elimination for ``tau_schur``, the solve on the moved vacuum block for
+``baker``, with one error and message.  So all three refuse the same
+input with the same error.
 
 The rows of v.U are written off the scalar columns as linear forms,
-(v.c)_e = sum_{k=0..d} x_k c_{e+k} with x_0 = 1, unknown tails as zero;
+(v.c)_e = sum_{k=0..d} x_k c_{e+k} with x_0 = 1, unknown tails as zero,
+each from int numerators over one denominator;
 ``tau_direct`` and ``baker`` argue that nothing they return sees those.
 
 ``baker`` produces the associated wave series psi, the unique series with
@@ -51,7 +54,9 @@ characterizes tau functions in tau's own coordinates x_i = H_i(T), the
 complete homogeneous functions of the times T_j (weight j): there the
 two Miwa shifts by [z^{-1}] are substitutions with integer coefficients,
 with u = 1/z a ring variable of weight 1, and the exponential is one
-series division.  Only a nonzero residual is pulled back to the times.
+series division.  That frame depends only on the field and the order,
+and is built once for each.  Only a nonzero residual is pulled back to
+the times.
 The residual of a degree-d tau polynomial is provably exact in joint
 weight <= d - 1, so checking through weight order+2 needs order <= d - 3.
 """
@@ -66,7 +71,16 @@ from .grassmann import GrassPoint, _rows, act, plucker
 from .laurent import LaurentElement, _divide
 from .linalg import _back_reduce, _echelon, _eliminate, det_ring, solve_ring
 from .partitions import MayaDiagram, conjugate, partitions_up_to
-from .scalars import CoeffRing, RingElement, _linear_form, _split_last, _substitute, _sum_products
+from .scalars import (
+    CoeffRing,
+    RingElement,
+    _integer_vector,
+    _linear_form,
+    _recast,
+    _split_last,
+    _substitute,
+    _sum_products,
+)
 from .schur import _bosonized, coordinate_ring, is_coordinate_ring
 
 
@@ -79,9 +93,11 @@ def _check_point(point: GrassPoint, bound: int, need: int) -> None:
     """The checks every tau route makes first, in one order: a degree
     bound >= 1, columns known below z^need, scalar coefficients, and as
     many columns as the tail depth, since any other count makes the
-    vacuum minor zero.  The rest of the vacuum chart is decided by what
-    each route computes first: the elimination of ``tau_direct`` and of
-    ``tau_schur``, the solve of ``baker``."""
+    vacuum minor zero.  A ring with no variables, or with degree bound 0,
+    holds only constants, so the scalar scan runs only on other rings.
+    The rest of the vacuum chart is decided by what each route computes
+    first: the elimination of ``tau_direct`` and of ``tau_schur``, the
+    solve of ``baker``."""
     if bound < 1:
         raise DomainError("degree bound must be >= 1")
     m = point.window_high
@@ -89,32 +105,38 @@ def _check_point(point: GrassPoint, bound: int, need: int) -> None:
         raise PrecisionError(
             f"columns are known only below z^{m}; degree bound needs z^{need}"
         )
-    for c in point.columns:
-        if not all(coeff.is_constant() for coeff in c.coeffs.values()):
-            raise DomainError("tau needs a point with scalar coefficients")
+    ring = point.ring
+    if ring.num_vars and ring.degree_bound:
+        for c in point.columns:
+            if not all(coeff.is_constant() for coeff in c.coeffs.values()):
+                raise DomainError("tau needs a point with scalar coefficients")
     if len(point.columns) != point.tail_depth:
         raise NotInvertibleError(_OFF_CHART)
 
 
 def _scalar_columns(point: GrassPoint, bound: int, need: int) -> list[dict]:
-    """``_check_point``, then the point read over the base field: the
-    columns as {exponent: scalar} dicts, cut below z^need, the part
-    ``_check_point`` found known.  ``tau_direct`` reads nothing past it
-    (need = bound), and ``baker`` loses nothing: psi below its window
-    reads the columns only below z^(window + bound - 1)."""
+    """``_check_point``, then the point read over the base field: each
+    column cut below z^need, the part ``_check_point`` found known, as
+    one {exponent: int} vector (``scalars._integer_vector``), the column
+    times the lcm of its denominators, its residues in characteristic p.
+    ``tau_direct`` reads nothing past the cut (need = bound) and only the
+    span, and ``baker`` loses nothing: psi below its window reads the
+    columns only below z^(window + bound - 1), and a column's scale
+    cancels from w."""
     _check_point(point, bound, need)
-    return [{e: a.constant_term() for e, a in c.coeffs.items() if e < need} for c in point.columns]
+    return [_integer_vector(c.coeffs, need) for c in point.columns]
 
 
-def _moved_rows(cols: list[dict], rows, ring: CoeffRing) -> list[list[RingElement]]:
+def _moved_rows(cols: list[tuple[dict, int]], rows, ring: CoeffRing) -> list[list[RingElement]]:
     """The rows of v.U at the exponents ``rows``, over the coordinate ring
-    ``ring`` of bound d, U spanned by the scalar columns ``cols``
-    ({exponent: scalar} dicts): entry (e, j) is the linear form
-    (v.c_j)_e = sum_{k=0..d} x_k c_{j,e+k}, x_0 = 1, a missing c_{j,e+k}
-    read as zero.  Tail reduction drops only rows below -depth."""
+    ``ring`` of bound d, U spanned by the scalar columns c = vec / den
+    given as (vec, den) pairs, vec an {exponent: int} dict: entry (e, j)
+    is the linear form (v.c_j)_e = sum_{k=0..d} x_k c_{j,e+k}, x_0 = 1, a
+    missing c_{j,e+k} read as zero.  Tail reduction drops only rows below
+    -depth."""
     d = ring.degree_bound
     return [
-        [_linear_form(ring, {k: c[e + k] for k in range(d + 1) if e + k in c}) for c in cols]
+        [_linear_form(ring, {k: c[e + k] for k in range(d + 1) if e + k in c}, den) for c, den in cols]
         for e in rows
     ]
 
@@ -146,14 +168,16 @@ def tau_direct(point: GrassPoint, bound: int) -> RingElement:
     moved vacuum block at this bound reads, with the rows -n..-1 taken
     deepest first; a row with no pivot means a zero vacuum minor, and the
     point is refused.  Back reduction of the last m pivots alone gives
-    the last m columns of the full Gauss-Jordan form, c'_m, ..., c'_1.
+    the last m columns of the full Gauss-Jordan form, c'_m, ..., c'_1,
+    each as an int vector over its entry at its pivot (1 in
+    characteristic p).
     """
     field = point.ring.field
     n = point.tail_depth
     pivots, _ = _echelon(_scalar_columns(point, bound, bound), range(-n, 0), field)
     if len(pivots) < n:
         raise NotInvertibleError(_OFF_CHART)
-    normal = [c for _, c in _back_reduce(pivots[n - min(n, bound):], field)]
+    normal = [(c, c[e]) for e, c in _back_reduce(pivots[n - min(n, bound):], field)]
     ring = coordinate_ring(field, bound)
     return det_ring(_moved_rows(normal, range(-len(normal), 0), ring), ring)
 
@@ -192,7 +216,8 @@ def tau_schur(point: GrassPoint, bound: int) -> RingElement:
     an r x r minor with r^2 <= |lam|: the entry itself for r = 1.  The
     alpha_i, the holes and the sign of each lam come from ``_chart_table``,
     made once per (field, bound), and F_lam is fetched only for a nonzero
-    ratio.
+    ratio.  A ratio is a constant of the point's ring, and goes to the
+    coordinate ring as it is (``scalars._recast``).
     """
     _check_point(point, bound, bound)
     n = point.tail_depth
@@ -212,7 +237,7 @@ def tau_schur(point: GrassPoint, bound: int) -> RingElement:
     except NotInvertibleError:
         raise NotInvertibleError(_OFF_CHART) from None
     coord_ring, charts = _chart_table(ring.field, bound)
-    coords = [((), 1)]
+    coords = [((), coord_ring.one())]
     for lam, particles, holes, odd in charts:
         if len(lam) > n:
             continue
@@ -221,7 +246,7 @@ def tau_schur(point: GrassPoint, bound: int) -> RingElement:
         else:
             ratio = det_ring([[chart[a][h + m] for h in holes] for a in particles], ring)
         if ratio:
-            coords.append((lam, (-ratio if odd else ratio).constant_term()))
+            coords.append((lam, _recast(-ratio if odd else ratio, coord_ring)))
     return _bosonized(coord_ring, coords)
 
 
@@ -298,7 +323,7 @@ def baker(point: GrassPoint, bound: int, window: int) -> LaurentElement:
         raise DomainError("degree bound must be >= 1")
     if window < 1:
         raise DomainError("window must be >= 1")
-    cols = _scalar_columns(point, bound, bound + window)
+    cols = [(c, 1) for c in _scalar_columns(point, bound, bound + window)]
     v = universal_v(point.ring.field, bound).gminus
     ring = v.ring
     vacuum = range(-len(cols), 0)
@@ -356,6 +381,11 @@ def kp_residual(tau_poly: RingElement, order: int) -> RingElement:
     constant term, so their u^0 parts reach only the u^0 part of the
     product, which the residue never reads: they map to their u parts,
     and the ring needs no variable for them.
+
+    The frame.  The two rings, the images of the shifts and the e_n
+    depend only on the field and w, not on tau: ``_kp_frame`` builds them
+    once per (field, w), after the refusals.  The H_i of the pullback are
+    taken only for a nonzero Phi.
     """
     ring = tau_poly.ring
     if not is_coordinate_ring(ring):
@@ -369,7 +399,23 @@ def kp_residual(tau_poly: RingElement, order: int) -> RingElement:
     w = order + 2
     if d < w + 1:
         raise DomainError(f"order {order} needs degree bound >= {order + 3}, have {d}")
+    joint, shifted, a_images, b_images, e = _kp_frame(field, w)
+    a, b = (_substitute(tau_poly, images, shifted, w + 1) for images in (a_images, b_images))
+    split = _split_last(a * b, joint)  # u^k parts
+    phi = _sum_products(joint, ((split[n + 1], e[n]) for n in range(w + 1) if n + 1 in split))
+    if not phi:
+        return phi
+    # x_i = H_i(T), x'_i = H_i(T'): sum_i H_i s^i = exp(sum_j T_j s^j)
+    h, hp = (_exp_coefficients(joint, [joint.gen(s + j) for j in range(w)], w)[1:] for s in (0, w))
+    return _substitute(phi, h + hp, joint, w)
 
+
+@lru_cache(maxsize=None)
+def _kp_frame(field, w: int) -> tuple:
+    """What ``kp_residual`` reads besides tau at w = order + 2, made once
+    per (field, w): the ring of x and x' (the ring of the result), the
+    ring with u, the images of the two Miwa shifts, and the e_n, n <= w,
+    of X / X'."""
     weights = tuple(range(1, w + 1)) * 2
     joint = CoeffRing(field, 2 * w, w, weights=weights)
     shifted = CoeffRing(field, 2 * w + 1, w + 1, weights=weights + (1,))
@@ -383,16 +429,9 @@ def kp_residual(tau_poly: RingElement, order: int) -> RingElement:
         image = shifted.gen(w + i) + u * image
         b_images.append(image)
     b_images.append(u * image)
-    a, b = (_substitute(tau_poly, images, shifted, w + 1) for images in (a_images, b_images))
-    split = _split_last(a * b, joint)  # u^k parts
     x, xp = (
         LaurentElement(joint, {0: joint.one(), **{i: joint.gen(s + i - 1) for i in range(1, w + 1)}})
         for s in (0, w)
     )
     e = _divide(x, xp, w + 1).coeffs  # e_n, n <= w: X / X' = exp(sum (T_j - T'_j) z^j)
-    phi = _sum_products(joint, ((split[n + 1], e[n]) for n in range(w + 1) if n + 1 in split))
-    if not phi:
-        return phi
-    # x_i = H_i(T), x'_i = H_i(T'): sum_i H_i s^i = exp(sum_j T_j s^j)
-    h, hp = (_exp_coefficients(joint, [joint.gen(s + j) for j in range(w)], w)[1:] for s in (0, w))
-    return _substitute(phi, h + hp, joint, w)
+    return joint, shifted, tuple(a_images), tuple(b_images), tuple(e[n] for n in range(w + 1))

@@ -310,6 +310,32 @@ def test_divide_is_the_product_with_the_inverse(field, d, weighted, up, data):
         assert q.trunc is None and q * den == num
 
 
+def test_divide_by_v_stops_where_its_inverse_ends(monkeypatch):
+    """Over the coordinate ring of bound d, v^{-1} ends at z^{-d}: the
+    coefficient of z^{-j} in v has weight j, so a product of its terms
+    reaching below z^{-d} has weight > d.  The downward walk takes one
+    sum per exponent 0, ..., -d and none below."""
+    import grasstau.laurent as laurent_module
+
+    sums = []
+    original = laurent_module._sum_products
+
+    def counted(ring, pairs):
+        sums.append(ring)
+        return original(ring, pairs)
+
+    for d in (1, 2, 4, 6):
+        ring = coordinate_ring(QQ, d)
+        v = LaurentElement(ring, {0: 1, **{-j: ring.gen(j - 1) for j in range(1, d + 1)}})
+        want = v.inverse()
+        monkeypatch.setattr(laurent_module, "_sum_products", counted)
+        sums.clear()
+        q = _divide(LaurentElement.one(ring), v, None)
+        monkeypatch.setattr(laurent_module, "_sum_products", original)
+        assert q == want and min(q.coeffs) == -d
+        assert len(sums) == d + 1
+
+
 @pytest.mark.parametrize(
     "den_terms, num_trunc, below",
     [

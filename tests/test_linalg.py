@@ -9,6 +9,7 @@ dense Gauss-Jordan elimination it ran before the sparse kernel.
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, lcm
 from random import Random
 
 import pytest
@@ -299,13 +300,21 @@ def test_echelon_field_matches_dense_gauss_jordan(field, nrows, ncols, seed):
 )
 def test_back_reduce_of_the_last_pivots_is_the_last_rows(field, nrows, ncols, k, seed):
     """What lets ``tau_direct`` back-reduce only the pivots it keeps;
-    the rows are taken in a random order."""
+    the rows are taken in a random order.  The vectors hold ints, each row
+    over Q times the lcm of its denominators; a pivot over Q is primitive
+    with a positive entry at its index, and 1 there over F_p."""
     rng = Random(seed)
     rows = _field_matrix(rng, field, nrows, ncols)
+    if not field.char:
+        rows = [[int(v * lcm(*[Fraction(a).denominator for a in r])) for v in r] for r in rows]
     vectors = [{c: v for c, v in enumerate(r) if v} for r in rows]
     pivots, rest = _echelon(vectors, rng.sample(range(ncols), ncols), field)
     assert len(pivots) + len(rest) == nrows
-    assert all(vec[e] == 1 for e, vec in pivots)
+    assert all(type(a) is int for _, vec in pivots for a in vec.values())
+    if field.char:
+        assert all(vec[e] == 1 for e, vec in pivots)
+    else:
+        assert all(vec[e] > 0 and gcd(*vec.values()) == 1 for e, vec in pivots)
     full = _back_reduce(pivots, field)
     assert _back_reduce(pivots[k:], field) == full[k:]
 

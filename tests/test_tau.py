@@ -44,6 +44,8 @@ from grasstau import (
     coordinate_ring,
     exp_gamma,
     factorize,
+    in_chart,
+    index,
     kp_residual,
     partitions_up_to,
     plucker,
@@ -538,10 +540,66 @@ def test_tau_direct_matches_schur_on_mixed_dense_points(field, depth, bound, ext
     assert isinstance(results[0], str) == (singular and depth > 0)
 
 
+def _field_columns(point, bound, need):
+    """The checks every tau route makes, then the columns as
+    {exponent: field value} below z^need, read one coefficient at a time
+    with ``constant_term``: the references' own reader, independent of
+    the routes' integer one."""
+    tau_module._check_point(point, bound, need)
+    return [{e: a.constant_term() for e, a in c.coeffs.items() if e < need} for c in point.columns]
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    st.sampled_from([QQ, GF(2), GF(3), GF(5)]),
+    st.integers(0, 6),
+    st.integers(1, 5),
+    st.integers(-1, 6),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_windowed_calls_agree_with_every_completion_of_the_tail(field, depth, bound, trunc, singular, seed):
+    """A scalar point known below z^trunc, and two random completions of
+    its unknown tail: wherever a call on the windowed point returns, or
+    refuses for any reason but precision, each completion returns the
+    same value or refuses alike.  Covers tau_direct, tau_schur, index,
+    and plucker and in_chart on every chart of size <= bound."""
+    rng = Random(seed)
+    pt = _mixed_point(rng, field, depth, trunc + 2, trunc, singular and depth > 0)
+
+    def scalar():
+        return rng.randrange(field.char) if field.char else Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    completions = [
+        GrassPoint(pt.ring, depth, [
+            LaurentElement(pt.ring, {**c.coeffs, **{e: scalar() for e in range(trunc, trunc + rng.randint(1, 3))}})
+            for c in pt.columns
+        ])
+        for _ in range(2)
+    ]
+    calls = [lambda p: tau_direct(p, bound), lambda p: tau_schur(p, bound), index]
+    for lam in partitions_up_to(bound):
+        maya = MayaDiagram.from_partition(lam)
+        calls += [lambda p, maya=maya: plucker(p, maya), lambda p, maya=maya: in_chart(p, maya)]
+
+    def outcome(call, p):
+        try:
+            return repr(call(p))
+        except (NotInvertibleError, DomainError, PrecisionError) as exc:
+            return type(exc), str(exc)
+
+    for call in calls:
+        want = outcome(call, pt)
+        if isinstance(want, tuple) and want[0] is PrecisionError:
+            continue
+        for full in completions:
+            assert outcome(call, full) == want
+
+
 def _reference_tau_schur(point, bound):
     """The chart-by-chart route: sum over |lam| <= bound of F_lam times
     the Plucker ratio plucker_lam / plucker_0, each minor taken on its own."""
-    tau_module._scalar_columns(point, bound, bound)
+    _field_columns(point, bound, bound)
     vacuum = plucker(point, MayaDiagram.vacuum())
     if not vacuum.is_unit():
         raise NotInvertibleError(tau_module._OFF_CHART)
@@ -697,7 +755,7 @@ def _reference_tau_direct(point, bound):
     """The definition: the vacuum minor of v.U, the full-depth moved
     block, over the point's own vacuum minor."""
     field = point.ring.field
-    cols = tau_module._scalar_columns(point, bound, bound)
+    cols = _field_columns(point, bound, bound)
     v, _, block = _reference_moved_block(field, cols, bound)
     vacuum = plucker(point, MayaDiagram.vacuum()).constant_term()
     return det_ring(block, v.ring) * field.invert(vacuum)
@@ -706,7 +764,7 @@ def _reference_tau_direct(point, bound):
 def _reference_baker(point, bound, window):
     """psi = v^-1 w with w = 1 + z sum_j a_j v.c_j, the moved columns
     multiplied out as series and v inverted by ``inverse``."""
-    cols = tau_module._scalar_columns(point, bound, bound + window)
+    cols = _field_columns(point, bound, bound + window)
     v, moved, block = _reference_moved_block(point.ring.field, cols, bound)
     ring = v.ring
     e_n = [ring.one() if e == -1 else ring.zero() for e in range(-len(moved), 0)]
@@ -793,6 +851,50 @@ def test_kp_residual_matches_the_series_reference():
                     assert residual.ring == joint
                     flagged += not residual.is_zero()
     assert flagged  # the perturbations are caught, so the references compare nonzero values too
+
+
+def test_kp_frame_is_built_once_per_field_and_order():
+    """The frame misses once for each new (field, order), hits on every
+    repeat, whatever tau is, and a refused call builds none."""
+    tau_module._kp_frame.cache_clear()
+    t = tau_crosscheck(two_column_point(), 5)
+    fake = t + t.ring.gen(0) ** 2
+    kp_residual(t, 1)
+    assert tau_module._kp_frame.cache_info()[:2] == (0, 1)  # hits, misses
+    kp_residual(fake, 1)
+    kp_residual(t, 1)
+    assert tau_module._kp_frame.cache_info()[:2] == (2, 1)
+    kp_residual(t, 2)
+    assert tau_module._kp_frame.cache_info()[:2] == (2, 2)
+    with pytest.raises(DomainError):
+        kp_residual(t, 3)  # order 3 needs bound 6
+    with pytest.raises(DomainError):
+        kp_residual(coordinate_ring(GF(5), 5).one(), 1)
+    assert tau_module._kp_frame.cache_info()[:2] == (2, 2)
+
+
+def test_kp_residual_leaves_its_frame_as_built():
+    """No call writes into the cached frame: after zero and nonzero
+    residuals it is still ``==`` to a fresh build."""
+    t = tau_crosscheck(two_column_point(), 6)
+    fake = t + t.ring.gen(1) * Fraction(2, 3)
+    for order in (0, 1, 2, 3):
+        assert kp_residual(t, order).is_zero()
+        assert not kp_residual(fake, order).is_zero() or order == 0
+    for w in (2, 3, 4, 5):
+        assert tau_module._kp_frame(QQ, w) == tau_module._kp_frame.__wrapped__(QQ, w)
+
+
+def test_kp_residual_on_a_warm_frame_matches_the_series_reference():
+    """The nonzero-residual path, run a second time on the cached frame,
+    still equals the series reference."""
+    ring5 = coordinate_ring(QQ, 5)
+    x1, x2, x3 = ring5.gen(0), ring5.gen(1), ring5.gen(2)
+    cases = [(1 + x1 * x1, 1), (1 + x1 + x1 * x1 * Fraction(1, 3), 2), (1 + 2 * x1 + x2 + x1 * x3, 2)]
+    for poly, order in cases:
+        first = kp_residual(poly, order)
+        assert not first.is_zero()
+        assert kp_residual(poly, order) == first == _reference_kp_residual(poly, order)
 
 
 def test_kp_residual_of_a_tau_needs_no_times(monkeypatch):
