@@ -306,7 +306,8 @@ def test_back_reduce_of_the_last_pivots_is_the_last_rows(field, nrows, ncols, k,
     rng = Random(seed)
     rows = _field_matrix(rng, field, nrows, ncols)
     if not field.char:
-        rows = [[int(v * lcm(*[Fraction(a).denominator for a in r])) for v in r] for r in rows]
+        dens = [lcm(*[Fraction(v).denominator for v in r]) for r in rows]
+        rows = [[int(v * d) for v in r] for r, d in zip(rows, dens)]
     vectors = [{c: v for c, v in enumerate(r) if v} for r in rows]
     pivots, rest = _echelon(vectors, rng.sample(range(ncols), ncols), field)
     assert len(pivots) + len(rest) == nrows

@@ -540,15 +540,6 @@ def test_tau_direct_matches_schur_on_mixed_dense_points(field, depth, bound, ext
     assert isinstance(results[0], str) == (singular and depth > 0)
 
 
-def _field_columns(point, bound, need):
-    """The checks every tau route makes, then the columns as
-    {exponent: field value} below z^need, read one coefficient at a time
-    with ``constant_term``: the references' own reader, independent of
-    the routes' integer one."""
-    tau_module._check_point(point, bound, need)
-    return [{e: a.constant_term() for e, a in c.coeffs.items() if e < need} for c in point.columns]
-
-
 @settings(deadline=None, max_examples=120)
 @given(
     st.sampled_from([QQ, GF(2), GF(3), GF(5)]),
@@ -594,6 +585,15 @@ def test_windowed_calls_agree_with_every_completion_of_the_tail(field, depth, bo
             continue
         for full in completions:
             assert outcome(call, full) == want
+
+
+def _field_columns(point, bound, need):
+    """The checks every tau route makes, then the columns as
+    {exponent: field value} below z^need, read one coefficient at a time
+    with ``constant_term``: the references' own reader, independent of
+    the routes' integer one."""
+    tau_module._check_point(point, bound, need)
+    return [{e: a.constant_term() for e, a in c.coeffs.items() if e < need} for c in point.columns]
 
 
 def _reference_tau_schur(point, bound):
