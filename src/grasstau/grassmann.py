@@ -18,8 +18,11 @@ explicit row, so it never introduces a sign, and the base point's vacuum
 minor is exactly 1.
 
 The index of a point is rank(window matrix over the residue field) minus
-the tail depth; for points in the zero-index sector the charge-zero Maya
-diagrams (equivalently partitions) index the charts that can be hit.
+the tail depth.  The rank is the number of pivots ``linalg._echelon``
+finds on the columns' residues (``_residues``), as are the chart test's
+and the finite quotients'; tau reads points the same way.  For points in
+the zero-index sector the charge-zero Maya diagrams (equivalently
+partitions) index the charts that can be hit.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from __future__ import annotations
 from .errors import DomainError, NotInvertibleError, PrecisionError, RingMismatchError
 from .gamma import GammaElement
 from .laurent import LaurentElement
-from .linalg import det_ring, echelon_field, rank_field
+from .linalg import _echelon, det_ring
 from .partitions import MayaDiagram
-from .scalars import CoeffRing, RingElement
+from .scalars import CoeffRing, RingElement, _integer_vector
 
 
 class GrassPoint:
@@ -74,11 +77,11 @@ class GrassPoint:
 def index(point: GrassPoint) -> int:
     """rank of the window matrix over the residue field, minus tail depth.
 
-    Computed for the residue-field reduction of the point.  Requires the
-    window to reach z^0; if truncated columns turn out dependent on the
-    visible window the index cannot be pinned down and a PrecisionError
-    is raised (exactly-known dependent columns are honestly dependent and
-    just lower the rank).
+    Computed on the residues below the window (module docstring).
+    Requires the window to reach z^0; if truncated columns turn out
+    dependent on the visible window the index cannot be pinned down and a
+    PrecisionError is raised (exactly-known dependent columns are
+    honestly dependent and just lower the rank).
     """
     n_cols = len(point.columns)
     depth = point.tail_depth
@@ -90,8 +93,7 @@ def index(point: GrassPoint) -> int:
     if m is None:
         top = max((max(c.coeffs) for c in point.columns if c.coeffs), default=-depth)
         m = top + 1
-    residues = [[c.constant_term() for c in row] for row in _rows(point.columns, range(-depth, m))]
-    r = rank_field(residues, point.ring.field)
+    r = len(_echelon(_residues(point.columns, m), range(-depth, m), point.ring.field)[0])
     if r < n_cols:
         if point.window_high is None:
             return r - depth
@@ -110,12 +112,18 @@ def _rows(columns: list[LaurentElement], exponents) -> list[list]:
     return [[c.coeffs.get(e, zero) for c in columns] for e in exponents]
 
 
-def _chart_block(point: GrassPoint, maya: MayaDiagram):
-    """The square block of rows the diagram selects, read by ``_rows``, or
-    None when every minor in the chart vanishes: a tail exponent is
-    missing, or the number of rows differs from the number of columns.
-    Raises PrecisionError, naming the first selected row at or past the
-    point's window, when there is one."""
+def _residues(columns: list[LaurentElement], below: int) -> list[dict]:
+    """Each column's residues below z^below as one {exponent: int} vector,
+    a nonzero multiple of them (``scalars._integer_vector``)."""
+    return [_integer_vector(c.coeffs, below) for c in columns]
+
+
+def _chart_rows(point: GrassPoint, maya: MayaDiagram) -> list[int] | None:
+    """The exponents of the rows the diagram selects, increasing, as many
+    as the point's columns, or None when every minor in the chart
+    vanishes: a tail exponent is missing, or the number of rows differs
+    from the number of columns.  Raises PrecisionError, naming the first
+    selected row at or past the point's window, when there is one."""
     for e in range(maya.tail_start, -point.tail_depth):
         if e not in maya.members:
             return None
@@ -126,7 +134,7 @@ def _chart_block(point: GrassPoint, maya: MayaDiagram):
     late = [e for e in rows if m is not None and e >= m]
     if late:
         raise PrecisionError(f"minor needs the coefficient of z^{late[0]}, beyond the window")
-    return _rows(point.columns, rows)
+    return rows
 
 
 def plucker(point: GrassPoint, maya: MayaDiagram) -> RingElement:
@@ -136,24 +144,28 @@ def plucker(point: GrassPoint, maya: MayaDiagram) -> RingElement:
     rows different from the number of columns; PrecisionError when a
     selected row lies beyond a column's window.
     """
-    mat = _chart_block(point, maya)
-    if mat is None:
+    rows = _chart_rows(point, maya)
+    if rows is None:
         return point.ring.zero()
-    return det_ring(mat, point.ring)
+    return det_ring(_rows(point.columns, rows), point.ring)
 
 
 def in_chart(point: GrassPoint, maya: MayaDiagram) -> bool:
     """Is the projection onto the chart's coordinate subspace invertible?
 
     Equivalent to the chart minor being a unit; decided over the residue
-    field.  False is definitive; PrecisionError means the window cannot
-    tell.
+    field, by ``_echelon`` on the columns' residues below the top chart
+    row, the chart rows its order.  The pivots it finds at the indices of
+    the order count the rank of the vectors restricted to those indices:
+    a pivot is chosen by its entry at e, and a clear combines whole
+    vectors.  False is definitive; PrecisionError means the window
+    cannot tell.
     """
-    mat = _chart_block(point, maya)
-    if mat is None:
+    rows = _chart_rows(point, maya)
+    if rows is None:
         return False
-    residues = [[c.constant_term() for c in row] for row in mat]
-    return rank_field(residues, point.ring.field) == len(mat)
+    cols = _residues(point.columns, rows[-1] + 1 if rows else 0)
+    return len(_echelon(cols, rows, point.ring.field)[0]) == len(rows)
 
 
 def chart_transition(point: GrassPoint, chart_a: MayaDiagram, chart_b: MayaDiagram) -> RingElement:
@@ -213,8 +225,8 @@ def quotient_basis(small: GrassPoint, big: GrassPoint) -> list[LaurentElement]:
     """A deterministic basis of big/small, as explicit Laurent columns.
 
     Requires nested tails (big.tail_depth <= small.tail_depth), exactly
-    known columns over a residue-field-like coefficient ring (constant
-    terms are used), and small <= big, which is verified on the window.
+    known columns over a residue-field-like coefficient ring (residues
+    are used), and small <= big, which is verified on the window.
     The basis consists of the tail gap exponents plus whichever columns
     of ``big`` add new pivots after ``small`` is reduced.
     """
@@ -233,19 +245,19 @@ def quotient_basis(small: GrassPoint, big: GrassPoint) -> list[LaurentElement]:
     gap = [LaurentElement.z_power(ring, e) for e in range(-n, -big.tail_depth)]
     gens = gap + [c.clip_below(-n) for c in big.columns]
 
-    top = 0
-    for c in small.columns + gens:
-        if c.coeffs:
-            top = max(top, max(c.coeffs) + 1)
-    # the pivot columns of [small | gens] past small are the generators
-    # that add to the span of everything before them; small <= big on
-    # the window exactly when small adds nothing to the rank of gens
+    top = max([0] + [max(c.coeffs) + 1 for c in small.columns + gens if c.coeffs])
+    # eliminating the rows {column index: residue} of [small | gens] in
+    # column order, the pivot columns past small are the generators that
+    # add to the span of everything before them; small <= big on the
+    # window exactly when small adds nothing to the rank of gens, the
+    # pivots at gens' indices of a copy of the rows (see ``in_chart``)
     k = len(small.columns)
-    mat = [[c.constant_term() for c in row] for row in _rows(small.columns + gens, range(-n, top))]
-    _, pivots = echelon_field(mat, field)
-    if len(pivots) != rank_field([row[k:] for row in mat], field):
+    cols = _residues(small.columns + gens, top)
+    rows = [{j: c[e] for j, c in enumerate(cols) if e in c} for e in range(-n, top)]
+    pivots, _ = _echelon([dict(r) for r in rows], range(len(cols)), field)
+    if len(pivots) != len(_echelon(rows, range(k, len(cols)), field)[0]):
         raise DomainError("the small point is not contained in the big one")
-    return [gens[c - k] for c in pivots if c >= k]
+    return [gens[c - k] for c, _ in pivots if c >= k]
 
 
 def embed_finite(

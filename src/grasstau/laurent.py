@@ -140,9 +140,6 @@ class LaurentElement:
             )
         return self.coeffs.get(e, self.ring.zero())
 
-    def coefficient_known(self, e: int) -> bool:
-        return self.trunc is None or e < self.trunc
-
     def is_zero(self) -> bool:
         """True when the known part vanishes.  Exact zero iff also trunc is None."""
         return not self.coeffs

@@ -17,9 +17,9 @@ only the line a vector spans matters, so a clear by the pivot v is
 c <- v_e c - c_e v, divided by its content, and each pivot is primitive
 with a positive entry at its index: the normal form's row is the pivot
 over that entry.  In characteristic p the vectors hold residues and each
-pivot is scaled to 1.  ``echelon_field`` is the pair on dense rows,
-their denominators cleared on the way in.  ``det_field`` keeps its own
-loop, as an oracle.
+pivot is scaled to 1.  ``echelon_field`` is the pair on dense rows of
+raw values, a shell no point reaches (``grassmann._residues`` reads
+points).  ``det_field`` keeps its own loop, as an oracle.
 
 Everything here is exact and runs in polynomial time: ``plucker``
 takes dense minors as large as the tail depth.  The ring loops skip zero

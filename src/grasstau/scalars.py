@@ -51,8 +51,8 @@ Which Python values stand for ring elements is decided here alone:
 ``RingElement(ring, coeffs)``, and ``_operand`` the other operand of
 ring elements and series alike (see ``RingElement``).  Other modules
 read the storage only through private readers here: ``_integer_vector``
-(scalar columns as ints), ``_recast`` (a constant moved to another ring)
-and ``_lowest_weight``.
+(a point's residues as ints), ``_recast`` (a constant moved to another
+ring) and ``_lowest_weight``.
 """
 
 from __future__ import annotations
@@ -286,9 +286,6 @@ class CoeffRing:
                 prefix.pop()
 
         yield from rec(0, self.degree_bound, [])
-
-    def monomials_of_weight(self, w: int) -> list[Monomial]:
-        return [m for m in self.monomials() if self.weight(m) == w]
 
     # -- element constructors --------------------------------------------
 
@@ -668,14 +665,14 @@ def _linear_form(ring: CoeffRing, coeffs: dict, den: int) -> RingElement:
 
 
 def _integer_vector(values: dict, below: int) -> dict[int, int]:
-    """The constants {index: nonzero constant element} of ``values`` at
-    indices below ``below``, times one positive int: their numerators over
-    the lcm of their canonical denominators.  In characteristic p that is
-    1, and the ints are the residues.  A nonzero multiple of a vector
-    spans the same line, which is all a field elimination reads."""
-    kept = [(i, x) for i, x in values.items() if i < below]
-    den = lcm(*[x._den for _, x in kept])
-    return {i: x._num[0] * (den // x._den) for i, x in kept}
+    """The residues of ``values``, {index: element}, at indices below
+    ``below``: the nonzero constant terms, nilpotent parts unread, times
+    one positive int, the lcm of the elements' canonical denominators (1
+    in characteristic p).  A nonzero multiple of a vector spans the same
+    line, which is all a field elimination reads."""
+    kept = [(i, a, x._den) for i, x in values.items() if i < below and (a := x._num.get(0))]
+    den = lcm(*[d for _, _, d in kept])
+    return {i: a * (den // d) for i, a, d in kept}
 
 
 def _recast(x: RingElement, ring: CoeffRing) -> RingElement:

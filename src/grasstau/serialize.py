@@ -212,10 +212,6 @@ def decode_maya(obj) -> MayaDiagram:
     return _checked(MayaDiagram, start, members)
 
 
-def encode_maya(m: MayaDiagram) -> dict:
-    return {"tail_start": m.tail_start, "members": list(m.members)}
-
-
 def decode_partition(obj):
     return _checked(check_partition, _ints(obj, "partition"))
 

@@ -67,14 +67,13 @@ from functools import lru_cache
 
 from .errors import DomainError, InternalError, NotInvertibleError, PrecisionError
 from .gamma import GammaElement, _exp_coefficients, universal_v
-from .grassmann import GrassPoint, _rows, act, plucker
+from .grassmann import GrassPoint, _residues, _rows, act, plucker
 from .laurent import LaurentElement, _divide
 from .linalg import _back_reduce, _echelon, _eliminate, det_ring, solve_ring
 from .partitions import MayaDiagram, conjugate, partitions_up_to
 from .scalars import (
     CoeffRing,
     RingElement,
-    _integer_vector,
     _linear_form,
     _recast,
     _split_last,
@@ -115,16 +114,15 @@ def _check_point(point: GrassPoint, bound: int, need: int) -> None:
 
 
 def _scalar_columns(point: GrassPoint, bound: int, need: int) -> list[dict]:
-    """``_check_point``, then the point read over the base field: each
-    column cut below z^need, the part ``_check_point`` found known, as
-    one {exponent: int} vector (``scalars._integer_vector``), the column
-    times the lcm of its denominators, its residues in characteristic p.
+    """``_check_point``, then ``grassmann._residues`` of the columns cut
+    below z^need, the part ``_check_point`` found known: each column times
+    the lcm of its denominators, its residues in characteristic p.
     ``tau_direct`` reads nothing past the cut (need = bound) and only the
     span, and ``baker`` loses nothing: psi below its window reads the
     columns only below z^(window + bound - 1), and a column's scale
     cancels from w."""
     _check_point(point, bound, need)
-    return [_integer_vector(c.coeffs, need) for c in point.columns]
+    return _residues(point.columns, need)
 
 
 def _moved_rows(cols: list[tuple[dict, int]], rows, ring: CoeffRing) -> list[list[RingElement]]:
@@ -382,10 +380,9 @@ def kp_residual(tau_poly: RingElement, order: int) -> RingElement:
     product, which the residue never reads: they map to their u parts,
     and the ring needs no variable for them.
 
-    The frame.  The two rings, the images of the shifts and the e_n
-    depend only on the field and w, not on tau: ``_kp_frame`` builds them
-    once per (field, w), after the refusals.  The H_i of the pullback are
-    taken only for a nonzero Phi.
+    The frame.  The two rings, the images of the shifts, the e_n and the
+    H_i of the pullback depend only on the field and w, not on tau:
+    ``_kp_frame`` builds them once per (field, w), after the refusals.
     """
     ring = tau_poly.ring
     if not is_coordinate_ring(ring):
@@ -399,23 +396,21 @@ def kp_residual(tau_poly: RingElement, order: int) -> RingElement:
     w = order + 2
     if d < w + 1:
         raise DomainError(f"order {order} needs degree bound >= {order + 3}, have {d}")
-    joint, shifted, a_images, b_images, e = _kp_frame(field, w)
+    joint, shifted, a_images, b_images, e, h = _kp_frame(field, w)
     a, b = (_substitute(tau_poly, images, shifted, w + 1) for images in (a_images, b_images))
     split = _split_last(a * b, joint)  # u^k parts
     phi = _sum_products(joint, ((split[n + 1], e[n]) for n in range(w + 1) if n + 1 in split))
     if not phi:
         return phi
-    # x_i = H_i(T), x'_i = H_i(T'): sum_i H_i s^i = exp(sum_j T_j s^j)
-    h, hp = (_exp_coefficients(joint, [joint.gen(s + j) for j in range(w)], w)[1:] for s in (0, w))
-    return _substitute(phi, h + hp, joint, w)
+    return _substitute(phi, h, joint, w)
 
 
 @lru_cache(maxsize=None)
 def _kp_frame(field, w: int) -> tuple:
     """What ``kp_residual`` reads besides tau at w = order + 2, made once
     per (field, w): the ring of x and x' (the ring of the result), the
-    ring with u, the images of the two Miwa shifts, and the e_n, n <= w,
-    of X / X'."""
+    ring with u, the images of the two Miwa shifts, the e_n, n <= w, of
+    X / X', and the images H_i(T), H_i(T') of x_i and x'_i."""
     weights = tuple(range(1, w + 1)) * 2
     joint = CoeffRing(field, 2 * w, w, weights=weights)
     shifted = CoeffRing(field, 2 * w + 1, w + 1, weights=weights + (1,))
@@ -434,4 +429,6 @@ def _kp_frame(field, w: int) -> tuple:
         for s in (0, w)
     )
     e = _divide(x, xp, w + 1).coeffs  # e_n, n <= w: X / X' = exp(sum (T_j - T'_j) z^j)
-    return joint, shifted, tuple(a_images), tuple(b_images), tuple(e[n] for n in range(w + 1))
+    # x_i = H_i(T), x'_i = H_i(T'): sum_i H_i s^i = exp(sum_j T_j s^j)
+    h, hp = (_exp_coefficients(joint, [joint.gen(s + j) for j in range(w)], w)[1:] for s in (0, w))
+    return joint, shifted, tuple(a_images), tuple(b_images), tuple(e[n] for n in range(w + 1)), tuple(h + hp)

@@ -12,8 +12,13 @@ so every 2x2 minor is computable by hand; the frozen table below is that
 computation.
 """
 
-import pytest
+from fractions import Fraction
+from random import Random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import grasstau.scalars as scalars
 from grasstau import (
     GF,
     QQ,
@@ -31,9 +36,12 @@ from grasstau import (
     factorize,
     in_chart,
     index,
+    partitions_up_to,
     plucker,
     quotient_basis,
 )
+from grasstau.grassmann import _rows
+from grasstau.linalg import echelon_field, rank_field
 
 RING = CoeffRing(QQ, 1, 2)
 
@@ -240,3 +248,154 @@ def test_point_repr_names_its_fields():
     col = LaurentElement(ring, {-1: 1, 0: 2}, trunc=3)
     assert repr(GrassPoint(ring, 1, [col])) == "GrassPoint(tail_depth=1, columns=1, window_high=3)"
     assert repr(GrassPoint.base_point(ring, 2)) == "GrassPoint(tail_depth=2, columns=2, window_high=None)"
+
+
+# ---------------------------------------------------------------------------
+# the residue reader against the dense path
+# ---------------------------------------------------------------------------
+
+
+def _dense_rank(mat, field):
+    return rank_field([[a.constant_term() for a in row] for row in mat], field)
+
+
+def _dense_index(point):
+    """``index`` on the dense matrix of the entries' ``constant_term``
+    values, ranked by ``rank_field``."""
+    depth = point.tail_depth
+    if not point.columns:
+        return -depth
+    m = point.window_high
+    if m is not None and m < 0:
+        raise PrecisionError("index needs the column window to reach z^0")
+    if m is None:
+        m = max((max(c.coeffs) for c in point.columns if c.coeffs), default=-depth) + 1
+    r = _dense_rank(_rows(point.columns, range(-depth, m)), point.ring.field)
+    if r < len(point.columns):
+        if point.window_high is None:
+            return r - depth
+        raise PrecisionError("columns are dependent on the visible window; index undetermined")
+    return len(point.columns) - depth
+
+
+def _dense_in_chart(point, maya):
+    """``in_chart`` as the rank of the dense square block of the chart."""
+    if any(e not in maya.members for e in range(maya.tail_start, -point.tail_depth)):
+        return False
+    rows = maya.members_from(-point.tail_depth)
+    if len(rows) != len(point.columns):
+        return False
+    m = point.window_high
+    late = [e for e in rows if m is not None and e >= m]
+    if late:
+        raise PrecisionError(f"minor needs the coefficient of z^{late[0]}, beyond the window")
+    return _dense_rank(_rows(point.columns, rows), point.ring.field) == len(rows)
+
+
+def _dense_quotient_basis(small, big):
+    """``quotient_basis`` from the pivot columns of ``echelon_field`` on the
+    dense matrix [small | gens] and ``rank_field`` on gens' block."""
+    if big.tail_depth > small.tail_depth:
+        raise DomainError("containment needs big.tail_depth <= small.tail_depth")
+    if small.window_high is not None or big.window_high is not None:
+        raise PrecisionError("quotient basis needs exactly known columns")
+    ring, n, k = small.ring, small.tail_depth, len(small.columns)
+    gens = [LaurentElement.z_power(ring, e) for e in range(-n, -big.tail_depth)]
+    gens += [c.clip_below(-n) for c in big.columns]
+    top = max([0] + [max(c.coeffs) + 1 for c in small.columns + gens if c.coeffs])
+    mat = [[a.constant_term() for a in row] for row in _rows(small.columns + gens, range(-n, top))]
+    _, pivots = echelon_field(mat, ring.field)
+    if len(pivots) != rank_field([row[k:] for row in mat], ring.field):
+        raise DomainError("the small point is not contained in the big one")
+    return [gens[c - k] for c in pivots if c >= k]
+
+
+def _reader_point(rng, field, num_vars, depth, extra):
+    """A point with depth + extra columns below z^4, entries often zero,
+    some with a nilpotent part or with a zero residue, some columns a
+    multiple of an earlier one plus nilpotent noise, known below a random
+    window or exactly; and the same columns exactly known."""
+    ring = CoeffRing(field, num_vars, 2 if num_vars else 0)
+
+    def residue():
+        if rng.random() < 0.3:
+            return 0
+        return rng.randrange(field.char) if field.char else Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    def nilpotent():
+        if num_vars and rng.random() < 0.5:
+            return ring.gen(rng.randrange(num_vars)) * rng.randint(1, 3)
+        return ring.zero()
+
+    cols = []
+    for _ in range(max(0, depth + extra)):
+        if cols and rng.random() < 0.3:
+            k = residue()
+            col = {e: a * k + nilpotent() for e, a in rng.choice(cols).items()}
+        else:
+            col = {e: ring.const(residue()) + nilpotent() for e in range(-depth, rng.randint(0, 4))}
+        cols.append(col)
+    trunc = rng.choice([None, None, -1, 0, 1, 2, 4])
+    windowed = GrassPoint(ring, depth, [LaurentElement(ring, c, trunc) for c in cols])
+    exact = GrassPoint(ring, depth, [LaurentElement(ring, c) for c in cols])
+    return windowed, exact
+
+
+def _reader_calls(rng, windowed, exact):
+    """index, in_chart on every |lam| <= 3 at charges -1, 0 and 1, and two
+    quotient bases: a subset of the exact point's columns in it, and the
+    point in the span of z^e, e < top, for a random depth and top."""
+    ring, depth = exact.ring, exact.tail_depth
+    calls = [(index, _dense_index, (windowed,))]
+    for lam in partitions_up_to(3):
+        for charge in (-1, 0, 1):
+            maya = MayaDiagram.from_partition(lam, charge=charge)
+            calls.append((in_chart, _dense_in_chart, (windowed, maya)))
+    sub = GrassPoint(ring, depth, rng.sample(exact.columns, rng.randint(0, len(exact.columns))))
+    big_depth, big_top = rng.randint(0, depth + 1), rng.randint(0, 5)
+    big = GrassPoint(ring, big_depth, [LaurentElement.z_power(ring, e) for e in range(-big_depth, big_top)])
+    calls += [(quotient_basis, _dense_quotient_basis, (sub, exact))]
+    calls += [(quotient_basis, _dense_quotient_basis, (windowed, big))]
+    return calls
+
+
+def _outcome(call, args):
+    try:
+        return repr(call(*args))
+    except (DomainError, PrecisionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.sampled_from([QQ, GF(2), GF(3), GF(5)]),
+    st.integers(0, 2),
+    st.integers(0, 4),
+    st.integers(-1, 1),
+    st.integers(0, 2**32),
+)
+def test_residue_reader_matches_the_dense_path(field, num_vars, depth, extra, seed):
+    """index, in_chart and quotient_basis, which eliminate the columns'
+    int residue vectors, agree with the dense constant_term matrix ranked
+    by echelon_field and rank_field, refusals included, over rings with
+    nilpotent entries and on windowed columns."""
+    rng = Random(seed)
+    for call, dense, args in _reader_calls(rng, *_reader_point(rng, field, num_vars, depth, extra)):
+        assert _outcome(call, args) == _outcome(dense, args)
+
+
+def test_the_residue_reader_builds_no_fraction_per_entry(monkeypatch):
+    """index, in_chart and quotient_basis never read an entry through
+    ``constant_term``: with it refused they return what they returned."""
+    rng = Random(7)
+    cases = []
+    for field in (QQ, GF(3)):
+        for depth in range(4):
+            cases += _reader_calls(rng, *_reader_point(rng, field, 2, depth, rng.randint(-1, 1)))
+    want = [_outcome(call, args) for call, _, args in cases]
+
+    def refused(self):
+        raise AssertionError("constant_term read")
+
+    monkeypatch.setattr(scalars.RingElement, "constant_term", refused)
+    assert [_outcome(call, args) for call, _, args in cases] == want

@@ -41,6 +41,7 @@ from grasstau import (
     PrecisionError,
     act,
     baker,
+    chart_transition,
     coordinate_ring,
     exp_gamma,
     factorize,
@@ -554,7 +555,8 @@ def test_windowed_calls_agree_with_every_completion_of_the_tail(field, depth, bo
     its unknown tail: wherever a call on the windowed point returns, or
     refuses for any reason but precision, each completion returns the
     same value or refuses alike.  Covers tau_direct, tau_schur, index,
-    and plucker and in_chart on every chart of size <= bound."""
+    and plucker, in_chart and the transition to the vacuum chart on every
+    chart of size <= bound."""
     rng = Random(seed)
     pt = _mixed_point(rng, field, depth, trunc + 2, trunc, singular and depth > 0)
 
@@ -569,9 +571,14 @@ def test_windowed_calls_agree_with_every_completion_of_the_tail(field, depth, bo
         for _ in range(2)
     ]
     calls = [lambda p: tau_direct(p, bound), lambda p: tau_schur(p, bound), index]
+    vacuum = MayaDiagram.vacuum()
     for lam in partitions_up_to(bound):
         maya = MayaDiagram.from_partition(lam)
-        calls += [lambda p, maya=maya: plucker(p, maya), lambda p, maya=maya: in_chart(p, maya)]
+        calls += [
+            lambda p, maya=maya: plucker(p, maya),
+            lambda p, maya=maya: in_chart(p, maya),
+            lambda p, maya=maya: chart_transition(p, maya, vacuum),
+        ]
 
     def outcome(call, p):
         try:
@@ -898,21 +905,28 @@ def test_kp_residual_on_a_warm_frame_matches_the_series_reference():
 
 
 def test_kp_residual_of_a_tau_needs_no_times(monkeypatch):
-    """A zero residual in the x-coordinates is returned as it is: the times
-    H_i(T), and the exponentials that build them, enter only a nonzero
-    residual's pullback."""
+    """A zero residual in the x-coordinates is returned as it is: a tau
+    takes two substitutions, the Miwa shifts, and only a nonzero residual
+    takes a third, the pullback to the times H_i(T)."""
     t = tau_crosscheck(two_column_point(), 5)
     ring4 = coordinate_ring(QQ, 4)
     fake = ring4.one() + ring4.gen(0) ** 2
+    calls = []
+    original = tau_module._substitute
 
-    def refused(*args):
-        raise AssertionError("exponential taken")
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
 
-    monkeypatch.setattr(tau_module, "_exp_coefficients", refused)
+    monkeypatch.setattr(tau_module, "_substitute", counted)
     for order in (0, 1, 2):
-        assert kp_residual(t, order).is_zero()
-    with pytest.raises(AssertionError, match="exponential taken"):
-        kp_residual(fake, 1)
+        calls.clear()
+        residual = kp_residual(t, order)
+        assert residual.is_zero() and residual.ring == tau_module._kp_frame(QQ, order + 2)[0]
+        assert len(calls) == 2
+    calls.clear()
+    assert not kp_residual(fake, 1).is_zero()
+    assert len(calls) == 3 and calls[2] == tau_module._kp_frame(QQ, 3)[0]
 
 
 def test_tau_routes_take_no_series_product(monkeypatch):
