@@ -58,9 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_: str, run, payload: bool = True):
+    def add(name: str, help_: str, run, payload: bool = True, ring: bool = True):
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, reads_ring=ring)
         if payload:
             p.add_argument(
                 "--in",
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deg", type=int, required=True, help="weighted degree bound")
     p.add_argument("--window", type=int, required=True, help="z-window upper end")
 
-    p = add("schur", "basis polynomial of a partition in the coordinate ring", _cmd_schur)
+    p = add("schur", "basis polynomial of a partition in the coordinate ring", _cmd_schur, ring=False)
     p.add_argument("--field", default="q", help="'q' or 'fp:<p>'")
     p.add_argument("--deg", type=int, required=True, help="weighted degree bound")
 
@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("pair", "pairing of two series with unit constant coefficient", _cmd_pair)
     p.add_argument("--mode", choices=("commutator", "residue"), default="commutator")
 
-    p = add("verify", "run randomized self-check suites", _cmd_verify, payload=False)
+    p = add("verify", "run randomized self-check suites", _cmd_verify, payload=False, ring=False)
     p.add_argument("--suite", default="all", choices=["all"] + suite_names())
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", choices=("small", "full"), default="small")
@@ -127,19 +127,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------------
-# handlers: payload -> (result, precision_used, convention_flags)
+# handlers: (args, payload's ring or None, payload) -> (result, precision_used, convention_flags)
 # ----------------------------------------------------------------------
 
 
-def _cmd_factor(args, payload):
-    ring = decode_ring(need(payload, "ring"))
+def _cmd_factor(args, ring, payload):
     f = decode_laurent(ring, need(payload, "series"))
     g = factorize(f)
     return encode_gamma(g), g.gplus.trunc, ["wings-constant-one", "zpower-at-unit-slot"]
 
 
-def _cmd_exp(args, payload):
-    ring = decode_ring(need(payload, "ring"))
+def _cmd_exp(args, ring, payload):
     vec = decode_ring_elements(ring, need(payload, "coeffs"))
     if args.product_form:
         out = witt_product(ring, vec, args.sign)
@@ -149,16 +147,14 @@ def _cmd_exp(args, payload):
     return encode_gamma(g), prec, []
 
 
-def _cmd_witt_add(args, payload):
-    ring = decode_ring(need(payload, "ring"))
+def _cmd_witt_add(args, ring, payload):
     a = decode_ring_elements(ring, need(payload, "a"))
     b = decode_ring_elements(ring, need(payload, "b"))
     out = witt_add(ring, a, b)
     return {"sum": [encode_ring_element(c) for c in out]}, None, ["product:one-minus-az"]
 
 
-def _cmd_abel(args, payload):
-    ring = decode_ring(need(payload, "ring"))
+def _cmd_abel(args, ring, payload):
     pts = decode_ring_elements(ring, need(payload, "points"))
     out = abel_embed(ring, pts, depth=args.depth)
     if isinstance(out, GammaElement):
@@ -168,22 +164,19 @@ def _cmd_abel(args, payload):
     ]
 
 
-def _cmd_index(args, payload):
-    ring = decode_ring(need(payload, "ring"))
+def _cmd_index(args, ring, payload):
     pt = decode_point(ring, need(payload, "point"))
     return {"index": index(pt)}, pt.window_high, []
 
 
-def _cmd_plucker(args, payload):
-    ring = decode_ring(need(payload, "ring"))
+def _cmd_plucker(args, ring, payload):
     pt = decode_point(ring, need(payload, "point"))
     maya = decode_maya(need(payload, "diagram"))
     minor = plucker(pt, maya)
     return encode_ring_element(minor), pt.window_high, ["minor-rows:increasing-exponent"]
 
 
-def _cmd_transition(args, payload):
-    ring = decode_ring(need(payload, "ring"))
+def _cmd_transition(args, ring, payload):
     pt = decode_point(ring, need(payload, "point"))
     a = decode_maya(need(payload, "chart_a"))
     b = decode_maya(need(payload, "chart_b"))
@@ -193,8 +186,7 @@ def _cmd_transition(args, payload):
     ]
 
 
-def _cmd_act(args, payload):
-    ring = decode_ring(need(payload, "ring"))
+def _cmd_act(args, ring, payload):
     g = decode_gamma(ring, need(payload, "gamma"))
     pt = decode_point(ring, need(payload, "point"))
     moved = act(g, pt, promote=args.promote)
@@ -204,8 +196,7 @@ def _cmd_act(args, payload):
     ]
 
 
-def _cmd_tau(args, payload):
-    ring = decode_ring(need(payload, "ring"))
+def _cmd_tau(args, ring, payload):
     pt = decode_point(ring, need(payload, "point"))
     t = _TAU_ROUTES[args.method](pt, args.deg)
     return (
@@ -215,8 +206,7 @@ def _cmd_tau(args, payload):
     )
 
 
-def _cmd_baker(args, payload):
-    ring = decode_ring(need(payload, "ring"))
+def _cmd_baker(args, ring, payload):
     pt = decode_point(ring, need(payload, "point"))
     psi = baker(pt, args.deg, args.window)
     return (
@@ -226,7 +216,7 @@ def _cmd_baker(args, payload):
     )
 
 
-def _cmd_schur(args, payload):
+def _cmd_schur(args, _ring, payload):
     field = parse_field_spec(args.field)
     lam = decode_partition(need(payload, "partition"))
     ring = coordinate_ring(field, args.deg)
@@ -238,8 +228,7 @@ def _cmd_schur(args, payload):
     )
 
 
-def _cmd_bosonize(args, payload):
-    ring = decode_ring(need(payload, "ring"))
+def _cmd_bosonize(args, ring, payload):
     poly = need(payload, "polynomial", default=None)
     if poly is not None:
         coords = to_schur_coords(decode_ring_element(ring, poly))
@@ -252,8 +241,7 @@ def _cmd_bosonize(args, payload):
     return {"polynomial": encode_ring_element(p)}, None, []
 
 
-def _cmd_pair(args, payload):
-    ring = decode_ring(need(payload, "ring"))
+def _cmd_pair(args, ring, payload):
     f = decode_laurent(ring, need(payload, "f"))
     g = decode_laurent(ring, need(payload, "g"))
     if args.mode == "residue":
@@ -265,7 +253,7 @@ def _cmd_pair(args, payload):
     ]
 
 
-def _cmd_verify(args, _payload):
+def _cmd_verify(args, _ring, _payload):
     names = suite_names() if args.suite == "all" else [args.suite]
     reports = [run_suite(n, seed=args.seed, scale=args.scale) for n in names]
     result = {
@@ -304,7 +292,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload = _load_payload(args)
-        result, precision, flags = args.run(args, payload)
+        ring = decode_ring(need(payload, "ring")) if args.reads_ring else None
+        result, precision, flags = args.run(args, ring, payload)
     except PrecisionError as exc:
         return _fail(4, "precision", exc)
     except InternalError as exc:

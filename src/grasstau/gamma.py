@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError, InternalError, PrecisionError, RingMismatchError
+from .errors import DomainError, InternalError, PrecisionError, RingMismatchError, _at_least
 from .laurent import LaurentElement, _divide
 from .scalars import BaseField, CoeffRing, RingElement, _series_product, _sum_products
 from .schur import coordinate_ring
@@ -234,6 +234,15 @@ def factorize(f: LaurentElement) -> GammaElement:
 # ----------------------------------------------------------------------
 
 
+def _elements_of(ring: CoeffRing, values, what: str) -> list[RingElement]:
+    """``values`` as a list, each checked to be an element of ``ring``."""
+    out = list(values)
+    for a in out:
+        if not isinstance(a, RingElement) or a.ring != ring:
+            raise RingMismatchError(f"{what} must live in the given ring")
+    return out
+
+
 def exp_gamma(
     ring: CoeffRing, coeffs: list[RingElement], sign: int, trunc: int | None = None
 ) -> GammaElement:
@@ -249,11 +258,9 @@ def exp_gamma(
             "the exponential needs characteristic zero; "
             "use witt_product for positive characteristic"
         )
-    if sign not in (-1, 1):
+    if type(sign) is not int or sign not in (-1, 1):
         raise DomainError("sign must be +1 or -1")
-    for a in coeffs:
-        if not isinstance(a, RingElement) or a.ring != ring:
-            raise RingMismatchError("exponent coefficients must live in the given ring")
+    coeffs = _elements_of(ring, coeffs, "exponent coefficients")
     if sign < 0:
         if any(not a.is_nilpotent() for a in coeffs):
             raise DomainError(
@@ -294,12 +301,10 @@ def witt_product(ring: CoeffRing, coeffs: list[RingElement], sign: int) -> Laure
     factorials is unavailable; with sign -1 and nilpotent a_i it lands in
     the lower wing (see :func:`factorize` to recover the parts).
     """
-    if sign not in (-1, 1):
+    if type(sign) is not int or sign not in (-1, 1):
         raise DomainError("sign must be +1 or -1")
     out = LaurentElement.one(ring)
-    for i, a in enumerate(coeffs, start=1):
-        if not isinstance(a, RingElement) or a.ring != ring:
-            raise RingMismatchError("coefficients must live in the given ring")
+    for i, a in enumerate(_elements_of(ring, coeffs, "coefficients"), start=1):
         if a:
             out = out * LaurentElement(ring, {0: ring.one(), sign * i: -a}, None)
     return out
@@ -344,12 +349,9 @@ def abel_embed(ring: CoeffRing, points, depth: int | None = None):
     returns the Laurent polynomial of all terms with exponent >= -depth
     (exact in that range, silently empty below it).
     """
-    pts = list(points)
-    for t in pts:
-        if not isinstance(t, RingElement) or t.ring != ring:
-            raise RingMismatchError("points must live in the given ring")
-    if depth is not None and depth < 0:
-        raise DomainError("depth must be >= 0")
+    pts = _elements_of(ring, points, "points")
+    if depth is not None:
+        _at_least(depth, 0, "depth")
     nilpotent = all(t.is_nilpotent() for t in pts)
     if not nilpotent and depth is None:
         raise DomainError(

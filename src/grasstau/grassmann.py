@@ -15,19 +15,19 @@ is the determinant of the rows S picks out of the column matrix, rows
 sorted by increasing exponent, columns in frame order.  The infinite
 tail contributes an identity block that sits strictly below every
 explicit row, so it never introduces a sign, and the base point's vacuum
-minor is exactly 1.
+minor is exactly 1.  A point lies in chart S when its minor there is a unit.
 
 The index of a point is rank(window matrix over the residue field) minus
 the tail depth.  The rank is the number of pivots ``linalg._echelon``
-finds on the columns' residues (``_residues``), as are the chart test's
-and the finite quotients'; tau reads points the same way.  For points in
-the zero-index sector the charge-zero Maya diagrams (equivalently
-partitions) index the charts that can be hit.
+finds on the columns' residues (``_residues``), as are the finite
+quotients'; tau reads points the same way.  For points in the zero-index
+sector the charge-zero Maya diagrams (equivalently partitions) index the
+charts that can be hit.
 """
 
 from __future__ import annotations
 
-from .errors import DomainError, NotInvertibleError, PrecisionError, RingMismatchError
+from .errors import DomainError, NotInvertibleError, PrecisionError, RingMismatchError, _at_least
 from .gamma import GammaElement
 from .laurent import LaurentElement
 from .linalg import _echelon, det_ring
@@ -41,8 +41,7 @@ class GrassPoint:
     __slots__ = ("ring", "tail_depth", "columns")
 
     def __init__(self, ring: CoeffRing, tail_depth: int, columns):
-        if tail_depth < 0:
-            raise DomainError("tail_depth must be >= 0")
+        _at_least(tail_depth, 0, "tail_depth")
         cols = list(columns)
         for c in cols:
             if not isinstance(c, LaurentElement) or c.ring != ring:
@@ -77,30 +76,23 @@ class GrassPoint:
 def index(point: GrassPoint) -> int:
     """rank of the window matrix over the residue field, minus tail depth.
 
-    Computed on the residues below the window (module docstring).
+    The rank r is the pivot count on the residues below the window
+    (module docstring); with no columns there is no pivot, so r = 0.
     Requires the window to reach z^0; if truncated columns turn out
     dependent on the visible window the index cannot be pinned down and a
     PrecisionError is raised (exactly-known dependent columns are
     honestly dependent and just lower the rank).
     """
-    n_cols = len(point.columns)
     depth = point.tail_depth
-    if n_cols == 0:
-        return -depth
     m = point.window_high
     if m is not None and m < 0:
         raise PrecisionError("index needs the column window to reach z^0")
     if m is None:
-        top = max((max(c.coeffs) for c in point.columns if c.coeffs), default=-depth)
-        m = top + 1
+        m = 1 + max((max(c.coeffs) for c in point.columns if c.coeffs), default=-depth)
     r = len(_echelon(_residues(point.columns, m), range(-depth, m), point.ring.field)[0])
-    if r < n_cols:
-        if point.window_high is None:
-            return r - depth
-        raise PrecisionError(
-            "columns are dependent on the visible window; index undetermined"
-        )
-    return n_cols - depth
+    if r < len(point.columns) and point.window_high is not None:
+        raise PrecisionError("columns are dependent on the visible window; index undetermined")
+    return r - depth
 
 
 def _rows(columns: list[LaurentElement], exponents) -> list[list]:
@@ -151,21 +143,9 @@ def plucker(point: GrassPoint, maya: MayaDiagram) -> RingElement:
 
 
 def in_chart(point: GrassPoint, maya: MayaDiagram) -> bool:
-    """Is the projection onto the chart's coordinate subspace invertible?
-
-    Equivalent to the chart minor being a unit; decided over the residue
-    field, by ``_echelon`` on the columns' residues below the top chart
-    row, the chart rows its order.  The pivots it finds at the indices of
-    the order count the rank of the vectors restricted to those indices:
-    a pivot is chosen by its entry at e, and a clear combines whole
-    vectors.  False is definitive; PrecisionError means the window
-    cannot tell.
-    """
-    rows = _chart_rows(point, maya)
-    if rows is None:
-        return False
-    cols = _residues(point.columns, rows[-1] + 1 if rows else 0)
-    return len(_echelon(cols, rows, point.ring.field)[0]) == len(rows)
+    """Does the point lie in the chart: is its minor there a unit?
+    False is definitive; PrecisionError means the window cannot tell."""
+    return plucker(point, maya).is_unit()
 
 
 def chart_transition(point: GrassPoint, chart_a: MayaDiagram, chart_b: MayaDiagram) -> RingElement:
@@ -204,9 +184,7 @@ def act(g: GammaElement, point: GrassPoint, promote: int | None = None) -> Grass
 
     gp = g.gplus
     if gp.coeffs != {0: ring.one()} or gp.trunc is not None:
-        p = point.tail_depth if promote is None else promote
-        if p < 0:
-            raise DomainError("promote must be >= 0")
+        p = point.tail_depth if promote is None else _at_least(promote, 0, "promote")
         promoted = [
             gp.shift(-(depth + j)) for j in range(p, 0, -1)
         ]
@@ -250,7 +228,8 @@ def quotient_basis(small: GrassPoint, big: GrassPoint) -> list[LaurentElement]:
     # column order, the pivot columns past small are the generators that
     # add to the span of everything before them; small <= big on the
     # window exactly when small adds nothing to the rank of gens, the
-    # pivots at gens' indices of a copy of the rows (see ``in_chart``)
+    # pivots at gens' indices of a copy of the rows (each is chosen by
+    # its entry there, and each clear combines whole rows)
     k = len(small.columns)
     cols = _residues(small.columns + gens, top)
     rows = [{j: c[e] for j, c in enumerate(cols) if e in c} for e in range(-n, top)]

@@ -8,7 +8,7 @@ in the balance sense, and charge-zero diagrams biject with partitions by
 reading off how far each member sits above its vacuum position.
 
 Partitions are plain decreasing tuples of positive ints throughout the
-package.
+package, diagrams hold ints, and a float or bool entry is refused.
 """
 
 from __future__ import annotations
@@ -21,7 +21,10 @@ Partition = tuple[int, ...]
 
 
 def check_partition(lam) -> Partition:
-    lam = tuple(int(p) for p in lam)
+    """``lam`` as a tuple of positive non-increasing ints, or DomainError."""
+    lam = tuple(lam)
+    if any(type(p) is not int for p in lam):
+        raise DomainError(f"partition parts must be ints: {lam}")
     if any(p <= 0 for p in lam):
         raise DomainError(f"partition parts must be positive: {lam}")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
@@ -71,10 +74,13 @@ class MayaDiagram:
     __slots__ = ("tail_start", "members")
 
     def __init__(self, tail_start: int, members=()):
-        mem = set(int(m) for m in members)
+        members = tuple(members)
+        if any(type(m) is not int for m in (tail_start, *members)):
+            raise DomainError(f"diagram entries must be ints: {tail_start!r}, {members}")
+        mem = set(members)
         if any(m < tail_start for m in mem):
             raise DomainError("members below tail_start are already in the diagram")
-        t = int(tail_start)
+        t = tail_start
         while t in mem:
             mem.remove(t)
             t += 1

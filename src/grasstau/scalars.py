@@ -62,7 +62,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator
 
-from .errors import DomainError, NotInvertibleError, RingMismatchError
+from .errors import DomainError, NotInvertibleError, RingMismatchError, _at_least
 
 Monomial = tuple[int, ...]
 
@@ -194,9 +194,9 @@ def GF(p: int) -> BaseField:
 class CoeffRing:
     """Truncated polynomial ring: monomials of weighted degree > bound vanish.
 
-    ``weights`` assigns a positive integer weight to each variable; the
-    weighted degree of a monomial is sum(w_i * e_i).  The default weight 1
-    for every variable gives plain total-degree truncation.
+    ``weights`` assigns a positive int weight to each variable (a float or
+    bool is refused); the weighted degree of a monomial is sum(w_i * e_i).
+    The default weight 1 for every variable gives total-degree truncation.
     """
 
     def __init__(
@@ -206,17 +206,15 @@ class CoeffRing:
         degree_bound: int,
         weights: tuple[int, ...] | None = None,
     ):
-        if num_vars < 0:
-            raise DomainError("num_vars must be >= 0")
-        if degree_bound < 0:
-            raise DomainError("degree_bound must be >= 0")
+        _at_least(num_vars, 0, "num_vars")
+        _at_least(degree_bound, 0, "degree_bound")
         if weights is None:
             weights = (1,) * num_vars
         else:
             weights = tuple(weights)
             if len(weights) != num_vars:
                 raise DomainError("weights length must equal num_vars")
-            if any(w < 1 for w in weights):
+            if any(type(w) is not int or w < 1 for w in weights):
                 raise DomainError("weights must be positive integers")
         self.field = field
         self.num_vars = num_vars
@@ -314,7 +312,7 @@ class CoeffRing:
 
 def power(one, base, n: int):
     """base**n by square-and-multiply, for any multiplication with unit ``one``."""
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise DomainError("only nonnegative integer powers are supported")
     result = one
     while n:

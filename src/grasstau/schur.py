@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DomainError, RingMismatchError
+from .errors import DomainError, RingMismatchError, _at_least
 from .linalg import det_ring
 from .partitions import Partition, check_partition, partition_size
 from .scalars import BaseField, CoeffRing, RingElement, _sum_products
@@ -39,8 +39,7 @@ from .scalars import BaseField, CoeffRing, RingElement, _sum_products
 
 def coordinate_ring(field: BaseField, bound: int) -> CoeffRing:
     """The canonical weighted chart-coordinate ring for a degree bound."""
-    if bound < 0:
-        raise DomainError("bound must be >= 0")
+    _at_least(bound, 0, "bound")
     return CoeffRing(field, bound, bound, weights=tuple(range(1, bound + 1)))
 
 
@@ -59,12 +58,16 @@ def _require_coordinate_ring(ring: CoeffRing) -> None:
         )
 
 
-@lru_cache(maxsize=None)
 def schur_polynomial(ring: CoeffRing, lam: Partition) -> RingElement:
     """Jacobi-Trudi determinant for the partition; identically zero once
     |lam| exceeds the degree bound (the whole weight component vanishes)."""
     _require_coordinate_ring(ring)
-    lam = check_partition(lam)
+    return _jacobi_trudi(ring, check_partition(lam))
+
+
+@lru_cache(maxsize=None)
+def _jacobi_trudi(ring: CoeffRing, lam: Partition) -> RingElement:
+    """``schur_polynomial`` past its checks, which the cache would skip for (2.0,)."""
     if partition_size(lam) > ring.degree_bound:
         return ring.zero()
     ell = len(lam)
@@ -97,7 +100,7 @@ def to_schur_coords(p: RingElement) -> dict[Partition, object]:
         coeffs = p.coeffs
         mu, mono = min((_partition_of(m), m) for m in coeffs)
         c = out[mu] = coeffs[mono]
-        p = p - schur_polynomial(ring, mu) * c
+        p = p - _jacobi_trudi(ring, mu) * c
     return out
 
 
@@ -113,7 +116,7 @@ def bosonize(ring: CoeffRing, coords: dict) -> RingElement:
 def _bosonized(ring: CoeffRing, terms) -> RingElement:
     """sum of c_lam F_lam over (lam, c) pairs whose partitions are
     already checked and whose c are constants of the coordinate ring."""
-    return _sum_products(ring, ((schur_polynomial(ring, lam), c) for lam, c in terms))
+    return _sum_products(ring, ((_jacobi_trudi(ring, lam), c) for lam, c in terms))
 
 
 def duality_pair(p: RingElement, q: RingElement):

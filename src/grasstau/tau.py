@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DomainError, InternalError, NotInvertibleError, PrecisionError
+from .errors import DomainError, InternalError, NotInvertibleError, PrecisionError, _at_least
 from .gamma import GammaElement, _exp_coefficients, universal_v
 from .grassmann import GrassPoint, _residues, _rows, act, plucker
 from .laurent import LaurentElement, _divide
@@ -89,7 +89,7 @@ _OFF_CHART = (
 
 
 def _check_point(point: GrassPoint, bound: int, need: int) -> None:
-    """The checks every tau route makes first, in one order: a degree
+    """The checks every tau route makes first, in one order: an int degree
     bound >= 1, columns known below z^need, scalar coefficients, and as
     many columns as the tail depth, since any other count makes the
     vacuum minor zero.  A ring with no variables, or with degree bound 0,
@@ -97,8 +97,7 @@ def _check_point(point: GrassPoint, bound: int, need: int) -> None:
     The rest of the vacuum chart is decided by what each route computes
     first: the elimination of ``tau_direct`` and of ``tau_schur``, the
     solve of ``baker``."""
-    if bound < 1:
-        raise DomainError("degree bound must be >= 1")
+    _at_least(bound, 1, "degree bound")
     m = point.window_high
     if m is not None and m < need:
         raise PrecisionError(
@@ -317,10 +316,8 @@ def baker(point: GrassPoint, bound: int, window: int) -> LaurentElement:
 
     The point's columns must be known to z^(bound + window).
     """
-    if bound < 1:
-        raise DomainError("degree bound must be >= 1")
-    if window < 1:
-        raise DomainError("window must be >= 1")
+    _at_least(bound, 1, "degree bound")
+    _at_least(window, 1, "window")
     cols = [(c, 1) for c in _scalar_columns(point, bound, bound + window)]
     v = universal_v(point.ring.field, bound).gminus
     ring = v.ring
@@ -390,8 +387,7 @@ def kp_residual(tau_poly: RingElement, order: int) -> RingElement:
     field = ring.field
     if field.char != 0:
         raise DomainError("the residue identity uses exponentials: characteristic zero only")
-    if order < 0:
-        raise DomainError("order must be >= 0")
+    _at_least(order, 0, "order")
     d = ring.degree_bound
     w = order + 2
     if d < w + 1:

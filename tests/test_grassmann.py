@@ -375,18 +375,20 @@ def _outcome(call, args):
     st.integers(0, 2**32),
 )
 def test_residue_reader_matches_the_dense_path(field, num_vars, depth, extra, seed):
-    """index, in_chart and quotient_basis, which eliminate the columns'
-    int residue vectors, agree with the dense constant_term matrix ranked
-    by echelon_field and rank_field, refusals included, over rings with
-    nilpotent entries and on windowed columns."""
+    """index and quotient_basis, which eliminate the columns' int residue
+    vectors, and in_chart, the unit test of the chart minor, agree with
+    the dense constant_term matrix ranked by echelon_field and rank_field,
+    refusals included, over rings with nilpotent entries and on windowed
+    columns."""
     rng = Random(seed)
     for call, dense, args in _reader_calls(rng, *_reader_point(rng, field, num_vars, depth, extra)):
         assert _outcome(call, args) == _outcome(dense, args)
 
 
 def test_the_residue_reader_builds_no_fraction_per_entry(monkeypatch):
-    """index, in_chart and quotient_basis never read an entry through
-    ``constant_term``: with it refused they return what they returned."""
+    """index and quotient_basis never read an entry through
+    ``constant_term``, nor does in_chart, which takes the chart minor's
+    determinant: with it refused they return what they returned."""
     rng = Random(7)
     cases = []
     for field in (QQ, GF(3)):

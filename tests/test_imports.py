@@ -1,7 +1,8 @@
 """Every top-level import of a package module is used in that module,
 every import anywhere in the package is relative or from the standard
 library, no module but ``scalars`` touches how a ring element is stored,
-and every name the benchmark tracer wraps still exists.
+no module but ``errors`` states a bound check of its own, and every name
+the benchmark tracer wraps still exists.
 
 A name counts as used when the module reads it anywhere, including
 inside a string annotation; the package ``__init__`` may also re-export
@@ -103,6 +104,25 @@ def test_ring_element_storage_stays_private(path):
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if name == "RingElement":
                 found.append(f"line {node.lineno}: RingElement(...)")
+    assert not found, f"{path.name}: {found}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "errors"], ids=lambda p: p.stem)
+def test_bound_checks_go_through_the_one_reader(path):
+    # ``errors._at_least`` is the one check of a size, bound or order
+    # argument; a DomainError of its own saying "must be >= " would restate
+    # it, without the reader's refusal of floats and bools
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "DomainError"
+        and any(
+            isinstance(part, ast.Constant) and isinstance(part.value, str) and "must be >= " in part.value
+            for part in ast.walk(node)
+        )
+    ]
     assert not found, f"{path.name}: {found}"
 
 

@@ -1,9 +1,11 @@
 """Every precondition refusal that the other tests never reach, in one table:
 each entry names the call, the exception it raises and a fragment of its
-message."""
+message.  A second table lists the size, bound and order arguments, which
+``errors._at_least`` reads: each refuses a value that is not an int."""
 
 import io
 import json
+import re
 
 import pytest
 
@@ -15,11 +17,13 @@ from grasstau import (
     GammaElement,
     GrassPoint,
     LaurentElement,
+    MayaDiagram,
     PrecisionError,
     RingMismatchError,
     abel_embed,
     act,
     baker,
+    bosonize,
     commutator_pairing,
     coordinate_ring,
     duality_pair,
@@ -88,6 +92,11 @@ REFUSALS = {
     ),
     # points and the action
     "point-negative-depth": (lambda: GrassPoint(R, -1, []), DomainError, "tail_depth must be >= 0"),
+    "act-negative-promote": (
+        lambda: act(gamma(gplus=L({0: 1, 1: X})), POINT, promote=-1),
+        DomainError,
+        "promote must be >= 0",
+    ),
     "point-foreign-column": (
         lambda: GrassPoint(R, 1, [LaurentElement.one(OTHER)]),
         RingMismatchError,
@@ -159,6 +168,7 @@ REFUSALS = {
     "ring-gen-past-end": (lambda: R.gen(1), DomainError, "no generator 1"),
     "ring-gen-negative": (lambda: R.gen(-1), DomainError, "no generator -1"),
     "ring-negative-power": (lambda: X**-1, DomainError, "only nonnegative integer powers"),
+    "ring-zero-weight": (lambda: CoeffRing(QQ, 1, 3, weights=(0,)), DomainError, "weights must be positive integers"),
     "field-bool": (lambda: QQ.coerce(True), DomainError, "booleans are not field values"),
     "field-float": (lambda: GF(5).coerce(0.5), DomainError, "cannot coerce 0.5 into GF(5)"),
     "coordinate-ring-negative": (lambda: coordinate_ring(QQ, -1), DomainError, "bound must be >= 0"),
@@ -207,6 +217,45 @@ REFUSALS = {
         RingMismatchError,
         "points must live in the given ring",
     ),
+    "abel-negative-depth": (lambda: abel_embed(R, [R.one()], depth=-1), DomainError, "depth must be >= 0"),
+    # ints only: a float or a bool was once truncated or read as 0 or 1
+    "schur-float-part": (
+        lambda: schur_polynomial(coordinate_ring(QQ, 3), (2.5,)),
+        DomainError,
+        "partition parts must be ints",
+    ),
+    "schur-float-part-after-its-int": (
+        lambda: (schur_polynomial(coordinate_ring(QQ, 3), (2,)), schur_polynomial(coordinate_ring(QQ, 3), (2.0,))),
+        DomainError,
+        "partition parts must be ints",
+    ),
+    "bosonize-float-part": (
+        lambda: bosonize(coordinate_ring(QQ, 3), {(1.9,): 1}),
+        DomainError,
+        "partition parts must be ints",
+    ),
+    "maya-float-tail": (lambda: MayaDiagram(-1.5, [0]), DomainError, "diagram entries must be ints"),
+    "maya-bool-member": (lambda: MayaDiagram(0, [1, True]), DomainError, "diagram entries must be ints"),
+    "maya-float-partition": (
+        lambda: MayaDiagram.from_partition((2.2, 1)),
+        DomainError,
+        "partition parts must be ints",
+    ),
+    "point-bool-depth": (
+        lambda: GrassPoint(R, True, [LaurentElement(R, {-1: 1})]),
+        DomainError,
+        "tail_depth must be an int, not True",
+    ),
+    "ring-float-weight": (
+        lambda: CoeffRing(QQ, 1, 3, weights=(1.5,)),
+        DomainError,
+        "weights must be positive integers",
+    ),
+    "ring-bool-weight": (lambda: CoeffRing(QQ, 1, 3, weights=(True,)), DomainError, "weights must be positive integers"),
+    "ring-bool-power": (lambda: X**True, DomainError, "only nonnegative integer powers"),
+    "series-bool-power": (lambda: ONE**True, DomainError, "only nonnegative integer powers"),
+    "exp-gamma-bool-sign": (lambda: exp_gamma(R, [X], True), DomainError, "sign must be +1 or -1"),
+    "witt-product-bool-sign": (lambda: witt_product(R, [X], True), DomainError, "sign must be +1 or -1"),
     # verify suites
     "suite-unknown": (lambda: run_suite("nope"), DomainError, "unknown suite 'nope'"),
     "suite-scale": (lambda: run_suite("witt", scale="huge"), DomainError, "scale must be 'small' or 'full'"),
@@ -219,6 +268,38 @@ def test_refusal(call, error, fragment):
         call()
     assert type(info.value) is error
     assert fragment in str(info.value)
+
+
+# name -> (call taking the argument, its floor, its name in messages)
+INT_ARGUMENTS = {
+    "ring-num-vars": (lambda v: CoeffRing(QQ, v, 2), 0, "num_vars"),
+    "ring-degree-bound": (lambda v: CoeffRing(QQ, 1, v), 0, "degree_bound"),
+    "point-tail-depth": (lambda v: GrassPoint(R, v, []), 0, "tail_depth"),
+    "act-promote": (lambda v: act(gamma(gplus=L({0: 1, 1: X})), POINT, promote=v), 0, "promote"),
+    "abel-depth": (lambda v: abel_embed(R, [R.one()], depth=v), 0, "depth"),
+    "coordinate-ring-bound": (lambda v: coordinate_ring(QQ, v), 0, "bound"),
+    "tau-bound": (lambda v: tau_direct(POINT, v), 1, "degree bound"),
+    "baker-bound": (lambda v: baker(POINT, v, 1), 1, "degree bound"),
+    "baker-window": (lambda v: baker(POINT, 1, v), 1, "window"),
+    "kp-residual-order": (lambda v: kp_residual(coordinate_ring(QQ, 4).one(), v), 0, "order"),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, True, "2"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("call, low, what", INT_ARGUMENTS.values(), ids=INT_ARGUMENTS.keys())
+def test_int_argument_refuses_every_other_type(call, low, what, value):
+    with pytest.raises(DomainError, match=f"^{what} must be an int, not {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("call, low, what", INT_ARGUMENTS.values(), ids=INT_ARGUMENTS.keys())
+def test_int_argument_below_its_floor_keeps_its_message(call, low, what):
+    for value in sorted({low - 1, -1}):
+        with pytest.raises(DomainError) as info:
+            call(value)
+        assert type(info.value) is DomainError
+        assert str(info.value) == f"{what} must be >= {low}"
+    call(low)
 
 
 @pytest.mark.parametrize("text", ["", " \n\t"], ids=["empty", "blank"])

@@ -486,13 +486,7 @@ def _mixed_point(
     ring = CoeffRing(field, num_vars, num_vars)
 
     def scalar(nonzero=False):
-        while True:
-            if field.char:
-                v = rng.randrange(field.char)
-            else:
-                v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            if v or not nonzero:
-                return v
+        return _random_scalar(rng, field, nonzero)
 
     cols = [{-j: 1, **{e: scalar() for e in range(-j + 1, top + 1)}} for j in range(depth, 0, -1)]
 
@@ -552,24 +546,11 @@ def test_tau_direct_matches_schur_on_mixed_dense_points(field, depth, bound, ext
 )
 def test_windowed_calls_agree_with_every_completion_of_the_tail(field, depth, bound, trunc, singular, seed):
     """A scalar point known below z^trunc, and two random completions of
-    its unknown tail: wherever a call on the windowed point returns, or
-    refuses for any reason but precision, each completion returns the
-    same value or refuses alike.  Covers tau_direct, tau_schur, index,
-    and plucker, in_chart and the transition to the vacuum chart on every
-    chart of size <= bound."""
+    its unknown tail (``_assert_completions_agree``).  Covers tau_direct,
+    tau_schur, index, and plucker, in_chart and the transition to the
+    vacuum chart on every chart of size <= bound."""
     rng = Random(seed)
     pt = _mixed_point(rng, field, depth, trunc + 2, trunc, singular and depth > 0)
-
-    def scalar():
-        return rng.randrange(field.char) if field.char else Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-
-    completions = [
-        GrassPoint(pt.ring, depth, [
-            LaurentElement(pt.ring, {**c.coeffs, **{e: scalar() for e in range(trunc, trunc + rng.randint(1, 3))}})
-            for c in pt.columns
-        ])
-        for _ in range(2)
-    ]
     calls = [lambda p: tau_direct(p, bound), lambda p: tau_schur(p, bound), index]
     vacuum = MayaDiagram.vacuum()
     for lam in partitions_up_to(bound):
@@ -579,6 +560,30 @@ def test_windowed_calls_agree_with_every_completion_of_the_tail(field, depth, bo
             lambda p, maya=maya: in_chart(p, maya),
             lambda p, maya=maya: chart_transition(p, maya, vacuum),
         ]
+    _assert_completions_agree(rng, pt, trunc, calls)
+
+
+def _random_scalar(rng: Random, field, nonzero=False):
+    while True:
+        v = rng.randrange(field.char) if field.char else Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if v or not nonzero:
+            return v
+
+
+def _assert_completions_agree(rng: Random, pt: GrassPoint, trunc: int, calls) -> None:
+    """Two random completions of the point's tail past z^trunc: wherever
+    a call on the windowed point returns, or refuses for any reason but
+    precision, each completion returns the same value or refuses alike."""
+    field = pt.ring.field
+    completions = [
+        GrassPoint(pt.ring, pt.tail_depth, [
+            LaurentElement(pt.ring, {
+                **c.coeffs, **{e: _random_scalar(rng, field) for e in range(trunc, trunc + rng.randint(1, 3))}
+            })
+            for c in pt.columns
+        ])
+        for _ in range(2)
+    ]
 
     def outcome(call, p):
         try:
@@ -592,6 +597,44 @@ def test_windowed_calls_agree_with_every_completion_of_the_tail(field, depth, bo
             continue
         for full in completions:
             assert outcome(call, full) == want
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.sampled_from([QQ, GF(2), GF(3), GF(5)]),
+    st.integers(0, 2),
+    st.integers(0, 5),
+    st.integers(-1, 5),
+    st.integers(0, 3),
+    st.integers(0, 2**32),
+)
+def test_act_then_plucker_agrees_with_every_completion_of_the_tail(field, num_vars, depth, trunc, promote, seed):
+    """The same check for plucker after act, on every chart of size <= 3:
+    the group element has random lower, unit and upper parts over a ring
+    with 0-2 variables (its lower part nilpotent below z^0), the upper
+    part exact or windowed, and the top ``promote`` tail slots are made
+    columns."""
+    rng = Random(seed)
+    pt = _mixed_point(rng, field, depth, trunc + 2, trunc, num_vars=num_vars)
+    ring = pt.ring
+
+    def element(constant):
+        return ring.const(constant) + sum(
+            (ring.gen(i) * _random_scalar(rng, field) for i in range(num_vars)), ring.zero()
+        )
+
+    g = GammaElement(
+        LaurentElement(ring, {0: ring.one(), -1: element(0), -2: element(0)}),
+        element(_random_scalar(rng, field, nonzero=True)),
+        LaurentElement(
+            ring,
+            {0: ring.one(), **{e: element(_random_scalar(rng, field)) for e in range(1, 4)}},
+            rng.choice([None, 2, 5]),
+        ),
+    )
+    charts = [MayaDiagram.from_partition(lam) for lam in partitions_up_to(3)]
+    calls = [lambda p, maya=maya: plucker(act(g, p, promote), maya) for maya in charts]
+    _assert_completions_agree(rng, pt, trunc, calls)
 
 
 def _field_columns(point, bound, need):
