@@ -5,8 +5,9 @@ rings, the requested value genuinely does not exist (non-invertible
 element, constraint violated), or it exists but the stored precision
 window is too small to determine it.  A fourth, a broken internal
 invariant, is a defect of the library rather than of the input.  The CLI
-maps these to distinct exit codes.  Every size, bound and order
-argument is read by one rule, ``_at_least``.
+maps these to distinct exit codes.  Every int argument is read by one
+rule, ``_an_int``, and a size, bound or order argument by ``_at_least``,
+which adds its floor.
 """
 
 
@@ -34,11 +35,17 @@ class InternalError(GrasstauError):
     """An internal invariant failed: a library defect, not a bad input."""
 
 
-def _at_least(value, low: int, what: str) -> int:
-    """``value`` if it is an int >= low, else DomainError naming ``what``;
-    a bool or other int subclass is refused like a float, as exponents are."""
+def _an_int(value, what: str) -> int:
+    """``value`` if it is an int, else DomainError naming ``what``; a bool
+    or other int subclass is refused like a float, as exponents are."""
     if type(value) is not int:
         raise DomainError(f"{what} must be an int, not {value!r}")
-    if value < low:
+    return value
+
+
+def _at_least(value, low: int, what: str) -> int:
+    """``value`` if it is an int (``_an_int``) >= low, else DomainError
+    naming ``what``."""
+    if _an_int(value, what) < low:
         raise DomainError(f"{what} must be >= {low}")
     return value

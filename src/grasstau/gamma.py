@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError, InternalError, PrecisionError, RingMismatchError, _at_least
+from .errors import DomainError, InternalError, PrecisionError, RingMismatchError, _an_int, _at_least
 from .laurent import LaurentElement, _divide
 from .scalars import BaseField, CoeffRing, RingElement, _series_product, _sum_products
 from .schur import coordinate_ring
@@ -260,6 +260,8 @@ def exp_gamma(
         )
     if type(sign) is not int or sign not in (-1, 1):
         raise DomainError("sign must be +1 or -1")
+    if trunc is not None:
+        _an_int(trunc, "truncation order")
     coeffs = _elements_of(ring, coeffs, "exponent coefficients")
     if sign < 0:
         if any(not a.is_nilpotent() for a in coeffs):
@@ -376,7 +378,7 @@ def universal_v(field: BaseField, d: int) -> GammaElement:
     """The universal lower-wing element 1 + x_1 z^{-1} + ... + x_d z^{-d}
     over the weighted coordinate ring with deg x_i = i, truncated past
     total weight d."""
-    if d < 1:
+    if _an_int(d, "d") < 1:
         raise DomainError("d must be at least 1")
     ring = coordinate_ring(field, d)
     terms = {0: ring.one()}

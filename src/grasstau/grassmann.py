@@ -171,6 +171,7 @@ def act(g: GammaElement, point: GrassPoint, promote: int | None = None) -> Grass
         raise RingMismatchError("group element and point live over different rings")
     if g.zpower != 0:
         raise DomainError("action with a z-power shifts the index sector; split it off first")
+    p = point.tail_depth if promote is None else _at_least(promote, 0, "promote")
     ring = point.ring
     depth = point.tail_depth
     cols = point.columns
@@ -184,7 +185,6 @@ def act(g: GammaElement, point: GrassPoint, promote: int | None = None) -> Grass
 
     gp = g.gplus
     if gp.coeffs != {0: ring.one()} or gp.trunc is not None:
-        p = point.tail_depth if promote is None else _at_least(promote, 0, "promote")
         promoted = [
             gp.shift(-(depth + j)) for j in range(p, 0, -1)
         ]

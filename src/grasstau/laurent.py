@@ -61,7 +61,7 @@ broken invariant.
 
 from __future__ import annotations
 
-from .errors import DomainError, InternalError, NotInvertibleError, PrecisionError, RingMismatchError
+from .errors import DomainError, InternalError, NotInvertibleError, PrecisionError, RingMismatchError, _an_int
 from .scalars import CoeffRing, RingElement, _lowest_weight, _operand, _series_product, _sum_products, power
 
 
@@ -326,6 +326,8 @@ class LaurentElement:
         is required: the input's own truncation order (which bounds what
         is determined anyway) or an explicit ``window=`` for exact input.
         """
+        if window is not None:
+            _an_int(window, "window")
         n, r = self.reduced_valuation()
         h = self.shift(-n)  # unit constant term, nilpotent fringe on [-r, 0)
         ring = self.ring

@@ -10,16 +10,19 @@ finishes by back substitution, and an inverse is a system against the
 identity.  Unit pivots always exist when the matrix is invertible.
 
 Raw field values have one elimination: ``_echelon`` on sparse {index:
-value} vectors, rows in a given order, each pivot cleared from the
+int} vectors, rows in a given order, each pivot cleared from the
 vectors left; ``_back_reduce`` finishes Gauss-Jordan on the pivots its
-caller keeps.  It is fraction-free over Q.  The vectors hold ints, and
-only the line a vector spans matters, so a clear by the pivot v is
-c <- v_e c - c_e v, divided by its content, and each pivot is primitive
-with a positive entry at its index: the normal form's row is the pivot
-over that entry.  In characteristic p the vectors hold residues and each
-pivot is scaled to 1.  ``echelon_field`` is the pair on dense rows of
-raw values, a shell no point reaches (``grassmann._residues`` reads
-points).  ``det_field`` keeps its own loop, as an oracle.
+caller keeps.  It is fraction-free in every characteristic, with one
+rule: the vectors hold ints, a vector stands for the line it spans, a
+clear by the pivot v is c <- (v_e c - c_e v) / gcd(v_e, c_e), each
+pivot is primitive with a positive entry at its index e, and the normal
+form's row is vec / vec[e].  The characteristic decides only how a
+value is reduced: in characteristic p each entry mod p, over Q each
+cleared vector over its content.  The gcd of residues, all below p, is
+a unit mod p, so the pivot's line is kept there too.  ``echelon_field``
+is the pair on dense rows of raw values, a shell no point reaches
+(``grassmann._residues`` reads points).  ``det_field`` keeps its own
+loop, as an oracle.
 
 Everything here is exact and runs in polynomial time: ``plucker``
 takes dense minors as large as the tail depth.  The ring loops skip zero
@@ -31,7 +34,6 @@ each step b - a * x of a back substitution is one fused
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DomainError, NotInvertibleError
@@ -185,21 +187,21 @@ def inv_ring(rows: list[list[RingElement]], ring: CoeffRing) -> list[list[RingEl
 
 
 def _clear(vectors, e: int, pivot: dict, p: int) -> None:
-    """Clear index e of each vector c with the pivot v, in place: in
-    characteristic p, c - c_e v (v is 1 at e); over Q, the primitive part
-    of v_e c - c_e v, with v_e > 0, so c keeps its signs where v is
-    zero."""
+    """Clear index e of each vector c with the pivot v, in place:
+    c <- (v_e c - c_e v) / gcd(v_e, c_e), then reduced, each entry mod p
+    in characteristic p and c over its content over Q.  The scale
+    v_e / gcd(v_e, c_e) is positive, so c keeps its signs where v is
+    zero, and in characteristic p it is a unit, so c keeps its line."""
     pe = pivot[e]
     for c in vectors:
         f = c.get(e)
         if not f:
             continue
-        if not p:
-            g = gcd(pe, f)
-            s, f = pe // g, f // g
-            if s != 1:
-                for k in c:
-                    c[k] *= s
+        g = gcd(pe, f)
+        s, f = pe // g, f // g
+        if s != 1:
+            for k in c:
+                c[k] = c[k] * s % p if p else c[k] * s
         for k, a in pivot.items():
             val = c.get(k, 0) - f * a
             if p:
@@ -216,15 +218,14 @@ def _clear(vectors, e: int, pivot: dict, p: int) -> None:
 
 
 def _echelon(vectors: list[dict], order, field: BaseField) -> tuple[list[tuple[int, dict]], list[dict]]:
-    """Forward elimination on sparse {index: nonzero value} vectors, ints
-    over Q and residues in characteristic p, which it reduces in place.
+    """Forward elimination on sparse {index: nonzero int} vectors,
+    residues in characteristic p, which it reduces in place.
     For each index e in ``order`` the first vector still remaining that
     has e becomes the pivot at e, and e is cleared from the vectors after
-    it (``_clear``).  Over Q the pivot is made primitive with a positive
-    entry at e, so it is vec / vec[e] times that entry; in characteristic
-    p it is scaled to 1.  Returns the pivots as (e, vector) pairs in
-    order, each zero at the indices of the pivots before it, and the
-    vectors left over, zero at every pivot index."""
+    it (``_clear``).  The pivot is made primitive with a positive entry
+    at e, so its normal-form row is vec / vec[e].  Returns the pivots as
+    (e, vector) pairs in order, each zero at the indices of the pivots
+    before it, and the vectors left over, zero at every pivot index."""
     p = field.char
     rest = list(vectors)
     pivots = []
@@ -235,16 +236,11 @@ def _echelon(vectors: list[dict], order, field: BaseField) -> tuple[list[tuple[i
         if j is None:
             continue
         pivot = rest.pop(j)
-        if p:
-            if pivot[e] != 1:
-                inv = pow(pivot[e], -1, p)
-                pivot = {k: a * inv % p for k, a in pivot.items()}
-        else:
-            g = gcd(*pivot.values())
-            if pivot[e] < 0:
-                g = -g
-            if g != 1:
-                pivot = {k: a // g for k, a in pivot.items()}
+        g = gcd(*pivot.values())
+        if pivot[e] < 0:
+            g = -g
+        if g != 1:
+            pivot = {k: a // g for k, a in pivot.items()}
         _clear(rest, e, pivot, p)
         pivots.append((e, pivot))
     return pivots, rest
@@ -253,8 +249,8 @@ def _echelon(vectors: list[dict], order, field: BaseField) -> tuple[list[tuple[i
 def _back_reduce(pivots: list[tuple[int, dict]], field: BaseField) -> list[tuple[int, dict]]:
     """Gauss-Jordan on pivots from ``_echelon``: copies of them, each
     cleared at the indices of the pivots after it, so the last k rows of
-    the result are the result on the last k pivots.  Each stays primitive
-    and positive at its own index over Q, 1 there in characteristic p."""
+    the result are the result on the last k pivots.  Each copy keeps a
+    positive entry at its own index e, and its row is vec / vec[e]."""
     done: list[tuple[int, dict]] = []
     for e, pivot in pivots:
         _clear((c for _, c in done), e, pivot, field.char)
@@ -264,24 +260,19 @@ def _back_reduce(pivots: list[tuple[int, dict]], field: BaseField) -> list[tuple
 
 def echelon_field(rows: list[list], field: BaseField) -> tuple[list[list], list[int]]:
     """Reduced row echelon form.  Returns (rref rows, pivot column list).
-    Over Q each row is cleared of its denominators before the
-    elimination, and row e of the result is read as vec / vec[e]."""
+    Each row is cleared of its denominators before the elimination (an
+    int's is 1), and row e of the result is read as vec / vec[e]."""
     ncols = len(rows[0]) if rows else 0
-    p = field.char
-    if p:
-        vectors = [{c: v for c, v in enumerate(r) if v} for r in rows]
-    else:
-        vectors = []
-        for r in rows:
-            den = lcm(*[v.denominator for v in r])
-            vectors.append({c: v.numerator * (den // v.denominator) for c, v in enumerate(r) if v})
+    vectors = []
+    for r in rows:
+        den = lcm(*[v.denominator for v in r])
+        vectors.append({c: v.numerator * (den // v.denominator) for c, v in enumerate(r) if v})
     pivots, _ = _echelon(vectors, range(ncols), field)
     zero = field.zero()
     rref = []
     for e, vec in _back_reduce(pivots, field):
-        if not p:
-            vec = {c: Fraction(a, vec[e]) for c, a in vec.items()}
-        rref.append([vec.get(c, zero) for c in range(ncols)])
+        inv = field.invert(vec[e])
+        rref.append([field.mul(vec[c], inv) if c in vec else zero for c in range(ncols)])
     rref += [[zero] * ncols for _ in range(len(rows) - len(pivots))]
     return rref, [c for c, _ in pivots]
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import DomainError
+from .errors import DomainError, _an_int
 
 Partition = tuple[int, ...]
 
@@ -43,13 +43,14 @@ def conjugate(lam: Partition) -> Partition:
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n with parts bounded by max_part, largest part first."""
-    if n < 0:
+    """All partitions of n with parts bounded by max_part, largest part
+    first; none for a negative n."""
+    if _an_int(n, "n") < 0:
         return
     if n == 0:
         yield ()
         return
-    top = n if max_part is None else min(max_part, n)
+    top = n if max_part is None else min(_an_int(max_part, "max_part"), n)
     for first in range(top, 0, -1):
         for rest in partitions_of(n - first, first):
             yield (first,) + rest
@@ -58,7 +59,7 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
 def partitions_up_to(bound: int) -> list[Partition]:
     """Every partition of size 0, 1, ..., bound, graded order."""
     out: list[Partition] = []
-    for n in range(bound + 1):
+    for n in range(_an_int(bound, "bound") + 1):
         out.extend(partitions_of(n))
     return out
 

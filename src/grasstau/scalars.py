@@ -62,7 +62,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator
 
-from .errors import DomainError, NotInvertibleError, RingMismatchError, _at_least
+from .errors import DomainError, NotInvertibleError, RingMismatchError, _an_int, _at_least
 
 Monomial = tuple[int, ...]
 
@@ -304,7 +304,7 @@ class CoeffRing:
 
     def gen(self, i: int) -> "RingElement":
         """The variable x_{i+1} (0-based index)."""
-        if not 0 <= i < self.num_vars:
+        if not 0 <= _an_int(i, "generator index") < self.num_vars:
             raise DomainError(f"no generator {i} in {self!r}")
         key = self._key(tuple(1 if j == i else 0 for j in range(self.num_vars)))
         return self.zero() if key is None else _element(self, {key: 1}, 1)
@@ -343,10 +343,11 @@ class RingElement:
     length or with an exponent that is not an int (a bool or a float
     included) or is negative, drops those past the bound and
     reads each value with ``BaseField.coerce``: an int (reduced mod p in
-    characteristic p) or a Fraction over Q, never a bool.  Over Q the lcm
-    D of the reduced denominators d_m with numerators a_m D / d_m is
-    already canonical: a prime power q^k exactly dividing D exactly
-    divides some d_j, and then q divides neither D / d_j nor a_j.
+    characteristic p) or a Fraction over Q, never a bool.  The lcm D of
+    the reduced denominators d_m with numerators a_m D / d_m is already
+    canonical: a residue's denominator is 1, and over Q a prime power q^k
+    exactly dividing D exactly divides some d_j, and then q divides
+    neither D / d_j nor a_j.
 
     ``+``, ``-``, ``*`` and ``==`` take an element of an equal ring, an
     int, or a Fraction over Q (``_operand``); anything else, a bool
@@ -371,9 +372,6 @@ class RingElement:
             if c:
                 values[key] = c
         self.ring = ring
-        if field.char:
-            self._num, self._den = values, 1
-            return
         self._den = den = lcm(*[c.denominator for c in values.values()])
         self._num = {m: c.numerator * (den // c.denominator) for m, c in values.items()}
 
@@ -383,11 +381,8 @@ class RingElement:
     def coeffs(self) -> dict:
         """{monomial: field value}: Fractions in lowest terms over Q,
         residues in [1, p) in characteristic p.  A fresh dict on every read."""
-        mono = self.ring._monomial
-        if self.ring.field.char:
-            return {mono(k): c for k, c in self._num.items()}
-        den = self._den
-        return {mono(k): Fraction(n, den) for k, n in self._num.items()}
+        mono, value = self.ring._monomial, self._value
+        return {mono(k): value(n) for k, n in self._num.items()}
 
     def _value(self, n: int):
         return n if self.ring.field.char else Fraction(n, self._den)
@@ -395,9 +390,12 @@ class RingElement:
     def coefficient(self, mono: Monomial):
         mono = tuple(mono)
         key = self.ring._key(mono)
-        if key is None:  # not a surviving monomial: looked up as a tuple, never as a key
-            return self.coeffs.get(mono, self._value(0))
-        return self._value(self._num.get(key, 0))
+        if key is not None:
+            return self._value(self._num.get(key, 0))
+        if all(type(e) is int for e in mono):  # wrong length, negative or past the bound
+            return self._value(0)
+        # entries of other types are looked up as tuples are, by value
+        return self.coeffs.get(mono, self._value(0))
 
     def constant_term(self):
         return self._value(self._num.get(0, 0))

@@ -25,10 +25,10 @@ moved rows.
 ``_check_point``: the degree bound, the window, scalar coefficients and
 as many columns as the tail depth, in that order, before v is built.
 Only ``tau_direct`` and ``baker`` then read the values over the field
-(``_scalar_columns``), each column as one int vector, a nonzero multiple
-of it; ``tau_schur`` eliminates on the point's own coefficients and
-hands each nonzero ratio to ``schur._bosonized`` as a constant of the
-coordinate ring.  No ``Fraction`` is built between the point and tau.
+(``grassmann._residues``), each column as one int vector, a nonzero
+multiple of it; ``tau_schur`` eliminates on the point's own coefficients
+and hands each nonzero ratio to ``schur._bosonized`` as a constant of
+the coordinate ring.  No ``Fraction`` is built between the point and tau.
 The rest of the vacuum chart comes last, decided by the first thing each
 route computes: the field elimination for ``tau_direct``, the ring
 elimination for ``tau_schur``, the solve on the moved vacuum block for
@@ -112,18 +112,6 @@ def _check_point(point: GrassPoint, bound: int, need: int) -> None:
         raise NotInvertibleError(_OFF_CHART)
 
 
-def _scalar_columns(point: GrassPoint, bound: int, need: int) -> list[dict]:
-    """``_check_point``, then ``grassmann._residues`` of the columns cut
-    below z^need, the part ``_check_point`` found known: each column times
-    the lcm of its denominators, its residues in characteristic p.
-    ``tau_direct`` reads nothing past the cut (need = bound) and only the
-    span, and ``baker`` loses nothing: psi below its window reads the
-    columns only below z^(window + bound - 1), and a column's scale
-    cancels from w."""
-    _check_point(point, bound, need)
-    return _residues(point.columns, need)
-
-
 def _moved_rows(cols: list[tuple[dict, int]], rows, ring: CoeffRing) -> list[list[RingElement]]:
     """The rows of v.U at the exponents ``rows``, over the coordinate ring
     ``ring`` of bound d, U spanned by the scalar columns c = vec / den
@@ -166,12 +154,15 @@ def tau_direct(point: GrassPoint, bound: int) -> RingElement:
     deepest first; a row with no pivot means a zero vacuum minor, and the
     point is refused.  Back reduction of the last m pivots alone gives
     the last m columns of the full Gauss-Jordan form, c'_m, ..., c'_1,
-    each as an int vector over its entry at its pivot (1 in
-    characteristic p).
+    each as an int vector over its entry at its pivot, in every
+    characteristic.  The columns are read below the cut as
+    ``grassmann._residues`` gives them, each a nonzero multiple of the
+    column, which spans the same line.
     """
+    _check_point(point, bound, bound)
     field = point.ring.field
     n = point.tail_depth
-    pivots, _ = _echelon(_scalar_columns(point, bound, bound), range(-n, 0), field)
+    pivots, _ = _echelon(_residues(point.columns, bound), range(-n, 0), field)
     if len(pivots) < n:
         raise NotInvertibleError(_OFF_CHART)
     normal = [(c, c[e]) for e, c in _back_reduce(pivots[n - min(n, bound):], field)]
@@ -308,17 +299,20 @@ def baker(point: GrassPoint, bound: int, window: int) -> LaurentElement:
     psi = w / v is one series division (``laurent._divide``).  Below
     z^window it reads w below z^(window + bound) only, since v^{-1} stops
     at z^{-bound}, so w is taken as the polynomial of those terms.  The
-    columns are read below z^(bound + window) and their unknown tails as
-    zero, which is harmless: each unit of x-weight moves a column index
-    up by at most one, and weights stop at ``bound``, so psi's z^k
-    coefficient reads the columns only up to z^(k + bound - 1), inside
-    the window the precondition below asks for.
+    columns are read as ``grassmann._residues`` of their part below
+    z^(bound + window), the part ``_check_point`` found known: each times
+    the lcm of its denominators, a scale that cancels from w, and its
+    unknown tail as zero, which is harmless: each unit of x-weight moves
+    a column index up by at most one, and weights stop at ``bound``, so
+    psi's z^k coefficient reads the columns only up to z^(k + bound - 1),
+    inside the window the precondition below asks for.
 
     The point's columns must be known to z^(bound + window).
     """
     _at_least(bound, 1, "degree bound")
     _at_least(window, 1, "window")
-    cols = [(c, 1) for c in _scalar_columns(point, bound, bound + window)]
+    _check_point(point, bound, bound + window)
+    cols = [(c, 1) for c in _residues(point.columns, bound + window)]
     v = universal_v(point.ring.field, bound).gminus
     ring = v.ring
     vacuum = range(-len(cols), 0)

@@ -258,6 +258,14 @@ def test_cli_tau_routes_check_their_input_alike(capsys, tmp_path):
         assert out["error"] == "tau needs a point with scalar coefficients"
 
 
+def test_cli_act_reads_promote_whatever_the_upper_wing(capsys, tmp_path):
+    # ACT_PAYLOAD's upper wing is 1, so no tail slot is promoted; the
+    # argument is still read, as it is for a nontrivial upper wing
+    code, out = run_cli(capsys, ["act", "--promote", "-1"], ACT_PAYLOAD, tmp_path)
+    assert code == 3 and out["kind"] == "precondition"
+    assert out["error"] == "promote must be >= 0"
+
+
 def test_cli_exit_codes(capsys, tmp_path):
     # malformed JSON -> 2
     path = tmp_path / "bad.json"

@@ -301,23 +301,29 @@ def test_echelon_field_matches_dense_gauss_jordan(field, nrows, ncols, seed):
 def test_back_reduce_of_the_last_pivots_is_the_last_rows(field, nrows, ncols, k, seed):
     """What lets ``tau_direct`` back-reduce only the pivots it keeps;
     the rows are taken in a random order.  The vectors hold ints, each row
-    over Q times the lcm of its denominators; a pivot over Q is primitive
-    with a positive entry at its index, and 1 there over F_p."""
+    over Q times the lcm of its denominators.  One rule in every
+    characteristic: a pivot is primitive with a positive entry at its
+    index e, and a back-reduced row read as vec / vec[e] is the dense
+    Gauss-Jordan row on the columns taken in the pivot order."""
     rng = Random(seed)
     rows = _field_matrix(rng, field, nrows, ncols)
+    ints = rows
     if not field.char:
         dens = [lcm(*[Fraction(v).denominator for v in r]) for r in rows]
-        rows = [[int(v * d) for v in r] for r, d in zip(rows, dens)]
-    vectors = [{c: v for c, v in enumerate(r) if v} for r in rows]
-    pivots, rest = _echelon(vectors, rng.sample(range(ncols), ncols), field)
+        ints = [[int(v * d) for v in r] for r, d in zip(rows, dens)]
+    vectors = [{c: v for c, v in enumerate(r) if v} for r in ints]
+    order = rng.sample(range(ncols), ncols)
+    pivots, rest = _echelon(vectors, order, field)
     assert len(pivots) + len(rest) == nrows
     assert all(type(a) is int for _, vec in pivots for a in vec.values())
-    if field.char:
-        assert all(vec[e] == 1 for e, vec in pivots)
-    else:
-        assert all(vec[e] > 0 and gcd(*vec.values()) == 1 for e, vec in pivots)
+    assert all(vec[e] > 0 and gcd(*vec.values()) == 1 for e, vec in pivots)
     full = _back_reduce(pivots, field)
     assert _back_reduce(pivots[k:], field) == full[k:]
+    dense, dense_pivots = _reference_echelon([[r[c] for c in order] for r in rows], field)
+    assert [e for e, _ in full] == [order[c] for c in dense_pivots]
+    for (e, vec), row in zip(full, dense):
+        inv = field.invert(vec[e])
+        assert [field.mul(vec.get(c, 0), inv) for c in order] == row
 
 
 def test_tau_crosscheck_at_tail_depth_14_frozen():

@@ -88,6 +88,7 @@ def test_charge_counts_normalized_deviations(tail, members):
 
 def test_partitions_of_a_negative_size_is_empty():
     assert list(partitions_of(-1)) == []
+    assert partitions_up_to(-1) == []
 
 
 def test_maya_diagram_repr_hash_and_foreign_equality():

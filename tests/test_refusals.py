@@ -1,7 +1,9 @@
 """Every precondition refusal that the other tests never reach, in one table:
 each entry names the call, the exception it raises and a fragment of its
 message.  A second table lists the size, bound and order arguments, which
-``errors._at_least`` reads: each refuses a value that is not an int."""
+``errors._at_least`` reads: each refuses a value that is not an int.  A
+third lists the int arguments with no floor, which ``errors._an_int``
+reads, and ``act``'s promote on the wings that promote nothing."""
 
 import io
 import json
@@ -29,6 +31,8 @@ from grasstau import (
     duality_pair,
     exp_gamma,
     kp_residual,
+    partitions_of,
+    partitions_up_to,
     quotient_basis,
     residue_pairing,
     run_suite,
@@ -309,3 +313,47 @@ def test_cli_empty_payload_is_malformed(capsys, monkeypatch, text):
     out = json.loads(capsys.readouterr().out)
     assert out["kind"] == "malformed"
     assert out["error"] == "empty payload"
+
+
+LOWER_WING = gamma(gminus=L({-1: X, 0: 1}))
+
+# name -> (call, its exact DomainError message); each call once ended in a
+# TypeError, read a float or bool as an int, named another argument, or
+# (act on a trivial upper wing) returned the point unchanged
+INT_READS = {
+    "partitions-up-to-float": (lambda: partitions_up_to(2.5), "bound must be an int, not 2.5"),
+    "partitions-up-to-bool": (lambda: partitions_up_to(True), "bound must be an int, not True"),
+    "partitions-of-float": (lambda: list(partitions_of(2.5)), "n must be an int, not 2.5"),
+    "partitions-of-bool": (lambda: list(partitions_of(True)), "n must be an int, not True"),
+    "partitions-of-bool-max-part": (lambda: list(partitions_of(2, True)), "max_part must be an int, not True"),
+    "universal-v-float": (lambda: universal_v(QQ, 2.0), "d must be an int, not 2.0"),
+    "universal-v-bool": (lambda: universal_v(QQ, True), "d must be an int, not True"),
+    "gen-bool": (lambda: CoeffRing(QQ, 3, 2).gen(True), "generator index must be an int, not True"),
+    "gen-float": (lambda: CoeffRing(QQ, 3, 2).gen(0.0), "generator index must be an int, not 0.0"),
+    "laurent-inverse-window-float": (lambda: L({0: 1, 1: 1}).inverse(window=2.5), "window must be an int, not 2.5"),
+    "gamma-inverse-window-float": (
+        lambda: gamma(gplus=L({0: 1, 1: 1})).inverse(window=2.5),
+        "window must be an int, not 2.5",
+    ),
+    "exp-gamma-trunc-float": (lambda: exp_gamma(R, [X], 1, 2.5), "truncation order must be an int, not 2.5"),
+    "exp-gamma-trunc-bool": (lambda: exp_gamma(R, [X], -1, True), "truncation order must be an int, not True"),
+    "act-identity-promote-negative": (
+        lambda: act(GammaElement.identity(R), POINT, promote=-1),
+        "promote must be >= 0",
+    ),
+    "act-identity-promote-float": (
+        lambda: act(GammaElement.identity(R), POINT, promote=1.5),
+        "promote must be an int, not 1.5",
+    ),
+    "act-lower-wing-promote-negative": (lambda: act(LOWER_WING, POINT, promote=-1), "promote must be >= 0"),
+    "act-lower-wing-promote-bool": (lambda: act(LOWER_WING, POINT, promote=True), "promote must be an int, not True"),
+}
+
+
+@pytest.mark.parametrize("call, message", INT_READS.values(), ids=INT_READS.keys())
+def test_int_read_refuses_with_its_own_message(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError
+    assert str(info.value) == message
+
