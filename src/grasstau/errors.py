@@ -5,9 +5,8 @@ rings, the requested value genuinely does not exist (non-invertible
 element, constraint violated), or it exists but the stored precision
 window is too small to determine it.  A fourth, a broken internal
 invariant, is a defect of the library rather than of the input.  The CLI
-maps these to distinct exit codes.  Every int argument is read by one
-rule, ``_an_int``, and a size, bound or order argument by ``_at_least``,
-which adds its floor.
+maps these to distinct exit codes.  Every int argument is read by
+``_an_int``, and a size, bound or order by ``_at_least``, with a floor.
 """
 
 

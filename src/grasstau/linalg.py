@@ -15,14 +15,14 @@ vectors left; ``_back_reduce`` finishes Gauss-Jordan on the pivots its
 caller keeps.  It is fraction-free in every characteristic, with one
 rule: the vectors hold ints, a vector stands for the line it spans, a
 clear by the pivot v is c <- (v_e c - c_e v) / gcd(v_e, c_e), each
-pivot is primitive with a positive entry at its index e, and the normal
+pivot is its line's reduced vector (``_reduced_line``), and the normal
 form's row is vec / vec[e].  The characteristic decides only how a
-value is reduced: in characteristic p each entry mod p, over Q each
-cleared vector over its content.  The gcd of residues, all below p, is
-a unit mod p, so the pivot's line is kept there too.  ``echelon_field``
-is the pair on dense rows of raw values, a shell no point reaches
-(``grassmann._residues`` reads points).  ``det_field`` keeps its own
-loop, as an oracle.
+value or a line is reduced: in characteristic p each entry mod p and a
+pivot scaled to 1 at e by one inverse, so a clear there never rescales;
+over Q each cleared vector over its content and a pivot primitive with
+a positive entry at e.  ``echelon_field`` is the pair on dense rows of
+raw values, a shell no point reaches (``grassmann._residues`` reads
+points).  ``det_field`` keeps its own loop, as an oracle.
 
 Everything here is exact and runs in polynomial time: ``plucker``
 takes dense minors as large as the tail depth.  The ring loops skip zero
@@ -188,10 +188,9 @@ def inv_ring(rows: list[list[RingElement]], ring: CoeffRing) -> list[list[RingEl
 
 def _clear(vectors, e: int, pivot: dict, p: int) -> None:
     """Clear index e of each vector c with the pivot v, in place:
-    c <- (v_e c - c_e v) / gcd(v_e, c_e), then reduced, each entry mod p
-    in characteristic p and c over its content over Q.  The scale
-    v_e / gcd(v_e, c_e) is positive, so c keeps its signs where v is
-    zero, and in characteristic p it is a unit, so c keeps its line."""
+    c <- (v_e c - c_e v) / gcd(v_e, c_e), reduced mod p in characteristic
+    p (where a pivot's v_e is 1) and over its content over Q.  The scale
+    is positive, so c keeps its signs where v is zero."""
     pe = pivot[e]
     for c in vectors:
         f = c.get(e)
@@ -217,13 +216,27 @@ def _clear(vectors, e: int, pivot: dict, p: int) -> None:
                     c[k] //= g
 
 
+def _reduced_line(vec: dict, e: int, p: int) -> dict:
+    """The reduced vector of vec's line, for a pivot at e: 1 at e in
+    characteristic p, primitive with a positive entry at e over Q."""
+    if p:
+        if vec[e] != 1:
+            s = pow(vec[e], -1, p)
+            vec = {k: a * s % p for k, a in vec.items()}
+        return vec
+    g = gcd(*vec.values())
+    if vec[e] < 0:
+        g = -g
+    return vec if g == 1 else {k: a // g for k, a in vec.items()}
+
+
 def _echelon(vectors: list[dict], order, field: BaseField) -> tuple[list[tuple[int, dict]], list[dict]]:
     """Forward elimination on sparse {index: nonzero int} vectors,
     residues in characteristic p, which it reduces in place.
     For each index e in ``order`` the first vector still remaining that
-    has e becomes the pivot at e, and e is cleared from the vectors after
-    it (``_clear``).  The pivot is made primitive with a positive entry
-    at e, so its normal-form row is vec / vec[e].  Returns the pivots as
+    has e becomes the pivot at e, reduced (``_reduced_line``), and e is
+    cleared from the vectors after it (``_clear``).  A pivot's
+    normal-form row is vec / vec[e].  Returns the pivots as
     (e, vector) pairs in order, each zero at the indices of the pivots
     before it, and the vectors left over, zero at every pivot index."""
     p = field.char
@@ -235,12 +248,7 @@ def _echelon(vectors: list[dict], order, field: BaseField) -> tuple[list[tuple[i
         j = next((j for j, c in enumerate(rest) if e in c), None)
         if j is None:
             continue
-        pivot = rest.pop(j)
-        g = gcd(*pivot.values())
-        if pivot[e] < 0:
-            g = -g
-        if g != 1:
-            pivot = {k: a // g for k, a in pivot.items()}
+        pivot = _reduced_line(rest.pop(j), e, p)
         _clear(rest, e, pivot, p)
         pivots.append((e, pivot))
     return pivots, rest
@@ -249,8 +257,8 @@ def _echelon(vectors: list[dict], order, field: BaseField) -> tuple[list[tuple[i
 def _back_reduce(pivots: list[tuple[int, dict]], field: BaseField) -> list[tuple[int, dict]]:
     """Gauss-Jordan on pivots from ``_echelon``: copies of them, each
     cleared at the indices of the pivots after it, so the last k rows of
-    the result are the result on the last k pivots.  Each copy keeps a
-    positive entry at its own index e, and its row is vec / vec[e]."""
+    the result are the result on the last k pivots.  Each copy keeps its
+    entry at its own index e, and its row is vec / vec[e]."""
     done: list[tuple[int, dict]] = []
     for e, pivot in pivots:
         _clear((c for _, c in done), e, pivot, field.char)

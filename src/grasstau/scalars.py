@@ -390,12 +390,9 @@ class RingElement:
     def coefficient(self, mono: Monomial):
         mono = tuple(mono)
         key = self.ring._key(mono)
-        if key is not None:
-            return self._value(self._num.get(key, 0))
-        if all(type(e) is int for e in mono):  # wrong length, negative or past the bound
-            return self._value(0)
-        # entries of other types are looked up as tuples are, by value
-        return self.coeffs.get(mono, self._value(0))
+        if key is None:  # not a surviving monomial: looked up as a tuple, never as a key
+            return self.coeffs.get(mono, self._value(0))
+        return self._value(self._num.get(key, 0))
 
     def constant_term(self):
         return self._value(self._num.get(0, 0))

@@ -154,10 +154,9 @@ def tau_direct(point: GrassPoint, bound: int) -> RingElement:
     deepest first; a row with no pivot means a zero vacuum minor, and the
     point is refused.  Back reduction of the last m pivots alone gives
     the last m columns of the full Gauss-Jordan form, c'_m, ..., c'_1,
-    each as an int vector over its entry at its pivot, in every
-    characteristic.  The columns are read below the cut as
-    ``grassmann._residues`` gives them, each a nonzero multiple of the
-    column, which spans the same line.
+    each as an int vector over its entry at its pivot (1 in
+    characteristic p), from ``grassmann._residues`` of the columns below
+    the cut, each a nonzero multiple of its column.
     """
     _check_point(point, bound, bound)
     field = point.ring.field

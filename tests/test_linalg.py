@@ -302,9 +302,10 @@ def test_back_reduce_of_the_last_pivots_is_the_last_rows(field, nrows, ncols, k,
     """What lets ``tau_direct`` back-reduce only the pivots it keeps;
     the rows are taken in a random order.  The vectors hold ints, each row
     over Q times the lcm of its denominators.  One rule in every
-    characteristic: a pivot is primitive with a positive entry at its
-    index e, and a back-reduced row read as vec / vec[e] is the dense
-    Gauss-Jordan row on the columns taken in the pivot order."""
+    characteristic: a pivot is its line's reduced vector, primitive with
+    a positive entry at its index e (1 in characteristic p), and a
+    back-reduced row read as vec / vec[e] is the dense Gauss-Jordan row
+    on the columns taken in the pivot order."""
     rng = Random(seed)
     rows = _field_matrix(rng, field, nrows, ncols)
     ints = rows
@@ -317,6 +318,7 @@ def test_back_reduce_of_the_last_pivots_is_the_last_rows(field, nrows, ncols, k,
     assert len(pivots) + len(rest) == nrows
     assert all(type(a) is int for _, vec in pivots for a in vec.values())
     assert all(vec[e] > 0 and gcd(*vec.values()) == 1 for e, vec in pivots)
+    assert not field.char or all(vec[e] == 1 for e, vec in pivots)
     full = _back_reduce(pivots, field)
     assert _back_reduce(pivots[k:], field) == full[k:]
     dense, dense_pivots = _reference_echelon([[r[c] for c in order] for r in rows], field)
