@@ -77,7 +77,7 @@ class GammaElement:
         self.gminus = gminus
         self.unit = unit
         self.gplus = gplus
-        self.zpower = zpower
+        self.zpower = _an_int(zpower, "zpower")
 
     @staticmethod
     def identity(ring: CoeffRing) -> "GammaElement":

@@ -266,6 +266,7 @@ class LaurentElement:
 
     def shift(self, n: int) -> "LaurentElement":
         """Multiply by z^n."""
+        _an_int(n, "shift")
         return LaurentElement(
             self.ring,
             {e + n: c for e, c in self.coeffs.items()},
@@ -279,6 +280,7 @@ class LaurentElement:
 
     def clip_below(self, n: int) -> "LaurentElement":
         """Drop all terms at exponents < n (a projection, not a window change)."""
+        _an_int(n, "cut")
         return LaurentElement(
             self.ring, {e: c for e, c in self.coeffs.items() if e >= n}, self.trunc
         )

@@ -280,7 +280,7 @@ def echelon_field(rows: list[list], field: BaseField) -> tuple[list[list], list[
     rref = []
     for e, vec in _back_reduce(pivots, field):
         inv = field.invert(vec[e])
-        rref.append([field.mul(vec[c], inv) if c in vec else zero for c in range(ncols)])
+        rref.append([field.coerce(vec[c] * inv) if c in vec else zero for c in range(ncols)])
     rref += [[zero] * ncols for _ in range(len(rows) - len(pivots))]
     return rref, [c for c, _ in pivots]
 
@@ -303,13 +303,13 @@ def det_field(rows: list[list], field: BaseField):
             return field.zero()
         if pivot != c:
             mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = field.neg(det)
-        det = field.mul(det, mat[c][c])
+            det = field.coerce(-det)
+        det = field.coerce(det * mat[c][c])
         inv_p = field.invert(mat[c][c])
         for i in range(c + 1, n):
             if mat[i][c]:
-                f = field.mul(inv_p, mat[i][c])
-                mat[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(mat[i], mat[c])]
+                f = inv_p * mat[i][c]
+                mat[i] = [field.coerce(v - f * w) for v, w in zip(mat[i], mat[c])]
     return det
 
 

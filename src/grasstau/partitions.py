@@ -32,10 +32,6 @@ def check_partition(lam) -> Partition:
     return lam
 
 
-def partition_size(lam: Partition) -> int:
-    return sum(lam)
-
-
 def conjugate(lam: Partition) -> Partition:
     if not lam:
         return ()

@@ -26,12 +26,16 @@ products therefore do no per-pair monomial work and need no table.
 Monomial tuples appear only at the public face: the constructor and
 ``coefficient`` encode them, and ``coeffs`` (so ``repr``) decodes keys.
 
-An element stores integer numerators over one positive common
-denominator, which is 1 in characteristic p.  Ring arithmetic runs on
-those ints alone and brings each result to its canonical form once: a
-``% p`` per coefficient in characteristic p, one gcd over the result
-over Q.  ``Fraction`` values appear only when ``coeffs``, ``coefficient``
-or ``constant_term`` is read.
+Each kind of value is reduced in one place.  A raw field value, a
+``Fraction`` over Q or an int residue, is combined with Python's
+operators and reduced once, by ``BaseField.coerce``.  An element stores
+integer numerators over one positive common denominator, which is 1 in
+characteristic p.  Ring arithmetic and the constructor run on those ints
+alone and bring each result to its canonical form once, by ``_reduced``:
+a ``% p`` per coefficient in characteristic p, one gcd over the result
+over Q.  ``_element`` builds an element from parts already canonical.
+``Fraction`` values appear only when ``coeffs``, ``coefficient`` or
+``constant_term`` is read.
 
 Every sum, product and sum of products runs one multiply-accumulate
 kernel, ``_accumulate``, the loop over monomial pairs.
@@ -76,8 +80,9 @@ class BaseField:
     """The rationals (char == 0) or the prime field F_p (char == p).
 
     Values are raw: ``Fraction`` for char 0, ints in [0, p) for char p.
-    Keeping values unboxed keeps the inner loops cheap; the field object
-    is only consulted at operation sites.
+    They combine with Python's ``+``, ``-`` and ``*``, and ``coerce``
+    reduces a result once; the field has no arithmetic of its own.  Its
+    object is consulted only to reduce, invert, parse and format.
     """
 
     def __init__(self, char: int = 0):
@@ -98,35 +103,21 @@ class BaseField:
     def __repr__(self) -> str:
         return "QQ" if self.char == 0 else f"GF({self.char})"
 
-    # -- raw value arithmetic -------------------------------------------
-
-    def from_int(self, n: int):
-        if self.char == 0:
-            return Fraction(n)
-        return n % self.char
+    # -- raw values: combined by Python's operators, reduced by coerce ------
 
     def coerce(self, value):
-        """A field value: an int (reduced mod p in characteristic p) or,
-        over Q, a Fraction; a bool or anything else is a ``DomainError``."""
+        """The field value of ``value``, the one reduction of a raw value:
+        an int is read mod p in characteristic p, or as a Fraction over Q;
+        a Fraction over Q passes; a bool or anything else is a
+        ``DomainError``.  So a sum or product of field values taken with
+        Python's operators is reduced by one call."""
         if isinstance(value, bool):
             raise DomainError("booleans are not field values")
         if isinstance(value, int):
-            return self.from_int(value)
+            return value % self.char if self.char else Fraction(value)
         if self.char == 0 and isinstance(value, Fraction):
             return value
         raise DomainError(f"cannot coerce {value!r} into {self!r}")
-
-    def add(self, a, b):
-        return (a + b) if self.char == 0 else (a + b) % self.char
-
-    def sub(self, a, b):
-        return (a - b) if self.char == 0 else (a - b) % self.char
-
-    def mul(self, a, b):
-        return (a * b) if self.char == 0 else (a * b) % self.char
-
-    def neg(self, a):
-        return -a if self.char == 0 else (-a) % self.char
 
     def invert(self, a):
         if not a:
@@ -136,10 +127,10 @@ class BaseField:
         return pow(a, -1, self.char)
 
     def zero(self):
-        return Fraction(0) if self.char == 0 else 0
+        return self.coerce(0)
 
     def one(self):
-        return Fraction(1) if self.char == 0 else 1
+        return self.coerce(1)
 
     # -- parsing / formatting (used by the JSON layer) ------------------
 
@@ -156,7 +147,7 @@ class BaseField:
         if not _INTEGER.fullmatch(text):
             raise DomainError(f"bad residue literal {text!r}")
         try:
-            return int(text, 10) % self.char
+            return self.coerce(int(text, 10))
         except ValueError as exc:  # past sys.get_int_max_str_digits() digits
             raise DomainError(f"bad residue literal {text!r}") from exc
 
@@ -342,12 +333,10 @@ class RingElement:
     ``ring.element(coeffs)`` calls it.  It refuses a monomial of the wrong
     length or with an exponent that is not an int (a bool or a float
     included) or is negative, drops those past the bound and
-    reads each value with ``BaseField.coerce``: an int (reduced mod p in
-    characteristic p) or a Fraction over Q, never a bool.  The lcm D of
-    the reduced denominators d_m with numerators a_m D / d_m is already
-    canonical: a residue's denominator is 1, and over Q a prime power q^k
-    exactly dividing D exactly divides some d_j, and then q divides
-    neither D / d_j nor a_j.
+    reads each value with ``BaseField.coerce``: an int or a Fraction over
+    Q, never a bool.  The values, over the lcm of their denominators, go
+    through ``_reduced`` like every other result; elements whose parts
+    are already canonical are built by ``_element``.
 
     ``+``, ``-``, ``*`` and ``==`` take an element of an equal ring, an
     int, or a Fraction over Q (``_operand``); anything else, a bool
@@ -359,7 +348,7 @@ class RingElement:
     __slots__ = ("ring", "_num", "_den")
 
     def __init__(self, ring: CoeffRing, coeffs: dict):
-        field = ring.field
+        coerce = ring.field.coerce
         values: dict[int, object] = {}
         for mono, c in coeffs.items():
             mono = tuple(mono)
@@ -368,12 +357,10 @@ class RingElement:
                 if len(mono) != ring.num_vars or any(type(e) is not int or e < 0 for e in mono):
                     raise DomainError(f"bad monomial {mono} for {ring!r}")
                 continue  # past the bound
-            c = field.coerce(c)
-            if c:
-                values[key] = c
-        self.ring = ring
-        self._den = den = lcm(*[c.denominator for c in values.values()])
-        self._num = {m: c.numerator * (den // c.denominator) for m, c in values.items()}
+            values[key] = coerce(c)
+        den = lcm(*[c.denominator for c in values.values()])
+        x = _reduced(ring, {m: c.numerator * (den // c.denominator) for m, c in values.items()}, den)
+        self.ring, self._num, self._den = ring, x._num, x._den
 
     # -- inspection -------------------------------------------------------
 
@@ -408,9 +395,6 @@ class RingElement:
 
     def is_nilpotent(self) -> bool:
         return 0 not in self._num
-
-    def terms(self) -> Iterator[tuple[Monomial, object]]:
-        return iter(sorted(self.coeffs.items()))
 
     def __bool__(self) -> bool:
         return bool(self._num)

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 from .errors import DomainError, RingMismatchError, _at_least
 from .linalg import det_ring
-from .partitions import Partition, check_partition, partition_size
+from .partitions import Partition, check_partition
 from .scalars import BaseField, CoeffRing, RingElement, _sum_products
 
 
@@ -68,7 +68,7 @@ def schur_polynomial(ring: CoeffRing, lam: Partition) -> RingElement:
 @lru_cache(maxsize=None)
 def _jacobi_trudi(ring: CoeffRing, lam: Partition) -> RingElement:
     """``schur_polynomial`` past its checks, which the cache would skip for (2.0,)."""
-    if partition_size(lam) > ring.degree_bound:
+    if sum(lam) > ring.degree_bound:
         return ring.zero()
     ell = len(lam)
 
@@ -125,10 +125,4 @@ def duality_pair(p: RingElement, q: RingElement):
         raise RingMismatchError("duality pairing needs a common ring")
     cp = to_schur_coords(p)
     cq = to_schur_coords(q)
-    field = p.ring.field
-    total = field.zero()
-    for lam, a in cp.items():
-        b = cq.get(lam)
-        if b is not None:
-            total = field.add(total, field.mul(a, b))
-    return total
+    return p.ring.field.coerce(sum(a * cq[lam] for lam, a in cp.items() if lam in cq))

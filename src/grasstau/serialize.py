@@ -115,9 +115,9 @@ def decode_ring_element(ring: CoeffRing, obj) -> RingElement:
     for term in _typed(obj, list, "ring element"):
         mono = tuple(_ints(need(term, "exponents", what="ring element term"), "term exponents"))
         c = _checked(ring.field.parse, need(term, "coeff", str, "ring element term"))
-        prev = coeffs.get(mono, ring.field.zero())
-        coeffs[mono] = ring.field.add(prev, c)
-    # refuses a monomial of the wrong length or with a negative exponent
+        coeffs[mono] = coeffs.get(mono, 0) + c
+    # refuses a monomial of the wrong length or with a negative exponent;
+    # coerce, in the constructor, reduces the sums of repeated monomials
     return _checked(ring.element, coeffs)
 
 
@@ -218,9 +218,12 @@ def decode_partition(obj):
 
 def decode_schur_coords(field: BaseField, obj) -> dict:
     """{partition: field scalar} from a list of {"partition", "coeff"}
-    objects; a repeated partition keeps its last coefficient."""
+    objects; the coefficients of a repeated partition add up, like
+    repeated monomials and exponents, each sum reduced once by
+    ``field.coerce``."""
     coords = {}
     for item in _typed(obj, list, "'coords'"):
         lam = decode_partition(need(item, "partition", what="coordinate"))
-        coords[lam] = _checked(field.parse, need(item, "coeff", str, "coordinate"))
-    return coords
+        c = _checked(field.parse, need(item, "coeff", str, "coordinate"))
+        coords[lam] = coords.get(lam, 0) + c
+    return {lam: field.coerce(c) for lam, c in coords.items()}

@@ -31,6 +31,7 @@ from grasstau.serialize import (
     decode_point,
     decode_ring,
     decode_ring_element,
+    decode_schur_coords,
     encode_gamma,
     encode_laurent,
     encode_point,
@@ -77,6 +78,9 @@ def test_duplicate_monomials_add_up():
         {"exponents": [1, 0], "coeff": "3"},
     ]
     assert decode_ring_element(RING, obj) == RING.gen(0) * 5
+    # and so do repeated partitions, each sum a residue in [0, p)
+    coords = [{"partition": [1], "coeff": "3"}, {"partition": [], "coeff": "4"}, {"partition": [1], "coeff": "6"}]
+    assert decode_schur_coords(GF(7), coords) == {(1,): 2, (): 4}
 
 
 def test_laurent_round_trip_keeps_the_window():
@@ -218,6 +222,24 @@ def test_cli_schur_frozen(capsys, tmp_path):
         {"coeff": "1", "exponents": [1, 1, 0]},
     ]
     assert "weights:1..deg" in out["convention_flags"]
+
+
+def test_cli_bosonize_adds_the_coefficients_of_a_repeated_partition(capsys, tmp_path):
+    # as repeated monomials and exponents do: 3 + 6 = 2 in F_7, so the
+    # payload is 1 + 2 F_(2,1) = 1 + 2 x1 x2 - 2 x3
+    ring = {"field": "fp:7", "num_vars": 3, "degree_bound": 3, "weights": [1, 2, 3]}
+    coords = [
+        {"partition": [2, 1], "coeff": "3"},
+        {"partition": [], "coeff": "1"},
+        {"partition": [2, 1], "coeff": "6"},
+    ]
+    code, out = run_cli(capsys, ["bosonize"], {"ring": ring, "coords": coords}, tmp_path)
+    assert code == 0
+    assert out["result"]["polynomial"] == [
+        {"coeff": "1", "exponents": [0, 0, 0]},
+        {"coeff": "5", "exponents": [0, 0, 1]},
+        {"coeff": "2", "exponents": [1, 1, 0]},
+    ]
 
 
 TAU_PAYLOAD = {

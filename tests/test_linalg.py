@@ -53,7 +53,7 @@ RINGS = (
 def _scalar(rng: Random, field, nonzero: bool):
     while True:
         if field.char:
-            v = field.from_int(rng.randrange(field.char))
+            v = field.coerce(rng.randrange(field.char))
         else:
             v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         if v or not nonzero:
@@ -139,7 +139,7 @@ def test_det_ring_of_a_nilpotent_14_by_14_frozen():
     assert got == ring.element(expected)
     # the extreme coefficients are determinants over the field
     for k, mono in ((0, (14, 0)), (1, (0, 14))):
-        field_rows = [[QQ.from_int(a[14 * i + j][k]) for j in range(14)] for i in range(14)]
+        field_rows = [[QQ.coerce(a[14 * i + j][k]) for j in range(14)] for i in range(14)]
         assert got.coefficient(mono) == det_field(field_rows, QQ)
 
 
@@ -232,7 +232,8 @@ def test_solve_field_sets_free_variables_to_zero_on_a_rank_deficient_system():
 
 
 def _reference_echelon(rows, field):
-    """Dense Gauss-Jordan on every entry, with field operations."""
+    """Dense Gauss-Jordan on every entry, each step's value reduced by
+    ``field.coerce``."""
     mat = [list(r) for r in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
@@ -244,11 +245,11 @@ def _reference_echelon(rows, field):
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
         inv_p = field.invert(mat[r][c])
-        mat[r] = [field.mul(inv_p, v) for v in mat[r]]
+        mat[r] = [field.coerce(inv_p * v) for v in mat[r]]
         for i in range(nrows):
             if i != r and mat[i][c]:
                 f = mat[i][c]
-                mat[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(mat[i], mat[r])]
+                mat[i] = [field.coerce(v - f * w) for v, w in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -272,7 +273,7 @@ def _field_matrix(rng: Random, field, nrows: int, ncols: int):
     for i in range(2, nrows):
         if rng.random() < 0.3:
             a, b = entry(), entry()
-            rows[i] = [field.add(field.mul(a, x), field.mul(b, y)) for x, y in zip(rows[0], rows[1])]
+            rows[i] = [field.coerce(a * x + b * y) for x, y in zip(rows[0], rows[1])]
     return rows
 
 
@@ -286,6 +287,9 @@ def test_echelon_field_matches_dense_gauss_jordan(field, nrows, ncols, seed):
     snapshot = [list(r) for r in rows]
     rref, pivots = echelon_field(rows, field)
     assert (rref, pivots) == _reference_echelon(rows, field)
+    # every entry a canonical field value: a Fraction over Q, a residue over F_p
+    p = field.char
+    assert all(type(v) is int and 0 <= v < p if p else type(v) is Fraction for r in rref for v in r)
     assert rank_field(rows, field) == len(pivots)
     assert rows == snapshot
 
@@ -325,7 +329,7 @@ def test_back_reduce_of_the_last_pivots_is_the_last_rows(field, nrows, ncols, k,
     assert [e for e, _ in full] == [order[c] for c in dense_pivots]
     for (e, vec), row in zip(full, dense):
         inv = field.invert(vec[e])
-        assert [field.mul(vec.get(c, 0), inv) for c in order] == row
+        assert [field.coerce(vec.get(c, 0) * inv) for c in order] == row
 
 
 def test_tau_crosscheck_at_tail_depth_14_frozen():

@@ -347,6 +347,11 @@ INT_READS = {
     ),
     "act-lower-wing-promote-negative": (lambda: act(LOWER_WING, POINT, promote=-1), "promote must be >= 0"),
     "act-lower-wing-promote-bool": (lambda: act(LOWER_WING, POINT, promote=True), "promote must be an int, not True"),
+    "laurent-shift-bool": (lambda: ONE.shift(True), "shift must be an int, not True"),
+    "laurent-clip-below-float": (lambda: ONE.clip_below(0.5), "cut must be an int, not 0.5"),
+    "laurent-clip-below-bool": (lambda: ONE.clip_below(True), "cut must be an int, not True"),
+    "gamma-zpower-true": (lambda: GammaElement(ONE, R.one(), ONE, True), "zpower must be an int, not True"),
+    "gamma-zpower-false": (lambda: GammaElement(ONE, R.one(), ONE, False), "zpower must be an int, not False"),
 }
 
 

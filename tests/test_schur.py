@@ -143,7 +143,7 @@ def test_weight_homogeneity():
     ring = coordinate_ring(QQ, 4)
     for lam in partitions_up_to(4):
         p = schur_polynomial(ring, lam)
-        assert all(ring.weight(m) == sum(lam) for m, _ in p.terms())
+        assert all(ring.weight(m) == sum(lam) for m in p.coeffs)
 
 
 # ---------------------------------------------------------------------------
