@@ -114,14 +114,15 @@ def _chart_rows(point: GrassPoint, maya: MayaDiagram) -> list[int] | None:
     """The exponents of the rows the diagram selects, increasing, as many
     as the point's columns, or None when every minor in the chart
     vanishes: a tail exponent is missing, or the number of rows differs
-    from the number of columns.  Raises PrecisionError, naming the first
-    selected row at or past the point's window, when there is one."""
-    for e in range(maya.tail_start, -point.tail_depth):
-        if e not in maya.members:
-            return None
-    rows = maya.members_from(-point.tail_depth)
-    if len(rows) != len(point.columns):
+    from the number of columns.  Both are decided before any row is
+    listed.  A normalized diagram misses the tail start, so it misses a
+    tail exponent exactly when tail_start < -depth; if not, it selects
+    depth + charge rows from -depth on.  Raises PrecisionError, naming
+    the first selected row at or past the point's window, when there is one."""
+    depth = point.tail_depth
+    if maya.tail_start < -depth or depth + maya.charge() != len(point.columns):
         return None
+    rows = maya.members_from(-depth)
     m = point.window_high
     late = [e for e in rows if m is not None and e >= m]
     if late:

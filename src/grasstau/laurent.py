@@ -5,11 +5,11 @@ truncation order ``trunc``.  Coefficients at exponents below ``trunc``
 are exactly known (absent means zero); at or above ``trunc`` they are
 unknown.  ``trunc is None`` means the element is known exactly at every
 exponent, i.e. it is a genuine Laurent polynomial.  Exponents and
-``trunc`` are ints (never bools); the constructor refuses anything else
-with ``DomainError`` and drops zero coefficients and those at or past
-``trunc``.  ``+``, ``-`` and ``*`` combine a series with a series over
-an equal ring or with any operand that ring elements take
-(``scalars._operand``), read as a constant series.
+``trunc`` are ints (never bools), read by ``errors._an_int`` in the
+constructor and ``coefficient``; the constructor drops zero coefficients
+and those at or past ``trunc``.  ``+``, ``-`` and ``*`` combine a series
+with a series over an equal ring or with any operand that ring elements
+take (``scalars._operand``), read as a constant series.
 
 Windows propagate through arithmetic pessimistically but sharply: for a
 product the unknown tail of one factor meets the lowest term of the
@@ -85,12 +85,11 @@ class LaurentElement:
     __slots__ = ("ring", "coeffs", "trunc")
 
     def __init__(self, ring: CoeffRing, coeffs: dict, trunc: int | None = None):
-        if trunc is not None and type(trunc) is not int:
-            raise DomainError(f"truncation order must be an int or None, not {trunc!r}")
+        if trunc is not None:
+            _an_int(trunc, "truncation order")
         clean: dict[int, RingElement] = {}
         for e, c in coeffs.items():
-            if type(e) is not int:
-                raise DomainError(f"Laurent exponents must be ints, not {e!r}")
+            _an_int(e, "Laurent exponent")
             if not isinstance(c, RingElement):
                 c = ring.const(c)
             elif c.ring is not ring and c.ring != ring:
@@ -134,6 +133,7 @@ class LaurentElement:
         return 0 if low is None else low
 
     def coefficient(self, e: int) -> RingElement:
+        _an_int(e, "Laurent exponent")
         if self.trunc is not None and e >= self.trunc:
             raise PrecisionError(
                 f"coefficient of z^{e} is beyond the truncation order {self.trunc}"

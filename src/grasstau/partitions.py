@@ -33,6 +33,8 @@ def check_partition(lam) -> Partition:
 
 
 def conjugate(lam: Partition) -> Partition:
+    """The transposed partition; ``lam`` is read by ``check_partition``."""
+    lam = check_partition(lam)
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))

@@ -24,7 +24,8 @@ product survives exactly when the key sum is below L, and that sum is
 its key; the constant monomial has key 0, and w(m) = key // M.  Ring
 products therefore do no per-pair monomial work and need no table.
 Monomial tuples appear only at the public face: the constructor and
-``coefficient`` encode them, and ``coeffs`` (so ``repr``) decodes keys.
+``coefficient`` encode them through one reader, ``CoeffRing._key``, and
+``coeffs`` (so ``repr``) decodes keys.
 
 Each kind of value is reduced in one place.  A raw field value, a
 ``Fraction`` over Q or an int residue, is combined with Python's
@@ -86,7 +87,7 @@ class BaseField:
     """
 
     def __init__(self, char: int = 0):
-        if char < 0 or char == 1:
+        if _an_int(char, "field characteristic") < 0 or char == 1:
             raise DomainError(f"invalid field characteristic {char}")
         if char >= 2**64:  # where _is_prime stops being exact
             raise DomainError(f"field characteristic {char} is not below 2^64")
@@ -243,15 +244,15 @@ class CoeffRing:
     def weight(self, mono: Monomial) -> int:
         return sum(w * e for w, e in zip(self.weights, mono))
 
-    def _key(self, mono: tuple) -> int | None:
-        """The key of ``mono`` if it is a surviving monomial: num_vars
-        exponents, each an int >= 0, of weight within the bound; else None."""
-        if len(mono) != self.num_vars:
-            return None
+    def _key(self, mono) -> int | None:
+        """The one reader of a monomial: the key of ``mono``, or None past
+        the bound; DomainError unless it is num_vars ints >= 0 (a bool
+        or a float is not an int)."""
+        mono = tuple(mono)
+        if len(mono) != self.num_vars or any(type(e) is not int or e < 0 for e in mono):
+            raise DomainError(f"bad monomial {mono} for {self!r}")
         w = code = 0
         for e, wi, place in zip(mono, self.weights, self._places):
-            if type(e) is not int or e < 0:
-                return None
             w += wi * e
             code += e * place
         return w * self._step + code if w <= self.degree_bound else None
@@ -330,13 +331,14 @@ class RingElement:
     ``==`` compares ring, denominator and numerators directly.
 
     ``RingElement(ring, coeffs)`` is the one constructor, and
-    ``ring.element(coeffs)`` calls it.  It refuses a monomial of the wrong
-    length or with an exponent that is not an int (a bool or a float
-    included) or is negative, drops those past the bound and
-    reads each value with ``BaseField.coerce``: an int or a Fraction over
-    Q, never a bool.  The values, over the lcm of their denominators, go
-    through ``_reduced`` like every other result; elements whose parts
-    are already canonical are built by ``_element``.
+    ``ring.element(coeffs)`` calls it.  It reads each monomial with
+    ``CoeffRing._key``, as ``coefficient`` does, which refuses a monomial
+    of the wrong length or with an exponent that is not an int (a bool or
+    a float included) or is negative.  It reads each value with
+    ``BaseField.coerce``, an int or a Fraction over Q, never a bool, and
+    then drops the monomials past the bound.  The values, over the lcm of
+    their denominators, go through ``_reduced`` like every other result;
+    elements whose parts are already canonical are built by ``_element``.
 
     ``+``, ``-``, ``*`` and ``==`` take an element of an equal ring, an
     int, or a Fraction over Q (``_operand``); anything else, a bool
@@ -348,16 +350,8 @@ class RingElement:
     __slots__ = ("ring", "_num", "_den")
 
     def __init__(self, ring: CoeffRing, coeffs: dict):
-        coerce = ring.field.coerce
-        values: dict[int, object] = {}
-        for mono, c in coeffs.items():
-            mono = tuple(mono)
-            key = ring._key(mono)
-            if key is None:
-                if len(mono) != ring.num_vars or any(type(e) is not int or e < 0 for e in mono):
-                    raise DomainError(f"bad monomial {mono} for {ring!r}")
-                continue  # past the bound
-            values[key] = coerce(c)
+        values = {ring._key(mono): ring.field.coerce(c) for mono, c in coeffs.items()}
+        values.pop(None, None)  # the monomials past the bound
         den = lcm(*[c.denominator for c in values.values()])
         x = _reduced(ring, {m: c.numerator * (den // c.denominator) for m, c in values.items()}, den)
         self.ring, self._num, self._den = ring, x._num, x._den
@@ -375,11 +369,10 @@ class RingElement:
         return n if self.ring.field.char else Fraction(n, self._den)
 
     def coefficient(self, mono: Monomial):
-        mono = tuple(mono)
+        """The coefficient of a monomial of the ring (``CoeffRing._key``),
+        0 past the bound."""
         key = self.ring._key(mono)
-        if key is None:  # not a surviving monomial: looked up as a tuple, never as a key
-            return self.coeffs.get(mono, self._value(0))
-        return self._value(self._num.get(key, 0))
+        return self._value(0 if key is None else self._num.get(key, 0))
 
     def constant_term(self):
         return self._value(self._num.get(0, 0))

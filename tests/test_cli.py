@@ -412,6 +412,28 @@ def test_cli_non_integer_fields_are_malformed(capsys, tmp_path, sub, payload, pa
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "diagram",
+    [
+        {"tail_start": 10**30},
+        {"tail_start": 10**30, "members": [10**30 + 2]},
+        {"tail_start": -(10**30)},
+        {"partition": [1], "charge": 10**30},
+        {"partition": [], "charge": -(10**30)},
+    ],
+    ids=["tail-start", "tail-start-and-member", "tail-start-negative", "charge", "charge-negative"],
+)
+def test_cli_a_diagram_of_any_size_off_the_columns_is_a_zero_minor(capsys, tmp_path, diagram):
+    # the chart is decided from the tail start and the charge, before any
+    # row is listed: these diagrams select far more or fewer rows than the
+    # point has columns, or miss part of its tail
+    code, out = run_cli(capsys, ["plucker"], dict(POINT_PAYLOAD, diagram=diagram), tmp_path)
+    assert (code, out["result"]) == (0, [])
+    payload = dict(TAU_PAYLOAD, chart_a=diagram, chart_b=POINT_PAYLOAD["diagram"])
+    code, out = run_cli(capsys, ["transition"], payload, tmp_path)
+    assert (code, out["result"]) == (0, [])
+
+
 def test_cli_negative_exponent_is_malformed(capsys, tmp_path):
     # no monomial has a negative exponent: the payload describes nothing
     with pytest.raises(ValueError):

@@ -24,6 +24,7 @@ from grasstau import (
     QQ,
     CoeffRing,
     DomainError,
+    GammaElement,
     GrassPoint,
     LaurentElement,
     MayaDiagram,
@@ -41,7 +42,6 @@ from grasstau import (
     quotient_basis,
 )
 from grasstau.grassmann import _rows
-from grasstau.linalg import echelon_field, rank_field
 
 RING = CoeffRing(QQ, 1, 2)
 
@@ -255,13 +255,36 @@ def test_point_repr_names_its_fields():
 # ---------------------------------------------------------------------------
 
 
+def _dense_pivots(mat, field):
+    """The pivot columns of dense Gauss-Jordan on the field values
+    ``mat``, each step's value reduced by ``field.coerce``: written out
+    here, so that the dense path shares no elimination with the code under
+    test."""
+    mat = [list(row) for row in mat]
+    pivots = []
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = field.invert(mat[r][c])
+        mat[r] = [field.coerce(inv * v) for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [field.coerce(v - f * w) for v, w in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return pivots
+
+
 def _dense_rank(mat, field):
-    return rank_field([[a.constant_term() for a in row] for row in mat], field)
+    return len(_dense_pivots([[a.constant_term() for a in row] for row in mat], field))
 
 
 def _dense_index(point):
     """``index`` on the dense matrix of the entries' ``constant_term``
-    values, ranked by ``rank_field``."""
+    values, ranked by ``_dense_pivots``."""
     depth = point.tail_depth
     if not point.columns:
         return -depth
@@ -293,8 +316,8 @@ def _dense_in_chart(point, maya):
 
 
 def _dense_quotient_basis(small, big):
-    """``quotient_basis`` from the pivot columns of ``echelon_field`` on the
-    dense matrix [small | gens] and ``rank_field`` on gens' block."""
+    """``quotient_basis`` from the pivot columns of ``_dense_pivots`` on the
+    dense matrix [small | gens] and on gens' block."""
     if big.tail_depth > small.tail_depth:
         raise DomainError("containment needs big.tail_depth <= small.tail_depth")
     if small.window_high is not None or big.window_high is not None:
@@ -304,8 +327,8 @@ def _dense_quotient_basis(small, big):
     gens += [c.clip_below(-n) for c in big.columns]
     top = max([0] + [max(c.coeffs) + 1 for c in small.columns + gens if c.coeffs])
     mat = [[a.constant_term() for a in row] for row in _rows(small.columns + gens, range(-n, top))]
-    _, pivots = echelon_field(mat, ring.field)
-    if len(pivots) != rank_field([row[k:] for row in mat], ring.field):
+    pivots = _dense_pivots(mat, ring.field)
+    if len(pivots) != len(_dense_pivots([row[k:] for row in mat], ring.field)):
         raise DomainError("the small point is not contained in the big one")
     return [gens[c - k] for c in pivots if c >= k]
 
@@ -377,7 +400,7 @@ def _outcome(call, args):
 def test_residue_reader_matches_the_dense_path(field, num_vars, depth, extra, seed):
     """index and quotient_basis, which eliminate the columns' int residue
     vectors, and in_chart, the unit test of the chart minor, agree with
-    the dense constant_term matrix ranked by echelon_field and rank_field,
+    the dense constant_term matrix ranked by a test-local Gauss-Jordan,
     refusals included, over rings with nilpotent entries and on windowed
     columns."""
     rng = Random(seed)
@@ -401,3 +424,127 @@ def test_the_residue_reader_builds_no_fraction_per_entry(monkeypatch):
 
     monkeypatch.setattr(scalars.RingElement, "constant_term", refused)
     assert [_outcome(call, args) for call, _, args in cases] == want
+
+
+# ---------------------------------------------------------------------------
+# the quadratic Plücker relations among the minors
+# ---------------------------------------------------------------------------
+
+
+def _ring_value(rng, ring):
+    """A random element: a residue that is zero a third of the time, plus
+    a nilpotent part half of the time when the ring has variables."""
+    p = ring.field.char
+    value = ring.const(0 if rng.random() < 1 / 3 else rng.randrange(p) if p else rng.randint(-3, 3))
+    if ring.num_vars and rng.random() < 0.5:
+        value = value + ring.gen(rng.randrange(ring.num_vars)) * rng.randint(1, 3)
+    return value
+
+
+def _ring_unit(rng, ring):
+    """A random unit: a nonzero residue plus the nilpotent part of a
+    random element."""
+    p = ring.field.char
+    other = _ring_value(rng, ring)
+    return other - other.constant_term() + (rng.randrange(1, p) if p else rng.choice([-2, -1, 1, 3]))
+
+
+def _plucker_point(rng, ring, depth, acted):
+    """An index-0 point: columns in reduced form on a random set of
+    pivot rows in [-depth, 3), each z^pivot plus random entries at the
+    other rows, then mixed by a change of basis P·U·D over the ring (a
+    permutation, a unitriangular matrix and a unit diagonal).  If
+    ``acted``, moved by a random lower·unit·upper element at promote 2."""
+    rows = range(-depth, 3)
+    pivots = sorted(rng.sample(rows, depth))
+    reduced = [
+        {e: ring.one() if e == pivot else _ring_value(rng, ring) for e in rows if e == pivot or e not in pivots}
+        for pivot in pivots
+    ]
+    order = rng.sample(range(depth), depth)
+    mix = [
+        [_ring_unit(rng, ring) if i == j else _ring_value(rng, ring) if i < j else ring.zero() for j in range(depth)]
+        for i in order
+    ]
+    zero = ring.zero()
+    columns = [
+        LaurentElement(ring, {e: sum((reduced[j].get(e, zero) * mix[j][i] for j in range(depth)), zero) for e in rows})
+        for i in range(depth)
+    ]
+    point = GrassPoint(ring, depth, columns)
+    if not acted:
+        return point
+    nilpotent = [ring.gen(i) * _ring_value(rng, ring) + ring.gen(i) for i in range(ring.num_vars)]
+    gminus = {0: ring.one(), **{-k: rng.choice(nilpotent) for k in (1, 2) if nilpotent}}
+    gplus = {0: ring.one(), 1: _ring_value(rng, ring), 2: _ring_value(rng, ring)}
+    g = GammaElement(LaurentElement(ring, gminus), _ring_unit(rng, ring), LaurentElement(ring, gplus))
+    return act(g, point, promote=2)
+
+
+def _minor(point, rows):
+    """p(rows): ``plucker`` on the diagram with tail start -tail_depth and
+    members ``rows``, antisymmetric in the order they are listed."""
+    if len(set(rows)) < len(rows):
+        return point.ring.zero()
+    inversions = sum(a > b for i, a in enumerate(rows) for b in rows[i + 1 :])
+    minor = plucker(point, MayaDiagram(-point.tail_depth, rows))
+    return -minor if inversions % 2 else minor
+
+
+def _plucker_relations(rng, point, count):
+    """``count`` relations, each the list of its terms
+    (-1)^k p(I + j_k) p(J - j_k) for a random (n-1)-list I and (n+1)-set J
+    of rows in [-n, M), n the point's column count and M past every
+    column's support."""
+    n = point.tail_depth
+    top = max([1] + [max(c.coeffs) + 1 for c in point.columns if c.coeffs])
+    rows = range(-n, top)
+    out = []
+    for _ in range(count):
+        low, high = rng.sample(rows, n - 1), sorted(rng.sample(rows, n + 1))
+        out.append([
+            _minor(point, low + [j]) * _minor(point, high[:k] + high[k + 1 :]) * (-1) ** k
+            for k, j in enumerate(high)
+        ])
+    return out
+
+
+PLUCKER_FIELDS = [QQ, GF(2), GF(3), GF(5)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.sampled_from(PLUCKER_FIELDS),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_minors_satisfy_the_quadratic_plucker_relations(field, num_vars, bound, depth, acted, seed):
+    """Sum_k (-1)^k p(I + j_k) p(J - j_k) = 0 for every (n-1)-list I and
+    (n+1)-set J of rows: an identity among the maximal minors of any
+    n-column matrix over any commutative ring, so it holds on every chart,
+    with nilpotents, in every characteristic, and after ``act``."""
+    rng = Random(seed)
+    point = _plucker_point(rng, CoeffRing(field, num_vars, bound), depth, acted)
+    assert index(point) == 0
+    for terms in _plucker_relations(rng, point, 6):
+        assert sum(terms, point.ring.zero()).is_zero()
+
+
+def test_the_plucker_relations_are_not_vacuous():
+    """Over the same draws, a fair share of the relations has a nonzero
+    term, and points off the vacuum chart are common."""
+    rng = Random(2026)
+    relations = off_vacuum = 0
+    nonzero = []
+    for k in range(120):
+        ring = CoeffRing(PLUCKER_FIELDS[k % 4], k % 3, k // 3 % 3)
+        point = _plucker_point(rng, ring, 1 + k // 9 % 3, k % 2 == 1)
+        off_vacuum += not in_chart(point, MayaDiagram.vacuum())
+        for terms in _plucker_relations(rng, point, 6):
+            relations += 1
+            nonzero.append(any(t for t in terms))
+    assert relations == 720
+    assert sum(nonzero) >= relations // 5 and off_vacuum >= 20

@@ -1,8 +1,9 @@
 """Every top-level import of a package module is used in that module,
 every import anywhere in the package is relative or from the standard
 library, no module but ``scalars`` touches how a ring element is stored,
-no module but ``errors`` states a bound check of its own, and every name
-the benchmark tracer wraps still exists.
+no module but ``errors`` states a bound check of its own, an int or a
+monomial is read only by its one reader, and every name the benchmark
+tracer wraps still exists.
 
 A name counts as used when the module reads it anywhere, including
 inside a string annotation; the package ``__init__`` may also re-export
@@ -124,6 +125,54 @@ def test_bound_checks_go_through_the_one_reader(path):
         )
     ]
     assert not found, f"{path.name}: {found}"
+
+
+def _scoped(node: ast.AST, scope: tuple = ()):
+    """(qualified name of the enclosing class or function, node) for every
+    node under ``node``."""
+    yield ".".join(scope), node
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope += (node.name,)
+    for child in ast.iter_child_nodes(node):
+        yield from _scoped(child, scope)
+
+
+# ``errors._an_int`` reads an int argument; the other modules named here hold
+# the one reader of an int inside a larger value: a partition or a diagram
+# (partitions), a monomial, a weight or a power (scalars), a sign (gamma)
+INT_READERS = {"errors", "partitions", "scalars", "gamma"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem not in INT_READERS], ids=lambda p: p.stem)
+def test_int_checks_go_through_the_readers(path):
+    # a ``type(x) is not int`` of its own would be a second int reader,
+    # free to word its refusal, or to skip it, differently
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Call)
+        and getattr(node.left.func, "id", None) == "type"
+        and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+        and any(getattr(c, "id", None) == "int" for c in node.comparators)
+    ]
+    assert not found, f"{path.name}: {found}"
+
+
+def test_monomials_are_refused_only_by_their_reader():
+    # ``CoeffRing._key`` reads every monomial tuple, for the constructor and
+    # for ``coefficient`` alike; a second "bad monomial" check could let a
+    # read accept what construction refuses
+    raised = set()
+    for path in MODULES:
+        for scope, node in _scoped(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and any(
+                isinstance(part, ast.Constant) and isinstance(part.value, str) and "bad monomial" in part.value
+                for part in ast.walk(node)
+            ):
+                raised.add(f"{path.stem}.{scope}")
+    assert raised == {"scalars.CoeffRing._key"}
 
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"

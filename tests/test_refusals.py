@@ -14,6 +14,7 @@ import pytest
 from grasstau import (
     GF,
     QQ,
+    BaseField,
     CoeffRing,
     DomainError,
     GammaElement,
@@ -27,6 +28,7 @@ from grasstau import (
     baker,
     bosonize,
     commutator_pairing,
+    conjugate,
     coordinate_ring,
     duality_pair,
     exp_gamma,
@@ -174,6 +176,9 @@ REFUSALS = {
     "ring-negative-power": (lambda: X**-1, DomainError, "only nonnegative integer powers"),
     "ring-zero-weight": (lambda: CoeffRing(QQ, 1, 3, weights=(0,)), DomainError, "weights must be positive integers"),
     "field-bool": (lambda: QQ.coerce(True), DomainError, "booleans are not field values"),
+    # a value is read before its monomial is dropped past the bound
+    "ring-bool-value-past-the-bound": (lambda: R.element({(3,): True}), DomainError, "booleans are not field values"),
+    "ring-float-value-past-the-bound": (lambda: R.element({(3,): 0.5}), DomainError, "cannot coerce 0.5 into QQ"),
     "field-float": (lambda: GF(5).coerce(0.5), DomainError, "cannot coerce 0.5 into GF(5)"),
     "coordinate-ring-negative": (lambda: coordinate_ring(QQ, -1), DomainError, "bound must be >= 0"),
     "schur-plain-ring": (
@@ -238,6 +243,8 @@ REFUSALS = {
         DomainError,
         "partition parts must be ints",
     ),
+    "conjugate-float-part": (lambda: conjugate((2.5, 1)), DomainError, "partition parts must be ints"),
+    "conjugate-increasing": (lambda: conjugate((1, 2)), DomainError, "partition parts must be non-increasing"),
     "maya-float-tail": (lambda: MayaDiagram(-1.5, [0]), DomainError, "diagram entries must be ints"),
     "maya-bool-member": (lambda: MayaDiagram(0, [1, True]), DomainError, "diagram entries must be ints"),
     "maya-float-partition": (
@@ -352,6 +359,19 @@ INT_READS = {
     "laurent-clip-below-bool": (lambda: ONE.clip_below(True), "cut must be an int, not True"),
     "gamma-zpower-true": (lambda: GammaElement(ONE, R.one(), ONE, True), "zpower must be an int, not True"),
     "gamma-zpower-false": (lambda: GammaElement(ONE, R.one(), ONE, False), "zpower must be an int, not False"),
+    "laurent-exponent-bool": (lambda: L({True: 1}), "Laurent exponent must be an int, not True"),
+    "laurent-trunc-float": (lambda: L({0: 1}, 2.5), "truncation order must be an int, not 2.5"),
+    "laurent-coefficient-float": (lambda: ONE.coefficient(0.0), "Laurent exponent must be an int, not 0.0"),
+    "laurent-coefficient-bool": (lambda: L({1: X}).coefficient(True), "Laurent exponent must be an int, not True"),
+    "laurent-windowed-coefficient-bool": (
+        lambda: L({0: 1}, 2).coefficient(True),
+        "Laurent exponent must be an int, not True",
+    ),
+    "field-char-float": (lambda: BaseField(5.0), "field characteristic must be an int, not 5.0"),
+    "field-char-zero-float": (lambda: BaseField(0.0), "field characteristic must be an int, not 0.0"),
+    "field-char-bool": (lambda: BaseField(True), "field characteristic must be an int, not True"),
+    "field-char-str": (lambda: BaseField("5"), "field characteristic must be an int, not '5'"),
+    "gf-char-float": (lambda: GF(5.0), "field characteristic must be an int, not 5.0"),
 }
 
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from grasstau import (
     GF,
     QQ,
+    BaseField,
     CoeffRing,
     DomainError,
     LaurentElement,
@@ -65,6 +66,20 @@ def test_characteristics_from_two_to_the_64_are_refused():
     for p in (2**64, 2**64 + 1, 2**89 - 1):
         with pytest.raises(DomainError, match="not below 2\\^64"):
             GF(p)
+
+
+def test_int_characteristics_keep_their_messages():
+    # the characteristic is read as an int first (test_refusals' INT_READS);
+    # an int keeps the message of the check it fails
+    for char, message in [
+        (-1, "invalid field characteristic -1"),
+        (1, "invalid field characteristic 1"),
+        (4, "field characteristic 4 is not prime"),
+    ]:
+        with pytest.raises(DomainError) as info:
+            BaseField(char)
+        assert str(info.value) == message
+    assert BaseField(0) == QQ and BaseField(5) == GF(5)
 
 
 def test_parse_and_format():
@@ -736,16 +751,19 @@ def test_tuples_outside_the_ring_read_no_other_coefficient():
     # landed on another monomial would show
     x = ring.element({m: i + 1 for i, m in enumerate(ring.monomials())})
     wrong_length = [(1,), (), (1, 0, 0)]
-    negative = [(-1, 1), (1, -1), (-1, 2)]
+    negative = [(-1, 1), (1, -1), (-1, 2), (-1, 0)]
+    # entries equal to ints are not ints: (True, 0) and (1.0, 0) once read x1's
+    not_ints = [(True, 0), (1.0, 0), (0, False), (0.4, 0.5), (1, "0")]
     heavy = [(3, 0), (2, 1), (0, 3)]
-    for mono in wrong_length + negative + heavy + [(0.4, 0.5)]:
-        assert x.coefficient(mono) == 0 and type(x.coefficient(mono)) is Fraction
-    # entries equal to ints are looked up as tuples are, by value
-    assert x.coefficient((1.0, 0)) == x.coefficient((True, 0)) == x.coefficient((1, 0))
-    for mono in wrong_length + negative:
-        with pytest.raises(DomainError, match=f"^bad monomial {re.escape(repr(mono))} for "):
-            RingElement(ring, {mono: 1})
+    assert [x.coefficient(m) for m in ring.monomials()] == list(range(1, len(x.coeffs) + 1))
+    # the reader and the constructor refuse every tuple that is not a monomial alike
+    for mono in wrong_length + negative + not_ints:
+        for read in (x.coefficient, lambda m: RingElement(ring, {m: 1})):
+            with pytest.raises(DomainError) as info:
+                read(mono)
+            assert str(info.value) == f"bad monomial {mono!r} for {ring!r}"
     for mono in heavy:
+        assert x.coefficient(mono) == 0 and type(x.coefficient(mono)) is Fraction
         assert RingElement(ring, {mono: 1}).is_zero()
         assert RingElement(ring, {mono: 1, (1, 0): 2}) == ring.gen(0) * 2
 
