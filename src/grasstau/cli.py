@@ -1,17 +1,23 @@
 """Command-line front end.
 
-Every subcommand reads one JSON payload (stdin, or a file via ``--in``),
-writes one JSON object to stdout with deterministic key order, and exits
-with:
+Every subcommand but ``verify``, which reads no payload, reads one JSON
+payload (stdin, or a file via ``--in``); every subcommand writes one JSON
+object to stdout with deterministic key order, and exits with:
 
 * 0 - success
 * 1 - a verification suite reported failing checks
 * 2 - malformed payload (bad JSON, nesting too deep, missing keys, a
   wrong JSON type anywhere, an unparsable coefficient)
-* 3 - precondition failure (domain errors, non-invertible input)
+* 3 - precondition failure (domain errors, non-invertible input, a ring
+  or point past a payload shape cap)
 * 4 - insufficient precision for the requested output
 * 5 - an internal invariant failed, or any unexpected exception (a
   library defect, not a bad input)
+
+Each call is a fresh process, so the parser is built per call: a call
+builds the top-level parser and only the subparser its first word names,
+which is all argparse reads.  Its usage line still lists every
+subcommand, so its messages are the full parser's.
 """
 
 from __future__ import annotations
@@ -48,82 +54,6 @@ from .verify import run_suite, suite_names
 
 
 _TAU_ROUTES = {"direct": tau_direct, "schur": tau_schur, "both": tau_crosscheck}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="grasstau",
-        description="Exact arithmetic on an infinite-dimensional Grassmannian: "
-        "triangular factorization, tau polynomials, and determinant pairings.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_: str, run, payload: bool = True, ring: bool = True):
-        p = sub.add_parser(name, help=help_)
-        p.set_defaults(run=run, reads_ring=ring)
-        if payload:
-            p.add_argument(
-                "--in",
-                dest="infile",
-                metavar="FILE",
-                help="read the JSON payload from FILE instead of stdin",
-            )
-        return p
-
-    add("factor", "split a series into lower wing * unit * upper wing * z^k", _cmd_factor)
-
-    p = add("exp", "exponential of a coefficient vector into one wing", _cmd_exp)
-    p.add_argument("--sign", type=int, choices=(-1, 1), default=-1)
-    p.add_argument("--window", type=int, help="truncation order (required for sign +1)")
-    p.add_argument(
-        "--product-form",
-        action="store_true",
-        help="use the finite product prod(1 - a_i z^(sign i)) instead "
-        "(works in any characteristic)",
-    )
-
-    add("witt-add", "add two coefficient vectors through their product series", _cmd_witt_add)
-
-    p = add("abel", "embed one-variable points through t -> sum t^k z^-k", _cmd_abel)
-    p.add_argument("--depth", type=int, help="clip depth for non-nilpotent points")
-
-    add("index", "relative dimension of a point against the base point", _cmd_index)
-
-    add("plucker", "one minor of a point, selected by a diagram", _cmd_plucker)
-
-    add("transition", "ratio of two chart minors at the same point", _cmd_transition)
-
-    p = add("act", "apply a factored group element to a point", _cmd_act)
-    p.add_argument("--promote", type=int, help="how many tail slots become columns")
-
-    p = add("tau", "tau polynomial of a point", _cmd_tau)
-    p.add_argument("--deg", type=int, required=True, help="weighted degree bound")
-    p.add_argument(
-        "--method",
-        choices=tuple(_TAU_ROUTES),
-        default="both",
-        help="'both' computes the two routes and insists they agree",
-    )
-
-    p = add("baker", "wave series of a point", _cmd_baker)
-    p.add_argument("--deg", type=int, required=True, help="weighted degree bound")
-    p.add_argument("--window", type=int, required=True, help="z-window upper end")
-
-    p = add("schur", "basis polynomial of a partition in the coordinate ring", _cmd_schur, ring=False)
-    p.add_argument("--field", default="q", help="'q' or 'fp:<p>'")
-    p.add_argument("--deg", type=int, required=True, help="weighted degree bound")
-
-    add("bosonize", "convert between polynomials and basis coordinates", _cmd_bosonize)
-
-    p = add("pair", "pairing of two series with unit constant coefficient", _cmd_pair)
-    p.add_argument("--mode", choices=("commutator", "residue"), default="commutator")
-
-    p = add("verify", "run randomized self-check suites", _cmd_verify, payload=False, ring=False)
-    p.add_argument("--suite", default="all", choices=["all"] + suite_names())
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", choices=("small", "full"), default="small")
-
-    return parser
 
 
 # ----------------------------------------------------------------------
@@ -263,6 +193,89 @@ def _cmd_verify(args, _ring, _payload):
     return result, None, []
 
 
+# name -> (help, handler, reads a payload, reads the payload's ring,
+# arguments), in the order of --help.  The arguments are None or a function
+# giving (flag, add_argument keywords) pairs, called only when the
+# subparser is built.
+_SUBCOMMANDS = {
+    "factor": ("split a series into lower wing * unit * upper wing * z^k", _cmd_factor, True, True, None),
+    "exp": ("exponential of a coefficient vector into one wing", _cmd_exp, True, True, lambda: (
+        ("--sign", {"type": int, "choices": (-1, 1), "default": -1}),
+        ("--window", {"type": int, "help": "truncation order (required for sign +1)"}),
+        ("--product-form", {
+            "action": "store_true",
+            "help": "use the finite product prod(1 - a_i z^(sign i)) instead (works in any characteristic)",
+        }),
+    )),
+    "witt-add": ("add two coefficient vectors through their product series", _cmd_witt_add, True, True, None),
+    "abel": ("embed one-variable points through t -> sum t^k z^-k", _cmd_abel, True, True, lambda: (
+        ("--depth", {"type": int, "help": "clip depth for non-nilpotent points"}),
+    )),
+    "index": ("relative dimension of a point against the base point", _cmd_index, True, True, None),
+    "plucker": ("one minor of a point, selected by a diagram", _cmd_plucker, True, True, None),
+    "transition": ("ratio of two chart minors at the same point", _cmd_transition, True, True, None),
+    "act": ("apply a factored group element to a point", _cmd_act, True, True, lambda: (
+        ("--promote", {"type": int, "help": "how many tail slots become columns"}),
+    )),
+    "tau": ("tau polynomial of a point", _cmd_tau, True, True, lambda: (
+        ("--deg", {"type": int, "required": True, "help": "weighted degree bound"}),
+        ("--method", {
+            "choices": tuple(_TAU_ROUTES),
+            "default": "both",
+            "help": "'both' computes the two routes and insists they agree",
+        }),
+    )),
+    "baker": ("wave series of a point", _cmd_baker, True, True, lambda: (
+        ("--deg", {"type": int, "required": True, "help": "weighted degree bound"}),
+        ("--window", {"type": int, "required": True, "help": "z-window upper end"}),
+    )),
+    "schur": ("basis polynomial of a partition in the coordinate ring", _cmd_schur, True, False, lambda: (
+        ("--field", {"default": "q", "help": "'q' or 'fp:<p>'"}),
+        ("--deg", {"type": int, "required": True, "help": "weighted degree bound"}),
+    )),
+    "bosonize": ("convert between polynomials and basis coordinates", _cmd_bosonize, True, True, None),
+    "pair": ("pairing of two series with unit constant coefficient", _cmd_pair, True, True, lambda: (
+        ("--mode", {"choices": ("commutator", "residue"), "default": "commutator"}),
+    )),
+    "verify": ("run randomized self-check suites", _cmd_verify, False, False, lambda: (
+        ("--suite", {"default": "all", "choices": ["all"] + suite_names()}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--scale", {"choices": ("small", "full"), "default": "small"}),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: with every subparser, or with only ``command``'s.
+    A one-subparser parser names them all in its usage line, as the full
+    parser does; it parses only argument lists whose first word is
+    ``command``."""
+    parser = argparse.ArgumentParser(
+        prog="grasstau",
+        description="Exact arithmetic on an infinite-dimensional Grassmannian: "
+        "triangular factorization, tau polynomials, and determinant pairings.",
+    )
+    # one subparser's metavar lists them all, for the full usage line; the
+    # full parser keeps argparse's, which names the action "command" in its
+    # "invalid choice" and "required" messages
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _SUBCOMMANDS if command is None else [command]:
+        help_, run, payload, ring, arguments = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(run=run, reads_ring=ring)
+        if payload:
+            p.add_argument(
+                "--in",
+                dest="infile",
+                metavar="FILE",
+                help="read the JSON payload from FILE instead of stdin",
+            )
+        for flag, keywords in arguments() if arguments else ():
+            p.add_argument(flag, **keywords)
+    return parser
+
+
 def _load_payload(args) -> dict | None:
     if not hasattr(args, "infile"):
         return None
@@ -289,7 +302,11 @@ def _fail(code: int, kind: str, error) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:  # the console script and ``python -m`` pass none
+        argv = sys.argv[1:]
+    # a first word that names no subcommand, or none, gets the full parser
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         payload = _load_payload(args)
         ring = decode_ring(need(payload, "ring")) if args.reads_ring else None

@@ -247,9 +247,16 @@ class CoeffRing:
     def _key(self, mono) -> int | None:
         """The one reader of a monomial: the key of ``mono``, or None past
         the bound; DomainError unless it is num_vars ints >= 0 (a bool
-        or a float is not an int)."""
-        mono = tuple(mono)
-        if len(mono) != self.num_vars or any(type(e) is not int or e < 0 for e in mono):
+        or a float is not an int, and 5 or None is no monomial)."""
+        try:
+            mono = tuple(mono)
+        except TypeError:  # not iterable: refused below, as it stands
+            pass
+        if (
+            type(mono) is not tuple
+            or len(mono) != self.num_vars
+            or any(type(e) is not int or e < 0 for e in mono)
+        ):
             raise DomainError(f"bad monomial {mono} for {self!r}")
         w = code = 0
         for e, wi, place in zip(mono, self.weights, self._places):

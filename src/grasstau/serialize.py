@@ -5,8 +5,11 @@ value is read through one typed reader per JSON type or the key reader
 ``need``, and a missing key, a wrong JSON type anywhere (a bool, float or
 string where an integer belongs) or an unparsable coefficient literal
 raises ValueError, which the CLI tells apart from semantic precondition
-failures, raised as the library's own error types.  Encoders emit plain
-JSON-ready structures with deterministic ordering.
+failures, raised as the library's own error types.  A ring or a point
+past a shape cap (``MAX_NUM_VARS``, ``MAX_DEGREE_BOUND``,
+``MAX_TAIL_DEPTH``) is such a failure, a DomainError raised before
+anything is built.  Encoders emit plain JSON-ready structures with
+deterministic ordering.
 """
 
 from __future__ import annotations
@@ -51,6 +54,26 @@ def _ints(value, what: str) -> list[int]:
     return [_typed(v, int, f"{what} entry") for v in _typed(value, list, what)]
 
 
+# Shape caps of a payload, well above every payload of the tests, README
+# and bench (at most 3 variables, degree bound 3 and tail depth 3), so that
+# a huge shape is refused before anything is built: a ring of 2**70
+# variables overflows the monomial keys, and a degree bound or tail depth
+# of 2**70 sends plucker, pair, abel or index's elimination down a walk
+# without end.  Below the caps a payload can still take long; the library
+# itself takes any size.
+MAX_NUM_VARS = 64
+MAX_DEGREE_BOUND = 64
+MAX_TAIL_DEPTH = 1024
+
+
+def _capped(obj, key: str, cap: int, what: str) -> int:
+    """The int ``obj[key]``, refused with a DomainError past ``cap``."""
+    value = need(obj, key, int, what)
+    if value > cap:
+        raise DomainError(f"{what} {key} must be at most {cap} in a payload")
+    return value
+
+
 def _checked(build, *args):
     """``build(*args)``, with the library's DomainError re-raised as
     ValueError: a payload value that nothing can be built from, such as
@@ -88,8 +111,8 @@ def format_field_spec(field: BaseField) -> str:
 
 def decode_ring(obj) -> CoeffRing:
     field = parse_field_spec(need(obj, "field", what="ring"))
-    num_vars = need(obj, "num_vars", int, "ring")
-    bound = need(obj, "degree_bound", int, "ring")
+    num_vars = _capped(obj, "num_vars", MAX_NUM_VARS, "ring")
+    bound = _capped(obj, "degree_bound", MAX_DEGREE_BOUND, "ring")
     weights = need(obj, "weights", what="ring", default=None)
     if weights is not None:
         weights = tuple(_ints(weights, "weights"))
@@ -184,7 +207,7 @@ def encode_gamma(g: GammaElement) -> dict:
 
 
 def decode_point(ring: CoeffRing, obj) -> GrassPoint:
-    depth = need(obj, "tail_depth", int, "point")
+    depth = _capped(obj, "tail_depth", MAX_TAIL_DEPTH, "point")
     cols = need(obj, "columns", list, "point")
     return GrassPoint(ring, depth, [decode_laurent(ring, c) for c in cols])
 

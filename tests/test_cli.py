@@ -1,5 +1,6 @@
 """JSON codecs and the command-line surface (exit codes, determinism)."""
 
+import argparse
 import io
 import json
 import os
@@ -22,8 +23,9 @@ from grasstau import (
     MayaDiagram,
     factorize,
 )
+from grasstau import serialize
 from grasstau import tau as tau_module
-from grasstau.cli import main
+from grasstau.cli import build_parser, main
 from grasstau.serialize import (
     decode_gamma,
     decode_laurent,
@@ -42,6 +44,10 @@ from grasstau.serialize import (
 from grasstau.verify import SuiteReport
 
 RING = CoeffRing(QQ, 2, 2)
+SUBCOMMANDS = [
+    "factor", "exp", "witt-add", "abel", "index", "plucker", "transition",
+    "act", "tau", "baker", "schur", "bosonize", "pair", "verify",
+]
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +508,74 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 
+# every subcommand with -h, and with an error: a missing required flag, a bad
+# choice, a bad int, an unknown option, an extra word or a flag without its
+# value; then argument lists whose first word names no subcommand
+PARSER_BATTERY = [
+    *([sub, "-h"] for sub in SUBCOMMANDS),
+    *([sub, "--bogus"] for sub in SUBCOMMANDS),
+    *([sub, "extra"] for sub in SUBCOMMANDS),
+    *([sub, "--in"] for sub in SUBCOMMANDS),
+    ["tau"], ["baker", "--deg", "1"], ["schur", "--field", "q"],
+    ["tau", "--deg", "1", "--method", "nope"], ["exp", "--sign", "2"], ["pair", "--mode", "x"],
+    ["verify", "--suite", "nope"], ["verify", "--scale", "big"],
+    ["tau", "--deg", "x"], ["exp", "--window", "1.5"], ["abel", "--depth", "-"], ["act", "--promote", "x"],
+    ["baker", "--deg", "1", "--window", "w"], ["schur", "--deg", "two"], ["verify", "--seed", "s"],
+    ["schur", "--deg", "2", "extra"], ["factor", "-h", "--in"],
+    [], ["-h"], ["--help"], ["bogus"], ["fac"], ["-x"], ["--in", "x", "factor"],
+]
+
+
+def _exit_of(call, capsys):
+    with pytest.raises(SystemExit) as info:
+        call()
+    out = capsys.readouterr()
+    return info.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", PARSER_BATTERY, ids=" ".join)
+def test_cli_parses_as_the_full_parser_does(capsys, argv):
+    # main builds only the subparser its first word names; its exit code,
+    # help and error text are the full parser's, usage line included
+    assert _exit_of(lambda: main(argv), capsys) == _exit_of(lambda: build_parser().parse_args(argv), capsys)
+
+
+def test_cli_builds_only_the_subparser_it_is_given(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"partition": [1]}'))
+    assert main(["schur", "--deg", "2"]) == 0
+    assert built == ["schur"]
+    built.clear()
+    # with no argument list, as the console script calls it
+    monkeypatch.setattr("sys.argv", ["grasstau", "schur", "--deg", "2"])
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"partition": [1]}'))
+    assert main() == 0
+    assert built == ["schur"]
+    built.clear()
+    assert _exit_of(lambda: main(["bogus"]), capsys)[0] == 2
+    assert built == SUBCOMMANDS
+
+
+def test_cli_module_reads_its_arguments_from_the_command_line(capsys, monkeypatch):
+    # the console script and python -m call main() with no argument list
+    env = dict(os.environ, PYTHONPATH=str(Path(grasstau.__file__).parent.parent))
+    payload = json.dumps({"partition": [2, 1]})
+    run = subprocess.run(
+        [sys.executable, "-m", "grasstau.cli", "schur", "--deg", "3"],
+        input=payload, env=env, capture_output=True, text=True,
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    assert main(["schur", "--deg", "3"]) == 0
+    assert (run.returncode, run.stdout, run.stderr) == (0, capsys.readouterr().out, "")
+
+
 def test_field_spec_refuses_characteristics_below_two(capsys, tmp_path):
     # BaseField(0) is the rationals: "fp:0" must not select them
     for bad in ["fp:0", "fp:1", "fp:-5"]:
@@ -716,3 +790,43 @@ def test_cli_mutated_payloads_end_in_a_classified_error(capsys, monkeypatch):
                     assert code == 2, (where, out)
                 if isinstance(old, list) and new in ("x", {}):
                     assert code == 2, (where, out)
+
+
+# (payload key, serialize's cap, the constructor it keeps from running)
+SHAPE_CAPS = [
+    (("ring", "num_vars"), "MAX_NUM_VARS", "CoeffRing"),
+    (("ring", "degree_bound"), "MAX_DEGREE_BOUND", "CoeffRing"),
+    (("point", "tail_depth"), "MAX_TAIL_DEPTH", "GrassPoint"),
+]
+
+
+@pytest.mark.parametrize("past", [1, 2**70], ids=["cap+1", "2**70"])
+@pytest.mark.parametrize("key, cap, constructor", SHAPE_CAPS, ids=[key[1] for key, _, _ in SHAPE_CAPS])
+def test_cli_a_shape_past_its_cap_is_refused_before_anything_is_built(capsys, monkeypatch, key, cap, constructor, past):
+    # num_vars 2**70 once ended in an OverflowError (exit 5), and a degree
+    # bound or tail depth of 2**70 ran plucker, pair, abel or index without end
+    limit = getattr(serialize, cap)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{constructor} was built")
+
+    calls = 0
+    for argv, payload in FUZZ_CASES:
+        if key[0] not in payload:
+            continue
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_replaced(payload, key, limit + past))))
+        with monkeypatch.context() as patched:
+            patched.setattr(serialize, constructor, refuse)
+            code = main(argv)
+        out = json.loads(capsys.readouterr().out)
+        message = f"{key[0]} {key[1]} must be at most {limit} in a payload"
+        assert (code, out["kind"], out["error"]) == (3, "precondition", message), argv
+        calls += 1
+    assert calls == (6 if key[0] == "point" else 16)
+
+
+def test_payload_shapes_at_their_caps_are_read():
+    obj = {"field": "q", "num_vars": serialize.MAX_NUM_VARS, "degree_bound": serialize.MAX_DEGREE_BOUND}
+    assert decode_ring(obj) == CoeffRing(QQ, serialize.MAX_NUM_VARS, serialize.MAX_DEGREE_BOUND)
+    point = decode_point(RING, {"tail_depth": serialize.MAX_TAIL_DEPTH, "columns": []})
+    assert point.tail_depth == serialize.MAX_TAIL_DEPTH

@@ -754,10 +754,12 @@ def test_tuples_outside_the_ring_read_no_other_coefficient():
     negative = [(-1, 1), (1, -1), (-1, 2), (-1, 0)]
     # entries equal to ints are not ints: (True, 0) and (1.0, 0) once read x1's
     not_ints = [(True, 0), (1.0, 0), (0, False), (0.4, 0.5), (1, "0")]
+    # a value that is not iterable once escaped as an unclassified TypeError
+    not_tuples = [5, None]
     heavy = [(3, 0), (2, 1), (0, 3)]
     assert [x.coefficient(m) for m in ring.monomials()] == list(range(1, len(x.coeffs) + 1))
     # the reader and the constructor refuse every tuple that is not a monomial alike
-    for mono in wrong_length + negative + not_ints:
+    for mono in wrong_length + negative + not_ints + not_tuples:
         for read in (x.coefficient, lambda m: RingElement(ring, {m: 1})):
             with pytest.raises(DomainError) as info:
                 read(mono)

@@ -20,6 +20,8 @@ shift x1 -> x1 + t gives psi = v^{-1} (1 + c (1 + c x1)^{-1} z).
 
 import re
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from math import isqrt
 from random import Random
 
@@ -390,6 +392,80 @@ def test_baker_matches_sato_formula():
         depth, bound, window = (rng.randint(1, 3) for _ in range(3))
         pt = _vacuum_chart_point(rng, field, depth, bound + window + 1)
         assert baker(pt, bound, window) == _sato_wave_series(pt, bound, window)
+
+
+@lru_cache(maxsize=None)
+def _schur_plucker_relations(n: int, bound: int) -> list:
+    """Every quadratic Plucker relation among the index-0 diagrams with
+    tail start -n whose partitions all have |lambda| <= bound: for an
+    (n-1)-set I and an (n+1)-set J of rows in [-n, bound),
+    Sum_k (-1)^k p(I + j_k) p(J - j_k) = 0, with p(I + j) antisymmetric in
+    the order listed.  Each relation is the list of its nonzero terms
+    (sign, lambda(I + j_k), lambda(J - j_k)), lambda(S) the partition of
+    ``MayaDiagram(-n, S)``."""
+    rows = range(-n, bound)
+    light = {}
+    for s in combinations(rows, n):
+        lam = MayaDiagram(-n, s).to_partition()
+        if sum(lam) <= bound:
+            light[s] = lam
+    out = []
+    for low in combinations(rows, n - 1):
+        for high in combinations(rows, n + 1):
+            terms = []
+            for k, row in enumerate(high):
+                if row in low:
+                    continue
+                left, right = tuple(sorted(low + (row,))), high[:k] + high[k + 1 :]
+                if left not in light or right not in light:
+                    break
+                terms.append(((-1) ** (k + sum(r > row for r in low)), light[left], light[right]))
+            else:
+                if terms:
+                    out.append(terms)
+    return out
+
+
+def _failed_schur_plucker_relations(field, coords: dict, n: int, bound: int) -> int:
+    """How many of the relations the Schur coordinates ``coords`` break."""
+    return sum(
+        field.coerce(sum(sign * coords.get(a, 0) * coords.get(b, 0) for sign, a, b in terms)) != 0
+        for terms in _schur_plucker_relations(n, bound)
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(7)]), st.integers(2, 4), st.integers(4, 6), st.integers(0, 2**32))
+def test_tau_schur_coordinates_satisfy_the_quadratic_plucker_relations(field, depth, bound, seed):
+    """c_lambda of tau are the point's Plucker coordinates normalized at
+    the vacuum, read at the diagram of lambda, so they satisfy every
+    quadratic Plucker relation whose partitions tau knows, in every
+    characteristic.  tau + c F_lambda for a non-hook lambda is no tau: a
+    non-hook of size <= 6 has Frobenius rank 2, and the relation that
+    writes c_0 c_lambda through four hook coordinates moves by c c_0 = c."""
+    rng = Random(seed)
+    point = _vacuum_chart_point(rng, field, depth, bound)
+    coords = to_schur_coords(tau_crosscheck(point, bound))
+    assert _failed_schur_plucker_relations(field, coords, depth, bound) == 0
+    non_hooks = [lam for lam in partitions_up_to(bound) if len(lam) <= depth and lam[1:2] >= (2,)]
+    lam = rng.choice(non_hooks)
+    c = rng.randrange(1, field.char) if field.char else Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+    moved = dict(coords)
+    moved[lam] = field.coerce(coords.get(lam, 0) + c)
+    assert _failed_schur_plucker_relations(field, moved, depth, bound) > 0
+
+
+def test_the_schur_plucker_relations_are_not_vacuous():
+    """Over a fixed draw, a fair share of the relations has a nonzero term."""
+    fields = [QQ, GF(2), GF(3), GF(5), GF(7)]
+    relations = nonzero = 0
+    for k in range(45):
+        field, depth, bound = fields[k % 5], 2 + k % 3, 4 + k // 5 % 3
+        coords = to_schur_coords(tau_crosscheck(_vacuum_chart_point(Random(k), field, depth, bound), bound))
+        for terms in _schur_plucker_relations(depth, bound):
+            relations += 1
+            nonzero += any(field.coerce(coords.get(a, 0) * coords.get(b, 0)) for _, a, b in terms)
+    assert nonzero >= relations // 5
 
 
 # ---------------------------------------------------------------------------
