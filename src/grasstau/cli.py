@@ -9,7 +9,7 @@ object to stdout with deterministic key order, and exits with:
 * 2 - malformed payload (bad JSON, nesting too deep, missing keys, a
   wrong JSON type anywhere, an unparsable coefficient)
 * 3 - precondition failure (domain errors, non-invertible input, a ring
-  or point past a payload shape cap)
+  or point past a payload shape cap, a size flag past its cap)
 * 4 - insufficient precision for the requested output
 * 5 - an internal invariant failed, or any unexpected exception (a
   library defect, not a bad input)
@@ -26,7 +26,7 @@ import argparse
 import json
 import sys
 
-from .errors import GrasstauError, InternalError, PrecisionError
+from .errors import DomainError, GrasstauError, InternalError, PrecisionError
 from .gamma import GammaElement, abel_embed, exp_gamma, factorize, witt_add, witt_product
 from .grassmann import act, chart_transition, index, plucker
 from .schur import bosonize, coordinate_ring, schur_polynomial, to_schur_coords
@@ -54,6 +54,16 @@ from .verify import run_suite, suite_names
 
 
 _TAU_ROUTES = {"direct": tau_direct, "schur": tau_schur, "both": tau_crosscheck}
+
+# Caps of the size flags, checked before the payload is read, well above
+# every value of the tests, README and bench (at most 4).  Each flag sizes
+# the work of its call: --deg the coordinate ring of tau, baker and schur,
+# --window a series window, --depth abel's clipped series, --promote the
+# columns act makes.  At 10**8 each ran past an 8-s timeout; at its cap a
+# call took at most 0.2 s in process (baker --deg 16 --window 256 on a
+# depth-3 point; 2-vCPU x86, Python 3.11), though payloads can still make
+# calls below the caps long.  The library itself takes any size.
+_FLAG_CAPS = {"deg": 16, "window": 256, "depth": 128, "promote": 1024}
 
 
 # ----------------------------------------------------------------------
@@ -308,6 +318,9 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
+        for flag, cap in _FLAG_CAPS.items():
+            if (getattr(args, flag, None) or 0) > cap:
+                raise DomainError(f"--{flag} must be at most {cap}")
         payload = _load_payload(args)
         ring = decode_ring(need(payload, "ring")) if args.reads_ring else None
         result, precision, flags = args.run(args, ring, payload)

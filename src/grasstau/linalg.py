@@ -24,6 +24,11 @@ a positive entry at e.  ``echelon_field`` is the pair on dense rows of
 raw values, a shell no point reaches (``grassmann._residues`` reads
 points).  ``det_field`` keeps its own loop, as an oracle.
 
+No library code calls ``echelon_field``, ``rank_field``,
+``solve_field``, ``inv_ring`` or ``mat_mul_ring``.  They stay only
+because the benchmark's tracer (``bench/tracing.py``) wraps them by
+name, so deleting them waits on a change there.
+
 Everything here is exact and runs in polynomial time: ``plucker``
 takes dense minors as large as the tail depth.  The ring loops skip zero
 entries, which most identity-block and Jacobi-Trudi entries are, and

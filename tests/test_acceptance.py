@@ -3,13 +3,37 @@
 Each test drives one (or two) of the randomized verification suites at
 full scale and prints a single PASS/FAIL line; run with ``-s`` to see
 them.  The suites live in ``grasstau.verify`` and are the same ones the
-``grasstau verify`` subcommand exposes.
+``grasstau verify`` subcommand exposes.  Each suite's report, its (label,
+ok, detail) list, is also frozen as a digest: a change to any check, its
+draws or its wording shows as a changed digest here.
 """
+
+import hashlib
+import json
 
 from grasstau import run_suite
 
 SEED = 2026
 SCALE = "full"
+
+# sha256 of json.dumps(report.checks), first 16 hex digits, at SEED and SCALE
+REPORT_DIGESTS = {
+    "tau-crosscheck": "04475958197806fc",
+    "tau-base-baker": "62d8832265dbcaee",
+    "factorization": "3ce68a4fb48feeb4",
+    "cocycle": "4fd9797850944474",
+    "finite-embed": "b5faf8afffe535c3",
+    "exponentials": "ce39413b368f91c1",
+    "witt": "45b828c7bbc6d543",
+    "schur": "ce89eed89cbd76a3",
+    "hirota": "b07e34f7889dc6c5",
+    "index-invariance": "e8a1628bc8edd4c4",
+    "pairings": "1c058787d244178e",
+}
+
+
+def _digest(report):
+    return hashlib.sha256(json.dumps(report.checks).encode()).hexdigest()[:16]
 
 
 def _criterion(number, description, *suites, budget_seconds=None):
@@ -21,6 +45,8 @@ def _criterion(number, description, *suites, budget_seconds=None):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number}: {description}")
     failures = [f for r in reports for f in r.failures()]
     assert ok, (failures, f"elapsed {elapsed:.1f}s")
+    changed = [r.name for r in reports if _digest(r) != REPORT_DIGESTS[r.name]]
+    assert not changed, f"reports changed: {changed}"
 
 
 def test_criterion_01_tau_routes_agree():

@@ -1,6 +1,7 @@
 """JSON codecs and the command-line surface (exit codes, determinism)."""
 
 import argparse
+import inspect
 import io
 import json
 import os
@@ -23,7 +24,7 @@ from grasstau import (
     MayaDiagram,
     factorize,
 )
-from grasstau import serialize
+from grasstau import cli, serialize
 from grasstau import tau as tau_module
 from grasstau.cli import build_parser, main
 from grasstau.serialize import (
@@ -830,3 +831,39 @@ def test_payload_shapes_at_their_caps_are_read():
     assert decode_ring(obj) == CoeffRing(QQ, serialize.MAX_NUM_VARS, serialize.MAX_DEGREE_BOUND)
     point = decode_point(RING, {"tail_depth": serialize.MAX_TAIL_DEPTH, "columns": []})
     assert point.tail_depth == serialize.MAX_TAIL_DEPTH
+
+
+# the six size-flag calls that ran into an 8-s timeout before the flags were
+# capped: (argv up to the flag's value, the flag, payload)
+FLAG_CASES = [
+    (["schur", "--deg"], "deg", {"partition": [2]}),
+    (["tau", "--deg"], "deg", TAU_PAYLOAD),
+    (["baker", "--deg", "2", "--window"], "window", TAU_PAYLOAD),
+    (["abel", "--depth"], "depth", {"ring": FACTOR_PAYLOAD["ring"], "points": [[{"exponents": [0], "coeff": "1/2"}]]}),
+    (["exp", "--sign", "1", "--window"], "window", {"ring": FACTOR_PAYLOAD["ring"], "coeffs": [_X, []]}),
+    (["act", "--promote"], "promote", _replaced(ACT_PAYLOAD, ("gamma", "gplus"), _series({0: [(0, "1")], 1: [(0, "1")]}))),
+]
+
+
+@pytest.mark.parametrize("past", [1, 10**8], ids=["cap+1", "10**8"])
+@pytest.mark.parametrize("argv, flag, payload", FLAG_CASES, ids=[argv[0] for argv, _, _ in FLAG_CASES])
+def test_cli_a_size_flag_past_its_cap_is_refused_before_any_library_call(capsys, monkeypatch, argv, flag, payload, past):
+    cap = cli._FLAG_CAPS[flag]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a library function was called")
+
+    for name, obj in vars(cli).items():
+        if inspect.isfunction(obj) and obj.__module__ != cli.__name__:
+            monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code = main(argv + [str(cap + past)])
+    out = json.loads(capsys.readouterr().out)
+    assert (code, out["kind"], out["error"]) == (3, "precondition", f"--{flag} must be at most {cap}")
+
+
+@pytest.mark.parametrize("argv, flag, payload", FLAG_CASES, ids=[argv[0] for argv, _, _ in FLAG_CASES])
+def test_cli_a_size_flag_at_its_cap_is_read(capsys, monkeypatch, argv, flag, payload):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    assert main(argv + [str(cli._FLAG_CAPS[flag])]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
