@@ -14,17 +14,24 @@ object to stdout with deterministic key order, and exits with:
 * 5 - an internal invariant failed, or any unexpected exception (a
   library defect, not a bad input)
 
-Each call is a fresh process, so the parser is built per call: a call
-builds the top-level parser and only the subparser its first word names,
-which is all argparse reads.  Its usage line still lists every
-subcommand, so its messages are the full parser's.
+Each call is a fresh process, so what the parse imports and builds is
+paid per call.  A canonical argument list (a subcommand, then its flags,
+each once and each with a value not starting with "-", every required
+one present) is read straight off the subcommand table, and argparse is
+never imported.  Anything else (help, an error, "--flag=value", an
+abbreviation, a negative value) goes to argparse, which is the one
+authority on help text, errors and exit code 2: the call builds the
+top-level parser and only the subparser its first word names.  Its usage
+line still lists every subcommand, so its messages are the full
+parser's.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, GrasstauError, InternalError, PrecisionError
 from .gamma import GammaElement, abel_embed, exp_gamma, factorize, witt_add, witt_product
@@ -51,6 +58,9 @@ from .serialize import (
 from .tau import baker, tau_crosscheck, tau_direct, tau_schur
 from .pairings import commutator_pairing, residue_pairing
 from .verify import run_suite, suite_names
+
+if TYPE_CHECKING:
+    import argparse
 
 
 _TAU_ROUTES = {"direct": tau_direct, "schur": tau_schur, "both": tau_crosscheck}
@@ -205,8 +215,8 @@ def _cmd_verify(args, _ring, _payload):
 
 # name -> (help, handler, reads a payload, reads the payload's ring,
 # arguments), in the order of --help.  The arguments are None or a function
-# giving (flag, add_argument keywords) pairs, called only when the
-# subparser is built.
+# giving (flag, add_argument keywords) pairs, called only when a call reads
+# its subcommand's flags; a payload-reading subcommand also takes --in.
 _SUBCOMMANDS = {
     "factor": ("split a series into lower wing * unit * upper wing * z^k", _cmd_factor, True, True, None),
     "exp": ("exponential of a coefficient vector into one wing", _cmd_exp, True, True, lambda: (
@@ -255,11 +265,23 @@ _SUBCOMMANDS = {
 }
 
 
+_IN = ("--in", {"dest": "infile", "metavar": "FILE", "help": "read the JSON payload from FILE instead of stdin"})
+
+
+def _arguments(name: str) -> tuple:
+    """(flag, add_argument keywords) of every flag of subcommand ``name``,
+    --in first, for argparse and ``_canonical_args`` alike."""
+    _help, _run, payload, _ring, arguments = _SUBCOMMANDS[name]
+    return ((_IN,) if payload else ()) + (arguments() if arguments else ())
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI's parser: with every subparser, or with only ``command``'s.
     A one-subparser parser names them all in its usage line, as the full
     parser does; it parses only argument lists whose first word is
     ``command``."""
+    import argparse  # only help, errors and non-canonical forms need it
+
     parser = argparse.ArgumentParser(
         prog="grasstau",
         description="Exact arithmetic on an infinite-dimensional Grassmannian: "
@@ -271,19 +293,53 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in _SUBCOMMANDS if command is None else [command]:
-        help_, run, payload, ring, arguments = _SUBCOMMANDS[name]
+        help_, run, _payload, ring, _ = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_)
         p.set_defaults(run=run, reads_ring=ring)
-        if payload:
-            p.add_argument(
-                "--in",
-                dest="infile",
-                metavar="FILE",
-                help="read the JSON payload from FILE instead of stdin",
-            )
-        for flag, keywords in arguments() if arguments else ():
+        for flag, keywords in _arguments(name):
             p.add_argument(flag, **keywords)
     return parser
+
+
+def _canonical_args(argv) -> SimpleNamespace | None:
+    """The namespace argparse gives ``argv``, read off the subcommand
+    table, or None when ``argv`` is not canonical.  Canonical is a known
+    subcommand, then known flags, each at most once and each but a
+    store_true flag followed by a value that does not start with "-" and
+    is of its flag's type and choices, with every required flag present.
+    On those argparse only stores each value, converted by the same
+    ``type``, over the defaults; help, errors, "--flag=value",
+    abbreviations, negative values and "--" are left to it."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _help, run, _payload, ring, _ = _SUBCOMMANDS[argv[0]]
+    specs, values = {}, {"command": argv[0], "run": run, "reads_ring": ring}
+    for flag, keywords in _arguments(argv[0]):
+        dest = keywords.get("dest", flag[2:].replace("-", "_"))
+        store_true = keywords.get("action") == "store_true"
+        values[dest] = keywords.get("default", False if store_true else None)
+        specs[flag] = dest, keywords
+    words = iter(argv[1:])
+    for flag in words:
+        if flag not in specs:  # unknown, or given before
+            return None
+        dest, keywords = specs.pop(flag)
+        if keywords.get("action") == "store_true":
+            values[dest] = True
+            continue
+        value = next(words, "-")  # a flag without its value is declined
+        if value.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[dest] = value
+    if any(keywords.get("required") for _, keywords in specs.values()):  # one not given
+        return None
+    return SimpleNamespace(**values)
 
 
 def _load_payload(args) -> dict | None:
@@ -314,9 +370,11 @@ def _fail(code: int, kind: str, error) -> int:
 def main(argv=None) -> int:
     if argv is None:  # the console script and ``python -m`` pass none
         argv = sys.argv[1:]
-    # a first word that names no subcommand, or none, gets the full parser
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _canonical_args(argv)  # a canonical argument list needs no parser
+    if args is None:
+        # a first word that names no subcommand, or none, gets the full parser
+        command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+        args = build_parser(command).parse_args(argv)
     try:
         for flag, cap in _FLAG_CAPS.items():
             if (getattr(args, flag, None) or 0) > cap:

@@ -7,9 +7,10 @@ string where an integer belongs) or an unparsable coefficient literal
 raises ValueError, which the CLI tells apart from semantic precondition
 failures, raised as the library's own error types.  A ring or a point
 past a shape cap (``MAX_NUM_VARS``, ``MAX_DEGREE_BOUND``,
-``MAX_TAIL_DEPTH``) is such a failure, a DomainError raised before
-anything is built.  Encoders emit plain JSON-ready structures with
-deterministic ordering.
+``MAX_TAIL_DEPTH``), and a series with an exponent or truncation order
+past ``MAX_EXPONENT`` in absolute value, is such a failure, a DomainError
+raised before anything is built.  Encoders emit plain JSON-ready
+structures with deterministic ordering.
 """
 
 from __future__ import annotations
@@ -64,6 +65,11 @@ def _ints(value, what: str) -> list[int]:
 MAX_NUM_VARS = 64
 MAX_DEGREE_BOUND = 64
 MAX_TAIL_DEPTH = 1024
+# A series exponent or truncation order past it, either way, is refused
+# too: factor on 1 + x z^(-10**8) in a one-variable ring of degree bound 2,
+# and pair on 1 + x z^(-50000) with 1 + x z^50000, each ran past 20 s.  It
+# is the tail-depth cap, so a point at that cap stays writable.
+MAX_EXPONENT = MAX_TAIL_DEPTH
 
 
 def _capped(obj, key: str, cap: int, what: str) -> int:
@@ -71,6 +77,15 @@ def _capped(obj, key: str, cap: int, what: str) -> int:
     value = need(obj, key, int, what)
     if value > cap:
         raise DomainError(f"{what} {key} must be at most {cap} in a payload")
+    return value
+
+
+def _exponent(obj, key: str, what: str, default=_REQUIRED) -> int | None:
+    """The int ``obj[key]`` (or ``default``), refused with a DomainError
+    past ``MAX_EXPONENT`` in absolute value."""
+    value = need(obj, key, int, what, default)
+    if value is not None and abs(value) > MAX_EXPONENT:
+        raise DomainError(f"{what} |{key}| must be at most {MAX_EXPONENT} in a payload")
     return value
 
 
@@ -162,10 +177,10 @@ def encode_ring_element(elem: RingElement) -> list:
 def decode_laurent(ring: CoeffRing, obj) -> LaurentElement:
     """Terms at a repeated exponent add up, like repeated monomials."""
     terms = need(obj, "terms", list, "laurent element")
-    trunc = need(obj, "trunc_order", int, "laurent element", default=None)
+    trunc = _exponent(obj, "trunc_order", "laurent element", default=None)
     coeffs = {}
     for term in terms:
-        exp = need(term, "exp", int, "laurent term")
+        exp = _exponent(term, "exp", "laurent term")
         c = decode_ring_element(ring, need(term, "coeff", what="laurent term"))
         coeffs[exp] = coeffs[exp] + c if exp in coeffs else c
     return LaurentElement(ring, coeffs, trunc)

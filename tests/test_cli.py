@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import grasstau
 from grasstau import (
@@ -496,16 +497,22 @@ def test_cli_stdin_payload(tmp_path, capsys, monkeypatch):
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # every CLI call is a fresh process, so what the import pulls in is
-    # paid per call; -S keeps site's own imports out of the count
+    # paid per call; -S keeps site's own imports out of the count.  A call
+    # with a canonical argument list then imports neither argparse nor the
+    # gettext its messages go through.
     env = dict(os.environ, PYTHONPATH=str(Path(grasstau.__file__).parent.parent))
     probe = (
         "import grasstau.cli, sys; "
-        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)); "
+        "code = grasstau.cli.main(['schur', '--deg', '2']); "
+        "print(code, sorted(m for m in ('argparse', 'gettext') if m in sys.modules))"
     )
     out = subprocess.run(
-        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", probe], input='{"partition": [1]}', env=env, capture_output=True,
+        text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "0 []")
 
 
 
@@ -541,6 +548,86 @@ def test_cli_parses_as_the_full_parser_does(capsys, argv):
     assert _exit_of(lambda: main(argv), capsys) == _exit_of(lambda: build_parser().parse_args(argv), capsys)
 
 
+# every subcommand with each of its flags, as canonical argument lists;
+# ints argparse's int also reads ("+3", " 4", "1_000") are canonical too
+CANONICAL_BATTERY = [
+    ["factor"], ["factor", "--in", "p.json"], ["witt-add", "--in", "p.json"], ["index"], ["plucker"],
+    ["transition", "--in", ""], ["bosonize", "--in", "p.json"],
+    ["exp"], ["exp", "--sign", "1", "--window", "3"], ["exp", "--product-form"],
+    ["exp", "--window", "0", "--product-form", "--in", "p.json"], ["exp", "--sign", "+1"],
+    ["abel", "--depth", "3"], ["act", "--promote", "2"], ["act", "--promote", " 4"],
+    ["tau", "--deg", "2"], ["tau", "--method", "direct", "--deg", "3"], ["tau", "--deg", "+3", "--method", "schur"],
+    ["tau", "--in", "p.json", "--deg", "2", "--method", "both"],
+    ["baker", "--window", "2", "--deg", "1"], ["baker", "--deg", "2", "--window", "2", "--in", "p.json"],
+    ["schur", "--deg", "2"], ["schur", "--field", "fp:5", "--deg", "2"], ["schur", "--deg", "2", "--field", ""],
+    ["pair", "--mode", "residue"], ["pair", "--mode", "commutator", "--in", "p.json"],
+    ["verify"], ["verify", "--suite", "witt", "--seed", "7", "--scale", "full"], ["verify", "--seed", "1_000"],
+]
+
+# what the reader leaves to argparse: help, "--flag=value", an abbreviation,
+# a negative value, a repeated flag, "--", and every error
+DECLINED_BATTERY = [
+    ["schur", "-h"], ["schur", "--help"], ["schur", "--deg=2"], ["schur", "--de", "2"], ["exp", "--sign", "-1"],
+    ["verify", "--seed", "-1"], ["abel", "--depth", "-3"], ["schur", "--deg", "2", "--deg", "3"],
+    ["exp", "--product-form", "--product-form"], ["schur", "--", "--deg", "2"], ["schur", "--deg", "2", "--"],
+    ["factor", "--in", "-"], ["tau"], ["tau", "--method", "direct"], ["tau", "--deg", "x"],
+    ["tau", "--deg", "2", "--method", "nope"], ["exp", "--sign", "2"], ["schur", "--deg", "2", "extra"],
+    ["exp", "--product-form", "x"], ["factor", "--in"], ["verify", "--in", "p.json"], ["verify", "--suite", "all "],
+    [], ["bogus"], ["-h"], ["--in", "p.json", "factor"],
+]
+
+
+@pytest.mark.parametrize("argv", CANONICAL_BATTERY, ids=" ".join)
+def test_cli_reads_a_canonical_argument_list_as_argparse_does(argv):
+    args = cli._canonical_args(argv)
+    assert args is not None
+    assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", DECLINED_BATTERY, ids=" ".join)
+def test_cli_leaves_every_other_argument_list_to_argparse(argv):
+    assert cli._canonical_args(argv) is None
+
+
+def _good_values(keywords: dict) -> list:
+    """Values a flag takes, by its add_argument keywords: none for a
+    store_true flag, else every choice, or ints of every form argparse's
+    int reads, or strings."""
+    if keywords.get("action") == "store_true":
+        return [None]
+    if "choices" in keywords:
+        return [str(c) for c in keywords["choices"]]
+    if keywords.get("type") is int:
+        return ["0", "2", "17", "+3", " 4", "1_0"]
+    return ["q", "fp:5", "p.json", ""]
+
+
+@st.composite
+def _table_argv(draw):
+    """A subcommand, then some of its flags from the table, each mostly
+    as itself with a value it takes; one in five is in a form only
+    argparse reads, and one in five values is refused, missing or in
+    the next word's place."""
+    name = draw(st.sampled_from(SUBCOMMANDS))
+    argv = [name]
+    specs = cli._arguments(name)
+    for flag, keywords in draw(st.lists(st.sampled_from(specs), unique_by=lambda spec: spec[0], max_size=len(specs))):
+        odd = draw(st.integers(0, 4)) == 0
+        argv.append(draw(st.sampled_from([flag + "=2", flag[:-1], flag, "-h", "--", "extra"])) if odd else flag)
+        odd = draw(st.integers(0, 4)) == 0
+        value = draw(st.sampled_from(["-1", "-", "--", "1.5", "x", "", None] if odd else _good_values(keywords)))
+        argv += [] if value is None else [value]
+    return argv
+
+
+@settings(deadline=None, max_examples=300)
+@given(_table_argv())
+def test_cli_reader_agrees_with_argparse_on_argument_lists_from_the_table(argv):
+    args = cli._canonical_args(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser().parse_args(argv))
+
+
 def test_cli_builds_only_the_subparser_it_is_given(capsys, monkeypatch):
     built = []
     add_parser = argparse._SubParsersAction.add_parser
@@ -550,16 +637,24 @@ def test_cli_builds_only_the_subparser_it_is_given(capsys, monkeypatch):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    # a canonical argument list is read off the subcommand table: no parser
     monkeypatch.setattr("sys.stdin", io.StringIO('{"partition": [1]}'))
     assert main(["schur", "--deg", "2"]) == 0
-    assert built == ["schur"]
-    built.clear()
+    canonical = capsys.readouterr().out
+    assert built == []
     # with no argument list, as the console script calls it
     monkeypatch.setattr("sys.argv", ["grasstau", "schur", "--deg", "2"])
     monkeypatch.setattr("sys.stdin", io.StringIO('{"partition": [1]}'))
     assert main() == 0
-    assert built == ["schur"]
-    built.clear()
+    assert capsys.readouterr().out == canonical
+    assert built == []
+    # argparse reads "--flag=value" and an abbreviation with schur's subparser alone
+    for argv in (["schur", "--deg=2"], ["schur", "--de", "2"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"partition": [1]}'))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == canonical
+        assert built == ["schur"]
+        built.clear()
     assert _exit_of(lambda: main(["bogus"]), capsys)[0] == 2
     assert built == SUBCOMMANDS
 
@@ -793,19 +888,28 @@ def test_cli_mutated_payloads_end_in_a_classified_error(capsys, monkeypatch):
                     assert code == 2, (where, out)
 
 
-# (payload key, serialize's cap, the constructor it keeps from running)
+# (payload key, its name in the refusal, serialize's cap, the constructor
+# it keeps from running, whether the cap bounds its absolute value, and how
+# many FUZZ_CASES payloads have the key)
 SHAPE_CAPS = [
-    (("ring", "num_vars"), "MAX_NUM_VARS", "CoeffRing"),
-    (("ring", "degree_bound"), "MAX_DEGREE_BOUND", "CoeffRing"),
-    (("point", "tail_depth"), "MAX_TAIL_DEPTH", "GrassPoint"),
+    ("num_vars", "ring num_vars", "MAX_NUM_VARS", "CoeffRing", False, 16),
+    ("degree_bound", "ring degree_bound", "MAX_DEGREE_BOUND", "CoeffRing", False, 16),
+    ("tail_depth", "point tail_depth", "MAX_TAIL_DEPTH", "GrassPoint", False, 6),
+    ("exp", "laurent term |exp|", "MAX_EXPONENT", "LaurentElement", True, 9),
+    ("trunc_order", "laurent element |trunc_order|", "MAX_EXPONENT", "LaurentElement", True, 4),
 ]
 
 
 @pytest.mark.parametrize("past", [1, 2**70], ids=["cap+1", "2**70"])
-@pytest.mark.parametrize("key, cap, constructor", SHAPE_CAPS, ids=[key[1] for key, _, _ in SHAPE_CAPS])
-def test_cli_a_shape_past_its_cap_is_refused_before_anything_is_built(capsys, monkeypatch, key, cap, constructor, past):
-    # num_vars 2**70 once ended in an OverflowError (exit 5), and a degree
-    # bound or tail depth of 2**70 ran plucker, pair, abel or index without end
+@pytest.mark.parametrize("key, name, cap, constructor, signed, count", SHAPE_CAPS, ids=[row[0] for row in SHAPE_CAPS])
+def test_cli_a_shape_past_its_cap_is_refused_before_anything_is_built(
+    capsys, monkeypatch, key, name, cap, constructor, signed, count, past
+):
+    # num_vars 2**70 once ended in an OverflowError (exit 5), a degree
+    # bound or tail depth of 2**70 ran plucker, pair, abel or index without
+    # end, and so did factor on 1 + x z^(-10**8) and pair on 1 + x z^(-50000)
+    # with 1 + x z^50000.  Every node of the key in a payload is set past
+    # the cap, so the first one read is refused before anything is built.
     limit = getattr(serialize, cap)
 
     def refuse(*args, **kwargs):
@@ -813,17 +917,22 @@ def test_cli_a_shape_past_its_cap_is_refused_before_anything_is_built(capsys, mo
 
     calls = 0
     for argv, payload in FUZZ_CASES:
-        if key[0] not in payload:
+        paths = [path for path, _ in _nodes(payload) if path and path[-1] == key]
+        if not paths:
             continue
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_replaced(payload, key, limit + past))))
-        with monkeypatch.context() as patched:
-            patched.setattr(serialize, constructor, refuse)
-            code = main(argv)
-        out = json.loads(capsys.readouterr().out)
-        message = f"{key[0]} {key[1]} must be at most {limit} in a payload"
-        assert (code, out["kind"], out["error"]) == (3, "precondition", message), argv
+        for sign in (1, -1) if signed else (1,):
+            changed = payload
+            for path in paths:
+                changed = _replaced(changed, path, sign * (limit + past))
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(changed)))
+            with monkeypatch.context() as patched:
+                patched.setattr(serialize, constructor, refuse)
+                code = main(argv)
+            out = json.loads(capsys.readouterr().out)
+            message = f"{name} must be at most {limit} in a payload"
+            assert (code, out["kind"], out["error"]) == (3, "precondition", message), (argv, sign)
         calls += 1
-    assert calls == (6 if key[0] == "point" else 16)
+    assert calls == count
 
 
 def test_payload_shapes_at_their_caps_are_read():
@@ -831,6 +940,11 @@ def test_payload_shapes_at_their_caps_are_read():
     assert decode_ring(obj) == CoeffRing(QQ, serialize.MAX_NUM_VARS, serialize.MAX_DEGREE_BOUND)
     point = decode_point(RING, {"tail_depth": serialize.MAX_TAIL_DEPTH, "columns": []})
     assert point.tail_depth == serialize.MAX_TAIL_DEPTH
+    cap = serialize.MAX_EXPONENT
+    one = [{"exponents": [0, 0], "coeff": "1"}]
+    for trunc in (None, cap, -cap):
+        obj = {"terms": [{"exp": -cap, "coeff": one}, {"exp": cap, "coeff": one}], "trunc_order": trunc}
+        assert decode_laurent(RING, obj) == LaurentElement(RING, {-cap: RING.one(), cap: RING.one()}, trunc)
 
 
 # the six size-flag calls that ran into an 8-s timeout before the flags were
