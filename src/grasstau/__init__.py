@@ -44,7 +44,6 @@ from .schur import (
 )
 from .tau import baker, kp_residual, tau_crosscheck, tau_direct, tau_eval, tau_schur
 from .pairings import commutator_pairing, residue_pairing
-from .verify import run_suite, suite_names
 
 __all__ = [
     "BaseField",
@@ -96,3 +95,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the verify suites load on first use: of the CLI's calls only verify runs them
+    if name in ("run_suite", "suite_names"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

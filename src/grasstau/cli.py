@@ -14,8 +14,12 @@ object to stdout with deterministic key order, and exits with:
 * 5 - an internal invariant failed, or any unexpected exception (a
   library defect, not a bad input)
 
-Each call is a fresh process, so what the parse imports and builds is
-paid per call.  A canonical argument list (a subcommand, then its flags,
+Each call is a fresh process, so what it imports, and what the parse
+builds, is paid per call.  The verify suites are imported only by the
+verify handler and its flags, and ring elements cross the JSON boundary
+as int ratios (``serialize``), so a call that reads no Fraction-valued
+coefficient loads neither ``fractions`` nor the ``decimal`` it imports.
+A canonical argument list (a subcommand, then its flags,
 each once and each with a value not starting with "-", every required
 one present) is read straight off the subcommand table, and argparse is
 never imported.  Anything else (help, an error, "--flag=value", an
@@ -57,7 +61,6 @@ from .serialize import (
 )
 from .tau import baker, tau_crosscheck, tau_direct, tau_schur
 from .pairings import commutator_pairing, residue_pairing
-from .verify import run_suite, suite_names
 
 if TYPE_CHECKING:
     import argparse
@@ -204,6 +207,8 @@ def _cmd_pair(args, ring, payload):
 
 
 def _cmd_verify(args, _ring, _payload):
+    from .verify import run_suite, suite_names  # only a verify call loads the suites
+
     names = suite_names() if args.suite == "all" else [args.suite]
     reports = [run_suite(n, seed=args.seed, scale=args.scale) for n in names]
     result = {
@@ -211,6 +216,18 @@ def _cmd_verify(args, _ring, _payload):
         "all_passed": all(r.passed for r in reports),
     }
     return result, None, []
+
+
+def _verify_arguments() -> tuple:
+    """verify's flags: --suite's choices load the suites, so only a call
+    that reads verify's flags imports them."""
+    from .verify import suite_names
+
+    return (
+        ("--suite", {"default": "all", "choices": ["all"] + suite_names()}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--scale", {"choices": ("small", "full"), "default": "small"}),
+    )
 
 
 # name -> (help, handler, reads a payload, reads the payload's ring,
@@ -257,11 +274,7 @@ _SUBCOMMANDS = {
     "pair": ("pairing of two series with unit constant coefficient", _cmd_pair, True, True, lambda: (
         ("--mode", {"choices": ("commutator", "residue"), "default": "commutator"}),
     )),
-    "verify": ("run randomized self-check suites", _cmd_verify, False, False, lambda: (
-        ("--suite", {"default": "all", "choices": ["all"] + suite_names()}),
-        ("--seed", {"type": int, "default": 0}),
-        ("--scale", {"choices": ("small", "full"), "default": "small"}),
-    )),
+    "verify": ("run randomized self-check suites", _cmd_verify, False, False, _verify_arguments),
 }
 
 

@@ -33,11 +33,9 @@ t -> 1 + sum_i t^i z^{-i}.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DomainError, InternalError, PrecisionError, RingMismatchError, _an_int, _at_least
 from .laurent import LaurentElement, _divide
-from .scalars import BaseField, CoeffRing, RingElement, _series_product, _sum_products
+from .scalars import BaseField, CoeffRing, RingElement, _from_ratios, _series_product, _sum_products
 from .schur import coordinate_ring
 
 
@@ -289,10 +287,11 @@ def _exp_coefficients(ring: CoeffRing, args: list[RingElement], top: int) -> lis
     recursion i*E_i = sum_j j*a_j*E_(i-j), one sum of products per E_i;
     characteristic zero only."""
     scaled = [a * j for j, a in enumerate(args, start=1)]
+    const = (0,) * ring.num_vars
     es = [ring.one()]
     for i in range(1, top + 1):
         pairs = [(scaled[j - 1], es[i - j]) for j in range(1, min(i, len(args)) + 1)]
-        es.append(_sum_products(ring, pairs) * Fraction(1, i))
+        es.append(_sum_products(ring, pairs) * _from_ratios(ring, [(const, 1, i)]))
     return es
 
 

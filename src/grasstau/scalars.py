@@ -36,7 +36,7 @@ alone and bring each result to its canonical form once, by ``_reduced``:
 a ``% p`` per coefficient in characteristic p, one gcd over the result
 over Q.  ``_element`` builds an element from parts already canonical.
 ``Fraction`` values appear only when ``coeffs``, ``coefficient`` or
-``constant_term`` is read.
+``constant_term`` is read, or a raw value over Q is reduced.
 
 Every sum, product and sum of products runs one multiply-accumulate
 kernel, ``_accumulate``, the loop over monomial pairs.
@@ -53,17 +53,31 @@ every step.
 
 Which Python values stand for ring elements is decided here alone:
 ``BaseField.coerce`` reads the values of the one constructor,
-``RingElement(ring, coeffs)``, and ``_operand`` the other operand of
-ring elements and series alike (see ``RingElement``).  Other modules
-read the storage only through private readers here: ``_integer_vector``
-(a point's residues as ints), ``_recast`` (a constant moved to another
-ring) and ``_lowest_weight``.
+``RingElement(ring, coeffs)`` (through ``BaseField._ratio``, its int
+ratio), and ``_operand`` the other operand of ring elements and series
+alike (see ``RingElement``).  Other modules read the storage only
+through private readers here: ``_integer_vector`` (a point's residues
+as ints), ``_recast`` (a constant moved to another ring),
+``_lowest_weight``, and the two of the JSON layer, ``_from_ratios`` (an
+element from (monomial, n, d) int terms, as ``BaseField._parse_ratio``
+reads a literal) and ``_ratios`` (an element's terms as (monomial, n,
+d), each in lowest terms).
+
+``fractions`` is imported here alone, on first use, by ``_fraction``.
+Each CLI call is a fresh process, and that module, with the ``decimal``
+it imports, takes about as long to import as the rest of the package
+(``python -X importtime``, Python 3.11).  Elements
+store ints, and the JSON layer reads and writes int ratios, so a call
+loads it only when it reads a Fraction-valued coefficient or field
+value (``coeffs``, ``coefficient``, ``constant_term``, ``parse`` or
+``coerce`` over Q).  ``_is_fraction`` is ``isinstance(value, Fraction)``
+without the import: no value is a Fraction before the module is loaded.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+import sys
 from math import gcd, lcm
 from typing import Iterator
 
@@ -75,6 +89,21 @@ Monomial = tuple[int, ...]
 # expand "1e2000000", and int alone reads "1_000" and full-width digits
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _fraction():
+    """The class ``fractions.Fraction``, imported on first use (module
+    docstring)."""
+    from fractions import Fraction
+
+    return Fraction
+
+
+def _is_fraction(value) -> bool:
+    """``isinstance(value, Fraction)``, without importing ``fractions``: no
+    value is a Fraction before that module is loaded."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
 
 
 class BaseField:
@@ -115,16 +144,23 @@ class BaseField:
         if isinstance(value, bool):
             raise DomainError("booleans are not field values")
         if isinstance(value, int):
-            return value % self.char if self.char else Fraction(value)
-        if self.char == 0 and isinstance(value, Fraction):
+            return value % self.char if self.char else _fraction()(value)
+        if self.char == 0 and _is_fraction(value):
             return value
         raise DomainError(f"cannot coerce {value!r} into {self!r}")
+
+    def _ratio(self, value) -> tuple[int, int]:
+        """``coerce(value)`` as (numerator, positive denominator) in lowest
+        terms, refused alike; an int is read without a Fraction."""
+        if isinstance(value, int) and not isinstance(value, bool):
+            return (value % self.char if self.char else value), 1
+        return self.coerce(value).as_integer_ratio()
 
     def invert(self, a):
         if not a:
             raise NotInvertibleError(f"zero is not invertible in {self!r}")
         if self.char == 0:
-            return 1 / a if isinstance(a, Fraction) else Fraction(1, a)
+            return 1 / a if _is_fraction(a) else _fraction()(1, a)
         return pow(a, -1, self.char)
 
     def zero(self):
@@ -137,18 +173,30 @@ class BaseField:
 
     def parse(self, text: str):
         """Read a scalar from its serialized form: "3/4", "-2", "5"."""
+        n, d = self._parse_ratio(text)
+        return _fraction()(n, d) if self.char == 0 else n
+
+    def _parse_ratio(self, text: str) -> tuple[int, int]:
+        """The serialized scalar ``text`` as ints (n, d), d > 0, not
+        reduced; (a residue in [0, p), 1) in characteristic p.  Each part
+        is read by ``int``, as ``Fraction`` reads them, so a part past
+        sys.get_int_max_str_digits() digits is refused too."""
         text = text.strip()
         if self.char == 0:
             if not _RATIONAL.fullmatch(text):
                 raise DomainError(f"bad rational literal {text!r}")
+            num, _, den = text.partition("/")
             try:
-                return Fraction(text)
-            except (ValueError, ZeroDivisionError) as exc:  # "1/0", or too many digits
+                n, d = int(num, 10), int(den or "1", 10)
+            except ValueError as exc:  # too many digits
                 raise DomainError(f"bad rational literal {text!r}") from exc
+            if not d:
+                raise DomainError(f"bad rational literal {text!r}")
+            return n, d
         if not _INTEGER.fullmatch(text):
             raise DomainError(f"bad residue literal {text!r}")
         try:
-            return self.coerce(int(text, 10))
+            return int(text, 10) % self.char, 1
         except ValueError as exc:  # past sys.get_int_max_str_digits() digits
             raise DomainError(f"bad residue literal {text!r}") from exc
 
@@ -292,7 +340,7 @@ class CoeffRing:
         return RingElement(self, coeffs)
 
     def const(self, value) -> "RingElement":
-        n, d = self.field.coerce(value).as_integer_ratio()
+        n, d = self.field._ratio(value)
         return _element(self, {0: n} if n else {}, d)
 
     def zero(self) -> "RingElement":
@@ -357,10 +405,10 @@ class RingElement:
     __slots__ = ("ring", "_num", "_den")
 
     def __init__(self, ring: CoeffRing, coeffs: dict):
-        values = {ring._key(mono): ring.field.coerce(c) for mono, c in coeffs.items()}
+        values = {ring._key(mono): ring.field._ratio(c) for mono, c in coeffs.items()}
         values.pop(None, None)  # the monomials past the bound
-        den = lcm(*[c.denominator for c in values.values()])
-        x = _reduced(ring, {m: c.numerator * (den // c.denominator) for m, c in values.items()}, den)
+        den = lcm(*[d for _, d in values.values()])
+        x = _reduced(ring, {m: n * (den // d) for m, (n, d) in values.items()}, den)
         self.ring, self._num, self._den = ring, x._num, x._den
 
     # -- inspection -------------------------------------------------------
@@ -373,7 +421,7 @@ class RingElement:
         return {mono(k): value(n) for k, n in self._num.items()}
 
     def _value(self, n: int):
-        return n if self.ring.field.char else Fraction(n, self._den)
+        return n if self.ring.field.char else _fraction()(n, self._den)
 
     def coefficient(self, mono: Monomial):
         """The coefficient of a monomial of the ring (``CoeffRing._key``),
@@ -522,7 +570,7 @@ def _operand(ring: CoeffRing, other) -> RingElement:
         if other.ring is not ring and other.ring != ring:
             raise RingMismatchError(f"cannot combine elements of {ring!r} and {other.ring!r}")
         return other
-    if isinstance(other, bool) or not isinstance(other, int if ring.field.char else (int, Fraction)):
+    if isinstance(other, bool) or not (isinstance(other, int) or not ring.field.char and _is_fraction(other)):
         return NotImplemented  # type: ignore[return-value]
     return ring.const(other)
 
@@ -650,6 +698,35 @@ def _integer_vector(values: dict, below: int) -> dict[int, int]:
     kept = [(i, a, x._den) for i, x in values.items() if i < below and (a := x._num.get(0))]
     den = lcm(*[d for _, _, d in kept])
     return {i: a * (den // d) for i, a, d in kept}
+
+
+def _from_ratios(ring: CoeffRing, terms) -> RingElement:
+    """The element sum n/d x^m of ring over the (m, n, d) in ``terms``, n
+    and d ints with d > 0 (and prime to p in characteristic p), a repeated
+    monomial adding up: the constructor's values as int ratios.  Each
+    monomial is read by ``CoeffRing._key``, in order, before any sum, and
+    the monomials past the bound are dropped; one ``_reduced`` call brings
+    the sum to canonical form."""
+    keyed = [(ring._key(m), n, d) for m, n, d in terms]
+    den = lcm(*[d for key, _, d in keyed if key is not None])
+    num: dict[int, int] = {}
+    for key, n, d in keyed:
+        if key is not None:
+            num[key] = num.get(key, 0) + n * (den // d)
+    return _reduced(ring, num, den)
+
+
+def _ratios(x: RingElement) -> list[tuple[Monomial, int, int]]:
+    """(m, n, d) for each term of x in increasing monomial order, n/d its
+    coefficient in lowest terms with d > 0 (so d = 1 in characteristic
+    p): ``coeffs``, sorted, as int ratios."""
+    mono, den = x.ring._monomial, x._den
+    out = []
+    for key, n in x._num.items():
+        g = gcd(n, den)
+        out.append((mono(key), n // g, den // g))
+    out.sort()
+    return out
 
 
 def _recast(x: RingElement, ring: CoeffRing) -> RingElement:

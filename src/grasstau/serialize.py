@@ -7,10 +7,12 @@ string where an integer belongs) or an unparsable coefficient literal
 raises ValueError, which the CLI tells apart from semantic precondition
 failures, raised as the library's own error types.  A ring or a point
 past a shape cap (``MAX_NUM_VARS``, ``MAX_DEGREE_BOUND``,
-``MAX_TAIL_DEPTH``), and a series with an exponent or truncation order
-past ``MAX_EXPONENT`` in absolute value, is such a failure, a DomainError
-raised before anything is built.  Encoders emit plain JSON-ready
-structures with deterministic ordering.
+``MAX_TAIL_DEPTH``, ``MAX_COLUMNS``), and a series with an exponent or
+truncation order past ``MAX_EXPONENT`` in absolute value, is such a
+failure, a DomainError raised before anything is built.  Encoders emit
+plain JSON-ready structures with deterministic ordering.  Ring elements
+are read and written as int ratios (``scalars._from_ratios`` and
+``scalars._ratios``), so the codec builds no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .gamma import GammaElement
 from .grassmann import GrassPoint
 from .laurent import LaurentElement
 from .partitions import MayaDiagram, check_partition
-from .scalars import BaseField, CoeffRing, RingElement
+from .scalars import BaseField, CoeffRing, RingElement, _from_ratios, _ratios
 
 # -- typed readers ---------------------------------------------------------
 
@@ -70,6 +72,12 @@ MAX_TAIL_DEPTH = 1024
 # and pair on 1 + x z^(-50000) with 1 + x z^50000, each ran past 20 s.  It
 # is the tail-depth cap, so a point at that cap stays writable.
 MAX_EXPONENT = MAX_TAIL_DEPTH
+# A point's column count is refused past it before any column is decoded:
+# index on a Q point of tail depth 2 took 5.9 s at 3,200 columns.  It is
+# the tail-depth cap, so the base point at that depth, one column per tail
+# slot, stays readable.  At the cap index on a dense Q point of tail depth
+# 2 took 2.6 s in process (2-vCPU x86, Python 3.11).
+MAX_COLUMNS = MAX_TAIL_DEPTH
 
 
 def _capped(obj, key: str, cap: int, what: str) -> int:
@@ -149,14 +157,15 @@ def encode_ring(ring: CoeffRing) -> dict:
 
 
 def decode_ring_element(ring: CoeffRing, obj) -> RingElement:
-    coeffs = {}
+    """Each coefficient literal is read as an int ratio, so no Fraction is
+    built; the terms of a repeated monomial add up."""
+    terms = []
     for term in _typed(obj, list, "ring element"):
         mono = tuple(_ints(need(term, "exponents", what="ring element term"), "term exponents"))
-        c = _checked(ring.field.parse, need(term, "coeff", str, "ring element term"))
-        coeffs[mono] = coeffs.get(mono, 0) + c
-    # refuses a monomial of the wrong length or with a negative exponent;
-    # coerce, in the constructor, reduces the sums of repeated monomials
-    return _checked(ring.element, coeffs)
+        n, d = _checked(ring.field._parse_ratio, need(term, "coeff", str, "ring element term"))
+        terms.append((mono, n, d))
+    # refuses a monomial of the wrong length or with a negative exponent
+    return _checked(_from_ratios, ring, terms)
 
 
 def decode_ring_elements(ring: CoeffRing, obj) -> list[RingElement]:
@@ -164,10 +173,11 @@ def decode_ring_elements(ring: CoeffRing, obj) -> list[RingElement]:
 
 
 def encode_ring_element(elem: RingElement) -> list:
-    fmt = elem.ring.field.format
+    """Terms in monomial order, each coefficient written from its lowest
+    terms n/d as ``str(Fraction(n, d))`` would write it."""
     return [
-        {"exponents": list(mono), "coeff": fmt(c)}
-        for mono, c in sorted(elem.coeffs.items())
+        {"exponents": list(mono), "coeff": str(n) if d == 1 else f"{n}/{d}"}
+        for mono, n, d in _ratios(elem)
     ]
 
 
@@ -224,6 +234,8 @@ def encode_gamma(g: GammaElement) -> dict:
 def decode_point(ring: CoeffRing, obj) -> GrassPoint:
     depth = _capped(obj, "tail_depth", MAX_TAIL_DEPTH, "point")
     cols = need(obj, "columns", list, "point")
+    if len(cols) > MAX_COLUMNS:
+        raise DomainError(f"point must have at most {MAX_COLUMNS} columns in a payload")
     return GrassPoint(ring, depth, [decode_laurent(ring, c) for c in cols])
 
 

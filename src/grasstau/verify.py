@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from fractions import Fraction
 from math import gcd, lcm
 from random import Random
 
@@ -44,7 +43,7 @@ from .grassmann import (
 from .laurent import LaurentElement
 from .linalg import _echelon, det_field
 from .partitions import MayaDiagram, partitions_up_to
-from .scalars import GF, QQ, BaseField, CoeffRing, RingElement
+from .scalars import GF, QQ, BaseField, CoeffRing, RingElement, _fraction
 from .serialize import format_field_spec
 from .pairings import commutator_pairing, residue_pairing
 from .schur import (
@@ -55,6 +54,8 @@ from .schur import (
     to_schur_coords,
 )
 from .tau import baker, kp_residual, tau_crosscheck, tau_direct, tau_eval, tau_schur
+
+Fraction = _fraction()  # the suites build Q values; scalars alone imports fractions
 
 
 class SuiteReport:

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from grasstau import (
     MayaDiagram,
     factorize,
 )
-from grasstau import cli, serialize
+from grasstau import cli, serialize, verify
 from grasstau import tau as tau_module
 from grasstau.cli import build_parser, main
 from grasstau.serialize import (
@@ -89,6 +90,78 @@ def test_duplicate_monomials_add_up():
     # and so do repeated partitions, each sum a residue in [0, p)
     coords = [{"partition": [1], "coeff": "3"}, {"partition": [], "coeff": "4"}, {"partition": [1], "coeff": "6"}]
     assert decode_schur_coords(GF(7), coords) == {(1,): 2, (): 4}
+
+
+# Ring elements cross the JSON boundary as int ratios.  The oracle is the
+# Fraction codec they replace: literals read by Fraction (or int mod p) and
+# summed per monomial, and coefficients written by the field's format.
+CODEC_FIELDS = [QQ, GF(2), GF(5), GF(7)]
+
+
+@st.composite
+def _literal_element(draw):
+    """(ring, JSON ring element with repeated monomials, monomials past the
+    bound and literals in every accepted form, expected element)."""
+    field = draw(st.sampled_from(CODEC_FIELDS))
+    num_vars, bound = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    ring = CoeffRing(field, num_vars, bound)
+    monos = draw(st.lists(st.tuples(*[st.integers(0, bound + 1)] * num_vars), min_size=1, max_size=3))
+    digits = r"[+-]?[0-9]{1,30}"
+    pattern = rf"\A {{0,2}}{digits}(/0*[1-9][0-9]{{0,4}})? {{0,2}}\Z" if field.char == 0 else rf"\A{digits}\Z"
+    terms = draw(st.lists(st.tuples(st.sampled_from(monos), st.from_regex(pattern)), max_size=8))
+    value = Fraction if field.char == 0 else int
+    sums: dict = {}
+    for mono, text in terms:
+        sums[mono] = sums.get(mono, 0) + value(text.strip())
+    obj = [{"exponents": list(mono), "coeff": text} for mono, text in terms]
+    return ring, obj, ring.element(sums)
+
+
+def _fraction_encoding(x) -> list:
+    return [{"exponents": list(m), "coeff": x.ring.field.format(c)} for m, c in sorted(x.coeffs.items())]
+
+
+@settings(deadline=None, max_examples=150)
+@given(_literal_element(), st.integers(0, 3))
+def test_ring_element_codec_matches_the_fraction_codec(case, power):
+    ring, obj, want = case
+    got = decode_ring_element(ring, obj)
+    assert got == want
+    # products and inverses give coefficients over larger denominators
+    for x in [got, got**power, got.inverse() if got.is_unit() else got * 7]:
+        assert encode_ring_element(x) == _fraction_encoding(x)
+        assert decode_ring_element(ring, encode_ring_element(x)) == x
+
+
+_LONG = "9" * 5000  # past sys.get_int_max_str_digits() (4300) on every Python that has it
+
+
+@pytest.mark.parametrize(
+    "field, obj, message",
+    [
+        (QQ, [((0, 0), "1/0")], "bad rational literal '1/0'"),
+        (QQ, [((0, 0), " 1/0 ")], "bad rational literal '1/0'"),
+        (QQ, [((0, 0), "x")], "bad rational literal 'x'"),
+        (QQ, [((0, 0), "1_0")], "bad rational literal '1_0'"),
+        (QQ, [((0, 0), "1e3")], "bad rational literal '1e3'"),
+        (QQ, [((0, 0), _LONG)], f"bad rational literal {_LONG!r}"),
+        (QQ, [((0, 0), "1/" + _LONG)], f"bad rational literal {'1/' + _LONG!r}"),
+        (GF(5), [((0, 0), "x")], "bad residue literal 'x'"),
+        (GF(5), [((0, 0), "1/2")], "bad residue literal '1/2'"),
+        (GF(5), [((0, 0), _LONG)], f"bad residue literal {_LONG!r}"),
+        (QQ, [((1,), "1")], "bad monomial (1,) for QQ[x1..x2] / (deg > 2)"),
+        (GF(5), [((1, -1), "1")], "bad monomial (1, -1) for GF(5)[x1..x2] / (deg > 2)"),
+        # every literal is read before any monomial is
+        (QQ, [((1,), "1"), ((0, 0), "1/0")], "bad rational literal '1/0'"),
+        (QQ, [((0, 0), "1"), ((1,), "1"), ((2,), "x")], "bad rational literal 'x'"),
+        (QQ, [((0, 0), "1"), ((1,), "1"), ((1, -1), "1")], "bad monomial (1,) for QQ[x1..x2] / (deg > 2)"),
+    ],
+)
+def test_ring_element_codec_refuses_as_the_fraction_codec_did(field, obj, message):
+    ring = CoeffRing(field, 2, 2)
+    with pytest.raises(ValueError) as info:
+        decode_ring_element(ring, [{"exponents": list(m), "coeff": c} for m, c in obj])
+    assert (type(info.value), str(info.value)) == (ValueError, message)
 
 
 def test_laurent_round_trip_keeps_the_window():
@@ -472,14 +545,15 @@ def test_cli_verify_single_suite(capsys, tmp_path):
 
 def test_cli_failing_suite_exits_1(capsys, monkeypatch):
     """A suite that ran and failed is reported, not refused: exit 1, with
-    status ok and all_passed false."""
+    status ok and all_passed false.  The CLI imports the suites inside
+    its verify handler, so the suite runner is patched where it lives."""
 
     def failing(name, seed=0, scale="small"):
         report = SuiteReport(name, seed, scale)
         report.checks.append(("planted", False, "a failing check"))
         return report
 
-    monkeypatch.setattr(grasstau.cli, "run_suite", failing)
+    monkeypatch.setattr(verify, "run_suite", failing)
     code, out = run_cli(capsys, ["verify", "--suite", "witt"])
     assert code == 1
     assert out["status"] == "ok"
@@ -935,11 +1009,39 @@ def test_cli_a_shape_past_its_cap_is_refused_before_anything_is_built(
     assert calls == count
 
 
+POINT_CASES = [(argv, payload) for argv, payload in FUZZ_CASES if "point" in payload]
+
+
+@pytest.mark.parametrize("argv, payload", POINT_CASES, ids=[argv[0] for argv, _ in POINT_CASES])
+def test_cli_a_point_past_the_column_cap_is_refused_before_any_column_is_read(capsys, monkeypatch, argv, payload):
+    # index on a Q point of tail depth 2 once took 5.9 s at 3,200 columns.
+    # Every column is malformed, so a column read before the count would
+    # exit 2, and every library function the call could reach raises.
+    cap = serialize.MAX_COLUMNS
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a library function was called")
+
+    for name, obj in vars(cli).items():
+        if inspect.isfunction(obj) and obj.__module__ not in (cli.__name__, serialize.__name__):
+            monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(serialize, "GrassPoint", refuse)
+    changed = _replaced(payload, ("point", "columns"), ["not a series"] * (cap + 1))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(changed)))
+    code = main(argv)
+    out = json.loads(capsys.readouterr().out)
+    assert (code, out["kind"], out["error"]) == (3, "precondition", f"point must have at most {cap} columns in a payload")
+    assert len(POINT_CASES) == 6
+
+
 def test_payload_shapes_at_their_caps_are_read():
     obj = {"field": "q", "num_vars": serialize.MAX_NUM_VARS, "degree_bound": serialize.MAX_DEGREE_BOUND}
     assert decode_ring(obj) == CoeffRing(QQ, serialize.MAX_NUM_VARS, serialize.MAX_DEGREE_BOUND)
-    point = decode_point(RING, {"tail_depth": serialize.MAX_TAIL_DEPTH, "columns": []})
+    # the base point at the depth cap has one column per tail slot
+    base = GrassPoint.base_point(RING, serialize.MAX_TAIL_DEPTH)
+    point = decode_point(RING, encode_point(base))
     assert point.tail_depth == serialize.MAX_TAIL_DEPTH
+    assert point.columns == base.columns and len(point.columns) == serialize.MAX_COLUMNS
     cap = serialize.MAX_EXPONENT
     one = [{"exponents": [0, 0], "coeff": "1"}]
     for trunc in (None, cap, -cap):

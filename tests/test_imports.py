@@ -2,8 +2,9 @@
 every import anywhere in the package is relative or from the standard
 library, no module but ``scalars`` touches how a ring element is stored,
 no module but ``errors`` states a bound check of its own, an int or a
-monomial is read only by its one reader, and every name the benchmark
-tracer wraps still exists.
+monomial is read only by its one reader, every name the benchmark
+tracer wraps still exists, and a CLI call that needs neither ``Fraction``
+nor the verify suites loads neither.
 
 A name counts as used when the module reads it anywhere, including
 inside a string annotation; the package ``__init__`` may also re-export
@@ -12,7 +13,10 @@ it through ``__all__``.
 
 import ast
 import importlib
+import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -187,3 +191,77 @@ def test_every_name_the_bench_tracer_wraps_exists():
     for mod, cls, meth in tracing["METHODS"].values():
         owner = getattr(importlib.import_module(f"grasstau.{mod}"), cls)
         assert callable(vars(owner).get(meth)), f"{mod}.{cls}.{meth}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "scalars"], ids=lambda p: p.stem)
+def test_only_scalars_imports_fractions(path):
+    # scalars imports fractions on first use, through ``_fraction``; an
+    # import anywhere else would load it, and the decimal it imports, in
+    # every process
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] in ("fractions", "decimal") for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in ("fractions", "decimal")
+    ]
+    assert not found, f"{path.name}: {found}"
+
+
+def _terms(*pairs):
+    return [{"exponents": [e], "coeff": c} for e, c in pairs]
+
+
+def _laurent(terms: dict) -> dict:
+    return {"terms": [{"exp": e, "coeff": _terms(*c)} for e, c in terms.items()]}
+
+
+_Q = {"field": "q", "num_vars": 1, "degree_bound": 2}
+_POINT = {"tail_depth": 1, "columns": [_laurent({-1: [(0, "1")], 1: [(0, "3/4")]})]}
+BUDGET_CALLS = [
+    (["factor"], {"ring": _Q, "series": _laurent({-1: [(1, "3/4")], 0: [(0, "2"), (1, "3/4")], 1: [(0, "1/2")]})}),
+    (["tau", "--deg", "2"], {"ring": _Q, "point": _POINT}),
+    (["pair"], {"ring": _Q, "f": _laurent({-1: [(1, "3/4")], 0: [(0, "1")]}), "g": _laurent({0: [(0, "1")], 1: [(1, "3/4")]})}),
+    (["plucker"], {"ring": _Q, "point": _POINT, "diagram": {"partition": []}}),
+    (["schur", "--deg", "2"], {"partition": [1]}),
+]
+# prints the lazy modules loaded after the import, then after each call
+BUDGET_PROBE = """
+import io, json, sys
+lazy = lambda: sorted(m for m in ("fractions", "decimal", "grasstau.verify") if m in sys.modules)
+import grasstau
+print(json.dumps(["import", 0, lazy()]))
+import grasstau.cli
+for argv, payload in json.loads(sys.stdin.read()):
+    sys.stdin, out, real = io.StringIO(json.dumps(payload)), io.StringIO(), sys.stdout
+    sys.stdout = out
+    code = grasstau.cli.main(argv)
+    sys.stdout = real
+    print(json.dumps([argv[0], code, lazy()]))
+"""
+
+
+def test_cli_calls_over_q_load_neither_fractions_nor_verify():
+    # every CLI call is a fresh process, so what it imports is paid per call:
+    # ring elements cross the JSON boundary as int ratios, and the suites
+    # load only for verify.  A fresh interpreter, since pytest itself may
+    # load decimal; -S keeps site's own imports out of the count.
+    env = dict(os.environ, PYTHONPATH=str(Path(grasstau.__file__).parent.parent))
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", BUDGET_PROBE], input=json.dumps(BUDGET_CALLS), env=env,
+        capture_output=True, text=True, check=True,
+    )
+    lines = [json.loads(line) for line in run.stdout.splitlines()]
+    assert lines == [["import", 0, []]] + [[argv[0], 0, []] for argv, _ in BUDGET_CALLS]
+
+
+def test_the_lazy_names_still_bind():
+    # run_suite and suite_names load the suites on first use; a star import
+    # reads every __all__ name, those two included
+    assert grasstau.run_suite is importlib.import_module("grasstau.verify").run_suite
+    assert grasstau.suite_names() == importlib.import_module("grasstau.verify").suite_names()
+    namespace: dict = {}
+    exec("from grasstau import *", namespace)
+    assert set(grasstau.__all__) <= namespace.keys()
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        grasstau.nope
