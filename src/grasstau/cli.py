@@ -40,8 +40,10 @@ from typing import TYPE_CHECKING
 from .errors import DomainError, GrasstauError, InternalError, PrecisionError
 from .gamma import GammaElement, abel_embed, exp_gamma, factorize, witt_add, witt_product
 from .grassmann import act, chart_transition, index, plucker
-from .schur import bosonize, coordinate_ring, schur_polynomial, to_schur_coords
+from .schur import _bosonized, _schur_coords, coordinate_ring, schur_polynomial
 from .serialize import (
+    _decode_schur_constants,
+    _encode_schur_constants,
     decode_gamma,
     decode_laurent,
     decode_maya,
@@ -50,7 +52,6 @@ from .serialize import (
     decode_ring,
     decode_ring_element,
     decode_ring_elements,
-    decode_schur_coords,
     encode_gamma,
     encode_laurent,
     encode_point,
@@ -182,15 +183,12 @@ def _cmd_schur(args, _ring, payload):
 
 
 def _cmd_bosonize(args, ring, payload):
+    # coefficients cross as int ratios, as every other subcommand's do
     poly = need(payload, "polynomial", default=None)
     if poly is not None:
-        coords = to_schur_coords(decode_ring_element(ring, poly))
-        out = [
-            {"partition": list(lam), "coeff": ring.field.format(v)}
-            for lam, v in sorted(coords.items())
-        ]
-        return {"coords": out}, None, []
-    p = bosonize(ring, decode_schur_coords(ring.field, need(payload, "coords")))
+        coords = _schur_coords(decode_ring_element(ring, poly))
+        return {"coords": _encode_schur_constants(coords)}, None, []
+    p = _bosonized(ring, _decode_schur_constants(ring, need(payload, "coords")).items())
     return {"polynomial": encode_ring_element(p)}, None, []
 
 

@@ -34,7 +34,7 @@ t -> 1 + sum_i t^i z^{-i}.
 from __future__ import annotations
 
 from .errors import DomainError, InternalError, PrecisionError, RingMismatchError, _an_int, _at_least
-from .laurent import LaurentElement, _divide
+from .laurent import LaurentElement, _divide, _laurent
 from .scalars import BaseField, CoeffRing, RingElement, _from_ratios, _series_product, _sum_products
 from .schur import coordinate_ring
 
@@ -202,25 +202,28 @@ def factorize(f: LaurentElement) -> GammaElement:
             f"need trunc > {n + d * r}, have {f.trunc}"
         )
 
-    h = LaurentElement(ring, {e - n: c for e, c in f.coeffs.items()}, None)
-    c0_inv = h.coefficient(0).inverse()
+    h = _laurent(ring, {e - n: c for e, c in f.coeffs.items()}, None)
+    neg_inv = -h.coeffs[0].inverse()
     upper = [(j, c) for j, c in h.coeffs.items() if j > 0]
     fringe = [(j, c) for j, c in h.coeffs.items() if j < 0]
-    q = [ring.one()]
+    one = ring.one()
+    q = [one]
     for p in range(1, d + 1):
-        prev, q = q, [ring.one()]
+        prev, q = q, [one]
         for k in range(1, r * (d - p + 1) + 1):
             # in pass 1, prev holds q_0 alone, which no k - j >= 2 reaches
             pairs = [(c, q[k - j]) for j, c in upper if j <= k]
             pairs += [(c, prev[k - j]) for j, c in fringe if k - j < len(prev)]
-            q.append(-(c0_inv * _sum_products(ring, pairs)))
+            q.append(neg_inv * _sum_products(ring, pairs))
 
-    low = _series_product(ring, h.coeffs, dict(enumerate(q[: r + 1])), 1)
+    low = {e: c for e, c in _series_product(ring, h.coeffs, dict(enumerate(q[: r + 1])), 1).items() if c}
     unit = low[0]
     inv = unit.inverse()
-    gminus = LaurentElement(ring, {e: c * inv for e, c in low.items()})
-    gplus = _divide(h, LaurentElement(ring, low), None, inv)
-    if any(e < 0 for e in gplus.coeffs) or gplus.coeffs.get(0) != ring.one():
+    # a unit times a nonzero element is nonzero, so gminus keeps L's
+    # support; its z^0 term is unit * inv = 1
+    gminus = _laurent(ring, {e: one if e == 0 else c * inv for e, c in low.items()}, None)
+    gplus = _divide(h, _laurent(ring, low, None), None, inv)
+    if any(e < 0 for e in gplus.coeffs) or gplus.coeffs.get(0) != one:
         raise InternalError("factorization certification failed")
     if f.trunc is not None:
         gplus = gplus.truncate(f.trunc - n - d * r)

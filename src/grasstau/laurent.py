@@ -7,9 +7,13 @@ unknown.  ``trunc is None`` means the element is known exactly at every
 exponent, i.e. it is a genuine Laurent polynomial.  Exponents and
 ``trunc`` are ints (never bools), read by ``errors._an_int`` in the
 constructor and ``coefficient``; the constructor drops zero coefficients
-and those at or past ``trunc``.  ``+``, ``-`` and ``*`` combine a series
-with a series over an equal ring or with any operand that ring elements
-take (``scalars._operand``), read as a constant series.
+and those at or past ``trunc``.  It is the one reader of outside values;
+a series whose terms library arithmetic made, nonzero elements of the
+ring at int exponents below ``trunc``, is built by ``_laurent``, after
+the caller drops the zero sums and the terms past the window.  ``+``,
+``-`` and ``*`` combine a series with a series over an equal ring or
+with any operand that ring elements take (``scalars._operand``), read as
+a constant series.
 
 Windows propagate through arithmetic pessimistically but sharply: for a
 product the unknown tail of one factor meets the lowest term of the
@@ -80,7 +84,11 @@ def neumann(one, u):
 
 
 class LaurentElement:
-    """Sparse Laurent series with an optional truncation order."""
+    """Sparse Laurent series with an optional truncation order.
+
+    The constructor is the one reader of outside values (module
+    docstring); ``_laurent`` builds a series from parts already canonical.
+    """
 
     __slots__ = ("ring", "coeffs", "trunc")
 
@@ -218,7 +226,7 @@ class LaurentElement:
 
     def _plus(self, other: "LaurentElement", sign: int) -> "LaurentElement":
         """self + sign * other, sign = 1 or -1, in one pass; known below
-        the narrower window."""
+        the narrower window, where terms that cancel are dropped."""
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             s = out.get(e)
@@ -227,7 +235,9 @@ class LaurentElement:
             else:
                 out[e] = c if s is None else s + c
         truncs = [t for t in (self.trunc, other.trunc) if t is not None]
-        return LaurentElement(self.ring, out, min(truncs, default=None))
+        trunc = min(truncs, default=None)
+        kept = {e: c for e, c in out.items() if c and (trunc is None or e < trunc)}
+        return _laurent(self.ring, kept, trunc)
 
     def __add__(self, other):
         other = self._series(other)
@@ -236,7 +246,7 @@ class LaurentElement:
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentElement":
-        return LaurentElement(self.ring, {e: -c for e, c in self.coeffs.items()}, self.trunc)
+        return _laurent(self.ring, {e: -c for e, c in self.coeffs.items()}, self.trunc)
 
     def __sub__(self, other):
         other = self._series(other)
@@ -257,7 +267,8 @@ class LaurentElement:
         truncs = [t + low for t, low in ((self.trunc, low_o), (other.trunc, low_s)) if t is not None]
         trunc = min(truncs, default=None)
         ring = self.ring
-        return LaurentElement(ring, _series_product(ring, self.coeffs, other.coeffs, trunc), trunc)
+        product = _series_product(ring, self.coeffs, other.coeffs, trunc)
+        return _laurent(ring, {e: c for e, c in product.items() if c}, trunc)
 
     __rmul__ = __mul__
 
@@ -275,8 +286,8 @@ class LaurentElement:
 
     def truncate(self, order: int) -> "LaurentElement":
         """Forget everything at exponent >= order."""
-        t = order if self.trunc is None else min(self.trunc, order)
-        return LaurentElement(self.ring, self.coeffs, t)
+        t = _an_int(order if self.trunc is None else min(self.trunc, order), "truncation order")
+        return _laurent(self.ring, {e: c for e, c in self.coeffs.items() if e < t}, t)
 
     def clip_below(self, n: int) -> "LaurentElement":
         """Drop all terms at exponents < n (a projection, not a window change)."""
@@ -405,4 +416,13 @@ def _divide(
             pairs.append((inv0, x))
         if pairs and (qe := _sum_products(ring, pairs)):
             q[e] = qe
-    return LaurentElement(ring, q, top)
+    return _laurent(ring, q, top)
+
+
+def _laurent(ring: CoeffRing, coeffs: dict, trunc: int | None) -> LaurentElement:
+    """The series coeffs + O(z^trunc) of ring, already in canonical form:
+    every value a nonzero element of a ring equal to ``ring``, every
+    exponent an int below ``trunc``, which is an int or None."""
+    x = object.__new__(LaurentElement)
+    x.ring, x.coeffs, x.trunc = ring, coeffs, trunc
+    return x

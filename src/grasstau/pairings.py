@@ -51,24 +51,40 @@ def residue_pairing(f: LaurentElement, g: LaurentElement) -> RingElement:
 def _norm(lower: LaurentElement, upper: LaurentElement) -> RingElement:
     """S(lower, upper) as the determinant of multiplication by U(t) on
     R[t]/(P) (module docstring), U read up to z^(d*D) (see
-    :func:`commutator_pairing`).  Column k holds t^k U(t) mod P, one sum
-    of products per entry over the powers t^j mod P, each power reduced
-    from the one before by t^D = -(c_1 t^(D-1) + ... + c_D)."""
+    :func:`commutator_pairing`).  Column k holds t^k U(t) mod P, so entry
+    (i, k) is the sum of u_j times the t^i coefficient of t^(j+k) mod P.
+    Each power t^j mod P is kept as its nonzero coefficients {i: c} and
+    reduced from the one before by t^D = -(c_1 t^(D-1) + ... + c_D), a
+    shift plus the top coefficient times the nonzero c's; an entry is one
+    sum of products over the powers nonzero at its row, and is zero when
+    none is.  So the work follows the nonzero coefficients, not D^2: for
+    L = 1 + c z^-D the powers have one term each."""
     ring = lower.ring
     depth = -lower.min_exp
     zero, one = ring.zero(), ring.one()
     terms = [(j, u) for j in range(ring.degree_bound * depth + 1) if (u := upper.coefficient(j))]
-    # t^D mod P is sum_i drop[i] t^i
-    drop = [-lower.coeffs.get(i - depth, zero) for i in range(depth)]
-    powers = [[one if i == j else zero for i in range(depth)] for j in range(depth)]
+    # t^D mod P is sum_i drop[i] t^i, over the nonzero c's
+    drop = {e + depth: -c for e, c in lower.coeffs.items() if e < 0}
+    powers = [{j: one} for j in range(depth)]
     for _ in range(depth, terms[-1][0] + depth):
         prev = powers[-1]
-        shifted = [zero] + prev[:-1]
-        powers.append([_sum_products(ring, ((one, s), (c, prev[-1]))) for s, c in zip(shifted, drop)])
-    mat = [
-        [_sum_products(ring, ((u, powers[j + k][i]) for j, u in terms)) for k in range(depth)]
-        for i in range(depth)
-    ]
+        power = {i + 1: c for i, c in prev.items() if i + 1 < depth}
+        top = prev.get(depth - 1)
+        if top is not None:
+            for i, c in drop.items():
+                if v := _sum_products(ring, ((one, power.get(i, zero)), (c, top))):
+                    power[i] = v
+                else:
+                    power.pop(i, None)
+        powers.append(power)
+    pairs: dict[tuple[int, int], list] = {}
+    for j, u in terms:
+        for k in range(depth):
+            for i, c in powers[j + k].items():
+                pairs.setdefault((i, k), []).append((u, c))
+    mat = [[zero] * depth for _ in range(depth)]
+    for (i, k), ps in pairs.items():
+        mat[i][k] = _sum_products(ring, ps)
     return det_ring(mat, ring)
 
 

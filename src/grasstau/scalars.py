@@ -270,7 +270,7 @@ class CoeffRing:
         self._linear_keys = (0,) + tuple(w * self._step + pl for w, pl in zip(weights, self._places))
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, CoeffRing)
             and self.field.char == other.field.char
             and self.num_vars == other.num_vars

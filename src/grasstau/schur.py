@@ -34,7 +34,7 @@ from functools import lru_cache
 from .errors import DomainError, RingMismatchError, _at_least
 from .linalg import det_ring
 from .partitions import Partition, check_partition
-from .scalars import BaseField, CoeffRing, RingElement, _sum_products
+from .scalars import BaseField, CoeffRing, RingElement, _from_ratios, _ratios, _sum_products
 
 
 def coordinate_ring(field: BaseField, bound: int) -> CoeffRing:
@@ -93,13 +93,20 @@ def _partition_of(mono) -> Partition:
 
 def to_schur_coords(p: RingElement) -> dict[Partition, object]:
     """Write p as sum c_lam F_lam by peeling; returns the nonzero coefficients."""
+    return {lam: c.constant_term() for lam, c in _schur_coords(p).items()}
+
+
+def _schur_coords(p: RingElement) -> dict[Partition, RingElement]:
+    """``to_schur_coords`` with each c_lam a constant of p's ring, read
+    off p's terms as an int ratio (``scalars._ratios``), so no field
+    value is built."""
     ring = p.ring
     _require_coordinate_ring(ring)
-    out: dict[Partition, object] = {}
+    const = (0,) * ring.num_vars
+    out: dict[Partition, RingElement] = {}
     while p:
-        coeffs = p.coeffs
-        mu, mono = min((_partition_of(m), m) for m in coeffs)
-        c = out[mu] = coeffs[mono]
+        mu, _, n, d = min((_partition_of(m), m, n, d) for m, n, d in _ratios(p))
+        c = out[mu] = _from_ratios(ring, [(const, n, d)])
         p = p - _jacobi_trudi(ring, mu) * c
     return out
 
@@ -109,13 +116,14 @@ def bosonize(ring: CoeffRing, coords: dict) -> RingElement:
     a field scalar.  Partitions of size beyond the degree bound contribute
     nothing.
     """
-    _require_coordinate_ring(ring)
     return _bosonized(ring, ((check_partition(lam), ring.const(c)) for lam, c in coords.items()))
 
 
 def _bosonized(ring: CoeffRing, terms) -> RingElement:
     """sum of c_lam F_lam over (lam, c) pairs whose partitions are
-    already checked and whose c are constants of the coordinate ring."""
+    already checked and whose c are constants of ``ring``, which must be
+    a coordinate ring; the pairs are read after that check."""
+    _require_coordinate_ring(ring)
     return _sum_products(ring, ((_jacobi_trudi(ring, lam), c) for lam, c in terms))
 
 

@@ -173,12 +173,14 @@ def decode_ring_elements(ring: CoeffRing, obj) -> list[RingElement]:
 
 
 def encode_ring_element(elem: RingElement) -> list:
-    """Terms in monomial order, each coefficient written from its lowest
-    terms n/d as ``str(Fraction(n, d))`` would write it."""
-    return [
-        {"exponents": list(mono), "coeff": str(n) if d == 1 else f"{n}/{d}"}
-        for mono, n, d in _ratios(elem)
-    ]
+    """Terms in monomial order, each coefficient written by ``_literal``."""
+    return [{"exponents": list(mono), "coeff": _literal(n, d)} for mono, n, d in _ratios(elem)]
+
+
+def _literal(n: int, d: int) -> str:
+    """The scalar n/d, in lowest terms with d > 0, as
+    ``str(Fraction(n, d))`` would write it."""
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 # -- Laurent elements -------------------------------------------------------
@@ -269,11 +271,30 @@ def decode_partition(obj):
 def decode_schur_coords(field: BaseField, obj) -> dict:
     """{partition: field scalar} from a list of {"partition", "coeff"}
     objects; the coefficients of a repeated partition add up, like
-    repeated monomials and exponents, each sum reduced once by
-    ``field.coerce``."""
-    coords = {}
+    repeated monomials and exponents (``_decode_schur_constants``)."""
+    ring = CoeffRing(field, 0, 0)
+    return {lam: c.constant_term() for lam, c in _decode_schur_constants(ring, obj).items()}
+
+
+def _decode_schur_constants(ring: CoeffRing, obj) -> dict:
+    """{partition: constant of ring} from a list of {"partition", "coeff"}
+    objects, each coefficient read as an int ratio; the coefficients of
+    a repeated partition add up, each sum reduced once."""
+    const = (0,) * ring.num_vars
+    terms: dict = {}
     for item in _typed(obj, list, "'coords'"):
         lam = decode_partition(need(item, "partition", what="coordinate"))
-        c = _checked(field.parse, need(item, "coeff", str, "coordinate"))
-        coords[lam] = coords.get(lam, 0) + c
-    return {lam: field.coerce(c) for lam, c in coords.items()}
+        n, d = _checked(ring.field._parse_ratio, need(item, "coeff", str, "coordinate"))
+        terms.setdefault(lam, []).append((const, n, d))
+    return {lam: _from_ratios(ring, ts) for lam, ts in terms.items()}
+
+
+def _encode_schur_constants(coords: dict) -> list:
+    """{partition: constant} as a list of {"partition", "coeff"} objects
+    in partition order, each coefficient written as in
+    ``encode_ring_element``."""
+    out = []
+    for lam, c in sorted(coords.items()):
+        ((_, n, d),) = _ratios(c)
+        out.append({"partition": list(lam), "coeff": _literal(n, d)})
+    return out

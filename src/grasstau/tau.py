@@ -68,7 +68,7 @@ from functools import lru_cache
 from .errors import DomainError, InternalError, NotInvertibleError, PrecisionError, _at_least
 from .gamma import GammaElement, _exp_coefficients, universal_v
 from .grassmann import GrassPoint, _residues, _rows, act, plucker
-from .laurent import LaurentElement, _divide
+from .laurent import LaurentElement, _divide, _laurent
 from .linalg import _back_reduce, _echelon, _eliminate, det_ring, solve_ring
 from .partitions import MayaDiagram, conjugate, partitions_up_to
 from .scalars import (
@@ -322,8 +322,9 @@ def baker(point: GrassPoint, bound: int, window: int) -> LaurentElement:
         raise NotInvertibleError(_OFF_CHART) from None
     w = {0: ring.one()}
     for e, row in enumerate(_moved_rows(cols, range(window + bound - 1), ring)):
-        w[e + 1] = _sum_products(ring, zip(row, a))
-    return _divide(LaurentElement(ring, w), v, None).truncate(window)
+        if c := _sum_products(ring, zip(row, a)):
+            w[e + 1] = c
+    return _divide(_laurent(ring, w, None), v, None).truncate(window)
 
 
 # ----------------------------------------------------------------------

@@ -217,6 +217,7 @@ def _laurent(terms: dict) -> dict:
 
 
 _Q = {"field": "q", "num_vars": 1, "degree_bound": 2}
+_SCHUR_Q = {"field": "q", "num_vars": 2, "degree_bound": 2, "weights": [1, 2]}
 _POINT = {"tail_depth": 1, "columns": [_laurent({-1: [(0, "1")], 1: [(0, "3/4")]})]}
 BUDGET_CALLS = [
     (["factor"], {"ring": _Q, "series": _laurent({-1: [(1, "3/4")], 0: [(0, "2"), (1, "3/4")], 1: [(0, "1/2")]})}),
@@ -224,6 +225,8 @@ BUDGET_CALLS = [
     (["pair"], {"ring": _Q, "f": _laurent({-1: [(1, "3/4")], 0: [(0, "1")]}), "g": _laurent({0: [(0, "1")], 1: [(1, "3/4")]})}),
     (["plucker"], {"ring": _Q, "point": _POINT, "diagram": {"partition": []}}),
     (["schur", "--deg", "2"], {"partition": [1]}),
+    (["bosonize"], {"ring": _SCHUR_Q, "coords": [{"partition": [1], "coeff": "3/4"}, {"partition": [1, 1], "coeff": "-1/2"}]}),
+    (["bosonize"], {"ring": _SCHUR_Q, "polynomial": [{"exponents": [1, 0], "coeff": "3/4"}, {"exponents": [0, 1], "coeff": "1/3"}]}),
 ]
 # prints the lazy modules loaded after the import, then after each call
 BUDGET_PROBE = """
