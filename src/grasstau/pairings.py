@@ -51,14 +51,13 @@ def residue_pairing(f: LaurentElement, g: LaurentElement) -> RingElement:
 def _norm(lower: LaurentElement, upper: LaurentElement) -> RingElement:
     """S(lower, upper) as the determinant of multiplication by U(t) on
     R[t]/(P) (module docstring), U read up to z^(d*D) (see
-    :func:`commutator_pairing`).  Column k holds t^k U(t) mod P, so entry
-    (i, k) is the sum of u_j times the t^i coefficient of t^(j+k) mod P.
-    Each power t^j mod P is kept as its nonzero coefficients {i: c} and
-    reduced from the one before by t^D = -(c_1 t^(D-1) + ... + c_D), a
-    shift plus the top coefficient times the nonzero c's; an entry is one
-    sum of products over the powers nonzero at its row, and is zero when
-    none is.  So the work follows the nonzero coefficients, not D^2: for
-    L = 1 + c z^-D the powers have one term each."""
+    :func:`commutator_pairing`).  Column k holds t^k U(t) mod P: entry
+    (i, k) sums u_j times the t^i coefficient of t^(j+k) mod P.  Each
+    power t^j mod P is kept as {i: nonzero coefficient}, reduced from the
+    one before by t^D = -(c_1 t^(D-1) + ... + c_D), and an entry is built
+    only where some power is nonzero there, so the work follows the
+    nonzero terms rather than D^2: for L = 1 + c z^-D each power has one
+    term."""
     ring = lower.ring
     depth = -lower.min_exp
     zero, one = ring.zero(), ring.one()
