@@ -8,8 +8,9 @@ object to stdout with deterministic key order, and exits with:
 * 1 - a verification suite reported failing checks
 * 2 - malformed payload (bad JSON, nesting too deep, missing keys, a
   wrong JSON type anywhere, an unparsable coefficient)
-* 3 - precondition failure (domain errors, non-invertible input, a ring
-  or point past a payload shape cap, a size flag past its cap)
+* 3 - precondition failure (domain errors, non-invertible input, a
+  payload past its byte cap, a ring or point past a payload shape cap, a
+  size flag past its cap)
 * 4 - insufficient precision for the requested output
 * 5 - an internal invariant failed, or any unexpected exception (a
   library defect, not a bad input)
@@ -78,6 +79,13 @@ _TAU_ROUTES = {"direct": tau_direct, "schur": tau_schur, "both": tau_crosscheck}
 # depth-3 point; 2-vCPU x86, Python 3.11), though payloads can still make
 # calls below the caps long.  The library itself takes any size.
 _FLAG_CAPS = {"deg": 16, "window": 256, "depth": 128, "promote": 1024}
+
+# The longest payload read, in bytes, refused before JSON decoding: a
+# byte count bounds the total terms of every shape a payload can carry.
+# The largest payload of the tests and bench is 100,000 bytes (a nesting
+# test, "[" * 100000); the largest that a call decodes is under 17 kB.
+# The 300-column Q point, 5.0 MB, on which index took 25 s, is refused.
+_PAYLOAD_CAP = 1 << 20
 
 
 # ----------------------------------------------------------------------
@@ -357,10 +365,15 @@ def _load_payload(args) -> dict | None:
     if not hasattr(args, "infile"):
         return None
     if args.infile:
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.infile, "rb") as fh:
+            data = fh.read(_PAYLOAD_CAP + 1)
     else:
-        text = sys.stdin.read()
+        # a text stream with no byte buffer, as an in-process caller may
+        # set, is read and capped in characters
+        data = getattr(sys.stdin, "buffer", sys.stdin).read(_PAYLOAD_CAP + 1)
+    if len(data) > _PAYLOAD_CAP:
+        raise DomainError(f"payload must be at most {_PAYLOAD_CAP} bytes")
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
     if not text.strip():
         raise ValueError("empty payload")
     try:

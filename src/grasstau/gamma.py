@@ -13,11 +13,13 @@ and n the reduced valuation.  ``GammaElement`` stores the four parts;
 The factorization solves the Wiener-Hopf condition directly: with
 h = z^{-n} f, the inverse Q = gplus^{-1} is the series 1 + O(z) for which
 h*Q has no positive exponents.  The lower factors read only q_1..q_r,
-and those only modulo m^d (m the maximal ideal), which d fixed-point
-passes deliver (see :func:`factorize`); then gminus*unit = [h*Q]_{<=0},
-and gplus is recovered in closed form as the exact quotient
-(h/unit) / gminus: gminus is 1 plus a nilpotent fringe, the divisor shape
-``laurent._divide`` walks down from the top.
+and those only through nilpotent coefficients, so only in the weights
+below d, the degree bound (a nilpotent has weight >= 1 and every
+monomial past weight d vanishes).  d fixed-point passes deliver those,
+pass p computing only the weights below p (see :func:`factorize`); then
+gminus*unit = [h*Q]_{<=0}, and gplus is recovered in closed form as the
+exact quotient (h/unit) / gminus: gminus is 1 plus a nilpotent fringe,
+the divisor shape ``laurent._divide`` walks down from the top.
 
 For input known only below a truncation order M, the two lower factors
 are still exact as long as M - n exceeds d*r (nilpotency degree times
@@ -165,17 +167,23 @@ def factorize(f: LaurentElement) -> GammaElement:
     q_k = -c0^{-1} (sum_{j>0} h_j q_{k-j} + sum_{j<0} h_j q_{k-j}).
     Pass p = 1..d fills q_1..q_{r(d-p+1)} in increasing k, taking the
     j > 0 terms from the current pass and the j < 0 terms (higher indices)
-    from the previous pass; the first pass starts from zero.  Let m be the
-    maximal ideal.  A pass reads the previous one only through the
-    nilpotent h_j with j < 0, at most r places further up, so pass p
-    reads no q_k past r(d-p+2), all of which pass p-1 filled, and after
-    pass p every q_k it filled is right modulo m^p; the last pass fills
-    q_1..q_r, right modulo m^d.  That suffices: the coefficient of z^k,
-    k <= 0, in L = [h*Q]_{<=0} = gminus*unit reads q_i, i >= 1, only as
-    h_{k-i} q_i with k - i < 0, so through a nilpotent factor, and m is
-    spanned by monomials of weight >= 1 (every variable weighs at least 1,
-    weighted rings included), so m^{d+1} = 0.  Hence L is exact; it is
-    the product h*Q cut below z^1, since nothing reads h*Q above z^0.
+    from the previous pass; the first pass starts from zero.  A pass reads
+    the previous one at most r places further up, so pass p reads no q_k
+    past r(d-p+2), all of which pass p-1 filled.  Let W_a be the span of
+    the monomials of weight >= a: W_a * W_b lies in W_{a+b}, a nilpotent
+    lies in W_1 (every variable weighs at least 1, weighted rings
+    included), and W_{d+1} = 0.  Pass p reads pass p-1 only through a
+    nilpotent h_j, j < 0, which takes an error in W_{p-1} into W_p, so by
+    induction on p and k every q_k of pass p is right in the weights
+    below p, and pass p computes only those: each q_k is one sum of
+    products, -c0^{-1} folded into the h_j once, with its terms of weight
+    >= p dropped.  The last pass fills q_1..q_r, right below weight d.
+    That suffices: the coefficient of z^k, k <= 0, in L = [h*Q]_{<=0} =
+    gminus*unit reads q_i, i >= 1, only as h_{k-i} q_i with k - i < 0, so
+    through a nilpotent factor, which takes q_i's error in W_d into
+    W_{d+1} = 0.  Hence L is exact; it is the product h*Q cut below z^1,
+    since nothing reads h*Q above z^0.  With r = 0 no pass runs and L is
+    c0, whose inverse is already taken.
     Then unit = L_0, inverted once: gminus = L * unit^{-1}, coefficient
     by coefficient, and gplus = h / L, one exact division walking down
     (``laurent._divide``) that is handed the same inverse: L is the unit
@@ -184,8 +192,9 @@ def factorize(f: LaurentElement) -> GammaElement:
     which the exact quotient has none, so the certification "no negative
     exponents, constant term 1" reads the same coefficients the full
     product would.
-    The passes fill r*d(d+1)/2 entries in all; running each to r*d would
-    give these the same values and fill others that nothing reads.
+    The passes fill r*d(d+1)/2 entries in all; running each to r*d, in
+    every weight, would give L the same value and fill others that
+    nothing reads.
 
     For windowed input the lower factors are exact once trunc - n exceeds
     d*r, and gplus is reported below trunc - n - d*r.  Raises
@@ -203,22 +212,25 @@ def factorize(f: LaurentElement) -> GammaElement:
         )
 
     h = _laurent(ring, {e - n: c for e, c in f.coeffs.items()}, None)
-    neg_inv = -h.coeffs[0].inverse()
-    upper = [(j, c) for j, c in h.coeffs.items() if j > 0]
-    fringe = [(j, c) for j, c in h.coeffs.items() if j < 0]
     one = ring.one()
-    q = [one]
-    for p in range(1, d + 1):
-        prev, q = q, [one]
-        for k in range(1, r * (d - p + 1) + 1):
-            # in pass 1, prev holds q_0 alone, which no k - j >= 2 reaches
-            pairs = [(c, q[k - j]) for j, c in upper if j <= k]
-            pairs += [(c, prev[k - j]) for j, c in fringe if k - j < len(prev)]
-            q.append(neg_inv * _sum_products(ring, pairs))
-
-    low = {e: c for e, c in _series_product(ring, h.coeffs, dict(enumerate(q[: r + 1])), 1).items() if c}
+    c0 = h.coeffs[0]
+    inv = c0.inverse()
+    low = {0: c0}
+    if r:
+        neg_inv = -inv
+        upper = [(j, neg_inv * c) for j, c in h.coeffs.items() if j > 0]
+        fringe = [(j, neg_inv * c) for j, c in h.coeffs.items() if j < 0]
+        q = [one]
+        for p in range(1, d + 1):
+            prev, q = q, [one]
+            for k in range(1, r * (d - p + 1) + 1):
+                # in pass 1, prev holds q_0 alone, which no k - j >= 2 reaches
+                pairs = [(c, q[k - j]) for j, c in upper if j <= k]
+                pairs += [(c, prev[k - j]) for j, c in fringe if k - j < len(prev)]
+                q.append(_sum_products(ring, pairs, p))
+        low = {e: c for e, c in _series_product(ring, h.coeffs, dict(enumerate(q[: r + 1])), 1).items() if c}
+        inv = low[0].inverse()
     unit = low[0]
-    inv = unit.inverse()
     # a unit times a nonzero element is nonzero, so gminus keeps L's
     # support; its z^0 term is unit * inv = 1
     gminus = _laurent(ring, {e: one if e == 0 else c * inv for e, c in low.items()}, None)

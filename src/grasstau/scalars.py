@@ -44,7 +44,10 @@ kernel, ``_accumulate``, the loop over monomial pairs.
 x * y, ``_sub_product`` the a - b * c of an elimination step and of ring
 ``+`` and ``-`` (c = -1 or 1), ``_series_product`` the coefficients of a
 product of series, one sum per exponent, and ``_substitute`` a ring
-map, a sum of products of powers.  The integer products accumulate over
+map, a sum of products of powers.  ``_sum_products`` also takes a weight
+cap, which drops the terms of weight >= cap: keys are weight-major, so
+the cap is the smaller key limit cap·M, and the kernel stops each row
+there instead of at L.  The integer products accumulate over
 one common denominator, the lcm of the pair denominators (1 in
 characteristic p), and each sum is reduced once.
 The canonical form is unique (see ``RingElement``), so the result is
@@ -575,23 +578,26 @@ def _operand(ring: CoeffRing, other) -> RingElement:
     return ring.const(other)
 
 
-def _accumulate(ring: CoeffRing, out: dict, left: dict, right: dict, scale: int) -> dict:
+def _accumulate(ring: CoeffRing, out: dict, left: dict, right: dict, scale: int, limit: int | None = None) -> dict:
     """Add scale * left * right into ``out``, all three {key: int}
     numerator dicts, and return ``out``: the one loop over monomial pairs.
     It walks ``right`` in increasing key order, so the first key sum at or
-    past the ring's limit ends the row: every later product is past the
-    bound too.  A lone constant on either side, a scalar operand say,
-    scales the other side's numerators instead."""
+    past the limit ends the row: every later product is past it too.  The
+    limit is the ring's, L, unless ``limit``, a smaller key limit, is
+    given.  A lone constant on either side, a scalar operand say, scales
+    the other side's numerators instead, those below ``limit`` when given."""
     if len(left) == 1 and 0 in left:
         left, right = right, left
     if len(right) == 1 and 0 in right:
         (a,) = right.values()
         a *= scale
-        for mono, c in left.items():
+        terms = left.items() if limit is None else [(m, c) for m, c in left.items() if m < limit]
+        for mono, c in terms:
             prev = out.get(mono)
             out[mono] = c * a if prev is None else prev + c * a
         return out
-    limit = ring._limit
+    if limit is None:
+        limit = ring._limit
     right = sorted(right.items())
     for m1, c1 in left.items():
         c1 *= scale
@@ -615,18 +621,22 @@ def _onto_lcm(out: dict, den: int, d: int) -> int:
     return grown
 
 
-def _sum_products(ring: CoeffRing, pairs) -> RingElement:
+def _sum_products(ring: CoeffRing, pairs, cap: int | None = None) -> RingElement:
     """The sum of x * y over the (x, y) in ``pairs``, elements of rings
-    equal to ``ring``, brought to canonical form once.
+    equal to ``ring``, brought to canonical form once; with a weight
+    ``cap``, the sum with its terms of weight >= cap dropped.
 
     The numerator products accumulate over one common denominator D, the
     lcm of the pair denominators seen so far (1 in characteristic p), each
     pair's products scaled by D over its own; when a pair grows D, the
     partial sum is scaled up to the new D first.  The sum is then exactly
     the value the chained ``acc + x * y`` reaches, and canonical forms are
-    unique, so the two results are ``==`` and print alike."""
+    unique, so the two results are ``==`` and print alike.  Keys are
+    weight-major, so the cap is the key limit cap·M in place of L: a
+    product term is kept exactly when its key is below it."""
     out: dict[int, int] = {}
     den = 1
+    limit = None if cap is None else min(cap * ring._step, ring._limit)
     for x, y in pairs:
         if not (x._num and y._num):
             continue
@@ -635,7 +645,7 @@ def _sum_products(ring: CoeffRing, pairs) -> RingElement:
         d = x._den * y._den
         if den % d:
             den = _onto_lcm(out, den, d)
-        _accumulate(ring, out, x._num, y._num, den // d)
+        _accumulate(ring, out, x._num, y._num, den // d, limit)
     return _reduced(ring, out, den)
 
 

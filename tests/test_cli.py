@@ -1083,3 +1083,43 @@ def test_cli_a_size_flag_at_its_cap_is_read(capsys, monkeypatch, argv, flag, pay
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
     assert main(argv + [str(cli._FLAG_CAPS[flag])]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "ok"
+
+
+def _payload_source(source, monkeypatch, tmp_path, text):
+    """The argv tail that feeds ``text`` to a call: a file through --in, a
+    byte stdin (a real one's shape, with a buffer), or a text stdin with
+    no buffer, read in characters."""
+    if source == "file":
+        path = tmp_path / "payload.json"
+        path.write_bytes(text.encode("utf-8"))
+        return ["--in", str(path)]
+    stream = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8") if source == "stdin" else io.StringIO(text)
+    monkeypatch.setattr("sys.stdin", stream)
+    return []
+
+
+@pytest.mark.parametrize("source", ["file", "stdin", "text stdin"])
+def test_cli_a_payload_past_the_byte_cap_is_refused_before_decoding(capsys, monkeypatch, tmp_path, source):
+    # cap + 1 bytes that are no JSON: decoding them would exit 2, and every
+    # library function the call could reach raises
+    cap = cli._PAYLOAD_CAP
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a library function was called")
+
+    for name, obj in vars(cli).items():
+        if inspect.isfunction(obj) and obj.__module__ != cli.__name__:
+            monkeypatch.setattr(cli, name, refuse)
+    code = main(["factor", *_payload_source(source, monkeypatch, tmp_path, "{" + " " * cap)])
+    out = json.loads(capsys.readouterr().out)
+    assert (code, out["kind"], out["error"]) == (3, "precondition", f"payload must be at most {cap} bytes")
+
+
+@pytest.mark.parametrize("source", ["file", "stdin", "text stdin"])
+def test_cli_a_payload_at_the_byte_cap_is_read(capsys, monkeypatch, tmp_path, source):
+    text = json.dumps(FACTOR_PAYLOAD)
+    assert main(["factor"] + _payload_source(source, monkeypatch, tmp_path, text)) == 0
+    want = capsys.readouterr().out
+    padded = text + " " * (cli._PAYLOAD_CAP - len(text))
+    assert main(["factor"] + _payload_source(source, monkeypatch, tmp_path, padded)) == 0
+    assert capsys.readouterr().out == want

@@ -24,8 +24,10 @@ from grasstau import (
     witt_add,
     witt_product,
 )
+from grasstau import gamma
 from grasstau.gamma import witt_peel
 from grasstau.laurent import neumann
+from grasstau.scalars import _sum_products
 
 R2 = CoeffRing(QQ, 1, 2)
 X = R2.gen(0)
@@ -428,9 +430,10 @@ def test_factorize_matches_the_full_range_passes(field, d, r, unit_wing, windowe
     ],
 )
 def test_factorize_takes_two_ring_inverses(f, monkeypatch):
-    """One factorize call inverts two ring elements: h's z^0 coefficient,
-    for the passes, and the unit, whose one inverse scales gminus and
-    serves the division that gives gplus."""
+    """One factorize call inverts h's z^0 coefficient c0, for the passes,
+    and the unit, whose one inverse scales gminus and serves the division
+    that gives gplus.  With an empty fringe (r = 0) no pass runs and the
+    unit is c0, so c0 is the one element inverted."""
     inverted = []
     inverse = RingElement.inverse
 
@@ -440,8 +443,80 @@ def test_factorize_takes_two_ring_inverses(f, monkeypatch):
 
     monkeypatch.setattr(RingElement, "inverse", counted)
     g = factorize(f)
-    n = f.reduced_valuation()[0]
-    assert inverted == [f.coefficient(n), g.unit]
+    n, r = f.reduced_valuation()
+    assert inverted == ([f.coefficient(n), g.unit] if r else [f.coefficient(n)])
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([QQ, GF(2), GF(3), GF(5)]),
+    st.sampled_from([(2, 3), (2, 2)]),
+    st.integers(2, 5),
+    st.integers(0, 3),
+    st.booleans(),
+    st.data(),
+)
+def test_factorize_matches_the_full_range_passes_on_heavy_variables(field, weights, d, r, windowed, data):
+    """The full-range comparison on rings whose lightest variable weighs 2.
+    There m^p is spanned by monomials of weight >= 2p, so "right in
+    weights < p", what pass p keeps, is furthest from "right modulo m^p"."""
+    ring = CoeffRing(field, 2, d, weights)
+    element = _element_drawer(ring, data)
+    n = data.draw(st.integers(-2, 2))
+    terms = {0: element(True) + data.draw(st.sampled_from([1, -1, 2]).filter(lambda v: ring.const(v)))}
+    for j in range(1, r + 1):
+        terms[-j] = element(True)
+    if r and not terms[-r]:
+        terms[-r] = ring.gen(0)
+    for j in range(1, 4):
+        terms[j] = element(False)
+    trunc = n + d * r + 1 + data.draw(st.integers(0, 3)) if windowed else None
+    f = LaurentElement(ring, {e + n: c for e, c in terms.items()}, trunc)
+    assert f.reduced_valuation() == (n, r)
+
+    g = factorize(f)
+    assert g == _reference_factorize(f)
+    if windowed:
+        assert g.as_laurent().same_series(f)
+    else:
+        assert g.as_laurent() == f
+
+
+_RW = CoeffRing(GF(5), 2, 5, weights=(2, 3))
+_R3 = CoeffRing(QQ, 2, 3)
+_C4 = coordinate_ring(GF(3), 4)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        LaurentElement(R2, {-2: X, -1: X * X, 0: R2.const(2) + X, 1: 1}),
+        LaurentElement(_R3, {-1: _R3.gen(0) + _R3.gen(1), 0: 1 + _R3.gen(0), 1: 2 + _R3.gen(1), 2: _R3.gen(0)}),
+        LaurentElement(_C4, {-2: _C4.gen(0), -1: _C4.gen(0) + _C4.gen(1), 0: 1 + _C4.gen(2), 1: _C4.gen(0), 3: 1}),
+        LaurentElement(_RW, {-1: _RW.gen(0) + _RW.gen(1), 0: 2, 1: 1 + _RW.gen(0), 2: _RW.gen(1)}, trunc=9),
+    ],
+)
+def test_factorize_pass_p_keeps_only_the_weights_below_p(f, monkeypatch):
+    """Pass p = 1..d fills r(d - p + 1) entries, each one sum of products
+    capped at weight p: no entry has a term of weight >= p, each is the
+    uncapped sum with those terms dropped, and some cap drops terms."""
+    entries = []
+
+    def recorded(ring, pairs, cap=None):
+        got = _sum_products(ring, pairs, cap)
+        entries.append((cap, got, _sum_products(ring, pairs)))
+        return got
+
+    monkeypatch.setattr(gamma, "_sum_products", recorded)
+    g = factorize(f)
+    ring, (_, r) = f.ring, f.reduced_valuation()
+    d = ring.degree_bound
+    assert [cap for cap, _, _ in entries] == [p for p in range(1, d + 1) for _ in range(r * (d - p + 1))]
+    for cap, got, full in entries:
+        assert all(ring.weight(m) < cap for m in got.coeffs)
+        assert got == RingElement(ring, {m: c for m, c in full.coeffs.items() if ring.weight(m) < cap})
+    assert any(got != full for _, got, full in entries)
+    assert g == _reference_factorize(f)
 
 
 # ---------------------------------------------------------------------------

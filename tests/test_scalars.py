@@ -745,6 +745,42 @@ def test_sum_of_products_refuses_elements_of_another_ring():
             _sum_products(ring, [pair])
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([QQ, GF(2), GF(3), GF(5)]), st.sampled_from(KERNEL_SHAPES + [(2, 5, (2, 3))]), st.data())
+def test_capped_sum_of_products_drops_the_terms_at_and_past_the_cap(field, shape, data):
+    """With a weight cap the sum is the uncapped one without its terms of
+    weight >= cap, on both kernel paths: a lone constant operand scales
+    the other side, any other pair runs the loop over monomial pairs.
+    Caps run from 0, which drops everything, to past the bound, which
+    drops nothing."""
+    ring = CoeffRing(field, *shape)
+    operand, constant = _operand_of(ring), _scalar(field).map(ring.const)
+    pair = st.one_of(st.tuples(operand, operand), st.tuples(constant, operand), st.tuples(operand, constant))
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=5))
+    cap = data.draw(st.integers(0, ring.degree_bound + 2))
+    full = _sum_products(ring, pairs)
+    want = RingElement(ring, {m: c for m, c in full.coeffs.items() if ring.weight(m) < cap})
+    got = _canonical(_sum_products(ring, pairs, cap))
+    assert got == want
+    assert repr(got) == repr(want)
+    if cap == 0:
+        assert not got
+    if cap > ring.degree_bound:
+        assert got == full
+
+
+def test_capped_sum_of_products_frozen():
+    ring = CoeffRing(QQ, 2, 3, weights=(1, 2))
+    x, y = ring.gen(0), ring.gen(1)
+    a = 1 + x + y + x * y
+    # a lone constant on either side, then the loop over monomial pairs
+    assert _sum_products(ring, [(ring.const(3), a)], 2) == 3 + 3 * x
+    assert _sum_products(ring, [(a, ring.const(3))], 3) == 3 + 3 * x + 3 * y
+    assert _sum_products(ring, [(a, x), (y, ring.const(Fraction(1, 2)))], 3) == x + x * x + Fraction(1, 2) * y
+    assert _sum_products(ring, [(a, a)], 0) == 0
+    assert _sum_products(ring, [(a, a)], 9) == a * a
+
+
 def test_tuples_outside_the_ring_read_no_other_coefficient():
     ring = CoeffRing(QQ, 2, 2)
     # every surviving monomial carries its own coefficient, so a lookup that
